@@ -17,11 +17,13 @@ from . import balls as balls_mod
 from . import rewriting as rw
 from .backends import bs_oracle, dihedral_group, free_abelian_oracle, free_oracle
 from .errors import (
+    BadOrder,
     CombinatorialExplosion,
     Exhausted,
     LimitExceeded,
     OracleMismatch,
     ParseError,
+    Unsupported,
 )
 from .grigorchuk import make_grigorchuk_data, run_full_verification
 from .parsing import parse_document
@@ -34,7 +36,19 @@ EXIT_LIMIT = 4
 
 
 def _step_cap(default: int = 20_000) -> int:
-    return int(os.environ.get("GPQ_STEP_CAP", default))
+    text = os.environ.get("GPQ_STEP_CAP", str(default))
+    try:
+        return int(text)
+    except ValueError:
+        click.echo(f"GPQ_STEP_CAP must be an integer, got {text!r}", err=True)
+        sys.exit(EXIT_PARSE)
+
+
+def _int_arg(text: str, spec: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"backend {spec!r} needs integer arguments, got {text!r}") from None
 
 
 def _emit(report: dict, json_path: str | None):
@@ -64,7 +78,7 @@ def _make_oracle(spec: str, alphabet):
     if kind == "abelian":
         return free_abelian_oracle(len(alphabet), alphabet)
     if kind == "dihedral":
-        order = int(args)
+        order = _int_arg(args, spec)
         if len(alphabet) != 2:
             raise OracleMismatch("dihedral backend needs a 2-letter alphabet")
         return dihedral_group(order, names=(alphabet.letters[0], alphabet.letters[1]))
@@ -72,7 +86,8 @@ def _make_oracle(spec: str, alphabet):
         m_s, _, n_s = args.partition(",")
         if len(alphabet) != 2:
             raise OracleMismatch("bs backend needs a 2-letter alphabet")
-        return bs_oracle(int(m_s), int(n_s), names=(alphabet.letters[0], alphabet.letters[1]))
+        m, n = _int_arg(m_s, spec), _int_arg(n_s, spec)
+        return bs_oracle(m, n, names=(alphabet.letters[0], alphabet.letters[1]))
     raise OracleMismatch(f"unknown backend {spec!r}")
 
 
@@ -84,7 +99,7 @@ def main():
 @main.command("ball")
 @click.argument("path", type=click.Path())
 @click.option("--backend", required=True, help="free | abelian | dihedral:ORDER | bs:M,N")
-@click.option("--radius", type=int, required=True)
+@click.option("--radius", type=click.IntRange(min=0), required=True)
 @click.option("--sphere", is_flag=True, help="build the metric sphere instead")
 @click.option("--pi1/--no-pi1", default=True, help="also report loop generators")
 @click.option("--kill-radius", "r_max", type=int, default=None, help="search the kill radius up to R")
@@ -92,19 +107,19 @@ def main():
 def cmd_ball(path, backend, radius, sphere, pi1, r_max, json_path):
     """Build a metric ball of a presentation and report its topology."""
     doc = _load_document(path)
+    caps = {"step_cap": _step_cap()}
     try:
         p = doc.presentation()
         oracle = _make_oracle(backend, p.alphabet)
         build = balls_mod.build_sphere if sphere else balls_mod.build_ball
         ball = build(oracle, p, radius)
-    except OracleMismatch as exc:
+    except (OracleMismatch, BadOrder, Unsupported) as exc:
         click.echo(f"oracle mismatch: {exc}", err=True)
         sys.exit(EXIT_ORACLE)
     except ParseError as exc:
         click.echo(f"parse error: {exc}", err=True)
         sys.exit(EXIT_PARSE)
 
-    caps = {"step_cap": _step_cap()}
     payload = {
         "radius": radius,
         "sphere": sphere,
@@ -212,7 +227,7 @@ def cmd_grigorchuk():
 
 
 @cmd_grigorchuk.command("verify")
-@click.option("--max-n", type=int, required=True)
+@click.option("--max-n", type=click.IntRange(min=0), required=True)
 @click.option("--json", "json_path", type=click.Path(), default=None)
 def grigorchuk_verify(max_n, json_path):
     """Verify every induced-relator identity for n = 1..max_n."""
@@ -256,7 +271,7 @@ def _factored(word) -> str:
 @cmd_grigorchuk.command("show")
 @click.option("--variant", type=click.Choice(["abcd", "acd", "abd"]), default="acd")
 @click.option("--family", type=click.Choice(["w", "z"]), default="w")
-@click.option("--n", type=int, default=0)
+@click.option("--n", type=click.IntRange(min=0), default=0)
 @click.option("--hnn", is_flag=True, help="print the HNN extension instead")
 def grigorchuk_show(variant, family, n, hnn):
     """Print relator-family members (or the finitely presented extension)."""

@@ -20,11 +20,20 @@ The identities close at the dihedral level: expanding the conjugated
 d-letters multiplies neighbouring conjugator words inside the finite quotient
 <a,c>, which free reduction alone cannot see.  Each report states the first
 level at which its case closes.
+
+Work per (n, family), done once and memoised on the GrigorchukData: w_n, its
+basic relation T(w_n) over D_8 (empty for n = 0, which is degenerate), and
+w_{n+1} = sigma(w_n) read over a,c,d through b -> cd.  Work per case
+(factor, x): conjugating T(w_n) by x, transporting it with the eight phi0
+conjugator words (built once per GrigorchukData), conjugating the memoised
+core by C, and the Klein and dihedral normal forms, each one pass over the
+word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .backends import FiniteGroupTable, dihedral_group, klein_group
 from .errors import DegenerateCase
@@ -34,10 +43,12 @@ from .words import (
     Alphabet,
     Substitution,
     Word,
+    apply_substitution,
     free_reduce,
     iterate_substitution,
     rename_word,
 )
+
 
 @dataclass(frozen=True)
 class GrigorchukData:
@@ -59,6 +70,13 @@ class GrigorchukData:
     phi1_table: tuple[int, ...]
     psi_formulas: dict = field(default_factory=dict)
     b_generators: tuple[str, ...] = ()
+    # phi0_word(x) for every x, and the (n, family) memo of _family_parts
+    _phi0_words: tuple[Word, ...] = field(init=False, compare=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        words = tuple(rename_word(self.d16.element_names[g], self.acd) for g in self.phi0_table)
+        object.__setattr__(self, "_phi0_words", words)
 
     # -- presentations ---------------------------------------------------------
 
@@ -95,7 +113,7 @@ class GrigorchukData:
 
     def phi0_word(self, x: int) -> Word:
         """Canonical <a,c>-word of the image of the D8 element x."""
-        return rename_word(self.d16.element_names[self.phi0_table[x]], self.acd)
+        return self._phi0_words[x]
 
     def phi1_word(self, x: int) -> Word:
         return rename_word(self.d16.element_names[self.phi1_table[x]], self.acd)
@@ -136,6 +154,20 @@ class GrigorchukData:
         """Normal form in D_16 * <d>: maximal a,c-blocks evaluated in D_16."""
         return _free_product_nf(word, self.d16, {"a": 0, "c": 1}, ("d",))
 
+    # -- the part of a verification case shared by all (factor, x) ----------------
+
+    def _family_parts(self, n: int, family: str):
+        """(T(w_n), translate(w_{n+1})) for the a,b,d variant, memoised."""
+        key = (n, family)
+        if key not in self._memo:
+            wn = self.relator_family("abd", family, n)
+            basic = basic_relation(wn, self.b_extension)
+            if not basic:
+                raise DegenerateCase(f"{family}_{n} has no inducible letters (b-free)")
+            core = self.translate_bd_to_cd(apply_substitution(self.sigma_abd, wn))
+            self._memo[key] = (basic, core)
+        return self._memo[key]
+
 
 def _letterwise(word: Word, target: Alphabet, images: dict) -> Word:
     out: list[tuple[int, int]] = []
@@ -150,34 +182,43 @@ def _free_product_nf(word: Word, table: FiniteGroupTable, embed: dict, passthrou
     """Syllable normal form in (group of `table`) * (free product of passthrough
     involutions).  Returns a tuple of ('t', element) and ('p', letter) syllables.
 
-    Passthrough letters must be involutive; cancelling an incoming letter with
-    the stack top never creates new adjacencies, so one pass suffices.
+    One pass: runs of embedded letters multiply into one pending table
+    element, written out as a syllable only when a passthrough letter follows.
+    Passthrough letters must be involutive, so one equal to the last syllable
+    cancels it, and the table syllable before it becomes pending again.
     """
-    stack: list = []
-
-    def push_table(elem: int):
-        if stack and stack[-1][0] == "t":
-            merged = table.mul[stack.pop()[1]][elem]
-            if merged != 0:
-                stack.append(("t", merged))
-            return
-        if elem != 0:
-            stack.append(("t", elem))
-
-    for idx, exp in word.letters:
-        name = word.alphabet.letters[idx]
+    alphabet = word.alphabet
+    action = {}  # (idx, exp) -> table element, or the ('p', name) syllable
+    for idx, name in enumerate(alphabet.letters):
         if name in embed:
             g = table.generator_map[embed[name]]
-            push_table(g if exp == 1 else table.inv[g])
+            action[(idx, 1)], action[(idx, -1)] = g, table.inv[g]
         elif name in passthrough:
-            assert word.alphabet.involutive[idx], "passthrough letters must be involutive"
-            if stack and stack[-1] == ("p", name):
-                stack.pop()
-            else:
-                stack.append(("p", name))
-        else:
+            assert alphabet.involutive[idx], "passthrough letters must be involutive"
+            action[(idx, 1)] = ("p", name)
+    mul = table.mul
+    out: list = []
+    pending = 0
+    for letter in word.letters:
+        act = action.get(letter)
+        if type(act) is int:
+            pending = mul[pending][act]
+        elif act is None:
+            name = alphabet.letters[letter[0]]
             raise ValueError(f"letter {name!r} is neither embedded nor passthrough")
-    return tuple(stack)
+        elif pending:
+            out.append(("t", pending))
+            out.append(act)
+            pending = 0
+        elif out and out[-1] == act:
+            out.pop()
+            if out and out[-1][0] == "t":
+                pending = out.pop()[1]
+        else:
+            out.append(act)
+    if pending:
+        out.append(("t", pending))
+    return tuple(out)
 
 
 def make_grigorchuk_data() -> GrigorchukData:
@@ -286,17 +327,14 @@ def transport_induced_relation(
     """
     if factor not in ("first", "second"):
         raise ValueError("factor must be 'first' or 'second'")
-    out: list[tuple[int, int]] = []
-    a_letter = (data.acd.index("a"), 1)
+    prefix = ((data.acd.index("a"), 1),) if factor == "first" else ()
     d_letter = (data.acd.index("d"), 1)
-    for yl in relation:
-        u = list(data.phi0_word(yl.conjugator).letters)
-        if factor == "first":
-            u = [a_letter] + u
-        out.extend(u)
-        out.append(d_letter)
-        out.extend(reversed(u))  # involutive inverse
-    return free_reduce(Word(data.acd, tuple(out)))
+    pieces = []
+    for u in data._phi0_words:
+        u = prefix + u.letters
+        pieces.append(u + (d_letter,) + u[::-1])  # involutive inverse
+    out = tuple(chain.from_iterable(pieces[yl.conjugator] for yl in relation))
+    return free_reduce(Word(data.acd, out))
 
 
 @dataclass(frozen=True)
@@ -350,19 +388,14 @@ def verify_sigma_identity(
     is read over a,c,d through b -> cd.  Equality is reported at the free,
     Klein, and dihedral levels; inequality is reported, never raised.
     """
-    wn = data.relator_family("abd", family, n)
-    basic = basic_relation(wn, data.b_extension)
-    if not basic:
-        raise DegenerateCase(f"{family}_{n} has no inducible letters (b-free)")
+    basic, core = data._family_parts(n, family)
     relation = conjugate_relation(basic, x, data.b_extension)
     computed = transport_induced_relation(data, relation, factor)
 
-    w_next = data.relator_family("abd", family, n + 1)
-    core = data.translate_bd_to_cd(w_next)
-    conj = data.phi0_word(x)
+    conj = data.phi0_word(x).letters
     if factor == "first":
-        conj = Word.from_str(data.acd, "a") * conj
-    expected = free_reduce(conj * core * conj.inverse())
+        conj = ((data.acd.index("a"), 1),) + conj
+    expected = free_reduce(Word(data.acd, conj + core.letters + conj[::-1]))
 
     equal_free = computed.letters == expected.letters
     equal_klein = data.klein_nf(computed) == data.klein_nf(expected)

@@ -3,9 +3,15 @@
 `group_order` runs a small HLT-style coset enumeration over the trivial
 subgroup: the order of a finitely presented finite group, computed without
 touching any library word machinery beyond reading the presentation.
+
+`free_product_nf` is the syllable normal form in (finite group) * (free
+product of involutions), found by rewriting one step at a time until nothing
+changes; the library computes the same form in one pass.
 """
 
 from __future__ import annotations
+
+from gpq.words import Word
 
 
 def _symbols(alphabet):
@@ -145,3 +151,47 @@ def group_order(presentation, limit: int = 50_000) -> int:
         for s in range(nsyms):
             assert table[c][s] is not None
     return len(live)
+
+
+def free_product_nf(word, table, passthrough):
+    """Syllable normal form of `word` in (group of `table`) * (free product of
+    the involutive `passthrough` letters), as ('t', element) and ('p', name)
+    syllables.
+
+    Letters of the table's alphabet form 't' blocks.  Until no rule applies:
+    join two adjacent blocks, drop a block that evaluates to the identity, or
+    cancel two adjacent equal passthrough letters.  Each rule is an equality
+    in the free product, and the reduced form is unique, so the order of the
+    rewrites does not matter.  Raises ValueError for any other letter.
+    """
+    items = []
+    for idx, exp in word.letters:
+        name = word.alphabet.letters[idx]
+        if name in table.alphabet.letters:
+            items.append(("t", ((table.alphabet.index(name), exp),)))
+        elif name in passthrough:
+            items.append(("p", name))
+        else:
+            raise ValueError(f"letter {name!r} is neither embedded nor passthrough")
+
+    def evaluate(block):
+        return table.evaluate(Word(table.alphabet, block))
+
+    def rewrite_once():
+        for i, (kind, value) in enumerate(items):
+            if kind == "t" and evaluate(value) == 0:
+                del items[i]
+                return True
+            if i + 1 < len(items):
+                nxt_kind, nxt_value = items[i + 1]
+                if kind == nxt_kind == "t":
+                    items[i : i + 2] = [("t", value + nxt_value)]
+                    return True
+                if kind == nxt_kind == "p" and value == nxt_value:
+                    del items[i : i + 2]
+                    return True
+        return False
+
+    while rewrite_once():
+        pass
+    return tuple(("t", evaluate(v)) if k == "t" else (k, v) for k, v in items)

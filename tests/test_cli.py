@@ -162,3 +162,52 @@ def test_ball_sphere_flag(runner, tmp_path):
     )
     assert result.exit_code == 0
     assert "V=4 E=0 C=0" in result.output
+
+
+def _assert_clean_exit(result, code):
+    """Exit `code` through sys.exit with a message, never an uncaught exception."""
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.stderr
+    assert result.stderr.strip()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["grigorchuk", "verify", "--max-n", "-1"],
+        ["grigorchuk", "show", "--n", "-1"],
+        ["ball", "{path}", "--backend", "abelian", "--radius", "-1"],
+    ],
+)
+def test_negative_count_is_a_usage_error(runner, tmp_path, args):
+    path = _write(tmp_path, "z2.gp", Z2_FILE)
+    _assert_clean_exit(runner.invoke(main, [arg.format(path=path) for arg in args]), 2)
+
+
+@pytest.mark.parametrize(
+    "backend, code",
+    [("dihedral:x", 2), ("bs:1,x", 2), ("bs:1", 2), ("dihedral:0", 3), ("bs:2,1", 3)],
+)
+def test_bad_backend_argument_exit_code(runner, tmp_path, backend, code):
+    # a non-integer argument does not parse; a parsed order with no oracle
+    # is an oracle mismatch
+    path = _write(tmp_path, "z2.gp", Z2_FILE)
+    result = runner.invoke(main, ["ball", path, "--backend", backend, "--radius", "1"])
+    _assert_clean_exit(result, code)
+    assert len(result.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["ball", "{path}", "--backend", "abelian", "--radius", "1"],
+        ["rewrite", "{path}", "--word", "a d"],
+    ],
+)
+def test_step_cap_not_an_integer_exit_code(runner, tmp_path, monkeypatch, command):
+    monkeypatch.setenv("GPQ_STEP_CAP", "abc")
+    path = _write(tmp_path, "d8.gp", D8_FILE)
+    result = runner.invoke(main, [arg.format(path=path) for arg in command])
+    _assert_clean_exit(result, 2)
+    assert result.stderr.strip() == "GPQ_STEP_CAP must be an integer, got 'abc'"

@@ -8,12 +8,14 @@ import pytest
 
 from gpq.errors import DegenerateCase
 from gpq.grigorchuk import (
+    make_grigorchuk_data,
     run_full_verification,
     transport_induced_relation,
     verify_sigma_identity,
 )
 from gpq.induction import YLetter, basic_relation
 from gpq.words import Word, apply_substitution, free_reduce
+from helpers import free_product_nf
 
 
 def W(alphabet, text):
@@ -160,12 +162,16 @@ def test_run_zero_is_empty(grig):
 
 
 def test_reports_replay_from_scratch(grig):
-    # recomputing a report's words from its case id reproduces them byte-for-byte
-    reports, _ = run_full_verification(grig, 1)
-    for rep in reports[:8]:
-        again = verify_sigma_identity(grig, rep.n, rep.family, rep.factor, rep.x)
+    # recomputing a report's words from its case id reproduces them
+    # byte-for-byte, on fresh data whose per-(n, family) memo the cases fill
+    # in reverse order
+    reports, _ = run_full_verification(grig, 3)
+    fresh = make_grigorchuk_data()
+    for rep in reversed(reports):
+        again = verify_sigma_identity(fresh, rep.n, rep.family, rep.factor, rep.x)
         assert again.expected == rep.expected
         assert again.computed == rep.computed
+        assert again.to_dict() == rep.to_dict()
 
 
 def test_transport_matches_basic_relation_pipeline(grig):
@@ -268,6 +274,42 @@ def test_dihedral_nf_is_a_congruence(grig):
         v = Word(grig.acd, tuple((rng.randrange(3), 1) for _ in range(rng.randrange(12))))
         rel = rng.choice(relators)
         assert grig.dihedral_nf(u * rel * v) == grig.dihedral_nf(u * v)
+
+
+def test_normal_forms_match_the_rewriting_model(grig):
+    # the one-pass normal forms agree with rewriting to a fixpoint, on random
+    # words and on products of conjugated relators, which collapse to ()
+    rng = random.Random(4243)
+    groups = (
+        (grig.klein_nf, grig.klein_cd, ("a",), ("a a", "c c", "d d", "c d c d")),
+        (grig.dihedral_nf, grig.d16, ("d",), ("a a", "c c", "d d", "(a c a c)^4")),
+    )
+
+    def random_word(max_len):
+        return Word(grig.acd, tuple((rng.randrange(3), 1) for _ in range(rng.randrange(max_len))))
+
+    for nf, table, passthrough, relator_texts in groups:
+        relators = [W(grig.acd, t) for t in relator_texts]
+        forms = []
+        for k in range(300):
+            if k % 2:
+                w = random_word(24)
+            else:
+                w = Word.identity(grig.acd)
+                for _ in range(rng.randrange(1, 4)):
+                    u = random_word(10)
+                    w = w * u * rng.choice(relators) * u.inverse()
+            forms.append(nf(w))
+            assert forms[-1] == free_product_nf(w, table, passthrough), str(w)
+        assert sum(f == () for f in forms) >= 150
+        assert any({"t", "p"} <= {kind for kind, _ in f} for f in forms)
+
+
+def test_normal_forms_reject_foreign_letters(grig):
+    w = W(grig.abcd, "a b a")
+    for nf in (grig.klein_nf, grig.dihedral_nf):
+        with pytest.raises(ValueError):
+            nf(w)
 
 
 def test_verification_extends_to_n_five(grig):
