@@ -1,8 +1,11 @@
 """Word-problem oracles: finite tables, free / free-abelian groups, B(1,n).
 
-Every oracle maps words over its alphabet to canonical normal-form words;
-`is_identity(w)` iff the normal form is empty.  Oracles are immutable after
-construction and safe for concurrent queries.
+Every oracle names group elements by small hashable keys: `key(w)` is the key
+of the element the word w represents, `step(k, d)` the key of k times the
+letter d = (index, exponent), and `word(k)` the canonical normal-form word,
+used to name and sort elements.  `normal_form(w)` is `word(key(w))`, and
+`is_identity(w)` compares keys.  Oracles are immutable after construction
+and safe for concurrent queries.
 """
 
 from __future__ import annotations
@@ -15,18 +18,44 @@ from .words import Alphabet, Word, free_reduce
 
 
 class WordOracle:
-    """Interface: normal_form / is_identity, plus a descriptor string."""
+    """Interface: element keys, normal forms and is_identity, plus a descriptor.
+
+    The defaults derive keys from `normal_form`: a key is the letter tuple of
+    the normal form, so a subclass need only define `normal_form`.
+    """
 
     alphabet: Alphabet
 
     def normal_form(self, word: Word) -> Word:
         raise NotImplementedError
 
+    def key(self, word: Word):
+        return self.normal_form(word).letters
+
+    def step(self, key, direction: tuple[int, int]):
+        return self.normal_form(Word(self.alphabet, key + (direction,))).letters
+
+    def word(self, key) -> Word:
+        return Word(self.alphabet, key)
+
     def is_identity(self, word: Word) -> bool:
-        return self.normal_form(word).is_empty()
+        return self.key(word) == self.key(Word(self.alphabet))
 
     def describe(self) -> str:
         raise NotImplementedError
+
+
+class NormalFormKeys(WordOracle):
+    """The default keys for any object with `alphabet` and `normal_form`."""
+
+    def __init__(self, oracle):
+        self.alphabet = oracle.alphabet
+        self.normal_form = oracle.normal_form
+
+
+def keyed(oracle) -> WordOracle:
+    """`oracle` itself if it offers element keys, else its NormalFormKeys."""
+    return oracle if hasattr(oracle, "step") else NormalFormKeys(oracle)
 
 
 # --- finite groups by multiplication table --------------------------------------
@@ -74,17 +103,23 @@ class FiniteGroupTable(WordOracle):
             acc = self.mul[acc][g if exp == 1 else self.inv[g]]
         return acc
 
+    key = evaluate  # the element index
+
     def multiply_indices(self, *indices: int) -> int:
         acc = 0
         for i in indices:
             acc = self.mul[acc][i]
         return acc
 
+    def step(self, key: int, direction: tuple[int, int]) -> int:
+        g = self.generator_map[direction[0]]
+        return self.mul[key][g if direction[1] == 1 else self.inv[g]]
+
+    def word(self, key: int) -> Word:
+        return self.element_names[key]
+
     def normal_form(self, word: Word) -> Word:
         return self.element_names[self.evaluate(word)]
-
-    def is_identity(self, word: Word) -> bool:
-        return self.evaluate(word) == 0
 
     def describe(self) -> str:
         gens = ",".join(self.alphabet.letters)
@@ -198,6 +233,15 @@ class FreeGroupOracle(WordOracle):
     def normal_form(self, word: Word) -> Word:
         return free_reduce(word)
 
+    def key(self, word: Word) -> tuple[tuple[int, int], ...]:
+        return free_reduce(word).letters
+
+    def step(self, key, direction: tuple[int, int]):
+        idx, exp = direction
+        if key and key[-1][0] == idx and (self.alphabet.involutive[idx] or key[-1][1] == -exp):
+            return key[:-1]
+        return key + (direction,)
+
     def describe(self) -> str:
         return f"free group of rank {len(self.alphabet)}"
 
@@ -206,15 +250,24 @@ class FreeGroupOracle(WordOracle):
 class FreeAbelianOracle(WordOracle):
     alphabet: Alphabet
 
-    def normal_form(self, word: Word) -> Word:
+    def key(self, word: Word) -> tuple[int, ...]:
         exps = [0] * len(self.alphabet)
         for idx, exp in word.letters:
             exps[idx] += exp
+        return tuple(exps)
+
+    def step(self, key: tuple[int, ...], direction: tuple[int, int]) -> tuple[int, ...]:
+        idx, exp = direction
+        return key[:idx] + (key[idx] + exp,) + key[idx + 1 :]
+
+    def word(self, key: tuple[int, ...]) -> Word:
         letters = []
-        for i, e in enumerate(exps):
-            sign = 1 if e > 0 else -1
-            letters.extend([(i, sign)] * abs(e))
+        for i, e in enumerate(key):
+            letters.extend([(i, 1 if e > 0 else -1)] * abs(e))
         return Word(self.alphabet, tuple(letters))
+
+    def normal_form(self, word: Word) -> Word:
+        return self.word(self.key(word))
 
     def describe(self) -> str:
         return f"free abelian group of rank {len(self.alphabet)}"
@@ -237,85 +290,53 @@ def free_abelian_oracle(k: int, alphabet: Alphabet | None = None) -> FreeAbelian
 
 @dataclass(frozen=True)
 class BaumslagSolitarOracle(WordOracle):
-    """B(1,n) = < a, b | a b a^-1 b^-n >, normal form a^-p b^q a^r.
+    """B(1,n) = < a, b | a b a^-1 b^-n >, normal form a^-p b^m a^r.
 
-    Here p, r >= 0 and n does not divide q when both p and r are positive.
-    Computed by confluent syllable rewriting: positive a-syllables migrate
-    right across b-blocks (a b^q -> b^(nq) a), negative ones migrate left,
-    and a^-1 b^(nq) a collapses to b^q.
+    Here p, r >= 0 and n does not divide m when both p and r are positive;
+    the key is (p, m, r).  A step by b^e adds e n^r to m, one by a^e moves r
+    (b^m a^-1 = a^-1 b^(mn) at r = 0), and a^-1 b^(nm) a = b^m then cancels.
     """
 
     alphabet: Alphabet
     n: int
 
-    def _syllables(self, word: Word) -> list[list[int]]:
-        syls: list[list[int]] = []
+    def key(self, word: Word) -> tuple[int, int, int]:
+        # the affine model x -> n^k x + m / n^s in integers; a^-p b^m a^r is
+        # x -> n^(r-p) x + m / n^p with p the least p >= -k keeping m integral
+        n, k, m, s = self.n, 0, 0, 0
         for idx, exp in word.letters:
-            if syls and syls[-1][0] == idx:
-                syls[-1][1] += exp
-                if syls[-1][1] == 0:
-                    syls.pop()
-            else:
-                syls.append([idx, exp])
-        return syls
-
-    def _rewrite(self, syls: list[list[int]]) -> list[list[int]]:
-        n = self.n
-        A, B = 0, 1
-        changed = True
-        while changed:
-            changed = False
-            # merge adjacent same-generator syllables, drop zeros
-            i = 0
-            while i < len(syls) - 1:
-                if syls[i][0] == syls[i + 1][0]:
-                    syls[i][1] += syls[i + 1][1]
-                    del syls[i + 1]
-                    if syls[i][1] == 0:
-                        del syls[i]
-                        i = max(i - 1, 0)
-                    changed = True
-                else:
-                    i += 1
-            for i in range(len(syls) - 1):
-                g1, e1 = syls[i]
-                g2, e2 = syls[i + 1]
-                if g1 == A and e1 > 0 and g2 == B:
-                    # a^e b^q = b^(q n^e) a^e
-                    syls[i], syls[i + 1] = [B, e2 * n**e1], [A, e1]
-                    changed = True
-                    break
-                if g1 == B and g2 == A and e2 < 0:
-                    # b^q a^-e = a^-e b^(q n^e)
-                    syls[i], syls[i + 1] = [A, e2], [B, e1 * n**-e2]
-                    changed = True
-                    break
-            if changed:
+            if idx == 0:
+                k += exp
                 continue
-            # a^-1 b^(nq) a -> b^q  (canonicality: minimal middle block)
-            for i in range(len(syls) - 2):
-                if (
-                    syls[i][0] == A
-                    and syls[i][1] < 0
-                    and syls[i + 1][0] == B
-                    and syls[i + 2][0] == A
-                    and syls[i + 2][1] > 0
-                    and syls[i + 1][1] % n == 0
-                ):
-                    syls[i][1] += 1
-                    syls[i + 1][1] //= n
-                    syls[i + 2][1] -= 1
-                    changed = True
-                    break
-        return [s for s in syls if s[1] != 0]
+            if k + s < 0:
+                m, s = m * n ** (-k - s), -k
+            m += exp * n ** (k + s)
+        while s and m % n == 0:
+            m, s = m // n, s - 1
+        p = max(s, -k)
+        return p, m * n ** (p - s), k + p
+
+    def step(self, key: tuple[int, int, int], direction: tuple[int, int]) -> tuple[int, int, int]:
+        p, m, r = key
+        idx, e = direction
+        n = self.n
+        if idx == 1:
+            m += e * n**r
+        elif r + e >= 0:
+            r += e
+        else:
+            p, m = p + 1, m * n
+        while p and r and m % n == 0:
+            p, m, r = p - 1, m // n, r - 1
+        return p, m, r
+
+    def word(self, key: tuple[int, int, int]) -> Word:
+        p, m, r = key
+        b = (1, 1 if m > 0 else -1)
+        return Word(self.alphabet, ((0, -1),) * p + (b,) * abs(m) + ((0, 1),) * r)
 
     def normal_form(self, word: Word) -> Word:
-        syls = self._rewrite(self._syllables(word))
-        letters = []
-        for gen, exp in syls:
-            sign = 1 if exp > 0 else -1
-            letters.extend([(gen, sign)] * abs(exp))
-        return Word(self.alphabet, tuple(letters))
+        return self.word(self.key(word))
 
     def evaluate_affine(self, word: Word) -> tuple[int, Fraction]:
         """Faithful affine model (a: x -> n x, b: x -> x + 1) for cross-checks.

@@ -1,23 +1,25 @@
 """Metric balls and spheres in Cayley 2-complexes, and bounded searches on them.
 
-Vertices are the oracle's canonical normal forms at distance <= r from the
-basepoint; an edge or 2-cell belongs to the ball exactly when all its boundary
-vertices do.  On top of the complex: loop generators for the fundamental group
-from a spanning tree (each of length <= 2r+1), breadth-first null-homotopy
-search with replayable witnesses, bounded connectivity-radius and isodiametric
-estimates, and geodesic combings with a mechanically checked tameness
-certificate.  All searches carry explicit caps: incompleteness is a visible
-value, never a silent timeout.
+Vertices are the oracle's element keys at distance <= r from the basepoint,
+named by their normal forms.  One breadth-first pass steps once per vertex and
+direction, the outer shell included, and fills the neighbour table that edges,
+2-cells, loop tracing and combings read; an edge or 2-cell belongs to the ball
+exactly when all its boundary vertices do.  On top of the complex: loop
+generators for the fundamental group from a spanning tree (each of length
+<= 2r+1), breadth-first null-homotopy search with replayable witnesses,
+bounded connectivity-radius and isodiametric estimates, and geodesic combings
+with a mechanically checked tameness certificate.  All searches carry explicit
+caps: incompleteness is a visible value, never a silent timeout.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
-from .backends import WordOracle
+from .backends import WordOracle, keyed
 from .errors import (
     CombinatorialExplosion,
     Disconnected,
@@ -60,28 +62,18 @@ class Ball:
     edges: tuple[tuple[int, int, int], ...]  # (vertex, letter, vertex), positive direction
     cells: tuple[tuple[int, int], ...]     # (base vertex, relator index)
     distances: tuple[int, ...]
+    keys: tuple                            # oracle element key per vertex
+    base_key: object                       # oracle element key of the basepoint
+    # (vertex key, direction) -> neighbour key, for every vertex and direction
+    neighbours: dict = field(compare=False, repr=False)
     is_sphere: bool = False
 
     @cached_property
     def _index(self) -> dict:
-        return {w.letters: i for i, w in enumerate(self.vertices)}
-
-    @cached_property
-    def _transitions(self) -> dict:
-        """(vertex key, direction) -> vertex key or None, for fast loop tracing."""
-        table = {}
-        for v in self.vertices:
-            for d in _directions(self.presentation.alphabet):
-                w = self.oracle.normal_form(v * Word(self.presentation.alphabet, (d,)))
-                table[(v.letters, d)] = w.letters if w.letters in self._index else None
-        return table
-
-    def vertex_index(self) -> dict:
-        return self._index
+        return {k: i for i, k in enumerate(self.keys)}
 
     def contains_vertex(self, word: Word) -> bool:
-        nf = self.oracle.normal_form(word)
-        return nf.letters in self._index
+        return keyed(self.oracle).key(word) in self._index
 
     def summary(self) -> str:
         kind = "S" if self.is_sphere else "B"
@@ -104,93 +96,76 @@ class Ball:
         )
 
 
-def _bfs_normal_forms(oracle: WordOracle, basepoint: Word, r: int):
-    """Distances (from the basepoint) of all normal forms within radius r."""
-    base_nf = oracle.normal_form(basepoint)
-    dist = {base_nf.letters: 0}
-    forms = {base_nf.letters: base_nf}
-    frontier = [base_nf]
+def _explore(oracle: WordOracle, basepoint: Word, r: int):
+    """Basepoint key, distances within radius r, and the neighbour table."""
     dirs = _directions(oracle.alphabet)
-    for d in range(r):
+    step = oracle.step
+    base = oracle.key(basepoint)
+    dist = {base: 0}
+    table = {}
+    frontier = [base]
+    for d in range(r + 1):
         nxt = []
-        for v in sorted(frontier, key=Word.shortlex_key):
-            for idx, exp in dirs:
-                w = oracle.normal_form(v * Word(oracle.alphabet, ((idx, exp),)))
-                if w.letters not in dist:
-                    dist[w.letters] = d + 1
-                    forms[w.letters] = w
-                    nxt.append(w)
+        for key in frontier:
+            for direction in dirs:
+                found = step(key, direction)
+                table[(key, direction)] = found
+                if d < r and found not in dist:
+                    dist[found] = d + 1
+                    nxt.append(found)
         frontier = nxt
-    return dist, forms
+    return base, dist, table
 
 
-def build_ball(oracle: WordOracle, p: Presentation, r: int, basepoint: Word | None = None) -> Ball:
-    """The metric ball of radius r, built by BFS over oracle normal forms."""
+def _build(oracle: WordOracle, p: Presentation, r: int, basepoint: Word | None, sphere: bool):
     if r < 0:
         raise ValueError("radius must be >= 0")
     _check_oracle(oracle, p)
     if basepoint is None:
         basepoint = Word.identity(p.alphabet)
-    dist, forms = _bfs_normal_forms(oracle, basepoint, r)
-    vertices = sorted(forms.values(), key=Word.shortlex_key)
-    index = {w.letters: i for i, w in enumerate(vertices)}
-    distances = tuple(dist[w.letters] for w in vertices)
-    edges = _collect_edges(oracle, vertices, index, index)
-    cells = _collect_cells(oracle, p, vertices, index)
-    return Ball(p, oracle, basepoint, r, tuple(vertices), edges, cells, distances)
+    ops = keyed(oracle)
+    base, dist, table = _explore(ops, basepoint, r)
+    named = sorted(
+        ((ops.word(k), k) for k, d in dist.items() if d == r or not sphere),
+        key=lambda wk: wk[0].shortlex_key(),
+    )
+    keys = tuple(k for _, k in named)
+    index = {k: i for i, k in enumerate(keys)}
+    if sphere:
+        table = {kd: k for kd, k in table.items() if kd[0] in index}
+    alphabet = p.alphabet
+    # a cell's boundary path from its base vertex, its last edge closing it
+    paths = [(ri, rel.letters[:-1]) for ri, rel in enumerate(p.relators) if rel.letters]
+    edges = set()
+    cells = []
+    for i, key in enumerate(keys):
+        for li in range(len(alphabet)):
+            j = index.get(table[(key, (li, 1))])
+            if j is not None:
+                edges.add((min(i, j), li, max(i, j)) if alphabet.involutive[li] else (i, li, j))
+        for ri, path in paths:
+            cur = key
+            for direction in path:
+                cur = table.get((cur, direction))
+                if cur not in index:
+                    break
+            else:
+                cells.append((i, ri))
+    return Ball(
+        p, oracle, basepoint, r, tuple(w for w, _ in named), tuple(sorted(edges)), tuple(cells),
+        tuple(dist[k] for k in keys), keys, base, table, sphere,
+    )
+
+
+def build_ball(oracle: WordOracle, p: Presentation, r: int, basepoint: Word | None = None) -> Ball:
+    """The metric ball of radius r, built by one BFS over oracle element keys."""
+    return _build(oracle, p, r, basepoint, sphere=False)
 
 
 def build_sphere(oracle: WordOracle, p: Presentation, r: int, basepoint: Word | None = None) -> Ball:
     """The metric sphere: vertices at distance exactly r, edges/cells with all
     boundary vertices at distance exactly r."""
-    if r < 0:
-        raise ValueError("radius must be >= 0")
-    _check_oracle(oracle, p)
-    if basepoint is None:
-        basepoint = Word.identity(p.alphabet)
-    dist, forms = _bfs_normal_forms(oracle, basepoint, r)
-    shell = sorted(
-        (forms[k] for k, d in dist.items() if d == r), key=Word.shortlex_key
-    )
-    index = {w.letters: i for i, w in enumerate(shell)}
-    edges = _collect_edges(oracle, shell, index, index)
-    cells = _collect_cells(oracle, p, shell, index)
-    distances = tuple(r for _ in shell)
-    return Ball(p, oracle, basepoint, r, tuple(shell), edges, cells, distances, is_sphere=True)
-
-
-def _collect_edges(oracle, vertices, index, allowed):
-    alphabet = oracle.alphabet
-    edges = set()
-    for i, v in enumerate(vertices):
-        for li in range(len(alphabet)):
-            w = oracle.normal_form(v * Word.letter(alphabet, alphabet.letters[li]))
-            j = allowed.get(w.letters)
-            if j is None:
-                continue
-            if alphabet.involutive[li]:
-                edges.add((min(i, j), li, max(i, j)))
-            else:
-                edges.add((i, li, j))
-    return tuple(sorted(edges))
-
-
-def _collect_cells(oracle, p, vertices, index):
-    cells = []
-    for i, v in enumerate(vertices):
-        for ri, rel in enumerate(p.relators):
-            if rel.is_empty():
-                continue
-            ok = True
-            cur = v
-            for idx, exp in rel.letters[:-1]:
-                cur = oracle.normal_form(cur * Word(p.alphabet, ((idx, exp),)))
-                if cur.letters not in index:
-                    ok = False
-                    break
-            if ok:
-                cells.append((i, ri))
-    return tuple(cells)
+    return _build(oracle, p, r, basepoint, sphere=True)
 
 
 # --- fundamental group generators (spanning tree) --------------------------------
@@ -216,9 +191,7 @@ def pi1_generators(ball: Ball) -> LoopClassSet:
     generator is tree-path * edge * reverse tree-path.
     """
     nv = len(ball.vertices)
-    index = ball.vertex_index()
-    base_nf = ball.oracle.normal_form(ball.basepoint)
-    root = index[base_nf.letters]
+    root = ball._index[ball.base_key]
 
     adj: list[list[tuple[int, int, int, int]]] = [[] for _ in range(nv)]
     for ei, (i, li, j) in enumerate(ball.edges):
@@ -312,18 +285,14 @@ class Witness:
 
 
 def _loop_inside(region: Ball, loop: Word) -> bool:
-    table = region._transitions
-    key = region.oracle.normal_form(region.basepoint).letters
-    if key not in region._index:
-        return False
-    invol = region.presentation.alphabet.involutive
-    for idx, exp in loop.letters:
-        if invol[idx]:
-            exp = 1
-        key = table.get((key, (idx, exp)))
+    # the table has rows for the region's vertices only: leaving it finds None
+    table = region.neighbours
+    key = region.base_key
+    for direction in loop.letters:
+        key = table.get((key, direction))
         if key is None:
             return False
-    return True
+    return key in region._index
 
 
 def _reduce_recording(word: Word):
@@ -486,19 +455,17 @@ def _closed_paths_up_to(region: Ball, max_length: int, cap: int = 500_000):
     deduplicated as cyclic words up to rotation and inversion."""
     alphabet = region.presentation.alphabet
     dirs = _directions(alphabet)
-    index = region.vertex_index()
-    oracle = region.oracle
+    index = region._index
+    table = region.neighbours
     loops = {}
     budget = 0
 
-    table = region._transitions
-
-    def dfs(start_letters, vertex_key, word):
+    def dfs(start_key, vertex_key, word):
         nonlocal budget
         budget += 1
         if budget > cap:
             raise CombinatorialExplosion("closed-path enumeration exceeded its cap")
-        if word and vertex_key == start_letters:
+        if word and vertex_key == start_key:
             w = Word(alphabet, tuple(word))
             if not free_reduce(w).is_empty():
                 key = min(v.letters for v in rotations_and_inverses(w))
@@ -507,13 +474,13 @@ def _closed_paths_up_to(region: Ball, max_length: int, cap: int = 500_000):
             return
         for d in dirs:
             nxt = table.get((vertex_key, d))
-            if nxt is not None:
+            if nxt in index:
                 word.append(d)
-                dfs(start_letters, nxt, word)
+                dfs(start_key, nxt, word)
                 word.pop()
 
-    for v in region.vertices:
-        dfs(v.letters, v.letters, [])
+    for key in region.keys:
+        dfs(key, key, [])
     return list(loops.values())
 
 
@@ -581,23 +548,21 @@ class Combing:
     ball: Ball
     paths: tuple[Word, ...]  # path word from basepoint to each vertex
 
-    def path_vertices(self, vi: int) -> list[Word]:
-        oracle = self.ball.oracle
-        cur = oracle.normal_form(self.ball.basepoint)
-        out = [cur]
-        for idx, exp in self.paths[vi].letters:
-            cur = oracle.normal_form(cur * Word(self.ball.presentation.alphabet, ((idx, exp),)))
-            out.append(cur)
+    def path_vertices(self, vi: int) -> list[int]:
+        """Indices of the vertices the combing path to vertex vi passes through."""
+        ball = self.ball
+        key = ball.base_key
+        out = [ball._index[key]]
+        for direction in self.paths[vi].letters:
+            key = ball.neighbours[(key, direction)]
+            out.append(ball._index[key])
         return out
 
     def verify_tame(self) -> bool:
         """For every vertex and every n <= r: the portion of its combing path
         inside B(n) is a single connected (initial) segment."""
-        dist = {
-            w.letters: d for w, d in zip(self.ball.vertices, self.ball.distances)
-        }
         for vi in range(len(self.ball.vertices)):
-            ds = [dist[v.letters] for v in self.path_vertices(vi)]
+            ds = [self.ball.distances[j] for j in self.path_vertices(vi)]
             for n in range(self.ball.radius + 1):
                 inside = [t for t, d in enumerate(ds) if d <= n]
                 if inside and inside != list(range(inside[0], inside[-1] + 1)):

@@ -108,6 +108,9 @@ def cmd_ball(path, backend, radius, sphere, pi1, r_max, json_path):
     """Build a metric ball of a presentation and report its topology."""
     doc = _load_document(path)
     caps = {"step_cap": _step_cap()}
+    if r_max is not None and not sphere and r_max < radius:
+        click.echo(f"--kill-radius {r_max} is below --radius {radius}", err=True)
+        sys.exit(EXIT_PARSE)
     try:
         p = doc.presentation()
         oracle = _make_oracle(backend, p.alphabet)
@@ -151,7 +154,7 @@ def cmd_ball(path, backend, radius, sphere, pi1, r_max, json_path):
 @click.argument("path", type=click.Path())
 @click.option("--word", "word_text", default=None, help="word to reduce")
 @click.option("--confluence", is_flag=True, help="certify local confluence")
-@click.option("--ball-witness", "witness_r", type=int, default=None)
+@click.option("--ball-witness", "witness_r", type=click.IntRange(min=0), default=None)
 @click.option("--step-limit", type=int, default=None)
 @click.option("--json", "json_path", type=click.Path(), default=None)
 def cmd_rewrite(path, word_text, confluence, witness_r, step_limit, json_path):

@@ -377,6 +377,14 @@ class VerificationReport:
         }
 
 
+def _join(u: tuple, v: tuple) -> tuple:
+    """free_reduce(u v) for reduced u and v over involutive letters."""
+    k = 0
+    while k < min(len(u), len(v)) and u[-1 - k] == v[k]:
+        k += 1
+    return u[: len(u) - k] + v[k:]
+
+
 def verify_sigma_identity(
     data: GrigorchukData, n: int, family: str, factor: str, x: int
 ) -> VerificationReport:
@@ -392,10 +400,11 @@ def verify_sigma_identity(
     relation = conjugate_relation(basic, x, data.b_extension)
     computed = transport_induced_relation(data, relation, factor)
 
-    conj = data.phi0_word(x).letters
+    conj = data.phi0_word(x)
     if factor == "first":
-        conj = ((data.acd.index("a"), 1),) + conj
-    expected = free_reduce(Word(data.acd, conj + core.letters + conj[::-1]))
+        conj = free_reduce(Word.letter(data.acd, "a") * conj)
+    # C and core are reduced, so only the two joins can cancel
+    expected = Word(data.acd, _join(_join(conj.letters, core.letters), conj.letters[::-1]))
 
     equal_free = computed.letters == expected.letters
     equal_klein = data.klein_nf(computed) == data.klein_nf(expected)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -126,6 +127,41 @@ def test_w_winverse_is_identity(make):
     for _ in range(100):
         nf = oracle.normal_form(_random_word(oracle.alphabet, rng, 30))
         assert oracle.normal_form(nf) == nf  # idempotent
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: free_oracle(2),
+        lambda: free_abelian_oracle(3),
+        lambda: dihedral_group(8, ("a", "d")),
+        lambda: dihedral_group(16, ("a", "c")),
+        lambda: bs_oracle(1, 1),
+        lambda: bs_oracle(1, 2),
+        lambda: bs_oracle(1, 3),
+    ],
+)
+def test_oracle_keys_agree_with_normal_forms(make):
+    # word(key(w)) is the normal form, and step follows appending a letter
+    oracle = make()
+    alphabet = oracle.alphabet
+    dirs = [(i, e) for i in range(len(alphabet)) for e in ((1,) if alphabet.involutive[i] else (1, -1))]
+    rng = random.Random(13)
+    key_of_value = {}
+    for _ in range(300):
+        w = _random_word(alphabet, rng, 14)
+        key = oracle.key(w)
+        assert oracle.word(key) == oracle.normal_form(w)
+        assert oracle.key(oracle.word(key)) == key
+        for d in dirs:
+            assert oracle.step(key, d) == oracle.key(w * Word(alphabet, (d,)))
+        if hasattr(oracle, "evaluate_affine"):
+            # the key (p, m, r) names a^-p b^m a^r, which the affine model
+            # evaluates to x -> n^(r-p) x + m / n^p
+            p, m, r = key
+            value = oracle.evaluate_affine(w)
+            assert value == (r - p, Fraction(m, oracle.n**p))
+            assert key_of_value.setdefault(value, key) == key
 
 
 def test_bs_normal_form_shape():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import fields
 from itertools import product
 
 import pytest
@@ -291,3 +293,69 @@ def test_ball_around_shifted_basepoint(z2_setup):
     )
     assert shifted.vertices != origin.vertices
     assert pi1_generators(shifted).rank == pi1_generators(origin).rank
+
+
+def _counting(oracle):
+    """A copy of `oracle` whose class counts its step and normal_form calls."""
+    calls = Counter()
+    base = type(oracle)
+
+    class Counting(base):
+        def step(self, key, direction):
+            calls["step"] += 1
+            return base.step(self, key, direction)
+
+        def normal_form(self, word):
+            calls["normal_form"] += 1
+            return base.normal_form(self, word)
+
+    return Counting(**{f.name: getattr(oracle, f.name) for f in fields(oracle)}), calls
+
+
+class _NormalFormOnly:
+    """A duck-typed oracle: alphabet, normal_form, is_identity, describe."""
+
+    def __init__(self, oracle):
+        self.alphabet = oracle.alphabet
+        self._oracle = oracle
+
+    def normal_form(self, word):
+        return self._oracle.normal_form(word)
+
+    def is_identity(self, word):
+        return self.normal_form(word).is_empty()
+
+    def describe(self):
+        return "normal forms only"
+
+
+@pytest.mark.parametrize("setup", ["z2_setup", "f2_setup", "d8_setup", "bs2_setup"])
+def test_one_oracle_step_per_vertex_and_direction(setup, request):
+    p, oracle = request.getfixturevalue(setup)
+    counting, calls = _counting(oracle)
+    directions = sum(1 if inv else 2 for inv in p.alphabet.involutive)
+    for r in range(5):
+        for base in (None, Word(p.alphabet, ((1, 1), (0, 1), (1, 1)))):
+            ball = build_ball(counting, p, r, base)
+            assert calls.pop("step") == len(ball.vertices) * directions
+            # the sphere explores the whole ball to find its shell and edges
+            build_sphere(counting, p, r, base)
+            assert calls.pop("step") == len(ball.vertices) * directions
+            # even the relator check compares keys: no normal form is built
+            assert calls.pop("normal_form", 0) == 0
+
+
+@pytest.mark.parametrize("setup", ["z2_setup", "f2_setup", "d8_setup", "bs2_setup"])
+def test_duck_typed_oracle_builds_the_same_balls(setup, request):
+    # an oracle with normal forms only is keyed by its normal-form letters
+    p, oracle = request.getfixturevalue(setup)
+    duck = _NormalFormOnly(oracle)
+    for r in range(4):
+        for build in (build_ball, build_sphere):
+            native, adapted = build(oracle, p, r), build(duck, p, r)
+            assert (adapted.vertices, adapted.distances, adapted.edges, adapted.cells) == (
+                native.vertices,
+                native.distances,
+                native.edges,
+                native.cells,
+            )

@@ -178,11 +178,30 @@ def _assert_clean_exit(result, code):
         ["grigorchuk", "verify", "--max-n", "-1"],
         ["grigorchuk", "show", "--n", "-1"],
         ["ball", "{path}", "--backend", "abelian", "--radius", "-1"],
+        ["ball", "{path}", "--backend", "abelian", "--radius", "1", "--kill-radius", "-1"],
     ],
 )
 def test_negative_count_is_a_usage_error(runner, tmp_path, args):
     path = _write(tmp_path, "z2.gp", Z2_FILE)
     _assert_clean_exit(runner.invoke(main, [arg.format(path=path) for arg in args]), 2)
+
+
+def test_kill_radius_below_radius_exit_code(runner, tmp_path):
+    path = _write(tmp_path, "z2.gp", Z2_FILE)
+    result = runner.invoke(
+        main, ["ball", path, "--backend", "abelian", "--radius", "2", "--kill-radius", "1"]
+    )
+    _assert_clean_exit(result, 2)
+    assert result.stderr.strip() == "--kill-radius 1 is below --radius 2"
+    assert result.stdout == ""
+
+
+def test_negative_ball_witness_exit_code(runner, tmp_path):
+    # a negative radius has no words to certify; it must not print a certificate
+    path = _write(tmp_path, "d8.gp", D8_FILE)
+    result = runner.invoke(main, ["rewrite", path, "--ball-witness", "-1"])
+    _assert_clean_exit(result, 2)
+    assert "certified" not in result.stdout
 
 
 @pytest.mark.parametrize(
