@@ -72,9 +72,6 @@ class Ball:
     def _index(self) -> dict:
         return {k: i for i, k in enumerate(self.keys)}
 
-    def contains_vertex(self, word: Word) -> bool:
-        return keyed(self.oracle).key(word) in self._index
-
     def summary(self) -> str:
         kind = "S" if self.is_sphere else "B"
         return (
@@ -202,7 +199,7 @@ def pi1_generators(ball: Ball) -> LoopClassSet:
 
     parent = [-2] * nv
     parent_edge = [-1] * nv
-    parent_letter: list[tuple[int, int] | None] = [None] * nv
+    path_letters: list[tuple] = [()] * nv  # tree path from the basepoint
     parent[root] = -1
     order = deque([root])
     tree_edges = set()
@@ -213,7 +210,7 @@ def pi1_generators(ball: Ball) -> LoopClassSet:
             if parent[v] == -2:
                 parent[v] = u
                 parent_edge[v] = ei
-                parent_letter[v] = (li, exp)
+                path_letters[v] = path_letters[u] + ((li, exp),)
                 tree_edges.add(ei)
                 order.append(v)
                 visit.append(v)
@@ -221,27 +218,19 @@ def pi1_generators(ball: Ball) -> LoopClassSet:
         raise Disconnected(f"ball has {nv - len(visit)} unreachable vertices")
 
     alphabet = ball.presentation.alphabet
-
-    def path_to(v: int) -> Word:
-        letters = []
-        while parent[v] != -1:
-            letters.append(parent_letter[v])
-            v = parent[v]
-        return Word(alphabet, tuple(reversed(letters)))
-
-    paths = [path_to(v) for v in range(nv)]
     generators = []
     for ei, (i, li, j) in enumerate(ball.edges):
         if ei in tree_edges:
             continue
-        loop = paths[i] * Word(alphabet, ((li, 1),)) * paths[j].inverse()
+        back = tuple((idx, -exp) for idx, exp in reversed(path_letters[j]))
+        loop = Word(alphabet, path_letters[i] + ((li, 1),) + back)
         assert len(loop) <= 2 * ball.radius + 1, "generator exceeds the 2r+1 bound"
         generators.append(loop)
     lcs = LoopClassSet(
         ball,
         tuple(parent),
         tuple(parent_edge),
-        tuple(paths),
+        tuple(Word(alphabet, letters) for letters in path_letters),
         tuple(generators),
     )
     assert lcs.rank == len(ball.edges) - nv + 1
@@ -296,22 +285,24 @@ def _loop_inside(region: Ball, loop: Word) -> bool:
 
 
 def _reduce_recording(word: Word):
-    """Free-reduce while recording each cancellation as a HomotopyMove."""
+    """Free-reduce while recording each cancellation as a HomotopyMove.
+
+    One left-to-right stack pass.  The stack is always reduced, so the pair a
+    new letter cancels with the stack top is the leftmost cancelling pair of
+    the current word: the moves are those of cancelling leftmost-first.
+    """
     moves = []
-    current = word
+    stack: list[tuple[int, int]] = []
     invol = word.alphabet.involutive
-    changed = True
-    while changed:
-        changed = False
-        letters = current.letters
-        for k in range(len(letters) - 1):
-            (i1, e1), (i2, e2) = letters[k], letters[k + 1]
-            if i1 == i2 and (invol[i1] or e1 == -e2):
-                moves.append(HomotopyMove(k, (letters[k], letters[k + 1]), (), "free"))
-                current = Word(word.alphabet, letters[:k] + letters[k + 2 :])
-                changed = True
-                break
-    return current, moves
+    for idx, exp in word.letters:
+        if stack:
+            pidx, pexp = stack[-1]
+            if pidx == idx and (invol[idx] or pexp == -exp):
+                stack.pop()
+                moves.append(HomotopyMove(len(stack), ((pidx, pexp), (idx, exp)), (), "free"))
+                continue
+        stack.append((idx, exp))
+    return Word(word.alphabet, tuple(stack)), moves
 
 
 def _relator_rewrites(p: Presentation, extra_relators=()):
@@ -583,41 +574,3 @@ def geodesic_0_combing(oracle: WordOracle, p: Presentation, r_max: int) -> Combi
     combing = Combing(ball, pi1_generators(ball).tree_paths)
     assert combing.verify_tame(), "geodesic combing failed its tameness certificate"
     return combing
-
-
-# --- pi1-resolutions (certificate record only) ----------------------------------------
-
-
-@dataclass(frozen=True)
-class Pi1Resolution:
-    """A certificate that a simply connected complex resolves a compact piece.
-
-    Only the trivial case is constructible here: a ball whose loop generators
-    vanish resolves itself by the identity map.
-    """
-
-    source_description: str
-    vertex_map: tuple[int, ...]
-    edge_map: tuple[int, ...]
-    cell_map: tuple[int, ...]
-    resolved: Ball
-
-    def restriction_is_bijective(self) -> bool:
-        return (
-            sorted(self.vertex_map) == list(range(len(self.resolved.vertices)))
-            and sorted(self.edge_map) == list(range(len(self.resolved.edges)))
-            and sorted(self.cell_map) == list(range(len(self.resolved.cells)))
-        )
-
-    @staticmethod
-    def identity_of(ball: Ball) -> "Pi1Resolution":
-        rank = pi1_generators(ball).rank
-        if rank != 0:
-            raise ValueError(f"ball has pi1 rank {rank}; identity resolution needs 0")
-        return Pi1Resolution(
-            source_description=f"the ball itself ({ball.summary()})",
-            vertex_map=tuple(range(len(ball.vertices))),
-            edge_map=tuple(range(len(ball.edges))),
-            cell_map=tuple(range(len(ball.cells))),
-            resolved=ball,
-        )

@@ -15,7 +15,7 @@ from itertools import product
 
 from .errors import BrittonStuck, NegativeExponent, NotInImage
 from .presentations import Presentation
-from .words import Alphabet, Substitution, Word, apply_substitution, free_reduce
+from .words import Alphabet, Substitution, Word, apply_substitution, free_reduce, rename_word
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,6 @@ class EndomorphicPresentation:
     @property
     def is_ascending(self) -> bool:
         return not self.q_relators
-
-    @property
-    def is_finite(self) -> bool:
-        return True  # all four sets are finite by construction
 
     def combined_alphabet(self) -> Alphabet:
         return Alphabet(
@@ -118,14 +114,12 @@ def hnn_presentation(ep: EndomorphicPresentation) -> Presentation:
     letter t and base letter s (orientation t s t^-1 = phi(s)).
     """
     combined = ep.combined_alphabet()
-    lift = lambda w: Word(combined, w.letters)  # noqa: E731  (base indices unchanged)
-    relators = [lift(w) for w in ep.q_relators]
-    relators += [lift(w) for w in ep.r_relators]
+    relators = [rename_word(w, combined) for w in ep.q_relators + ep.r_relators]
     for ti, sub in enumerate(ep.substitutions):
         t = Word.letter(combined, ep.stable_names[ti])
         for si in range(len(ep.alphabet)):
             s = Word(combined, ((si, 1),))
-            image = lift(sub.images[si])
+            image = rename_word(sub.images[si], combined)
             relators.append(t * s * t.inverse() * image.inverse())
     name = ep.name + "_hnn" if ep.name else "hnn"
     return Presentation(combined, tuple(relators), name)
@@ -173,25 +167,32 @@ def sigma_decode(sub: Substitution, word: Word, with_flags: bool = False):
     n = len(word)
     letters = word.letters
     images = [img.letters for img in sub.images]
-    # best[pos] = shortlex-least source decoding word[pos:], parses[pos] = count (capped)
-    best: list[tuple | None] = [None] * (n + 1)
+    # Over word[pos:]: counts[pos] parses (capped at 2), the least source
+    # length, and the first letter of the shortlex-least source, whose tail
+    # is the shortlex-least source from there on.  Each image has its own
+    # source letter, so the least length wins, then the least first letter.
     counts = [0] * (n + 1)
-    best[n] = ()
+    length = [0] * (n + 1)
+    first = [0] * (n + 1)
     counts[n] = 1
     for pos in range(n - 1, -1, -1):
-        options = []
         total = 0
         for li, img in enumerate(images):
-            L = len(img)
-            if pos + L <= n and letters[pos : pos + L] == img and best[pos + L] is not None:
-                options.append(((li, 1),) + best[pos + L])
-                total += counts[pos + L]
-        if options:
-            best[pos] = min(options, key=lambda s: (len(s), s))
-            counts[pos] = min(total, 2)
-    if best[0] is None:
+            end = pos + len(img)
+            if end <= n and counts[end] and letters[pos:end] == img:
+                if not total or length[end] + 1 < length[pos]:
+                    length[pos] = length[end] + 1
+                    first[pos] = li
+                total += counts[end]
+        counts[pos] = min(total, 2)
+    if not counts[0]:
         raise NotInImage(f"'{word}' is not a product of images of {sub.name or 'the substitution'}")
-    source = Word(sub.alphabet, best[0])
+    parse = []
+    pos = 0
+    while pos < n:
+        parse.append((first[pos], 1))
+        pos += len(images[first[pos]])
+    source = Word(sub.alphabet, tuple(parse))
     assert apply_substitution(sub, source).letters == word.letters
     if with_flags:
         return DecodeResult(source, counts[0] > 1)

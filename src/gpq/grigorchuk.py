@@ -68,8 +68,6 @@ class GrigorchukData:
     a_extension: SplitExtensionData
     phi0_table: tuple[int, ...]  # D8 element -> D16 element
     phi1_table: tuple[int, ...]
-    psi_formulas: dict = field(default_factory=dict)
-    b_generators: tuple[str, ...] = ()
     # phi0_word(x) for every x, and the (n, family) memo of _family_parts
     _phi0_words: tuple[Word, ...] = field(init=False, compare=False, repr=False)
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -119,30 +117,21 @@ class GrigorchukData:
         return rename_word(self.d16.element_names[self.phi1_table[x]], self.acd)
 
     def phi0_hat(self, word: Word) -> Word:
-        """Letterwise a -> aca, b -> d, d -> c on positive a,b,d-words, reduced.
+        """Letterwise a -> aca, b -> d, d -> c on a,b,d-words, reduced.
 
-        Extends the quotient isomorphism to the monoid; coincides with the
-        composite translate(sigma_abd(.)) on every positive word.
+        Extends the quotient isomorphism to the monoid, as the composite
+        translate(sigma_abd(.)).
         """
-        if word.alphabet != self.abd:
-            raise ValueError("phi0_hat expects a word over the a,b,d alphabet")
-        images = {
-            "a": Word.from_str(self.acd, "a c a"),
-            "b": Word.from_str(self.acd, "d"),
-            "d": Word.from_str(self.acd, "c"),
-        }
-        return _letterwise(word, self.acd, images)
+        return self.translate_bd_to_cd(apply_substitution(self.sigma_abd, word))
 
     def translate_bd_to_cd(self, word: Word) -> Word:
         """Substitute b -> cd (the Klein relation bcd = 1), involutively reduce."""
         if word.alphabet != self.abd:
             raise ValueError("translate expects a word over the a,b,d alphabet")
-        images = {
-            "a": Word.from_str(self.acd, "a"),
-            "b": Word.from_str(self.acd, "c d"),
-            "d": Word.from_str(self.acd, "d"),
-        }
-        return _letterwise(word, self.acd, images)
+        rules = {"a": "a", "b": "c d", "d": "d"}
+        images = [Word.from_str(self.acd, rules[name]).letters for name in self.abd.letters]
+        out = chain.from_iterable(images[idx] for idx, _ in word.letters)
+        return free_reduce(Word(self.acd, tuple(out)))
 
     # -- normal forms for the equality levels -------------------------------------
 
@@ -167,15 +156,6 @@ class GrigorchukData:
             core = self.translate_bd_to_cd(apply_substitution(self.sigma_abd, wn))
             self._memo[key] = (basic, core)
         return self._memo[key]
-
-
-def _letterwise(word: Word, target: Alphabet, images: dict) -> Word:
-    out: list[tuple[int, int]] = []
-    for idx, exp in word.letters:
-        if exp != 1:
-            raise ValueError("letterwise maps apply to positive words")
-        out.extend(images[word.alphabet.letters[idx]].letters)
-    return free_reduce(Word(target, tuple(out)))
 
 
 def _free_product_nf(word: Word, table: FiniteGroupTable, embed: dict, passthrough):
@@ -274,25 +254,14 @@ def make_grigorchuk_data() -> GrigorchukData:
         lifts=tuple(rename_word(nm, acd) for nm in d16.element_names),
     )
 
-    # phi0: D8 = <a,d>  ~->  <c, aca> <= D16,  a -> aca, d -> c
-    sub_word = {"a": Word.from_str(acd, "a c a"), "d": Word.from_str(acd, "c")}
-    phi0 = []
-    for nm in d8.element_names:
-        img: list[tuple[int, int]] = []
-        for idx, _ in nm.letters:
-            img.extend(sub_word[d8.alphabet.letters[idx]].letters)
-        phi0.append(a_ext._image_of(Word(acd, tuple(img))))
+    # phi0: D8 = <a,d>  ~->  <c, aca> <= D16,  a -> aca, d -> c, which is
+    # sigma_acd on the letters a, d
+    phi0 = [
+        a_ext._image_of(apply_substitution(sigma_acd, rename_word(nm, acd)))
+        for nm in d8.element_names
+    ]
     a_elem = d16.generator_map[0]
     phi1 = [d16.multiply_indices(a_elem, g, a_elem) for g in phi0]
-
-    psi = {
-        "b": ("a", "c"),
-        "c": ("a", "d"),
-        "d": ("1", "b"),
-        "aba": ("c", "a"),
-        "aca": ("d", "a"),
-        "ada": ("b", "1"),
-    }
     return GrigorchukData(
         abcd=abcd,
         acd=acd,
@@ -308,8 +277,6 @@ def make_grigorchuk_data() -> GrigorchukData:
         a_extension=a_ext,
         phi0_table=tuple(phi0),
         phi1_table=tuple(phi1),
-        psi_formulas=psi,
-        b_generators=("b", "aba", "(bada)^2", "(abad)^2"),
     )
 
 

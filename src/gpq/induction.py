@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .backends import FiniteGroupTable
 from .errors import ArityMismatch, DoesNotCloseUp, NonPositiveRelator, NotSplit
 from .presentations import Presentation
-from .words import Alphabet, Word
+from .words import Alphabet, Word, rename_word
 
 
 @dataclass(frozen=True)
@@ -51,12 +51,7 @@ class SplitExtensionData:
                 raise NotSplit(f"lift of element {f} projects to {self._image_of(lift)}")
 
     def _image_of(self, word: Word) -> int:
-        F = self.quotient
-        acc = 0
-        for idx, exp in word.letters:
-            g = self.p_map[idx]
-            acc = F.mul[acc][g if exp == 1 else F.inv[g]]
-        return acc
+        return self.quotient.evaluate(word, self.p_map)
 
     def y_is_trivial(self, gen_index: int) -> bool:
         """y_j = x_j lift(p(x_j))^-1 is trivial when x_j is literally its own lift."""
@@ -238,18 +233,12 @@ def hall_compose(
         p_kernel.alphabet.involutive + p_quotient.alphabet.involutive,
     )
 
-    def lift_k(w: Word) -> Word:
-        return Word(combined, w.letters)
-
-    def lift_m(w: Word) -> Word:
-        return Word(combined, tuple((idx + nk, e) for idx, e in w.letters))
-
-    relators = [lift_k(r) for r in p_kernel.relators]
+    relators = [rename_word(r, combined) for r in p_kernel.relators]
     for n, s_rel in enumerate(p_quotient.relators):
         a_word = lift_relation_words[n]
         if a_word.alphabet != p_kernel.alphabet:
             raise ArityMismatch("lift words must be over the kernel alphabet")
-        relators.append(lift_m(s_rel) * lift_k(a_word).inverse())
+        relators.append(rename_word(s_rel, combined) * rename_word(a_word, combined).inverse())
     for j in range(nm):
         m = Word(combined, ((nk + j, 1),))
         for i in range(nk):
@@ -257,7 +246,7 @@ def hall_compose(
             if b_word.alphabet != p_kernel.alphabet:
                 raise ArityMismatch("conjugation words must be over the kernel alphabet")
             k = Word(combined, ((i, 1),))
-            relators.append(m * k * m.inverse() * lift_k(b_word).inverse())
+            relators.append(m * k * m.inverse() * rename_word(b_word, combined).inverse())
     name = f"{p_kernel.name or 'K'}.{p_quotient.name or 'F'}"
     return Presentation(combined, tuple(relators), name)
 
@@ -265,19 +254,15 @@ def hall_compose(
 def product_presentation(p1: Presentation, p2: Presentation) -> Presentation:
     """Direct-product presentation: disjoint subscripted generators, both
     relator families, and all cross commutators [g_1, h_2]."""
-    names = tuple(n + "1" for n in p1.alphabet.letters) + tuple(
-        n + "2" for n in p2.alphabet.letters
+    sub1 = {n: n + "1" for n in p1.alphabet.letters}
+    sub2 = {n: n + "2" for n in p2.alphabet.letters}
+    combined = Alphabet(
+        tuple(sub1.values()) + tuple(sub2.values()),
+        p1.alphabet.involutive + p2.alphabet.involutive,
     )
-    combined = Alphabet(names, p1.alphabet.involutive + p2.alphabet.involutive)
     n1 = len(p1.alphabet)
-
-    def lift1(w: Word) -> Word:
-        return Word(combined, w.letters)
-
-    def lift2(w: Word) -> Word:
-        return Word(combined, tuple((i + n1, e) for i, e in w.letters))
-
-    relators = [lift1(r) for r in p1.relators] + [lift2(r) for r in p2.relators]
+    relators = [rename_word(r, combined, sub1) for r in p1.relators]
+    relators += [rename_word(r, combined, sub2) for r in p2.relators]
     for i in range(n1):
         g = Word(combined, ((i, 1),))
         for j in range(len(p2.alphabet)):

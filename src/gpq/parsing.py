@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ParseError
-from .words import Alphabet, Substitution, Word, _parse_word_tokens
+from .words import Alphabet, Substitution, Word
 
 
 @dataclass
@@ -133,17 +133,66 @@ def _split_statements(toks: list[_Tok]) -> list[list[_Tok]]:
     return stmts
 
 
+def _word_letters(alphabet: Alphabet, tokens: list[str]) -> tuple[tuple[int, int], ...]:
+    """The (index, exponent) letters of a word's tokens; ParseError on
+    malformed text, KeyError on an unknown letter."""
+    pos = 0
+
+    def parse_seq(stop_at_close: bool) -> list[tuple[int, int]]:
+        nonlocal pos
+        out: list[tuple[int, int]] = []
+        while pos < len(tokens):
+            tok = tokens[pos]
+            if tok == ")":
+                if not stop_at_close:
+                    raise ParseError("unbalanced ')' in word")
+                return out
+            if tok == "(":
+                pos += 1
+                inner = parse_seq(True)
+                if pos >= len(tokens) or tokens[pos] != ")":
+                    raise ParseError("unbalanced '(' in word")
+                pos += 1
+                if pos < len(tokens) and tokens[pos] == "^":
+                    pos += 1
+                    if pos >= len(tokens) or not tokens[pos].isdigit():
+                        raise ParseError("expected integer after '^'")
+                    k = int(tokens[pos])
+                    pos += 1
+                else:
+                    k = 1
+                out.extend(inner * k)
+                continue
+            if tok in _PUNCT or tok == "->":
+                raise ParseError(f"unexpected {tok!r} in word")
+            idx = alphabet.index(tok)
+            exp = 1
+            pos += 1
+            if pos < len(tokens) and tokens[pos] == "'":
+                exp = -1
+                pos += 1
+            out.append((idx, exp))
+        if stop_at_close:
+            raise ParseError("unbalanced '(' in word")
+        return out
+
+    result = parse_seq(False)
+    if pos != len(tokens):
+        raise ParseError("trailing tokens in word")
+    return tuple(result)
+
+
 def _parse_word(alphabet: Alphabet, toks: list[_Tok]) -> Word:
     if alphabet is None:
         raise ParseError("word before any 'gens' declaration",
                          toks[0].line if toks else None, toks[0].col if toks else None)
     try:
-        letters = _parse_word_tokens(alphabet, [t.text for t in toks])
+        letters = _word_letters(alphabet, [t.text for t in toks])
     except (ParseError, KeyError) as exc:
         line = toks[0].line if toks else None
         col = toks[0].col if toks else None
         raise ParseError(str(exc), line, col) from None
-    return Word(alphabet, tuple(letters))
+    return Word(alphabet, letters)
 
 
 def _split_on_commas(toks: list[_Tok]) -> list[list[_Tok]]:
@@ -270,10 +319,6 @@ def parse_presentation(text: str):
 
 
 # --- printer -------------------------------------------------------------------
-
-
-def print_word(word: Word) -> str:
-    return str(word)
 
 
 def print_document(doc: Document) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DerivationDoesNotReduce, InvalidMove
-from .words import Alphabet, Word, free_reduce
+from .words import Alphabet, Word, free_reduce, rename_word
 
 
 @dataclass(frozen=True)
@@ -31,12 +31,6 @@ class Presentation:
         alphabet = Alphabet.make(*[g.strip() for g in gens.split(",")])
         rels = tuple(Word.from_str(alphabet, t) for t in relator_texts)
         return Presentation(alphabet, rels, name)
-
-    def with_name(self, name: str) -> "Presentation":
-        return Presentation(self.alphabet, self.relators, name)
-
-    def relator_words(self) -> list[str]:
-        return [str(r) for r in self.relators]
 
     def __str__(self):
         gens = ", ".join(self.alphabet.spec(i) for i in range(len(self.alphabet)))
@@ -122,10 +116,9 @@ def apply_move(p: Presentation, move: TietzeMove) -> tuple[Presentation, TietzeM
             p.alphabet.letters + (move.new_letter,),
             p.alphabet.involutive + (move.involutive,),
         )
-        lift = lambda w: Word(new_alpha, w.letters)  # noqa: E731  (indices unchanged)
         y = Word.letter(new_alpha, move.new_letter)
-        defining = y * lift(move.defining_word).inverse()
-        new_rels = tuple(lift(r) for r in p.relators) + (defining,)
+        defining = y * rename_word(move.defining_word, new_alpha).inverse()
+        new_rels = tuple(rename_word(r, new_alpha) for r in p.relators) + (defining,)
         return Presentation(new_alpha, new_rels, p.name), T2(move.new_letter)
 
     if isinstance(move, T2):
@@ -154,15 +147,10 @@ def apply_move(p: Presentation, move: TietzeMove) -> tuple[Presentation, TietzeM
             p.alphabet.letters[:li] + p.alphabet.letters[li + 1 :],
             p.alphabet.involutive[:li] + p.alphabet.involutive[li + 1 :],
         )
-
-        def drop(w: Word) -> Word:
-            out = []
-            for idx, exp in w.letters:
-                out.append((idx - 1 if idx > li else idx, exp))
-            return Word(new_alpha, tuple(out))
-
-        new_rels = tuple(drop(r) for ri2, r in enumerate(p.relators) if ri2 != ri)
-        inverse = T1(move.letter, drop(defining_word), p.alphabet.involutive[li])
+        new_rels = tuple(
+            rename_word(r, new_alpha) for ri2, r in enumerate(p.relators) if ri2 != ri
+        )
+        inverse = T1(move.letter, rename_word(defining_word, new_alpha), p.alphabet.involutive[li])
         return Presentation(new_alpha, new_rels, p.name), inverse
 
     if isinstance(move, T3):
@@ -194,24 +182,22 @@ class FiniteEquivalenceTrace:
 
     start: Presentation
     steps: list[tuple[TietzeMove, TietzeMove]] = field(default_factory=list)
+    current: Presentation = field(init=False, repr=False)  # the last move's result
 
-    @property
-    def current(self) -> Presentation:
-        return self._replay()[-1]
+    def __post_init__(self):
+        self.current = self.replay()
 
     def apply(self, move: TietzeMove) -> Presentation:
-        result, inverse = apply_move(self.current, move)
+        self.current, inverse = apply_move(self.current, move)
         self.steps.append((move, inverse))
-        return result
-
-    def _replay(self) -> list[Presentation]:
-        states = [self.start]
-        for move, _ in self.steps:
-            states.append(apply_move(states[-1], move)[0])
-        return states
+        return self.current
 
     def replay(self) -> Presentation:
-        return self._replay()[-1]
+        """Re-apply every move from `start`."""
+        p = self.start
+        for move, _ in self.steps:
+            p = apply_move(p, move)[0]
+        return p
 
     def invert(self) -> Presentation:
         """Undo every move; returns (and checks) the start presentation."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import CombinatorialExplosion, GpqError, LimitExceeded
 from .presentations import Presentation
-from .words import Alphabet, Word, words_up_to_length
+from .words import Alphabet, Word, free_reduce, words_up_to_length
 
 
 @dataclass(frozen=True)
@@ -217,17 +217,6 @@ class NotGeodesic(GpqError):
     pass
 
 
-def _plain_reduce(letters) -> tuple:
-    # cancel only explicit x x^-1 pairs (involutive squares survive, both +1)
-    stack = []
-    for idx, exp in letters:
-        if stack and stack[-1][0] == idx and stack[-1][1] == -exp:
-            stack.pop()
-        else:
-            stack.append((idx, exp))
-    return tuple(stack)
-
-
 def _rule_matches_presentation(rs: RewritingSystem, p: Presentation, rule) -> bool:
     """The relation lhs = rhs must appear among the relators up to rotation/inversion.
 
@@ -236,12 +225,15 @@ def _rule_matches_presentation(rs: RewritingSystem, p: Presentation, rule) -> bo
     (lhs rhs^-1 trivially reduced) need no 2-cell and always match.
     """
     lhs, rhs = rule
-    target = _plain_reduce((lhs * rhs.inverse()).letters)
+    # with every involutive flag cleared, only explicit x x^-1 pairs cancel
+    plain = Alphabet(rs.alphabet.letters, (False,) * len(rs.alphabet))
+    target = free_reduce(Word(plain, (lhs * rhs.inverse()).letters)).letters
     if not target:
         return True
     for rel in p.relators:
-        base = _plain_reduce(rel.letters)
-        for source in (base, _plain_reduce(Word(rs.alphabet, base).inverse().letters)):
+        base = free_reduce(Word(plain, rel.letters)).letters
+        # the inverse of a reduced word is reduced
+        for source in (base, Word(rs.alphabet, base).inverse().letters):
             if len(source) != len(target):
                 continue
             for k in range(len(source)):

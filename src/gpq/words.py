@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import NegativeExponent, ParseError
+from .errors import NegativeExponent
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,14 @@ class Word:
     @staticmethod
     def from_str(alphabet: Alphabet, text: str) -> "Word":
         """Parse space-separated letters; ``x'`` is the inverse of x and
-        ``( ... )^k`` repeats a factor k times."""
-        return Word(alphabet, tuple(_parse_word_tokens(alphabet, _tokenize_word(text))))
+        ``( ... )^k`` repeats a factor k times.
+
+        Reads through the file-format tokenizer: malformed text raises
+        ParseError, an unknown letter KeyError.
+        """
+        from .parsing import _tokenize, _word_letters
+
+        return Word(alphabet, _word_letters(alphabet, [t.text for t in _tokenize(text)]))
 
     @staticmethod
     def identity(alphabet: Alphabet) -> "Word":
@@ -150,80 +156,6 @@ class Word:
         return f"Word({str(self) or 'e'})"
 
 
-def _tokenize_word(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()^'":
-            tokens.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            if j == i:
-                raise ParseError(f"unexpected character {ch!r} in word {text!r}")
-            tokens.append(text[i:j])
-            i = j
-    return tokens
-
-
-def _parse_word_tokens(alphabet: Alphabet, tokens: list[str]) -> list[tuple[int, int]]:
-    pos = 0
-
-    def parse_seq(stop_at_close: bool) -> list[tuple[int, int]]:
-        nonlocal pos
-        out: list[tuple[int, int]] = []
-        while pos < len(tokens):
-            tok = tokens[pos]
-            if tok == ")":
-                if not stop_at_close:
-                    raise ParseError("unbalanced ')' in word")
-                return out
-            if tok == "(":
-                pos += 1
-                inner = parse_seq(True)
-                if pos >= len(tokens) or tokens[pos] != ")":
-                    raise ParseError("unbalanced '(' in word")
-                pos += 1
-                if pos < len(tokens) and tokens[pos] == "^":
-                    pos += 1
-                    if pos >= len(tokens) or not tokens[pos].isdigit():
-                        raise ParseError("expected integer after '^'")
-                    k = int(tokens[pos])
-                    pos += 1
-                else:
-                    k = 1
-                out.extend(inner * k)
-                continue
-            if tok in ("^", "'"):
-                raise ParseError(f"unexpected {tok!r} in word")
-            idx = alphabet.index(tok)
-            exp = 1
-            pos += 1
-            if pos < len(tokens) and tokens[pos] == "'":
-                exp = -1
-                pos += 1
-            out.append((idx, exp))
-        if stop_at_close:
-            raise ParseError("unbalanced '(' in word")
-        return out
-
-    result = parse_seq(False)
-    if pos != len(tokens):
-        raise ParseError("trailing tokens in word")
-    return result
-
-
 def free_reduce(word: Word) -> Word:
     """Unique reduced form in the free product of the letter groups.
 
@@ -267,14 +199,18 @@ def rotations_and_inverses(word: Word) -> list[Word]:
 
 
 def rename_word(word: Word, target: Alphabet, name_map: dict[str, str] | None = None) -> Word:
-    """Re-read a word over another alphabet, optionally renaming letters."""
-    out = []
-    for idx, exp in word.letters:
-        name = word.alphabet.letters[idx]
-        if name_map:
-            name = name_map.get(name, name)
-        out.append((target.index(name), exp))
-    return Word(target, tuple(out))
+    """Re-read a word over another alphabet, optionally renaming letters.
+
+    A letter of the word that `target` lacks raises KeyError.
+    """
+    index = {name: i for i, name in enumerate(target.letters)}
+    names = word.alphabet.letters
+    if name_map:
+        names = tuple(name_map.get(name, name) for name in names)
+    try:
+        return Word(target, tuple((index[names[idx]], exp) for idx, exp in word.letters))
+    except KeyError as exc:
+        raise KeyError(f"letter {exc.args[0]!r} not in alphabet {target.letters}") from None
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,11 @@ touching any library word machinery beyond reading the presentation.
 `free_product_nf` is the syllable normal form in (finite group) * (free
 product of involutions), found by rewriting one step at a time until nothing
 changes; the library computes the same form in one pass.
+
+`reduce_recording_restart` and `decode_by_tuples` are the earlier, slower
+forms of the library's recorded free reduction (cancel the leftmost pair,
+rescan from the left) and of its decoding dynamic programme (a whole source
+tuple per suffix), kept as references for the one-pass forms.
 """
 
 from __future__ import annotations
@@ -195,3 +200,45 @@ def free_product_nf(word, table, passthrough):
     while rewrite_once():
         pass
     return tuple(("t", evaluate(v)) if k == "t" else (k, v) for k, v in items)
+
+
+def reduce_recording_restart(letters, involutive):
+    """Free reduction of a letter tuple by cancelling the leftmost cancelling
+    pair and rescanning from the left; returns the reduced letters and one
+    (position, removed pair) per cancellation."""
+    moves = []
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(letters) - 1):
+            (i1, e1), (i2, e2) = letters[k], letters[k + 1]
+            if i1 == i2 and (involutive[i1] or e1 == -e2):
+                moves.append((k, (letters[k], letters[k + 1])))
+                letters = letters[:k] + letters[k + 2 :]
+                changed = True
+                break
+    return letters, moves
+
+
+def decode_by_tuples(images, letters):
+    """Shortlex-least source letters of `letters` under the letter images and
+    whether two or more parses exist; (None, False) when there is no parse.
+
+    Keeps the whole least source tuple of every suffix."""
+    n = len(letters)
+    best = [None] * (n + 1)
+    counts = [0] * (n + 1)
+    best[n] = ()
+    counts[n] = 1
+    for pos in range(n - 1, -1, -1):
+        options = []
+        total = 0
+        for li, img in enumerate(images):
+            end = pos + len(img)
+            if end <= n and letters[pos:end] == img and best[end] is not None:
+                options.append(((li, 1),) + best[end])
+                total += counts[end]
+        if options:
+            best[pos] = min(options, key=lambda src: (len(src), src))
+            counts[pos] = min(total, 2)
+    return best[0], counts[0] > 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from dataclasses import fields
 from itertools import product
@@ -10,7 +11,7 @@ import pytest
 
 from gpq.backends import free_abelian_oracle, free_oracle
 from gpq.balls import (
-    Pi1Resolution,
+    _reduce_recording,
     build_ball,
     build_sphere,
     check_pi1_bounded_balls,
@@ -22,7 +23,8 @@ from gpq.balls import (
 )
 from gpq.errors import Exhausted, NotNullHomotopic, OracleMismatch
 from gpq.presentations import Presentation
-from gpq.words import Word
+from gpq.words import Alphabet, Word
+from helpers import reduce_recording_restart
 
 
 def W(p, text):
@@ -241,19 +243,6 @@ def test_combing_paths_are_geodesics(z2_setup):
         assert oracle.normal_form(combing.paths[vi]) == v
 
 
-def test_identity_resolution_of_simply_connected_ball(f2_setup):
-    pf, of = f2_setup
-    ball = build_ball(of, pf, 2)
-    res = Pi1Resolution.identity_of(ball)
-    assert res.restriction_is_bijective()
-
-
-def test_identity_resolution_rejects_nontrivial_pi1(z2_setup):
-    p, oracle = z2_setup
-    with pytest.raises(ValueError):
-        Pi1Resolution.identity_of(build_ball(oracle, p, 2))
-
-
 def test_cross_check_witness_and_kill_radius(d8_setup):
     # geodesic confluent system certifies simply connected balls; the
     # search-based kill radius must agree (kill radius r at radius r)
@@ -359,3 +348,20 @@ def test_duck_typed_oracle_builds_the_same_balls(setup, request):
                 native.edges,
                 native.cells,
             )
+
+
+def test_reduce_recording_matches_leftmost_restart_reference():
+    rng = random.Random(4)
+    for alphabet in (Alphabet.make("a", "b"), Alphabet.make("a!", "c!", "d"), Alphabet.make("x!")):
+        symbols = [(i, 1) for i in range(len(alphabet))]
+        symbols += [(i, -1) for i in range(len(alphabet)) if not alphabet.involutive[i]]
+        moved = 0
+        for _ in range(2000):
+            letters = tuple(rng.choice(symbols) for _ in range(rng.randrange(20)))
+            reduced, moves = _reduce_recording(Word(alphabet, letters))
+            want_letters, want_moves = reduce_recording_restart(letters, alphabet.involutive)
+            assert reduced.letters == want_letters
+            assert [(m.position, m.removed) for m in moves] == want_moves
+            assert all(m.inserted == () and m.kind == "free" for m in moves)
+            moved += len(moves) > 1
+        assert moved > 500

@@ -20,6 +20,7 @@ from gpq.endo import (
 )
 from gpq.errors import BrittonStuck, NotInImage
 from gpq.words import Alphabet, Substitution, Word, apply_substitution, free_reduce
+from helpers import decode_by_tuples
 
 
 @pytest.fixture(scope="module")
@@ -289,3 +290,30 @@ def test_expand_relators_annotated_provenance(lysenok):
             for i in reversed(seq):
                 expected = apply_substitution(lysenok.substitutions[i], expected)
             assert w == expected
+
+
+def test_sigma_decode_matches_tuple_reference(grig):
+    abc = Alphabet.make("a", "b", "c")
+    # "a a" parses as b and as a a, "a a a" as a b and as b a (and a a a)
+    ambiguous = Substitution.from_rules(abc, {"a": "a", "b": "a a", "c": "b a"})
+    rng = random.Random(11)
+    seen = {"decoded": 0, "ambiguous": 0, "undecodable": 0}
+    for sub in (grig.sigma_acd, grig.sigma_abd, ambiguous):
+        images = [img.letters for img in sub.images]
+        for _ in range(600):
+            if rng.random() < 0.5:
+                letters = sum((rng.choice(images) for _ in range(rng.randrange(12))), ())
+            else:
+                letters = tuple((rng.randrange(len(images)), 1) for _ in range(rng.randrange(20)))
+            want, want_ambiguous = decode_by_tuples(images, letters)
+            try:
+                result = sigma_decode(sub, Word(sub.alphabet, letters), with_flags=True)
+            except NotInImage:
+                assert want is None
+                seen["undecodable"] += 1
+                continue
+            assert result.source.letters == want
+            assert result.ambiguous == want_ambiguous
+            seen["decoded"] += 1
+            seen["ambiguous"] += want_ambiguous
+    assert min(seen.values()) > 100, seen

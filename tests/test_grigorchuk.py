@@ -201,13 +201,6 @@ def test_family_correspondence_under_translation(grig):
     )
 
 
-def test_psi_formula_metadata(grig):
-    assert grig.psi_formulas["b"] == ("a", "c")
-    assert grig.psi_formulas["c"] == ("a", "d")
-    assert grig.psi_formulas["d"] == ("1", "b")
-    assert grig.b_generators == ("b", "aba", "(bada)^2", "(abad)^2")
-
-
 def test_klein_nf_identifies_commuting_involutions(grig):
     u = W(grig.acd, "c d c")
     v = W(grig.acd, "d")

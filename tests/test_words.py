@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpq.errors import NegativeExponent
+from gpq.errors import NegativeExponent, ParseError
 from gpq.words import (
     Alphabet,
     Substitution,
@@ -146,6 +146,21 @@ def test_word_enumeration_counts():
 def test_from_str_parses_powers_and_inverses():
     assert W(AB, "(a b)^2 a'") == Word(AB, ((0, 1), (1, 1), (0, 1), (1, 1), (0, -1)))
     assert str(W(AB, "a b' a")) == "a b' a"
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("a $ b", ParseError),   # a character no token starts with
+        ("a ; b", ParseError),   # a file-format token that is no part of a word
+        ("(a b", ParseError),    # unbalanced '('
+        ("(a b)^ a", ParseError),  # '^' without an integer
+        ("a c", KeyError),       # a letter the alphabet lacks
+    ],
+)
+def test_from_str_errors(text, error):
+    with pytest.raises(error):
+        W(AB, text)
 
 
 @given(st.integers(0, 2**32 - 1))
