@@ -9,6 +9,7 @@ class GpqError(Exception):
 
 class ParseError(GpqError):
     def __init__(self, message, line=None, column=None):
+        self.reason = message
         self.line = line
         self.column = column
         if line is not None:

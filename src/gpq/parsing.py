@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ParseError
-from .words import Alphabet, Substitution, Word
+from .words import Alphabet, Substitution, Word, _Tok, _tokenize, _word_letters
 
 
 @dataclass
@@ -63,61 +63,7 @@ class Document:
         return self.endomorphic_presentation() if self.endomorphic else self.presentation()
 
 
-# --- tokenizer -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Tok:
-    text: str
-    line: int
-    col: int
-
-
-_PUNCT = {";", ",", ":", "(", ")", "^", "'", "!"}
-
-
-def _tokenize(text: str) -> list[_Tok]:
-    toks = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch.isspace():
-            col += 1
-            i += 1
-        elif ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif text.startswith("->", i):
-            toks.append(_Tok("->", line, col))
-            i += 2
-            col += 2
-        elif ch in _PUNCT:
-            toks.append(_Tok(ch, line, col))
-            i += 1
-            col += 1
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Tok(text[i:j], line, col))
-            col += j - i
-            i = j
-        elif ch.isalnum() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok(text[i:j], line, col))
-            col += j - i
-            i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    return toks
+# --- statements ----------------------------------------------------------------
 
 
 def _split_statements(toks: list[_Tok]) -> list[list[_Tok]]:
@@ -131,55 +77,6 @@ def _split_statements(toks: list[_Tok]) -> list[list[_Tok]]:
     if cur:
         raise ParseError("missing ';' after final statement", cur[0].line, cur[0].col)
     return stmts
-
-
-def _word_letters(alphabet: Alphabet, tokens: list[str]) -> tuple[tuple[int, int], ...]:
-    """The (index, exponent) letters of a word's tokens; ParseError on
-    malformed text, KeyError on an unknown letter."""
-    pos = 0
-
-    def parse_seq(stop_at_close: bool) -> list[tuple[int, int]]:
-        nonlocal pos
-        out: list[tuple[int, int]] = []
-        while pos < len(tokens):
-            tok = tokens[pos]
-            if tok == ")":
-                if not stop_at_close:
-                    raise ParseError("unbalanced ')' in word")
-                return out
-            if tok == "(":
-                pos += 1
-                inner = parse_seq(True)
-                if pos >= len(tokens) or tokens[pos] != ")":
-                    raise ParseError("unbalanced '(' in word")
-                pos += 1
-                if pos < len(tokens) and tokens[pos] == "^":
-                    pos += 1
-                    if pos >= len(tokens) or not tokens[pos].isdigit():
-                        raise ParseError("expected integer after '^'")
-                    k = int(tokens[pos])
-                    pos += 1
-                else:
-                    k = 1
-                out.extend(inner * k)
-                continue
-            if tok in _PUNCT or tok == "->":
-                raise ParseError(f"unexpected {tok!r} in word")
-            idx = alphabet.index(tok)
-            exp = 1
-            pos += 1
-            if pos < len(tokens) and tokens[pos] == "'":
-                exp = -1
-                pos += 1
-            out.append((idx, exp))
-        if stop_at_close:
-            raise ParseError("unbalanced '(' in word")
-        return out
-
-    result = parse_seq(False)
-    if pos != len(tokens):
-        raise ParseError("trailing tokens in word")
-    return tuple(result)
 
 
 def _parse_word(alphabet: Alphabet, toks: list[_Tok]) -> Word:

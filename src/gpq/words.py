@@ -5,7 +5,8 @@ Letters flagged involutive satisfy g^2 = 1, so g and g^-1 are identified and
 such letters are always stored with exponent +1.  Words are kept verbatim
 (possibly unreduced); ``free_reduce`` computes the unique reduced form in the
 free product of the letter groups (Z for ordinary letters, Z/2 for involutive
-ones).
+ones).  The text format's tokenizer and word grammar live here too, so
+``Word.from_str`` and the ``parsing`` module read words the same way.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import NegativeExponent
+from .errors import NegativeExponent, ParseError
 
 
 @dataclass(frozen=True)
@@ -98,9 +99,13 @@ class Word:
         Reads through the file-format tokenizer: malformed text raises
         ParseError, an unknown letter KeyError.
         """
-        from .parsing import _tokenize, _word_letters
-
-        return Word(alphabet, _word_letters(alphabet, [t.text for t in _tokenize(text)]))
+        if "#" in text:  # a comment in a file, but no part of a word
+            raise ParseError(f"unexpected character '#' in word {text!r}")
+        try:
+            tokens = [t.text for t in _tokenize(text)]
+        except ParseError as exc:
+            raise ParseError(f"{exc.reason} in word {text!r}") from None
+        return Word(alphabet, _word_letters(alphabet, tokens))
 
     @staticmethod
     def identity(alphabet: Alphabet) -> "Word":
@@ -154,6 +159,112 @@ class Word:
 
     def __repr__(self):
         return f"Word({str(self) or 'e'})"
+
+
+# --- word text: the tokenizer and word grammar of the file format ------------
+
+
+@dataclass(frozen=True)
+class _Tok:
+    text: str
+    line: int
+    col: int
+
+
+_PUNCT = {";", ",", ":", "(", ")", "^", "'", "!"}
+
+
+def _tokenize(text: str) -> list[_Tok]:
+    toks = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif ch.isspace():
+            col += 1
+            i += 1
+        elif ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif text.startswith("->", i):
+            toks.append(_Tok("->", line, col))
+            i += 2
+            col += 2
+        elif ch in _PUNCT:
+            toks.append(_Tok(ch, line, col))
+            i += 1
+            col += 1
+        elif ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            toks.append(_Tok(text[i:j], line, col))
+            col += j - i
+            i = j
+        elif ch.isalnum() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(_Tok(text[i:j], line, col))
+            col += j - i
+            i = j
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+    return toks
+
+
+def _word_letters(alphabet: Alphabet, tokens: list[str]) -> tuple[tuple[int, int], ...]:
+    """The (index, exponent) letters of a word's tokens; ParseError on
+    malformed text, KeyError on an unknown letter."""
+    pos = 0
+
+    def parse_seq(stop_at_close: bool) -> list[tuple[int, int]]:
+        nonlocal pos
+        out: list[tuple[int, int]] = []
+        while pos < len(tokens):
+            tok = tokens[pos]
+            if tok == ")":
+                if not stop_at_close:
+                    raise ParseError("unbalanced ')' in word")
+                return out
+            if tok == "(":
+                pos += 1
+                inner = parse_seq(True)
+                if pos >= len(tokens) or tokens[pos] != ")":
+                    raise ParseError("unbalanced '(' in word")
+                pos += 1
+                if pos < len(tokens) and tokens[pos] == "^":
+                    pos += 1
+                    if pos >= len(tokens) or not tokens[pos].isdigit():
+                        raise ParseError("expected integer after '^'")
+                    k = int(tokens[pos])
+                    pos += 1
+                else:
+                    k = 1
+                out.extend(inner * k)
+                continue
+            if tok in _PUNCT or tok == "->":
+                raise ParseError(f"unexpected {tok!r} in word")
+            idx = alphabet.index(tok)
+            exp = 1
+            pos += 1
+            if pos < len(tokens) and tokens[pos] == "'":
+                exp = -1
+                pos += 1
+            out.append((idx, exp))
+        if stop_at_close:
+            raise ParseError("unbalanced '(' in word")
+        return out
+
+    result = parse_seq(False)
+    if pos != len(tokens):
+        raise ParseError("trailing tokens in word")
+    return tuple(result)
 
 
 def free_reduce(word: Word) -> Word:

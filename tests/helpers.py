@@ -12,11 +12,15 @@ changes; the library computes the same form in one pass.
 forms of the library's recorded free reduction (cancel the leftmost pair,
 rescan from the left) and of its decoding dynamic programme (a whole source
 tuple per suffix), kept as references for the one-pass forms.
+
+`phi0_letterwise` is the letterwise map a -> aca, b -> d, d -> c on positive
+a,b,d-words; the library computes phi0_hat as translate(sigma_abd(.)), and
+the coherence tests check the two agree.
 """
 
 from __future__ import annotations
 
-from gpq.words import Word
+from gpq.words import Word, free_reduce
 
 
 def _symbols(alphabet):
@@ -242,3 +246,14 @@ def decode_by_tuples(images, letters):
             best[pos] = min(options, key=lambda src: (len(src), src))
             counts[pos] = min(total, 2)
     return best[0], counts[0] > 1
+
+
+def phi0_letterwise(data, word):
+    """a -> aca, b -> d, d -> c letter by letter on a positive a,b,d-word,
+    free-reduced over a,c,d."""
+    images = {"a": "a c a", "b": "d", "d": "c"}
+    out = []
+    for idx, exp in word.letters:
+        assert exp == 1, "letterwise maps apply to positive words"
+        out.extend(Word.from_str(data.acd, images[data.abd.letters[idx]]).letters)
+    return free_reduce(Word(data.acd, tuple(out)))

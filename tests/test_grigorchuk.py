@@ -15,7 +15,7 @@ from gpq.grigorchuk import (
 )
 from gpq.induction import YLetter, basic_relation
 from gpq.words import Word, apply_substitution, free_reduce
-from helpers import free_product_nf
+from helpers import free_product_nf, phi0_letterwise
 
 
 def W(alphabet, text):
@@ -52,13 +52,13 @@ def test_translate_examples(grig):
 
 
 def test_substitution_coherence_random(grig):
-    # phi0_hat = translate . sigma on positive words: the monoid form of
+    # letterwise phi0 = translate . sigma on positive words: the monoid form of
     # "the quotient isomorphism acts like the substitution"
     rng = random.Random(2024)
     for _ in range(300):
         n = rng.randrange(51)
         w = Word(grig.abd, tuple((rng.randrange(3), 1) for _ in range(n)))
-        assert grig.phi0_hat(w) == grig.translate_bd_to_cd(
+        assert phi0_letterwise(grig, w) == grig.translate_bd_to_cd(
             apply_substitution(grig.sigma_abd, w)
         )
 

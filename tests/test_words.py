@@ -153,6 +153,7 @@ def test_from_str_parses_powers_and_inverses():
     [
         ("a $ b", ParseError),   # a character no token starts with
         ("a ; b", ParseError),   # a file-format token that is no part of a word
+        ("a # b", ParseError),   # a file-format comment
         ("(a b", ParseError),    # unbalanced '('
         ("(a b)^ a", ParseError),  # '^' without an integer
         ("a c", KeyError),       # a letter the alphabet lacks
@@ -161,6 +162,12 @@ def test_from_str_parses_powers_and_inverses():
 def test_from_str_errors(text, error):
     with pytest.raises(error):
         W(AB, text)
+
+
+def test_from_str_bad_character_names_the_word():
+    with pytest.raises(ParseError) as err:
+        W(AB, "a $")
+    assert str(err.value) == "unexpected character '$' in word 'a $'"
 
 
 @given(st.integers(0, 2**32 - 1))
