@@ -3,9 +3,12 @@
 Every oracle names group elements by small hashable keys: `key(w)` is the key
 of the element the word w represents, `step(k, d)` the key of k times the
 letter d = (index, exponent), and `word(k)` the canonical normal-form word,
-used to name and sort elements.  `normal_form(w)` is `word(key(w))`, and
-`is_identity(w)` compares keys.  Oracles are immutable after construction
-and safe for concurrent queries.
+used to name and sort elements.  The base class derives `normal_form(w)` as
+`word(key(w))` and `is_identity(w)` by comparing keys, so an oracle defines
+`key`, `step`, `describe` and, unless its keys are normal-form letter tuples,
+`word`.  An object offering only `alphabet` and `normal_form` gets keys from
+`keyed`.  Oracles are immutable after construction and safe for concurrent
+queries.
 """
 
 from __future__ import annotations
@@ -14,29 +17,29 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadOrder, Unsupported
-from .words import Alphabet, Word, free_reduce
+from .words import Alphabet, Word, directions, free_reduce
 
 
 class WordOracle:
-    """Interface: element keys, normal forms and is_identity, plus a descriptor.
+    """Interface: element keys and steps, from which normal forms and
+    is_identity follow, plus a descriptor.
 
-    The defaults derive keys from `normal_form`: a key is the letter tuple of
-    the normal form, so a subclass need only define `normal_form`.
+    By default a key is the letter tuple of its normal form.
     """
 
     alphabet: Alphabet
 
-    def normal_form(self, word: Word) -> Word:
+    def key(self, word: Word):
         raise NotImplementedError
 
-    def key(self, word: Word):
-        return self.normal_form(word).letters
-
     def step(self, key, direction: tuple[int, int]):
-        return self.normal_form(Word(self.alphabet, key + (direction,))).letters
+        raise NotImplementedError
 
     def word(self, key) -> Word:
         return Word(self.alphabet, key)
+
+    def normal_form(self, word: Word) -> Word:
+        return self.word(self.key(word))
 
     def is_identity(self, word: Word) -> bool:
         return self.key(word) == self.key(Word(self.alphabet))
@@ -46,11 +49,18 @@ class WordOracle:
 
 
 class NormalFormKeys(WordOracle):
-    """The default keys for any object with `alphabet` and `normal_form`."""
+    """Keys for any object with `alphabet` and `normal_form`: the letter tuple
+    of the object's normal form."""
 
     def __init__(self, oracle):
         self.alphabet = oracle.alphabet
-        self.normal_form = oracle.normal_form
+        self._normal_form = oracle.normal_form
+
+    def key(self, word: Word):
+        return self._normal_form(word).letters
+
+    def step(self, key, direction: tuple[int, int]):
+        return self._normal_form(Word(self.alphabet, key + (direction,))).letters
 
 
 def keyed(oracle) -> WordOracle:
@@ -121,9 +131,6 @@ class FiniteGroupTable(WordOracle):
     def word(self, key: int) -> Word:
         return self.element_names[key]
 
-    def normal_form(self, word: Word) -> Word:
-        return self.element_names[self.evaluate(word)]
-
     def describe(self) -> str:
         gens = ",".join(self.alphabet.letters)
         return f"finite group of order {self.order} on <{gens}>"
@@ -136,12 +143,8 @@ class FiniteGroupTable(WordOracle):
         inverses for non-involutive ones); the first word reaching an element
         becomes its canonical name.
         """
-        gen_syms: list[tuple[int, int]] = []
-        for i in range(len(alphabet)):
-            gen_syms.append((i, 1))
-            if not alphabet.involutive[i]:
-                gen_syms.append((i, -1))
-        # values for the symbols; inverse value found by power search later
+        gen_syms = directions(alphabet)
+        # values for the symbols; an inverse value is found by power search
         elems = {identity: 0}
         names = [Word.identity(alphabet)]
         value_list = [identity]
@@ -193,7 +196,8 @@ def dihedral_group(order: int, names: tuple[str, str] = ("x", "y")) -> FiniteGro
     m = order // 2
     alphabet = Alphabet.make(names[0] + "!", names[1] + "!")
 
-    # elements (r, f): x -> n x? no: composition in the semidirect product Z/m x Z/2
+    # (r, f) in the semidirect product (Z/m) x| (Z/2) is s^r x^f, s = y x the
+    # rotation; x s = s^-1 x, so (r1, f1)(r2, f2) = (r1 + (-1)^f1 r2, f1 + f2)
     def compose(p, q):
         r1, f1 = p
         r2, f2 = q
@@ -230,9 +234,6 @@ _DEFAULT_NAMES = "abcdefghijklmnopqrstuvwxyz"
 class FreeGroupOracle(WordOracle):
     alphabet: Alphabet
 
-    def normal_form(self, word: Word) -> Word:
-        return free_reduce(word)
-
     def key(self, word: Word) -> tuple[tuple[int, int], ...]:
         return free_reduce(word).letters
 
@@ -265,9 +266,6 @@ class FreeAbelianOracle(WordOracle):
         for i, e in enumerate(key):
             letters.extend([(i, 1 if e > 0 else -1)] * abs(e))
         return Word(self.alphabet, tuple(letters))
-
-    def normal_form(self, word: Word) -> Word:
-        return self.word(self.key(word))
 
     def describe(self) -> str:
         return f"free abelian group of rank {len(self.alphabet)}"
@@ -334,9 +332,6 @@ class BaumslagSolitarOracle(WordOracle):
         p, m, r = key
         b = (1, 1 if m > 0 else -1)
         return Word(self.alphabet, ((0, -1),) * p + (b,) * abs(m) + ((0, 1),) * r)
-
-    def normal_form(self, word: Word) -> Word:
-        return self.word(self.key(word))
 
     def evaluate_affine(self, word: Word) -> tuple[int, Fraction]:
         """Faithful affine model (a: x -> n x, b: x -> x + 1) for cross-checks.

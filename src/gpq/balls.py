@@ -28,7 +28,7 @@ from .errors import (
     OracleMismatch,
 )
 from .presentations import Presentation
-from .words import Word, free_reduce, rotations_and_inverses
+from .words import Word, directions, free_reduce, rotations_and_inverses
 
 
 def _check_oracle(oracle: WordOracle, p: Presentation):
@@ -39,15 +39,6 @@ def _check_oracle(oracle: WordOracle, p: Presentation):
     for rel in p.relators:
         if not oracle.is_identity(rel):
             raise OracleMismatch(f"relator '{rel}' is not trivial under {oracle.describe()}")
-
-
-def _directions(alphabet):
-    dirs = []
-    for i in range(len(alphabet)):
-        dirs.append((i, 1))
-        if not alphabet.involutive[i]:
-            dirs.append((i, -1))
-    return dirs
 
 
 @dataclass(frozen=True)
@@ -95,7 +86,7 @@ class Ball:
 
 def _explore(oracle: WordOracle, basepoint: Word, r: int):
     """Basepoint key, distances within radius r, and the neighbour table."""
-    dirs = _directions(oracle.alphabet)
+    dirs = directions(oracle.alphabet)
     step = oracle.step
     base = oracle.key(basepoint)
     dist = {base: 0}
@@ -171,8 +162,6 @@ def build_sphere(oracle: WordOracle, p: Presentation, r: int, basepoint: Word | 
 @dataclass(frozen=True)
 class LoopClassSet:
     ball: Ball
-    tree_parent: tuple[int, ...]        # parent vertex per vertex (-1 at the basepoint)
-    tree_edge: tuple[int, ...]          # index into ball.edges per non-root vertex
     tree_paths: tuple[Word, ...]        # geodesic word from the basepoint per vertex
     generators: tuple[Word, ...]        # one loop per non-tree edge
 
@@ -197,41 +186,31 @@ def pi1_generators(ball: Ball) -> LoopClassSet:
         if i != j:
             adj[j].append((i, li, 1 if involutive else -1, ei))
 
-    parent = [-2] * nv
-    parent_edge = [-1] * nv
-    path_letters: list[tuple] = [()] * nv  # tree path from the basepoint
-    parent[root] = -1
+    path_letters: list = [None] * nv  # tree path from the basepoint
+    path_letters[root] = ()
     order = deque([root])
-    tree_edges = set()
-    visit = [root]
+    in_tree = set()  # edge indices of the spanning tree
     while order:
         u = order.popleft()
         for v, li, exp, ei in sorted(adj[u]):
-            if parent[v] == -2:
-                parent[v] = u
-                parent_edge[v] = ei
+            if path_letters[v] is None:
                 path_letters[v] = path_letters[u] + ((li, exp),)
-                tree_edges.add(ei)
+                in_tree.add(ei)
                 order.append(v)
-                visit.append(v)
-    if len(visit) != nv:
-        raise Disconnected(f"ball has {nv - len(visit)} unreachable vertices")
+    if None in path_letters:
+        raise Disconnected(f"ball has {path_letters.count(None)} unreachable vertices")
 
     alphabet = ball.presentation.alphabet
     generators = []
     for ei, (i, li, j) in enumerate(ball.edges):
-        if ei in tree_edges:
+        if ei in in_tree:
             continue
         back = tuple((idx, -exp) for idx, exp in reversed(path_letters[j]))
         loop = Word(alphabet, path_letters[i] + ((li, 1),) + back)
         assert len(loop) <= 2 * ball.radius + 1, "generator exceeds the 2r+1 bound"
         generators.append(loop)
     lcs = LoopClassSet(
-        ball,
-        tuple(parent),
-        tuple(parent_edge),
-        tuple(Word(alphabet, letters) for letters in path_letters),
-        tuple(generators),
+        ball, tuple(Word(alphabet, letters) for letters in path_letters), tuple(generators)
     )
     assert lcs.rank == len(ball.edges) - nv + 1
     return lcs
@@ -261,13 +240,9 @@ class Witness:
         if not _loop_inside(self.region, current):
             return False
         for mv in self.moves:
-            letters = current.letters
-            if letters[mv.position : mv.position + len(mv.removed)] != mv.removed:
+            if current.letters[mv.position : mv.position + len(mv.removed)] != mv.removed:
                 return False
-            current = Word(
-                current.alphabet,
-                letters[: mv.position] + mv.inserted + letters[mv.position + len(mv.removed) :],
-            )
+            current = current.splice(mv.position, len(mv.removed), mv.inserted)
             if not _loop_inside(self.region, current):
                 return False
         return free_reduce(current).is_empty()
@@ -401,11 +376,8 @@ def _assemble_witness(loop, norm_moves, seen, final_key, region, explored) -> Wi
     moves = list(norm_moves)
     for prev, move in reversed(chain):
         moves.append(move)
-        raw = Word(
-            region.presentation.alphabet,
-            prev[: move.position] + move.inserted + prev[move.position + len(move.removed) :],
-        )
-        _, reds = _reduce_recording(raw)
+        raw = Word(region.presentation.alphabet, prev)
+        _, reds = _reduce_recording(raw.splice(move.position, len(move.removed), move.inserted))
         moves.extend(reds)
     witness = Witness(loop, tuple(moves), region, explored)
     assert witness.replay(), "constructed witness failed to replay"
@@ -445,7 +417,7 @@ def _closed_paths_up_to(region: Ball, max_length: int, cap: int = 500_000):
     """All closed paths of length < max_length based anywhere in the region,
     deduplicated as cyclic words up to rotation and inversion."""
     alphabet = region.presentation.alphabet
-    dirs = _directions(alphabet)
+    dirs = directions(alphabet)
     index = region._index
     table = region.neighbours
     loops = {}

@@ -16,6 +16,7 @@ import click
 from . import balls as balls_mod
 from . import rewriting as rw
 from .backends import bs_oracle, dihedral_group, free_abelian_oracle, free_oracle
+from .endo import EndomorphicPresentation, hnn_presentation
 from .errors import (
     BadOrder,
     CombinatorialExplosion,
@@ -38,10 +39,14 @@ EXIT_LIMIT = 4
 def _step_cap(default: int = 20_000) -> int:
     text = os.environ.get("GPQ_STEP_CAP", str(default))
     try:
-        return int(text)
+        cap = int(text)
     except ValueError:
         click.echo(f"GPQ_STEP_CAP must be an integer, got {text!r}", err=True)
         sys.exit(EXIT_PARSE)
+    if cap < 1:
+        click.echo(f"GPQ_STEP_CAP must be at least 1, got {cap}", err=True)
+        sys.exit(EXIT_PARSE)
+    return cap
 
 
 def _int_arg(text: str, spec: str) -> int:
@@ -155,16 +160,15 @@ def cmd_ball(path, backend, radius, sphere, pi1, r_max, json_path):
 @click.option("--word", "word_text", default=None, help="word to reduce")
 @click.option("--confluence", is_flag=True, help="certify local confluence")
 @click.option("--ball-witness", "witness_r", type=click.IntRange(min=0), default=None)
-@click.option("--step-limit", type=int, default=None)
 @click.option("--json", "json_path", type=click.Path(), default=None)
-def cmd_rewrite(path, word_text, confluence, witness_r, step_limit, json_path):
+def cmd_rewrite(path, word_text, confluence, witness_r, json_path):
     """Reduce words, certify confluence, or build ball null-homotopy witnesses."""
     doc = _load_document(path)
     if not doc.rules:
         click.echo("document declares no rewriting rules", err=True)
         sys.exit(EXIT_PARSE)
     rs = rw.RewritingSystem(doc.alphabet, tuple(doc.rules))
-    limit = step_limit or _step_cap(10_000)
+    limit = _step_cap(10_000)
     caps = {"step_limit": limit}
     payload: dict = {"rules": len(rs.rules), "geodesic": rw.is_geodesic(rs)}
 
@@ -197,9 +201,7 @@ def cmd_rewrite(path, word_text, confluence, witness_r, step_limit, json_path):
             }
 
     if witness_r is not None:
-        from .presentations import Presentation
-
-        p = Presentation(doc.alphabet, tuple(doc.relators), doc.name)
+        p = doc.presentation()
         try:
             result = rw.ball_null_homotopy_witness(rs, p, witness_r, step_limit=limit)
         except (CombinatorialExplosion, LimitExceeded) as exc:
@@ -280,8 +282,6 @@ def grigorchuk_show(variant, family, n, hnn):
     """Print relator-family members (or the finitely presented extension)."""
     data = make_grigorchuk_data()
     if hnn:
-        from .endo import EndomorphicPresentation, hnn_presentation
-
         alphabet, sigma = data._variant(variant)
         ep = EndomorphicPresentation(
             alphabet=alphabet,

@@ -277,10 +277,7 @@ def britton_pinch_reduce(
             kind = "decode"
         lifted = Word(combined, replacement.letters)
         steps.append(PinchStep(current, k0, k1 - k0 + 1, lifted, kind))
-        current = Word(
-            combined,
-            current.letters[:k0] + lifted.letters + current.letters[k1 + 1 :],
-        )
+        current = current.splice(k0, k1 - k0 + 1, lifted.letters)
 
 
 def _apply_to_signed(sub: Substitution, word: Word) -> Word:
@@ -298,10 +295,5 @@ def replay_pinch_trace(word: Word, steps: tuple[PinchStep, ...]) -> Word:
     current = word
     for st in steps:
         assert current == st.before
-        current = Word(
-            current.alphabet,
-            current.letters[: st.position]
-            + st.replacement.letters
-            + current.letters[st.position + st.length :],
-        )
+        current = current.splice(st.position, st.length, st.replacement.letters)
     return current

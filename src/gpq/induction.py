@@ -9,6 +9,7 @@ extensions with positive relators are supported.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 from .backends import FiniteGroupTable
@@ -104,15 +105,12 @@ class InducedPresentation:
 
     presentation: Presentation
     data: SplitExtensionData
-    y_index: dict  # YLetter -> generator index in `presentation`
     pre_simplification_generator_count: int
     eliminated_generators: tuple[str, ...]
     dropped_relators: tuple[str, ...]
     log: tuple[str, ...] = field(default=())
 
     def to_json(self) -> str:
-        import json
-
         return json.dumps(
             {
                 "generators": list(self.presentation.alphabet.letters),
@@ -166,9 +164,8 @@ def induce_presentation(data: SplitExtensionData) -> InducedPresentation:
     # y-letters are conjugates of y_j = x_j lift(p(x_j))^-1; they are involutions
     # exactly when the base letter is one (and its lift is empty)
     names, invol = [], []
-    y_index = {}
+    generator = {yl: i for i, yl in enumerate(kept)}  # YLetter -> generator index
     for yl in kept:
-        y_index[yl] = len(names)
         names.append(y_letter_name(data, yl))
         invol.append(
             p.alphabet.involutive[yl.base] and data.lifts[data.p_map[yl.base]].is_empty()
@@ -185,7 +182,7 @@ def induce_presentation(data: SplitExtensionData) -> InducedPresentation:
                 xname = str(F.element_names[x]).replace(" ", "") or "e"
                 dropped.append(f"^{xname} T(relator {ri}) is empty")
                 continue
-            letters = tuple((y_index[yl], 1) for yl in conj)
+            letters = tuple((generator[yl], 1) for yl in conj)
             relators.append(Word(y_alphabet, letters))
     if dropped:
         log.append(f"dropped {len(dropped)} empty induced relators")
@@ -194,7 +191,6 @@ def induce_presentation(data: SplitExtensionData) -> InducedPresentation:
     return InducedPresentation(
         presentation=induced,
         data=data,
-        y_index=y_index,
         pre_simplification_generator_count=pre_count,
         eliminated_generators=tuple(eliminated),
         dropped_relators=tuple(dropped),

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .endo import EndomorphicPresentation
 from .errors import ParseError
+from .presentations import Presentation
 from .words import Alphabet, Substitution, Word, _Tok, _tokenize, _word_letters
 
 
@@ -39,16 +41,12 @@ class Document:
     q_relators: list[Word] = field(default_factory=list)
     r_relators: list[Word] = field(default_factory=list)
 
-    def presentation(self):
-        from .presentations import Presentation
-
+    def presentation(self) -> Presentation:
         if self.alphabet is None:
             raise ParseError("document declares no generators")
         return Presentation(self.alphabet, tuple(self.relators), self.name)
 
-    def endomorphic_presentation(self):
-        from .endo import EndomorphicPresentation
-
+    def endomorphic_presentation(self) -> EndomorphicPresentation:
         if self.alphabet is None:
             raise ParseError("document declares no generators")
         return EndomorphicPresentation(
@@ -247,8 +245,6 @@ def print_document(doc: Document) -> str:
 
 def document_of(presentation, substitutions=(), rules=()) -> Document:
     """Wrap library objects back into a printable document."""
-    from .endo import EndomorphicPresentation
-
     doc = Document()
     if isinstance(presentation, EndomorphicPresentation):
         doc.endomorphic = True

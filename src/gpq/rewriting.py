@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import CombinatorialExplosion, GpqError, LimitExceeded
 from .presentations import Presentation
-from .words import Alphabet, Word, free_reduce, words_up_to_length
+from .words import Alphabet, Word, free_reduce, rotations_and_inverses, words_up_to_length
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,7 @@ class ReductionTrace:
             p = step.position
             if step.before.letters[p : p + len(lhs)] != lhs.letters:
                 return False
-            expected = (
-                step.before.letters[:p] + rhs.letters + step.before.letters[p + len(lhs) :]
-            )
-            if step.after.letters != expected:
+            if step.after.letters != step.before.splice(p, len(lhs), rhs.letters).letters:
                 return False
             if i + 1 < len(self.steps) and self.steps[i + 1].before != step.after:
                 return False
@@ -93,16 +90,13 @@ def _find_leftmost(rs: RewritingSystem, letters) -> tuple[int, int] | None:
     return None
 
 
-def reduce(
-    rs: RewritingSystem, word: Word, strategy: str = "leftmost", step_limit: int = 10_000
-) -> tuple[Word, ReductionTrace]:
-    """Reduce to an irreducible word, returning it with the full trace.
+def reduce(rs: RewritingSystem, word: Word, step_limit: int = 10_000) -> tuple[Word, ReductionTrace]:
+    """Reduce to an irreducible word by rewriting the leftmost match first,
+    returning it with the full trace.
 
     Raises LimitExceeded (with partial trace) if the limit is hit; completeness
     of a system is never assumed, only evidenced.
     """
-    if strategy != "leftmost":
-        raise ValueError(f"unknown strategy {strategy!r}")
     if step_limit <= 0:
         raise ValueError("step_limit must be positive")
     steps = []
@@ -119,10 +113,7 @@ def reduce(
             )
         pos, ri = hit
         lhs, rhs = rs.rules[ri]
-        after = Word(
-            rs.alphabet,
-            current.letters[:pos] + rhs.letters + current.letters[pos + len(lhs) :],
-        )
+        after = current.splice(pos, len(lhs), rhs.letters)
         steps.append(ReductionStep(current, ri, pos, after))
         current = after
 
@@ -161,10 +152,7 @@ def critical_pairs(rs: RewritingSystem) -> list[CriticalPair]:
                     continue
                 if len(l2) == len(l1) and j < i:
                     continue  # equal lhs pair already emitted for (j, i)
-                right = Word(
-                    rs.alphabet,
-                    l1.letters[:p] + r2.letters + l1.letters[p + len(l2) :],
-                )
+                right = l1.splice(p, len(l2), r2.letters)
                 pairs.append(CriticalPair(l1, r1, right, i, j))
     return pairs
 
@@ -172,7 +160,6 @@ def critical_pairs(rs: RewritingSystem) -> list[CriticalPair]:
 @dataclass(frozen=True)
 class Certified:
     pairs_checked: int
-    evidence: str
 
 
 @dataclass(frozen=True)
@@ -210,7 +197,7 @@ def certify_local_confluence(rs: RewritingSystem, step_limit: int = 1_000):
             return Inconclusive(f"peak '{pair.peak}' does not join within the step limit")
         if nf_left != nf_right:
             return Counterexample(pair.peak, nf_left, nf_right)
-    return Certified(len(pairs), f"all {len(pairs)} critical pairs join")
+    return Certified(len(pairs))
 
 
 class NotGeodesic(GpqError):
@@ -231,14 +218,10 @@ def _rule_matches_presentation(rs: RewritingSystem, p: Presentation, rule) -> bo
     if not target:
         return True
     for rel in p.relators:
-        base = free_reduce(Word(plain, rel.letters)).letters
+        base = Word(rs.alphabet, free_reduce(Word(plain, rel.letters)).letters)
         # the inverse of a reduced word is reduced
-        for source in (base, Word(rs.alphabet, base).inverse().letters):
-            if len(source) != len(target):
-                continue
-            for k in range(len(source)):
-                if source[k:] + source[:k] == target:
-                    return True
+        if any(variant.letters == target for variant in rotations_and_inverses(base)):
+            return True
     return False
 
 

@@ -12,6 +12,7 @@ ones).  The text format's tokenizer and word grammar live here too, so
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Iterable, Iterator
 
 from .errors import NegativeExponent, ParseError
@@ -55,9 +56,6 @@ class Alphabet:
             return self.letters.index(name)
         except ValueError:
             raise KeyError(f"letter {name!r} not in alphabet {self.letters}") from None
-
-    def is_involutive(self, i: int) -> bool:
-        return self.involutive[i]
 
     def spec(self, i: int) -> str:
         return self.letters[i] + ("!" if self.involutive[i] else "")
@@ -132,6 +130,10 @@ class Word:
             self.alphabet,
             tuple((idx, -exp) for idx, exp in reversed(self.letters)),
         )
+
+    def splice(self, position: int, length: int, letters: tuple[tuple[int, int], ...]) -> "Word":
+        """The word with its `length` letters from `position` replaced by `letters`."""
+        return Word(self.alphabet, self.letters[:position] + letters + self.letters[position + length :])
 
     # -- queries ---------------------------------------------------------------
 
@@ -378,27 +380,22 @@ def iterate_substitution(sub: Substitution, word: Word, n: int) -> Word:
     return word
 
 
+def directions(alphabet: Alphabet) -> list[tuple[int, int]]:
+    """The signed letters in alphabet order: (i, 1), and (i, -1) unless
+    letter i is involutive."""
+    dirs = []
+    for i, invol in enumerate(alphabet.involutive):
+        dirs.append((i, 1))
+        if not invol:
+            dirs.append((i, -1))
+    return dirs
+
+
 def words_of_length(alphabet: Alphabet, length: int) -> Iterable[Word]:
-    """All words of exactly the given length.
-
-    Involutive letters contribute one symbol, ordinary letters two (x and x').
-    """
-    symbols: list[tuple[int, int]] = []
-    for i in range(len(alphabet)):
-        symbols.append((i, 1))
-        if not alphabet.involutive[i]:
-            symbols.append((i, -1))
-
-    def rec(prefix: list[tuple[int, int]]):
-        if len(prefix) == length:
-            yield Word(alphabet, tuple(prefix))
-            return
-        for sym in symbols:
-            prefix.append(sym)
-            yield from rec(prefix)
-            prefix.pop()
-
-    yield from rec([])
+    """All words of exactly the given length, in lexicographic order of
+    `directions(alphabet)`."""
+    for letters in product(directions(alphabet), repeat=length):
+        yield Word(alphabet, letters)
 
 
 def words_up_to_length(alphabet: Alphabet, max_length: int) -> Iterable[Word]:

@@ -13,6 +13,9 @@ forms of the library's recorded free reduction (cancel the leftmost pair,
 rescan from the left) and of its decoding dynamic programme (a whole source
 tuple per suffix), kept as references for the one-pass forms.
 
+`words_of_length_recursive` is the earlier recursive enumeration of the
+words of one length, kept as a reference for `words.words_of_length`.
+
 `phi0_letterwise` is the letterwise map a -> aca, b -> d, d -> c on positive
 a,b,d-words; the library computes phi0_hat as translate(sigma_abd(.)), and
 the coherence tests check the two agree.
@@ -246,6 +249,26 @@ def decode_by_tuples(images, letters):
             best[pos] = min(options, key=lambda src: (len(src), src))
             counts[pos] = min(total, 2)
     return best[0], counts[0] > 1
+
+
+def words_of_length_recursive(alphabet, length):
+    """Letter tuples of every word of the given length over `alphabet`: a
+    depth-first walk appending x, then x' unless x is involutive, letter by
+    letter in alphabet order."""
+    syms, _, _ = _symbols(alphabet)
+    out = []
+
+    def rec(prefix):
+        if len(prefix) == length:
+            out.append(tuple(prefix))
+            return
+        for sym in syms:
+            prefix.append(sym)
+            rec(prefix)
+            prefix.pop()
+
+    rec([])
+    return out
 
 
 def phi0_letterwise(data, word):

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from gpq.cli import main
+from gpq.parsing import parse_document
 
 Z2_FILE = "name z2;\ngens a, b;\nrel a b a' b';\n"
 D8_FILE = (
@@ -147,12 +149,12 @@ def test_grigorchuk_show(runner):
 
 
 def test_grigorchuk_show_hnn_matches_golden(runner):
-    from pathlib import Path
-
-    golden = Path(__file__).parent / "golden" / "grigorchuk_hnn.gp"
+    golden = parse_document((Path(__file__).parent / "golden" / "grigorchuk_hnn.gp").read_text())
     result = runner.invoke(main, ["grigorchuk", "show", "--hnn", "--variant", "acd"])
     assert result.exit_code == 0
-    assert "t a t' a c a" in result.output
+    gens = ", ".join(golden.alphabet.spec(i) for i in range(len(golden.alphabet)))
+    rels = ", ".join(str(rel) for rel in golden.relators)
+    assert result.output == f"< {gens} | {rels} >\n"
 
 
 def test_ball_sphere_flag(runner, tmp_path):
@@ -230,3 +232,29 @@ def test_step_cap_not_an_integer_exit_code(runner, tmp_path, monkeypatch, comman
     result = runner.invoke(main, [arg.format(path=path) for arg in command])
     _assert_clean_exit(result, 2)
     assert result.stderr.strip() == "GPQ_STEP_CAP must be an integer, got 'abc'"
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["ball", "{z2}", "--backend", "abelian", "--radius", "2", "--kill-radius", "3"],
+        ["rewrite", "{d8}", "--word", "a d a d a"],
+    ],
+)
+def test_step_cap_below_one_exit_code(runner, tmp_path, monkeypatch, cap, command):
+    # a cap below 1 would end every search at once: a false "exhausted"
+    monkeypatch.setenv("GPQ_STEP_CAP", cap)
+    paths = {"z2": _write(tmp_path, "z2.gp", Z2_FILE), "d8": _write(tmp_path, "d8.gp", D8_FILE)}
+    result = runner.invoke(main, [arg.format(**paths) for arg in command])
+    _assert_clean_exit(result, 2)
+    assert result.stderr.strip() == f"GPQ_STEP_CAP must be at least 1, got {cap}"
+    assert result.stdout == ""
+
+
+def test_rewrite_has_no_step_limit_option(runner, tmp_path):
+    # the step limit of `rewrite` is GPQ_STEP_CAP
+    path = _write(tmp_path, "d8.gp", D8_FILE)
+    result = runner.invoke(main, ["rewrite", path, "--word", "a a", "--step-limit", "5"])
+    _assert_clean_exit(result, 2)
+    assert "--step-limit" in result.stderr

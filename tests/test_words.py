@@ -16,8 +16,11 @@ from gpq.words import (
     apply_substitution,
     free_reduce,
     iterate_substitution,
+    words_of_length,
     words_up_to_length,
 )
+
+from helpers import words_of_length_recursive
 
 AB = Alphabet.make("a", "b")
 INV_A = Alphabet.make("a!")
@@ -53,6 +56,37 @@ def test_involutive_letters_normalized_to_positive():
     w = W(ACD, "a' c d'")
     assert w.is_positive()
     assert w == W(ACD, "a c d")
+
+
+@pytest.mark.parametrize("letters", [((2, 1),), ((-1, 1),), ((0, 2),), ((0, 0),)])
+def test_word_rejects_bad_letters(letters):
+    # an index outside the alphabet, or an exponent other than +1 and -1
+    with pytest.raises(ValueError):
+        Word(AB, letters)
+
+
+def test_word_stores_involutive_inverse_as_the_letter():
+    assert Word(ACD, ((0, -1), (1, 1))).letters == ((0, 1), (1, 1))
+    assert W(ACD, "c'").letters == ((1, 1),)
+    assert Word(AB, ((0, -1),)).letters == ((0, -1),)
+
+
+def test_splice():
+    w = W(AB, "a b a")
+    assert w.splice(1, 1, W(AB, "a' b b").letters) == W(AB, "a a' b b a")
+    assert w.splice(0, 0, ((1, -1),)) == W(AB, "b' a b a")
+    assert w.splice(3, 0, ((1, -1),)) == W(AB, "a b a b'")
+    assert w.splice(0, 3, ()).is_empty()
+    # the result is a Word like any other: involutive inverses are stored positive
+    assert W(ACD, "a c").splice(1, 1, ((2, -1),)) == W(ACD, "a d")
+
+
+@pytest.mark.parametrize("alphabet", [AB, Alphabet.make("a!", "c!", "d")])
+@pytest.mark.parametrize("length", range(5))
+def test_words_of_length_matches_recursive_reference(alphabet, length):
+    words = list(words_of_length(alphabet, length))
+    assert all(w.alphabet == alphabet for w in words)
+    assert [w.letters for w in words] == words_of_length_recursive(alphabet, length)
 
 
 def random_word(alphabet, rng, max_len=20, positive=False):
