@@ -24,7 +24,7 @@ class WordOracle:
     """Interface: element keys and steps, from which normal forms and
     is_identity follow, plus a descriptor.
 
-    By default a key is the letter tuple of its normal form.
+    The default `word` reads a key as the letter tuple of its normal form.
     """
 
     alphabet: Alphabet
