@@ -249,6 +249,7 @@ class Witness:
 
 
 def _loop_inside(region: Ball, loop: Word) -> bool:
+    """True iff `loop` traces a closed path from the basepoint inside the region."""
     # the table has rows for the region's vertices only: leaving it finds None
     table = region.neighbours
     key = region.base_key
@@ -256,7 +257,7 @@ def _loop_inside(region: Ball, loop: Word) -> bool:
         key = table.get((key, direction))
         if key is None:
             return False
-    return key in region._index
+    return key == region.base_key and key in region._index
 
 
 def _reduce_recording(word: Word):
@@ -281,23 +282,40 @@ def _reduce_recording(word: Word):
 
 
 def _relator_rewrites(p: Presentation, extra_relators=()):
-    """(remove, insert) patterns from every rotation/inversion and split of
-    every relator: an occurrence of u may become v^-1 whenever uv is a relator."""
+    """(remove, insert, free-reduced insert) patterns from every
+    rotation/inversion and split of every relator: an occurrence of u may
+    become v^-1 whenever uv is a relator."""
     rewrites = []
     seen = set()
     all_rels = [r for r in p.relators if not free_reduce(r).is_empty()]
     all_rels += [r for r in extra_relators if not free_reduce(r).is_empty()]
     for rel in all_rels:
         for variant in rotations_and_inverses(rel):
-            for cut in range(len(variant) + 1):
+            n = len(variant)
+            backwards = variant.inverse().letters
+            for cut in range(n + 1):
                 u = variant.letters[:cut]
-                v = Word(p.alphabet, variant.letters[cut:])
-                ins = v.inverse().letters
-                key = (u, ins)
-                if key not in seen:
-                    seen.add(key)
-                    rewrites.append((u, ins))
+                ins = backwards[: n - cut]  # the inverse of variant[cut:]
+                if (u, ins) not in seen:
+                    seen.add((u, ins))
+                    rewrites.append((u, ins, free_reduce(Word(p.alphabet, ins)).letters))
     return rewrites
+
+
+def _splice_reduced(state: tuple, pos: int, end: int, red: tuple, inverse: dict) -> tuple:
+    """free_reduce(state[:pos] + red + state[end:]) for reduced `state` and
+    `red`: only the two seams cancel, the prefix tail against red, then what
+    is left against the suffix."""
+    i, j = pos, 0
+    while i and j < len(red) and inverse[state[i - 1]] == red[j]:
+        i -= 1
+        j += 1
+    head = state[:i] + red[j:]
+    h, n = len(head), len(state)
+    while h and end < n and inverse[head[h - 1]] == state[end]:
+        h -= 1
+        end += 1
+    return head[:h] + state[end:]
 
 
 def null_homotopy_search(
@@ -314,7 +332,18 @@ def null_homotopy_search(
     free cancellations/insertions and relator-subword replacements, and every
     intermediate loop must trace inside the region.  Raises Exhausted after
     `step_cap` states; incompleteness is explicit.
+
+    On entry every relator of `p` and every extra relator must be trivial
+    under the oracle, or OracleMismatch is raised: a cell the group does not
+    have would certify loops that do not die.  Each state's successors are
+    tried rewrite by rewrite in `_relator_rewrites` order, and for one
+    rewrite at ascending positions; that order fixes which parent first
+    reaches a state, hence the witness and `states_explored`.
     """
+    _check_oracle(oracle, p)
+    for rel in extra_relators:
+        if not oracle.is_identity(rel):
+            raise OracleMismatch(f"relator '{rel}' is not trivial under {oracle.describe()}")
     if not oracle.is_identity(loop):
         raise NotNullHomotopic(f"'{loop}' is not trivial under {oracle.describe()}")
     if not _loop_inside(region, loop):
@@ -325,6 +354,9 @@ def null_homotopy_search(
         return Witness(loop, tuple(norm_moves), region, 0)
 
     rewrites = _relator_rewrites(p, extra_relators)
+    invol = p.alphabet.involutive
+    inverse = {(i, e): (i, e if invol[i] else -e) for i, e in directions(p.alphabet)}
+    table = region.neighbours
     seen = {start.letters: (None, None)}  # state -> (previous state, move)
     queue = deque([start.letters])
     explored = 0
@@ -336,19 +368,30 @@ def null_homotopy_search(
         state = queue.popleft()
         explored += 1
         n = len(state)
-        for u, ins in rewrites:
+        # at[i]: the vertex after the first i letters; where: each letter's positions
+        at = [region.base_key]
+        where = {}
+        for i, direction in enumerate(state):
+            at.append(table[(at[-1], direction)])
+            where.setdefault(direction, []).append(i)
+        for u, ins, red in rewrites:
             lu = len(u)
-            for pos in range(n - lu + 1):
+            for pos in where.get(u[0], ()) if u else range(n + 1):
                 if state[pos : pos + lu] != u:
                     continue
-                raw = Word(p.alphabet, state[:pos] + ins + state[pos + lu :])
-                reduced = free_reduce(raw)
-                key = reduced.letters
+                key = _splice_reduced(state, pos, pos + lu, red, inverse)
                 if key in seen:
                     continue
                 # the unreduced intermediate must stay inside too: the slide
-                # across the cell happens before the spurs cancel
-                if not _loop_inside(region, raw):
+                # across the cell happens before the spurs cancel.  Prefix and
+                # suffix are paths of the inside state; ins runs from at[pos]
+                # and, u ins^-1 being trivial, closes at at[pos + lu].
+                vertex = at[pos]
+                for direction in ins:
+                    vertex = table.get((vertex, direction))
+                    if vertex is None:
+                        break
+                if vertex != at[pos + lu]:
                     continue
                 move = HomotopyMove(pos, u, ins, "relator")
                 seen[key] = (state, move)

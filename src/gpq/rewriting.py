@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import CombinatorialExplosion, GpqError, LimitExceeded
 from .presentations import Presentation
@@ -35,6 +36,11 @@ class RewritingSystem:
             (Word.from_str(alphabet, l), Word.from_str(alphabet, r)) for l, r in rules
         )
         return RewritingSystem(alphabet, built)
+
+    @cached_property
+    def _lhs_letters(self) -> tuple[tuple[int, tuple, int], ...]:
+        """(rule index, lhs letters, lhs length) per rule, for matching."""
+        return tuple((ri, lhs.letters, len(lhs)) for ri, (lhs, _) in enumerate(self.rules))
 
 
 @dataclass(frozen=True)
@@ -79,13 +85,13 @@ class ReductionTrace:
         )
 
 
-def _find_leftmost(rs: RewritingSystem, letters) -> tuple[int, int] | None:
-    """Leftmost match position; ties broken by lowest rule index."""
-    n = len(letters)
-    for pos in range(n):
-        for ri, (lhs, _) in enumerate(rs.rules):
-            L = len(lhs)
-            if pos + L <= n and letters[pos : pos + L] == lhs.letters:
+def _find_leftmost(rs: RewritingSystem, letters, start: int = 0) -> tuple[int, int] | None:
+    """Leftmost match position at or after `start`; ties broken by lowest rule index."""
+    lhss = rs._lhs_letters
+    for pos in range(start, len(letters)):
+        for ri, lhs, L in lhss:
+            # a window cut short by the end of the word is shorter than lhs
+            if letters[pos : pos + L] == lhs:
                 return pos, ri
     return None
 
@@ -99,10 +105,14 @@ def reduce(rs: RewritingSystem, word: Word, step_limit: int = 10_000) -> tuple[W
     """
     if step_limit <= 0:
         raise ValueError("step_limit must be positive")
+    # a step at pos changes no letter before pos, and no window starting
+    # before pos matched: only windows that reach pos can match now
+    reach = max((L for _, _, L in rs._lhs_letters), default=1) - 1
     steps = []
     current = word
+    start = 0
     while True:
-        hit = _find_leftmost(rs, current.letters)
+        hit = _find_leftmost(rs, current.letters, start)
         if hit is None:
             return current, ReductionTrace(tuple(steps))
         if len(steps) >= step_limit:
@@ -116,6 +126,7 @@ def reduce(rs: RewritingSystem, word: Word, step_limit: int = 10_000) -> tuple[W
         after = current.splice(pos, len(lhs), rhs.letters)
         steps.append(ReductionStep(current, ri, pos, after))
         current = after
+        start = max(0, pos - reach)
 
 
 def is_geodesic(rs: RewritingSystem) -> bool:

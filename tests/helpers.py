@@ -13,6 +13,11 @@ forms of the library's recorded free reduction (cancel the leftmost pair,
 rescan from the left) and of its decoding dynamic programme (a whole source
 tuple per suffix), kept as references for the one-pass forms.
 
+`search_whole_words` is the earlier null-homotopy search, which builds,
+free-reduces and walks every candidate loop in full, and `rewrite_restart`
+the earlier rewriting loop, which rescans from the left after every step:
+references for the library's seam-cost search and resumed scan.
+
 `words_of_length_recursive` is the earlier recursive enumeration of the
 words of one length, kept as a reference for `words.words_of_length`.
 
@@ -23,7 +28,9 @@ the coherence tests check the two agree.
 
 from __future__ import annotations
 
-from gpq.words import Word, free_reduce
+from collections import deque
+
+from gpq.words import Word, free_reduce, rotations_and_inverses
 
 
 def _symbols(alphabet):
@@ -280,3 +287,102 @@ def phi0_letterwise(data, word):
         assert exp == 1, "letterwise maps apply to positive words"
         out.extend(Word.from_str(data.acd, images[data.abd.letters[idx]]).letters)
     return free_reduce(Word(data.acd, tuple(out)))
+
+
+def search_whole_words(p, loop, region, step_cap, extra_relators=()):
+    """Breadth-first null-homotopy search of `loop` in `region`, one whole word
+    per candidate: a Word, a free reduction and a walk of the unreduced loop.
+
+    Returns ("outside",) when the loop leaves the region, ("exhausted",
+    states explored), or ("witness", moves, states explored) with moves as
+    (position, removed, inserted, kind), free cancellations leftmost first.
+    """
+    alphabet = p.alphabet
+
+    def closes_inside(letters):
+        key = region.base_key
+        for direction in letters:
+            key = region.neighbours.get((key, direction))
+            if key is None:
+                return False
+        return key == region.base_key and key in region.keys
+
+    def free_moves(letters):
+        reduced, cancels = reduce_recording_restart(letters, alphabet.involutive)
+        return reduced, [(k, pair, (), "free") for k, pair in cancels]
+
+    rewrites = []
+    for rel in tuple(p.relators) + tuple(extra_relators):
+        if free_reduce(rel).is_empty():
+            continue
+        for variant in rotations_and_inverses(rel):
+            for cut in range(len(variant) + 1):
+                v = Word(alphabet, variant.letters[cut:])
+                rewrite = (variant.letters[:cut], v.inverse().letters)
+                if rewrite not in rewrites:
+                    rewrites.append(rewrite)
+
+    if not closes_inside(loop.letters):
+        return ("outside",)
+    start, moves = free_moves(loop.letters)
+    if not start:
+        return ("witness", moves, 0)
+    parent = {start: None}
+    queue = deque([start])
+    explored = 0
+    while queue:
+        if explored >= step_cap:
+            return ("exhausted", explored)
+        state = queue.popleft()
+        explored += 1
+        for u, ins in rewrites:
+            for pos in range(len(state) - len(u) + 1):
+                if state[pos : pos + len(u)] != u:
+                    continue
+                raw = Word(alphabet, state[:pos] + ins + state[pos + len(u) :])
+                key = free_reduce(raw).letters
+                if key in parent or not closes_inside(raw.letters):
+                    continue
+                parent[key] = (state, (pos, u, ins, "relator"))
+                if key:
+                    queue.append(key)
+                    continue
+                chain = []
+                while parent[key] is not None:
+                    key, move = parent[key]
+                    chain.append((key, move))
+                for prev, move in reversed(chain):
+                    at, removed, inserted, _ = move
+                    moves.append(move)
+                    moves += free_moves(prev[:at] + inserted + prev[at + len(removed) :])[1]
+                return ("witness", moves, explored)
+    return ("exhausted", explored)
+
+
+def rewrite_restart(rs, word, step_limit):
+    """Rewrite the leftmost match (lowest rule index first) until none is
+    left, rescanning the whole word from the left after every step.
+
+    Returns (letters, steps, finished) with steps as (before, rule, position,
+    after) letter tuples; finished is False when the step limit stopped it.
+    """
+    letters = word.letters
+    steps = []
+    while True:
+        hit = None
+        for pos in range(len(letters)):
+            for ri, (lhs, _) in enumerate(rs.rules):
+                if letters[pos : pos + len(lhs)] == lhs.letters:
+                    hit = (pos, ri)
+                    break
+            if hit:
+                break
+        if hit is None:
+            return letters, steps, True
+        if len(steps) >= step_limit:
+            return letters, steps, False
+        pos, ri = hit
+        lhs, rhs = rs.rules[ri]
+        after = letters[:pos] + rhs.letters + letters[pos + len(lhs) :]
+        steps.append((letters, ri, pos, after))
+        letters = after

@@ -9,8 +9,12 @@ from itertools import product
 
 import pytest
 
-from gpq.backends import free_abelian_oracle, free_oracle
+from gpq.backends import dihedral_group, free_abelian_oracle, free_oracle
 from gpq.balls import (
+    HomotopyMove,
+    Witness,
+    _closed_paths_up_to,
+    _loop_inside,
     _reduce_recording,
     build_ball,
     build_sphere,
@@ -23,8 +27,8 @@ from gpq.balls import (
 )
 from gpq.errors import Exhausted, NotNullHomotopic, OracleMismatch
 from gpq.presentations import Presentation
-from gpq.words import Alphabet, Word
-from helpers import reduce_recording_restart
+from gpq.words import Alphabet, Word, directions, free_reduce, words_up_to_length
+from helpers import reduce_recording_restart, search_whole_words
 
 
 def W(p, text):
@@ -365,3 +369,143 @@ def test_reduce_recording_matches_leftmost_restart_reference():
             assert all(m.inserted == () and m.kind == "free" for m in moves)
             moved += len(moves) > 1
         assert moved > 500
+
+
+def test_search_checks_its_cells_against_the_oracle(z2_setup):
+    # a cell the group lacks: with a = 1 glued in, a b a' b' would die in Z^2
+    p, oracle = z2_setup
+    no_cells = Presentation.make("a, b", [], "no_cells")
+    region = build_ball(oracle, no_cells, 2)
+    loop = W(p, "a b a' b'")
+    with pytest.raises(Exhausted):
+        null_homotopy_search(oracle, no_cells, loop, region, step_cap=200)
+    with pytest.raises(OracleMismatch, match="relator 'a' is not trivial"):
+        null_homotopy_search(oracle, no_cells, loop, region, extra_relators=(W(p, "a"),))
+    bogus = Presentation.make("a, b", ["a b a' b'", "a"], "z2_with_a")
+    with pytest.raises(OracleMismatch, match="relator 'a' is not trivial"):
+        null_homotopy_search(oracle, bogus, loop, region)
+
+
+def test_replay_rejects_moves_that_open_the_loop(z2_setup):
+    # deleting a lone a leaves a path from the basepoint to a' inside the
+    # ball; later moves close it again, but the homotopy broke the loop
+    p, oracle = z2_setup
+    a, b = (0, 1), (1, 1)
+    region = build_ball(oracle, p, 2)
+    moves = (
+        HomotopyMove(0, (a,), (), "relator"),
+        HomotopyMove(1, ((0, -1),), (), "relator"),
+        HomotopyMove(0, (b, (1, -1)), (), "free"),
+    )
+    assert not Witness(W(p, "a b a' b'"), moves, region, 0).replay()
+    good = null_homotopy_search(oracle, p, W(p, "a b a' b'"), region)
+    assert good.replay()
+
+
+class _TwistedZOracle:
+    """Duck-typed oracle for Z = <a, b | b a b a' b'>: a counts, b = 1."""
+
+    def __init__(self, alphabet):
+        self.alphabet = alphabet
+
+    def normal_form(self, word):
+        total = sum(e for i, e in word.letters if i == 0)
+        return Word(self.alphabet, ((0, 1 if total > 0 else -1),) * abs(total))
+
+    def is_identity(self, word):
+        return self.normal_form(word).is_empty()
+
+    def describe(self):
+        return "Z with a = 1, b = 0"
+
+
+def _search_outcome(oracle, p, loop, region, cap, extra_relators=()):
+    """null_homotopy_search's answer in the form of search_whole_words."""
+    try:
+        w = null_homotopy_search(oracle, p, loop, region, step_cap=cap, extra_relators=extra_relators)
+    except Exhausted as exc:
+        return ("exhausted", exc.states_explored)
+    except ValueError:
+        return ("outside",)
+    moves = [(m.position, m.removed, m.inserted, m.kind) for m in w.moves]
+    return ("witness", moves, w.states_explored)
+
+
+def _identity_loops(oracle, region, max_length, count, rng):
+    """`count` identity words of length <= max_length that close inside
+    `region` and do not cancel freely."""
+    loops = [
+        w
+        for w in words_up_to_length(region.presentation.alphabet, max_length)
+        if oracle.is_identity(w) and not free_reduce(w).is_empty() and _loop_inside(region, w)
+    ]
+    return rng.sample(loops, min(count, len(loops)))
+
+
+def _cell_loops(region, cells, count, rng):
+    """Up to `count` products of `cells` conjugates of the longest relator or
+    its inverse that close inside `region` and do not cancel freely."""
+    p = region.presentation
+    rel = max(p.relators, key=len)
+    symbols = directions(p.alphabet)
+    loops = []
+    for _ in range(100 * count):
+        loop = Word.identity(p.alphabet)
+        for _ in range(cells):
+            u = Word(p.alphabet, tuple(rng.choice(symbols) for _ in range(rng.randrange(3))))
+            loop = loop * u * rng.choice((rel, rel.inverse())) * u.inverse()
+        if not free_reduce(loop).is_empty() and _loop_inside(region, loop):
+            loops.append(loop)
+            if len(loops) == count:
+                break
+    return loops
+
+
+def test_search_matches_whole_word_reference(z2_setup, d8_setup, bs2_setup):
+    d16 = (Presentation.make("a!, d!", ["a a", "d d", "(a d)^8"], "d16"), dihedral_group(16, ("a", "d")))
+    twisted = Presentation.make("a, b", ["b a b a' b'"], "z_twisted")
+    rng = random.Random(6)
+    compared = Counter()
+    for (p, oracle), r, base, length, cells in (
+        (z2_setup, 2, None, 6, 2),
+        (z2_setup, 2, "a b", 6, 2),
+        (bs2_setup, 2, None, 6, 2),
+        (d8_setup, 4, None, 8, 2),
+        (d8_setup, 4, "a d a", 8, 2),
+        (d16, 8, None, 0, 1),
+        ((twisted, _TwistedZOracle(twisted.alphabet)), 2, None, 5, 1),
+    ):
+        basepoint = W(p, base) if base else None
+        region = build_ball(oracle, p, r, basepoint)
+        loops = _identity_loops(oracle, region, length, 8, rng)
+        loops += _cell_loops(region, cells, 8, rng)
+        loops += pi1_generators(region).generators[:4]
+        for loop in loops:
+            for cap in (1, 4, 100):
+                want = search_whole_words(p, loop, region, cap)
+                assert _search_outcome(oracle, p, loop, region, cap) == want, (p.name, str(loop), cap)
+                compared[want[0]] += 1
+        # spheres hold no vertex of their centre, so no loop starts inside
+        sphere = build_sphere(oracle, p, r, basepoint)
+        for loop in loops[:3]:
+            assert _search_outcome(oracle, p, loop, sphere, 100) == ("outside",)
+            assert search_whole_words(p, loop, sphere, 100) == ("outside",)
+    assert compared["witness"] > 200 and compared["exhausted"] > 40
+
+
+def test_search_with_short_loop_cells_matches_whole_word_reference(z2_setup, bs2_setup):
+    # the cells check_pi1_bounded_balls glues: every short closed path, on a
+    # presentation stripped of its own relators
+    compared = Counter()
+    for p, oracle in (z2_setup, bs2_setup):
+        ball = build_ball(oracle, p, 2)
+        stripped = Presentation(p.alphabet, (), p.name)
+        for c in (3, 5):
+            short = tuple(_closed_paths_up_to(ball, c))
+            for g in pi1_generators(ball).generators:
+                for cap in (2, 200):
+                    want = search_whole_words(stripped, g, ball, cap, short)
+                    got = _search_outcome(oracle, stripped, g, ball, cap, short)
+                    assert got == want, (p.name, c, str(g), cap)
+                    compared[want[0]] += 1
+    assert compared["witness"] > 5 and compared["exhausted"] > 5

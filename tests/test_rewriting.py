@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from gpq.backends import dihedral_group, free_abelian_oracle
@@ -23,7 +25,8 @@ from gpq.rewriting import (
     is_geodesic,
     reduce,
 )
-from gpq.words import Alphabet, Word, words_up_to_length
+from gpq.words import Alphabet, Word, directions, words_up_to_length
+from helpers import rewrite_restart
 
 
 def W(rs, text):
@@ -190,3 +193,36 @@ def test_reduce_outputs_are_irreducible():
         for w in words_up_to_length(rs.alphabet, 5):
             nf, _ = reduce(rs, w)
             assert _find_leftmost(rs, nf.letters) is None
+
+
+def _reduce_outcome(rs, word, step_limit):
+    """reduce's answer in the form of rewrite_restart."""
+    try:
+        nf, trace = reduce(rs, word, step_limit=step_limit)
+        finished = True
+    except LimitExceeded as exc:
+        nf, trace, finished = exc.word, exc.trace, False
+    steps = [(s.before.letters, s.rule, s.position, s.after.letters) for s in trace.steps]
+    return nf.letters, steps, finished
+
+
+def test_resumed_reduce_matches_restart_reference():
+    rng = random.Random(9)
+    expanding = RewritingSystem.make("a, b", [("a a'", ""), ("b a", "a b a"), ("b' b", "")])
+    steps = limited = 0
+    for rs, limit in (
+        (dihedral_rewriting_system(8, ("a", "d")), 10_000),
+        (dihedral_rewriting_system(16, ("a", "d")), 10_000),
+        (abelian_plane_system(), 10_000),
+        (free_reduction_system(Alphabet.make("a", "b!", "c")), 10_000),
+        (expanding, 40),
+    ):
+        symbols = directions(rs.alphabet)
+        for _ in range(150):
+            word = Word(rs.alphabet, tuple(rng.choice(symbols) for _ in range(rng.randrange(40))))
+            want = rewrite_restart(rs, word, limit)
+            assert _reduce_outcome(rs, word, limit) == want, str(word)
+            steps += len(want[1])
+            limited += not want[2]
+    # every system rewrites, and the expanding one also stops at its limit
+    assert steps > 5_000 and limited > 20
