@@ -281,10 +281,19 @@ def _reduce_recording(word: Word):
     return Word(word.alphabet, tuple(stack)), moves
 
 
-def _relator_rewrites(p: Presentation, extra_relators=()):
+def _relator_rewrites(oracle: WordOracle, p: Presentation, extra_relators=()):
     """(remove, insert, free-reduced insert) patterns from every
     rotation/inversion and split of every relator: an occurrence of u may
-    become v^-1 whenever uv is a relator."""
+    become v^-1 whenever uv is a relator.
+
+    Every relator of `p` and every extra relator must first be trivial under
+    the oracle, or OracleMismatch is raised: a cell the group does not have
+    would certify loops that do not die.
+    """
+    _check_oracle(oracle, p)
+    for rel in extra_relators:
+        if not oracle.is_identity(rel):
+            raise OracleMismatch(f"relator '{rel}' is not trivial under {oracle.describe()}")
     rewrites = []
     seen = set()
     all_rels = [r for r in p.relators if not free_reduce(r).is_empty()]
@@ -340,10 +349,13 @@ def null_homotopy_search(
     rewrite at ascending positions; that order fixes which parent first
     reaches a state, hence the witness and `states_explored`.
     """
-    _check_oracle(oracle, p)
-    for rel in extra_relators:
-        if not oracle.is_identity(rel):
-            raise OracleMismatch(f"relator '{rel}' is not trivial under {oracle.describe()}")
+    rewrites = _relator_rewrites(oracle, p, extra_relators)
+    return _search(oracle, p, loop, region, step_cap, rewrites)
+
+
+def _search(oracle: WordOracle, p: Presentation, loop: Word, region: Ball, step_cap: int, rewrites) -> Witness:
+    """The search of `null_homotopy_search` with its cells' rewrites given, so
+    that callers searching many loops with the same cells build them once."""
     if not oracle.is_identity(loop):
         raise NotNullHomotopic(f"'{loop}' is not trivial under {oracle.describe()}")
     if not _loop_inside(region, loop):
@@ -353,7 +365,6 @@ def null_homotopy_search(
     if start.is_empty():
         return Witness(loop, tuple(norm_moves), region, 0)
 
-    rewrites = _relator_rewrites(p, extra_relators)
     invol = p.alphabet.involutive
     inverse = {(i, e): (i, e if invol[i] else -e) for i, e in directions(p.alphabet)}
     table = region.neighbours
@@ -445,11 +456,12 @@ def pi1_kill_radius(
     if r > r_max:
         raise ValueError("need r <= r_max")
     generators = pi1_generators(build_ball(oracle, p, r)).generators
+    rewrites = _relator_rewrites(oracle, p)
     for R in range(r, r_max + 1):
         region = build_ball(oracle, p, R)
         try:
             for g in generators:
-                null_homotopy_search(oracle, p, g, region, step_cap=step_cap)
+                _search(oracle, p, g, region, step_cap, rewrites)
         except Exhausted:
             continue
         return R
@@ -512,11 +524,10 @@ def check_pi1_bounded_balls(
     # the short loops replace the presentation's cells entirely: a generator is
     # normally generated by short loops iff it dies using short-loop cells only
     stripped = Presentation(p.alphabet, (), p.name)
+    rewrites = _relator_rewrites(oracle, stripped, short_loops)
     for g in generators:
         try:
-            null_homotopy_search(
-                oracle, stripped, g, ball, step_cap=step_cap, extra_relators=tuple(short_loops)
-            )
+            _search(oracle, stripped, g, ball, step_cap, rewrites)
         except Exhausted:
             return False
     return True

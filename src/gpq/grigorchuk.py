@@ -21,23 +21,29 @@ d-letters multiplies neighbouring conjugator words inside the finite quotient
 <a,c>, which free reduction alone cannot see.  Each report states the first
 level at which its case closes.
 
-Work per (n, family), done once and memoised on the GrigorchukData: w_n, its
-basic relation T(w_n) over D_8 (empty for n = 0, which is degenerate), and
-w_{n+1} = sigma(w_n) read over a,c,d through b -> cd.  Work per case
-(factor, x): conjugating T(w_n) by x, transporting it with the eight phi0
-conjugator words (built once per GrigorchukData), conjugating the memoised
-core by C, and the Klein and dihedral normal forms, each one pass over the
-word.
+Work per GrigorchukData, done once: for each factor and each D_8 element g
+the reduced conjugator C_g (phi0(g) for the second factor, a phi0(g) for the
+first), its inverse, the transport piece C_g d C_g^-1, and the Klein and
+dihedral normal forms of C_g and C_g^-1.  Work per (n, family), memoised on
+the data: w_n, the conjugators of its basic relation T(w_n) over D_8 (empty
+for n = 0, which is degenerate), the core w_{n+1} = sigma(w_n) read over
+a,c,d through b -> cd, and the core's two normal forms.  Work per case
+(factor, x), at the seams: the transported relator appends the pieces of
+x T(w_n)'s conjugators, read off one row of the D_8 table, cancelling only
+where two pieces meet; the expected word joins C, the core and C^-1 at two
+seams, and its normal forms join the memoised ones the same way.  Only the
+transported word's normal forms take a pass over a whole word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 from .backends import FiniteGroupTable, dihedral_group, klein_group
 from .errors import DegenerateCase
-from .induction import SplitExtensionData, YLetter, basic_relation, conjugate_relation
+from .induction import SplitExtensionData, YLetter, basic_relation
 from .presentations import Presentation
 from .words import (
     Alphabet,
@@ -48,6 +54,26 @@ from .words import (
     iterate_substitution,
     rename_word,
 )
+
+
+class _Conjugator(NamedTuple):
+    """A transport conjugator C, reduced and over a,c, with what a case reads
+    of it: C^-1, the piece C d C^-1 and the normal forms of C and C^-1."""
+
+    letters: tuple
+    inverse: tuple
+    piece: tuple
+    klein: tuple  # (klein_nf(C), klein_nf(C^-1))
+    dihedral: tuple  # (dihedral_nf(C), dihedral_nf(C^-1))
+
+
+class _FamilyParts(NamedTuple):
+    """What every case of one (n, family) shares."""
+
+    conjugators: tuple  # the D_8 conjugator of each y-letter of T(w_n)
+    core: Word  # w_{n+1} over a,c,d, reduced
+    klein: tuple  # klein_nf(core)
+    dihedral: tuple  # dihedral_nf(core)
 
 
 @dataclass(frozen=True)
@@ -68,13 +94,39 @@ class GrigorchukData:
     a_extension: SplitExtensionData
     phi0_table: tuple[int, ...]  # D8 element -> D16 element
     phi1_table: tuple[int, ...]
-    # phi0_word(x) for every x, and the (n, family) memo of _family_parts
+    # phi0_word(x) for every x; per factor, the _Conjugator of every x; the
+    # letters of the b -> cd images; and the (n, family) memo of _family_parts
     _phi0_words: tuple[Word, ...] = field(init=False, compare=False, repr=False)
+    _conjugators: dict = field(init=False, compare=False, repr=False)
+    _bd_to_cd: tuple = field(init=False, compare=False, repr=False)
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        words = tuple(rename_word(self.d16.element_names[g], self.acd) for g in self.phi0_table)
+        acd = self.acd
+        words = tuple(rename_word(self.d16.element_names[g], acd) for g in self.phi0_table)
         object.__setattr__(self, "_phi0_words", words)
+        a, d = ((acd.index("a"), 1),), ((acd.index("d"), 1),)
+        conjugators = {}
+        for factor, prefix in (("first", a), ("second", ())):
+            row = []
+            for u in words:
+                c = _join(prefix, u.letters)
+                c_inv = c[::-1]  # involutive letters
+                ends = (Word(acd, c), Word(acd, c_inv))
+                row.append(
+                    _Conjugator(
+                        c,
+                        c_inv,
+                        c + d + c_inv,  # reduced: C has no d
+                        tuple(map(self.klein_nf, ends)),
+                        tuple(map(self.dihedral_nf, ends)),
+                    )
+                )
+            conjugators[factor] = tuple(row)
+        object.__setattr__(self, "_conjugators", conjugators)
+        images = {"a": "a", "b": "c d", "d": "d"}
+        bd_to_cd = tuple(Word.from_str(acd, images[name]).letters for name in self.abd.letters)
+        object.__setattr__(self, "_bd_to_cd", bd_to_cd)
 
     # -- presentations ---------------------------------------------------------
 
@@ -128,8 +180,7 @@ class GrigorchukData:
         """Substitute b -> cd (the Klein relation bcd = 1), involutively reduce."""
         if word.alphabet != self.abd:
             raise ValueError("translate expects a word over the a,b,d alphabet")
-        rules = {"a": "a", "b": "c d", "d": "d"}
-        images = [Word.from_str(self.acd, rules[name]).letters for name in self.abd.letters]
+        images = self._bd_to_cd
         out = chain.from_iterable(images[idx] for idx, _ in word.letters)
         return free_reduce(Word(self.acd, tuple(out)))
 
@@ -145,8 +196,9 @@ class GrigorchukData:
 
     # -- the part of a verification case shared by all (factor, x) ----------------
 
-    def _family_parts(self, n: int, family: str):
-        """(T(w_n), translate(w_{n+1})) for the a,b,d variant, memoised."""
+    def _family_parts(self, n: int, family: str) -> _FamilyParts:
+        """T(w_n)'s conjugators and translate(w_{n+1}) with its normal forms,
+        for the a,b,d variant, memoised."""
         key = (n, family)
         if key not in self._memo:
             wn = self.relator_family("abd", family, n)
@@ -154,7 +206,9 @@ class GrigorchukData:
             if not basic:
                 raise DegenerateCase(f"{family}_{n} has no inducible letters (b-free)")
             core = self.translate_bd_to_cd(apply_substitution(self.sigma_abd, wn))
-            self._memo[key] = (basic, core)
+            self._memo[key] = _FamilyParts(
+                tuple(yl.conjugator for yl in basic), core, self.klein_nf(core), self.dihedral_nf(core)
+            )
         return self._memo[key]
 
 
@@ -199,6 +253,26 @@ def _free_product_nf(word: Word, table: FiniteGroupTable, embed: dict, passthrou
     if pending:
         out.append(("t", pending))
     return tuple(out)
+
+
+def _nf_join(u: tuple, v: tuple, mul) -> tuple:
+    """The normal form of the product of normal forms u and v, `mul` the
+    table's multiplication: the free-product form of _join.  At the seam two
+    table syllables multiply, and two equal passthrough letters cancel; only
+    an identity product or a cancellation lets the seam move on."""
+    i, j = len(u), 0
+    while i and j < len(v):
+        (kind, left), (other, right) = u[i - 1], v[j]
+        if kind == other == "t":
+            g = mul[left][right]
+            i, j = i - 1, j + 1
+            if g:
+                return u[:i] + (("t", g),) + v[j:]
+        elif kind == other == "p" and left == right:
+            i, j = i - 1, j + 1
+        else:
+            break
+    return u[:i] + v[j:]
 
 
 def make_grigorchuk_data() -> GrigorchukData:
@@ -294,14 +368,24 @@ def transport_induced_relation(
     """
     if factor not in ("first", "second"):
         raise ValueError("factor must be 'first' or 'second'")
-    prefix = ((data.acd.index("a"), 1),) if factor == "first" else ()
-    d_letter = (data.acd.index("d"), 1)
-    pieces = []
-    for u in data._phi0_words:
-        u = prefix + u.letters
-        pieces.append(u + (d_letter,) + u[::-1])  # involutive inverse
-    out = tuple(chain.from_iterable(pieces[yl.conjugator] for yl in relation))
-    return free_reduce(Word(data.acd, out))
+    conjugators = data._conjugators[factor]
+    return Word(data.acd, _transport(conjugators, (yl.conjugator for yl in relation)))
+
+
+def _transport(conjugators: tuple, xs) -> tuple:
+    """free_reduce of the pieces C_x d C_x^-1 of the conjugators xs, joined as
+    by _join on a list: each piece is reduced, so only its seam with what is
+    already joined cancels, and a piece that cancels whole exposes the one
+    before it to the next."""
+    out: list = []
+    for x in xs:
+        piece = conjugators[x].piece
+        k, n = 0, len(piece)
+        while out and k < n and out[-1] == piece[k]:  # involutive letters
+            out.pop()
+            k += 1
+        out.extend(piece[k:] if k else piece)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -363,19 +447,26 @@ def verify_sigma_identity(
     is read over a,c,d through b -> cd.  Equality is reported at the free,
     Klein, and dihedral levels; inequality is reported, never raised.
     """
-    basic, core = data._family_parts(n, family)
-    relation = conjugate_relation(basic, x, data.b_extension)
-    computed = transport_induced_relation(data, relation, factor)
+    if factor not in ("first", "second"):
+        raise ValueError("factor must be 'first' or 'second'")
+    parts = data._family_parts(n, family)
+    conjugators = data._conjugators[factor]
+    row = data.d8.mul[x]  # ^x T(w_n): every conjugator left-multiplied by x
+    computed = Word(data.acd, _transport(conjugators, (row[c] for c in parts.conjugators)))
 
-    conj = data.phi0_word(x)
-    if factor == "first":
-        conj = free_reduce(Word.letter(data.acd, "a") * conj)
-    # C and core are reduced, so only the two joins can cancel
-    expected = Word(data.acd, _join(_join(conj.letters, core.letters), conj.letters[::-1]))
+    conj = conjugators[x]
+    # C and core are reduced, so only the two joins can cancel, in the words
+    # and in their normal forms
+    expected = Word(data.acd, _join(_join(conj.letters, parts.core.letters), conj.inverse))
+    klein, dihedral = data.klein_cd.mul, data.d16.mul
+    expected_klein = _nf_join(_nf_join(conj.klein[0], parts.klein, klein), conj.klein[1], klein)
+    expected_dihedral = _nf_join(
+        _nf_join(conj.dihedral[0], parts.dihedral, dihedral), conj.dihedral[1], dihedral
+    )
 
     equal_free = computed.letters == expected.letters
-    equal_klein = data.klein_nf(computed) == data.klein_nf(expected)
-    equal_dihedral = data.dihedral_nf(computed) == data.dihedral_nf(expected)
+    equal_klein = data.klein_nf(computed) == expected_klein
+    equal_dihedral = data.dihedral_nf(computed) == expected_dihedral
     level = (
         "free"
         if equal_free
@@ -393,7 +484,7 @@ def verify_sigma_identity(
         equal_klein=equal_klein,
         equal_dihedral=equal_dihedral,
         level=level,
-        y_letters=len(relation),
+        y_letters=len(parts.conjugators),
     )
 
 

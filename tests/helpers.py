@@ -24,12 +24,20 @@ words of one length, kept as a reference for `words.words_of_length`.
 `phi0_letterwise` is the letterwise map a -> aca, b -> d, d -> c on positive
 a,b,d-words; the library computes phi0_hat as translate(sigma_abd(.)), and
 the coherence tests check the two agree.
+
+`verify_whole_words` is the earlier Grigorchuk verification case, on whole
+words: it concatenates the transport pieces of the conjugated relation and
+free-reduces the result, builds the expected word from w_{n+1} iterated from
+the seed, and takes each of the four normal forms in a pass over its word;
+a reference for the library's seam joins and memoised core normal forms.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
+from gpq.grigorchuk import VerificationReport
+from gpq.induction import basic_relation, conjugate_relation
 from gpq.words import Word, free_reduce, rotations_and_inverses
 
 
@@ -287,6 +295,50 @@ def phi0_letterwise(data, word):
         assert exp == 1, "letterwise maps apply to positive words"
         out.extend(Word.from_str(data.acd, images[data.abd.letters[idx]]).letters)
     return free_reduce(Word(data.acd, tuple(out)))
+
+
+def verify_whole_words(data, n, family, factor, x):
+    """The VerificationReport of one case, every word built whole: the pieces
+    C d C^-1 of ^x T(w_n) concatenated, then free-reduced, against
+    free_reduce(C w_{n+1} C^-1), with C = phi0(x) for the second factor and
+    free_reduce(a phi0(x)) for the first."""
+    a, d = Word.letter(data.acd, "a"), Word.letter(data.acd, "d")
+
+    def conjugator(g):
+        u = data.phi0_word(g)
+        return free_reduce(a * u) if factor == "first" else u
+
+    relation = conjugate_relation(
+        basic_relation(data.relator_family("abd", family, n), data.b_extension), x, data.b_extension
+    )
+    letters = []
+    for yl in relation:
+        u = conjugator(yl.conjugator)
+        letters.extend((u * d * u.inverse()).letters)
+    computed = free_reduce(Word(data.acd, tuple(letters)))
+    c = conjugator(x)
+    core = data.translate_bd_to_cd(data.relator_family("abd", family, n + 1))
+    expected = free_reduce(c * core * c.inverse())
+    equal_free = computed.letters == expected.letters
+    equal_klein = data.klein_nf(computed) == data.klein_nf(expected)
+    equal_dihedral = data.dihedral_nf(computed) == data.dihedral_nf(expected)
+    level = (
+        "free" if equal_free else "klein" if equal_klein else "dihedral" if equal_dihedral else None
+    )
+    return VerificationReport(
+        n=n,
+        family=family,
+        factor=factor,
+        x=x,
+        x_name=str(data.d8.element_names[x]),
+        expected=expected,
+        computed=computed,
+        equal_free=equal_free,
+        equal_klein=equal_klein,
+        equal_dihedral=equal_dihedral,
+        level=level,
+        y_letters=len(relation),
+    )
 
 
 def search_whole_words(p, loop, region, step_cap, extra_relators=()):

@@ -1,6 +1,6 @@
-"""The benchmark's null-homotopy smoke run: every witness, kill radius and
-reduction trace it produces is replayed against perfbench/reference.py, which
-does not import gpq, so this is a check independent of the library."""
+"""The benchmark's smoke runs: every answer they produce is checked against
+perfbench/reference.py, which does not import gpq, so these are checks
+independent of the library."""
 
 from __future__ import annotations
 
@@ -12,9 +12,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_null_homotopy_smoke_run_replays_every_answer():
+def _smoke_run(workload):
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--smoke", "--workload", "null-homotopy"],
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--smoke", "--workload", workload],
         cwd=ROOT,
         capture_output=True,
         text=True,
@@ -23,3 +23,14 @@ def test_null_homotopy_smoke_run_replays_every_answer():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["failed"] == 0 and result["attempted"] > 0
+
+
+def test_null_homotopy_smoke_run_replays_every_answer():
+    # witnesses, kill radii and reduction traces, replayed move by move
+    _smoke_run("null-homotopy")
+
+
+def test_grigorchuk_verify_smoke_run_checks_every_level():
+    # the n <= 3 grid: all 96 identities close, each at the free, Klein or
+    # dihedral level
+    _smoke_run("grigorchuk-verify")

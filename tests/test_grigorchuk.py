@@ -8,6 +8,7 @@ import pytest
 
 from gpq.errors import DegenerateCase
 from gpq.grigorchuk import (
+    _nf_join,
     make_grigorchuk_data,
     run_full_verification,
     transport_induced_relation,
@@ -15,7 +16,7 @@ from gpq.grigorchuk import (
 )
 from gpq.induction import YLetter, basic_relation
 from gpq.words import Word, apply_substitution, free_reduce
-from helpers import free_product_nf, phi0_letterwise
+from helpers import free_product_nf, phi0_letterwise, verify_whole_words
 
 
 def W(alphabet, text):
@@ -172,6 +173,65 @@ def test_reports_replay_from_scratch(grig):
         assert again.expected == rep.expected
         assert again.computed == rep.computed
         assert again.to_dict() == rep.to_dict()
+
+
+def test_reports_match_whole_word_reference():
+    # every report for n <= 5 equals the earlier whole-word case, on fresh
+    # data whose per-(n, family) memo the cases fill forward, and on fresh
+    # data whose memo they fill in reverse
+    forward, _ = run_full_verification(make_grigorchuk_data(), 5)
+    cases = [(rep.n, rep.family, rep.factor, rep.x) for rep in forward]
+    backward_data = make_grigorchuk_data()
+    backward = {case: verify_sigma_identity(backward_data, *case) for case in reversed(cases)}
+    reference_data = make_grigorchuk_data()
+    for rep, case in zip(forward, cases):
+        ref = verify_whole_words(reference_data, *case)
+        for got in (rep, backward[case]):
+            assert got.to_dict() == ref.to_dict(), case
+            assert got.expected.letters == ref.expected.letters, case
+            assert got.computed.letters == ref.computed.letters, case
+
+
+def test_nf_join_is_the_normal_form_of_the_product(grig):
+    # joining two normal forms at their seam gives the normal form of the
+    # product, at both levels; v = u^-1 w makes the cancellation run across
+    # the seam, through identity products of table syllables
+    rng = random.Random(4245)
+
+    def random_word(max_len):
+        return Word(grig.acd, tuple((rng.randrange(3), 1) for _ in range(rng.randrange(max_len))))
+
+    for nf, table in ((grig.klein_nf, grig.klein_cd), (grig.dihedral_nf, grig.d16)):
+        for k in range(400):
+            u, w = random_word(16), random_word(8)
+            v = w if k % 2 else u.inverse() * w
+            assert _nf_join(nf(u), nf(v), table.mul) == nf(u * v), (str(u), str(v))
+
+
+def test_transport_cancels_whole_pieces(grig):
+    # two equal consecutive conjugators: the second piece C d C^-1 cancels
+    # whole, and the pieces around it meet at the seam
+    for factor in ("first", "second"):
+        for g in range(8):
+            for h in range(8):
+                single = transport_induced_relation(grig, (YLetter(h, 1),), factor)
+                for xs, want in (((h, g, g), single), ((g, g), ()), ((h, g, g, h), ())):
+                    relation = tuple(YLetter(c, 1) for c in xs)
+                    got = transport_induced_relation(grig, relation, factor)
+                    assert got.letters == (want.letters if want else ()), (factor, xs)
+    # and on random conjugator sequences, the free reduction of the whole
+    # concatenation
+    rng = random.Random(4246)
+    a, d = W(grig.acd, "a"), W(grig.acd, "d")
+    for factor in ("first", "second"):
+        for _ in range(200):
+            xs = [rng.randrange(8) for _ in range(rng.randrange(12))]
+            whole = Word.identity(grig.acd)
+            for c in xs:
+                u = grig.phi0_word(c) if factor == "second" else free_reduce(a * grig.phi0_word(c))
+                whole = whole * u * d * u.inverse()
+            relation = tuple(YLetter(c, 1) for c in xs)
+            assert transport_induced_relation(grig, relation, factor) == free_reduce(whole)
 
 
 def test_transport_matches_basic_relation_pipeline(grig):
