@@ -284,12 +284,8 @@ def _reduce_recording(word: Word):
 def _relator_rewrites(oracle: WordOracle, p: Presentation, extra_relators=()):
     """(remove, insert, free-reduced insert) patterns from every
     rotation/inversion and split of every relator: an occurrence of u may
-    become v^-1 whenever uv is a relator.
-
-    Every relator of `p` and every extra relator must first be trivial under
-    the oracle, or OracleMismatch is raised: a cell the group does not have
-    would certify loops that do not die.
-    """
+    become v^-1 whenever uv is a relator.  Raises OracleMismatch unless every
+    relator of `p` and every extra relator is trivial under the oracle."""
     _check_oracle(oracle, p)
     for rel in extra_relators:
         if not oracle.is_identity(rel):
@@ -353,7 +349,9 @@ def null_homotopy_search(
     return _search(oracle, p, loop, region, step_cap, rewrites)
 
 
-def _search(oracle: WordOracle, p: Presentation, loop: Word, region: Ball, step_cap: int, rewrites) -> Witness:
+def _search(
+    oracle: WordOracle, p: Presentation, loop: Word, region: Ball, step_cap: int, rewrites
+) -> Witness:
     """The search of `null_homotopy_search` with its cells' rewrites given, so
     that callers searching many loops with the same cells build them once."""
     if not oracle.is_identity(loop):

@@ -67,15 +67,6 @@ class _Conjugator(NamedTuple):
     dihedral: tuple  # (dihedral_nf(C), dihedral_nf(C^-1))
 
 
-class _FamilyParts(NamedTuple):
-    """What every case of one (n, family) shares."""
-
-    conjugators: tuple  # the D_8 conjugator of each y-letter of T(w_n)
-    core: Word  # w_{n+1} over a,c,d, reduced
-    klein: tuple  # klein_nf(core)
-    dihedral: tuple  # dihedral_nf(core)
-
-
 @dataclass(frozen=True)
 class GrigorchukData:
     """All fixed data of the computation: variants, quotients, transport maps."""
@@ -196,9 +187,10 @@ class GrigorchukData:
 
     # -- the part of a verification case shared by all (factor, x) ----------------
 
-    def _family_parts(self, n: int, family: str) -> _FamilyParts:
-        """T(w_n)'s conjugators and translate(w_{n+1}) with its normal forms,
-        for the a,b,d variant, memoised."""
+    def _family_parts(self, n: int, family: str):
+        """(the D_8 conjugator of each y-letter of T(w_n), translate(w_{n+1}),
+        its Klein and its dihedral normal form) for the a,b,d variant,
+        memoised."""
         key = (n, family)
         if key not in self._memo:
             wn = self.relator_family("abd", family, n)
@@ -206,9 +198,8 @@ class GrigorchukData:
             if not basic:
                 raise DegenerateCase(f"{family}_{n} has no inducible letters (b-free)")
             core = self.translate_bd_to_cd(apply_substitution(self.sigma_abd, wn))
-            self._memo[key] = _FamilyParts(
-                tuple(yl.conjugator for yl in basic), core, self.klein_nf(core), self.dihedral_nf(core)
-            )
+            xs = tuple(yl.conjugator for yl in basic)
+            self._memo[key] = (xs, core, self.klein_nf(core), self.dihedral_nf(core))
         return self._memo[key]
 
 
@@ -449,19 +440,19 @@ def verify_sigma_identity(
     """
     if factor not in ("first", "second"):
         raise ValueError("factor must be 'first' or 'second'")
-    parts = data._family_parts(n, family)
+    xs, core, core_klein, core_dihedral = data._family_parts(n, family)
     conjugators = data._conjugators[factor]
     row = data.d8.mul[x]  # ^x T(w_n): every conjugator left-multiplied by x
-    computed = Word(data.acd, _transport(conjugators, (row[c] for c in parts.conjugators)))
+    computed = Word(data.acd, _transport(conjugators, (row[c] for c in xs)))
 
     conj = conjugators[x]
     # C and core are reduced, so only the two joins can cancel, in the words
     # and in their normal forms
-    expected = Word(data.acd, _join(_join(conj.letters, parts.core.letters), conj.inverse))
+    expected = Word(data.acd, _join(_join(conj.letters, core.letters), conj.inverse))
     klein, dihedral = data.klein_cd.mul, data.d16.mul
-    expected_klein = _nf_join(_nf_join(conj.klein[0], parts.klein, klein), conj.klein[1], klein)
+    expected_klein = _nf_join(_nf_join(conj.klein[0], core_klein, klein), conj.klein[1], klein)
     expected_dihedral = _nf_join(
-        _nf_join(conj.dihedral[0], parts.dihedral, dihedral), conj.dihedral[1], dihedral
+        _nf_join(conj.dihedral[0], core_dihedral, dihedral), conj.dihedral[1], dihedral
     )
 
     equal_free = computed.letters == expected.letters
@@ -484,7 +475,7 @@ def verify_sigma_identity(
         equal_klein=equal_klein,
         equal_dihedral=equal_dihedral,
         level=level,
-        y_letters=len(parts.conjugators),
+        y_letters=len(xs),
     )
 
 
