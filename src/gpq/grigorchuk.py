@@ -21,18 +21,22 @@ d-letters multiplies neighbouring conjugator words inside the finite quotient
 <a,c>, which free reduction alone cannot see.  Each report states the first
 level at which its case closes.
 
-Work per GrigorchukData, done once: for each factor and each D_8 element g
-the reduced conjugator C_g (phi0(g) for the second factor, a phi0(g) for the
-first), its inverse, the transport piece C_g d C_g^-1, and the Klein and
-dihedral normal forms of C_g and C_g^-1.  Work per (n, family), memoised on
-the data: w_n, the conjugators of its basic relation T(w_n) over D_8 (empty
-for n = 0, which is degenerate), the core w_{n+1} = sigma(w_n) read over
-a,c,d through b -> cd, and the core's two normal forms.  Work per case
-(factor, x), at the seams: the transported relator appends the pieces of
-x T(w_n)'s conjugators, read off one row of the D_8 table, cancelling only
-where two pieces meet; the expected word joins C, the core and C^-1 at two
-seams, and its normal forms join the memoised ones the same way.  Only the
-transported word's normal forms take a pass over a whole word.
+Work per GrigorchukData, done once per factor on its first case: for each
+D_8 element g the reduced conjugator C_g (phi0(g) for the second factor,
+a phi0(g) for the first) and its inverse, and the chunks the transported
+word is assembled from: head C_g, mid d J(g, h) for g != h with
+J(g, h) = reduce(C_g^-1 C_h), and tail d C_g^-1, each with its Klein and
+dihedral normal forms.  Work per (n, family), memoised on the data: w_n
+(sigma applied once per n), the conjugators of its basic relation T(w_n)
+over D_8 (empty for n = 0, which is degenerate), the core w_{n+1} =
+sigma(w_n) read over a,c,d through b -> cd, and the core's two normal forms.
+Work per case (factor, x), per piece: the conjugators of x T(w_n), read off
+one row of the D_8 table, cancel as integers, each piece C_g d C_g^-1 being
+an involution; the pieces left join with no cancellation at any d, so the
+transported word and its dihedral form are the concatenated chunks, and its
+Klein form folds them at the seams.  The expected word joins C, the core and
+C^-1 at two seams, its normal forms the memoised ones the same way.  No case
+computes a normal form by a pass over letters.
 """
 
 from __future__ import annotations
@@ -56,15 +60,23 @@ from .words import (
 )
 
 
-class _Conjugator(NamedTuple):
-    """A transport conjugator C, reduced and over a,c, with what a case reads
-    of it: C^-1, the piece C d C^-1 and the normal forms of C and C^-1."""
+class _Chunk(NamedTuple):
+    """A reduced word over a,c,d with its Klein and its dihedral normal form."""
 
     letters: tuple
-    inverse: tuple
-    piece: tuple
-    klein: tuple  # (klein_nf(C), klein_nf(C^-1))
-    dihedral: tuple  # (dihedral_nf(C), dihedral_nf(C^-1))
+    klein: tuple
+    dihedral: tuple
+
+
+class _Chunks(NamedTuple):
+    """One factor's transport chunks, indexed by D_8 elements g and h: the
+    conjugator C_g and C_g^-1, which the expected word joins around the core,
+    and the tables the transported word is assembled from."""
+
+    head: tuple  # C_g
+    inverse: tuple  # C_g^-1
+    mid: tuple  # mid[g][h] = d J(g, h), J(g, h) = reduce(C_g^-1 C_h); None for g = h
+    tail: tuple  # d C_g^-1
 
 
 @dataclass(frozen=True)
@@ -85,39 +97,54 @@ class GrigorchukData:
     a_extension: SplitExtensionData
     phi0_table: tuple[int, ...]  # D8 element -> D16 element
     phi1_table: tuple[int, ...]
-    # phi0_word(x) for every x; per factor, the _Conjugator of every x; the
-    # letters of the b -> cd images; and the (n, family) memo of _family_parts
+    # phi0_word(x) for every x; the letters of the b -> cd images; the _Chunks
+    # of each factor, built on first use; the last (n, w_n) of each family
+    # (_family_word); the memo of _family_parts
     _phi0_words: tuple[Word, ...] = field(init=False, compare=False, repr=False)
-    _conjugators: dict = field(init=False, compare=False, repr=False)
     _bd_to_cd: tuple = field(init=False, compare=False, repr=False)
+    _chunks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _words: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         acd = self.acd
         words = tuple(rename_word(self.d16.element_names[g], acd) for g in self.phi0_table)
         object.__setattr__(self, "_phi0_words", words)
-        a, d = ((acd.index("a"), 1),), ((acd.index("d"), 1),)
-        conjugators = {}
-        for factor, prefix in (("first", a), ("second", ())):
-            row = []
-            for u in words:
-                c = _join(prefix, u.letters)
-                c_inv = c[::-1]  # involutive letters
-                ends = (Word(acd, c), Word(acd, c_inv))
-                row.append(
-                    _Conjugator(
-                        c,
-                        c_inv,
-                        c + d + c_inv,  # reduced: C has no d
-                        tuple(map(self.klein_nf, ends)),
-                        tuple(map(self.dihedral_nf, ends)),
-                    )
-                )
-            conjugators[factor] = tuple(row)
-        object.__setattr__(self, "_conjugators", conjugators)
         images = {"a": "a", "b": "c d", "d": "d"}
         bd_to_cd = tuple(Word.from_str(acd, images[name]).letters for name in self.abd.letters)
         object.__setattr__(self, "_bd_to_cd", bd_to_cd)
+
+    def _transport_chunks(self, factor: str) -> _Chunks:
+        """The _Chunks of the 'first' or 'second' factor, built on first use."""
+        if factor not in self._chunks:
+            if factor not in ("first", "second"):
+                raise ValueError("factor must be 'first' or 'second'")
+            prefix = ((self.acd.index("a"), 1),) if factor == "first" else ()
+            d = self._chunk(((self.acd.index("d"), 1),))
+            head = tuple(self._chunk(_join(prefix, u.letters)) for u in self._phi0_words)
+            inverse = tuple(self._chunk(c.letters[::-1]) for c in head)  # involutive letters
+            mid = tuple(
+                tuple(
+                    None if g == h else self._join_chunks(d, self._join_chunks(inverse[g], head[h]))
+                    for h in range(len(head))
+                )
+                for g in range(len(head))
+            )
+            tail = tuple(self._join_chunks(d, c) for c in inverse)
+            self._chunks[factor] = _check_chunks(_Chunks(head, inverse, mid, tail), d.letters[0])
+        return self._chunks[factor]
+
+    def _chunk(self, letters: tuple) -> _Chunk:
+        word = Word(self.acd, letters)
+        return _Chunk(letters, self.klein_nf(word), self.dihedral_nf(word))
+
+    def _join_chunks(self, u: _Chunk, v: _Chunk) -> _Chunk:
+        """The chunk of the reduced product of chunks u and v."""
+        return _Chunk(
+            _join(u.letters, v.letters),
+            _nf_join(u.klein, v.klein, self.klein_cd.mul),
+            _nf_join(u.dihedral, v.dihedral, self.d16.mul),
+        )
 
     # -- presentations ---------------------------------------------------------
 
@@ -147,6 +174,8 @@ class GrigorchukData:
         if n < 0:
             raise ValueError("n must be >= 0")
         alphabet, sigma = self._variant(variant)
+        if (variant, family) not in self.seeds:
+            raise ValueError(f"unknown family {family!r}")
         seed = Word.from_str(alphabet, self.seeds[(variant, family)])
         return iterate_substitution(sigma, seed, n)
 
@@ -187,20 +216,47 @@ class GrigorchukData:
 
     # -- the part of a verification case shared by all (factor, x) ----------------
 
+    def _family_word(self, n: int, family: str) -> Word:
+        """relator_family("abd", family, n), continued from the family's last
+        word unless that lies beyond n: in the grid's order of n, sigma is
+        applied once per (n, family), and one word per family is kept."""
+        last = self._words.get(family)
+        if last is None or last[0] > n:
+            word = self.relator_family("abd", family, n)
+        else:
+            word = iterate_substitution(self.sigma_abd, last[1], n - last[0])
+        self._words[family] = (n, word)
+        return word
+
     def _family_parts(self, n: int, family: str):
-        """(the D_8 conjugator of each y-letter of T(w_n), translate(w_{n+1}),
-        its Klein and its dihedral normal form) for the a,b,d variant,
-        memoised."""
+        """(the D_8 conjugator of each y-letter of T(w_n), the _Chunk of
+        translate(w_{n+1})) for the a,b,d variant, memoised."""
         key = (n, family)
         if key not in self._memo:
-            wn = self.relator_family("abd", family, n)
-            basic = basic_relation(wn, self.b_extension)
+            basic = basic_relation(self._family_word(n, family), self.b_extension)
             if not basic:
                 raise DegenerateCase(f"{family}_{n} has no inducible letters (b-free)")
-            core = self.translate_bd_to_cd(apply_substitution(self.sigma_abd, wn))
-            xs = tuple(yl.conjugator for yl in basic)
-            self._memo[key] = (xs, core, self.klein_nf(core), self.dihedral_nf(core))
+            core = self.translate_bd_to_cd(self._family_word(n + 1, family))
+            self._memo[key] = (tuple(yl.conjugator for yl in basic), self._chunk(core.letters))
         return self._memo[key]
+
+
+def _check_chunks(chunks: _Chunks, d: tuple) -> _Chunks:
+    """Raise unless the transport chunks have what their assembly needs: every
+    C_g and J(g, h) is d-free, so no seam at a d cancels, and every J(g, h)
+    is non-empty with a nontrivial value in D_16, so neither can a seam of
+    the dihedral form."""
+    for g, (head, row) in enumerate(zip(chunks.head, chunks.mid)):
+        if d in head.letters:
+            raise RuntimeError(f"transport conjugator {g} contains d")
+        for h, mid in enumerate(row):
+            if mid is None:
+                continue
+            j = mid.letters[1:]
+            # mid = d J, and its dihedral form d followed by J's value in D_16
+            if mid.letters[:1] != (d,) or not j or d in j or len(mid.dihedral) != 2:
+                raise RuntimeError(f"J({g}, {h}) is empty, contains d or is trivial in D_16")
+    return chunks
 
 
 def _free_product_nf(word: Word, table: FiniteGroupTable, embed: dict, passthrough):
@@ -248,22 +304,33 @@ def _free_product_nf(word: Word, table: FiniteGroupTable, embed: dict, passthrou
 
 def _nf_join(u: tuple, v: tuple, mul) -> tuple:
     """The normal form of the product of normal forms u and v, `mul` the
-    table's multiplication: the free-product form of _join.  At the seam two
-    table syllables multiply, and two equal passthrough letters cancel; only
-    an identity product or a cancellation lets the seam move on."""
-    i, j = len(u), 0
-    while i and j < len(v):
-        (kind, left), (other, right) = u[i - 1], v[j]
+    table's multiplication: the free-product form of _join."""
+    out = list(u)
+    _nf_extend(out, v, mul)
+    return tuple(out)
+
+
+def _nf_extend(out: list, v: tuple, mul) -> None:
+    """Extend the normal form `out` in place to that of its product with the
+    normal form v.  At the seam two table syllables multiply, and two equal
+    passthrough letters cancel; only an identity product or a cancellation
+    lets the seam move on, into v and back into `out`."""
+    j = 0
+    while out and j < len(v):
+        (kind, left), (other, right) = out[-1], v[j]
         if kind == other == "t":
+            out.pop()
+            j += 1
             g = mul[left][right]
-            i, j = i - 1, j + 1
             if g:
-                return u[:i] + (("t", g),) + v[j:]
+                out.append(("t", g))
+                break
         elif kind == other == "p" and left == right:
-            i, j = i - 1, j + 1
+            out.pop()
+            j += 1
         else:
             break
-    return u[:i] + v[j:]
+    out.extend(v[j:] if j else v)
 
 
 def make_grigorchuk_data() -> GrigorchukData:
@@ -357,26 +424,43 @@ def transport_induced_relation(
     and u = a phi0(x) for the first (the a-conjugated embedding); the
     concatenation is involutively reduced.
     """
-    if factor not in ("first", "second"):
-        raise ValueError("factor must be 'first' or 'second'")
-    conjugators = data._conjugators[factor]
-    return Word(data.acd, _transport(conjugators, (yl.conjugator for yl in relation)))
+    letters, _, _ = _assemble(data, factor, (yl.conjugator for yl in relation))
+    return Word(data.acd, letters)
 
 
-def _transport(conjugators: tuple, xs) -> tuple:
-    """free_reduce of the pieces C_x d C_x^-1 of the conjugators xs, joined as
-    by _join on a list: each piece is reduced, so only its seam with what is
-    already joined cancels, and a piece that cancels whole exposes the one
-    before it to the next."""
-    out: list = []
-    for x in xs:
-        piece = conjugators[x].piece
-        k, n = 0, len(piece)
-        while out and k < n and out[-1] == piece[k]:  # involutive letters
-            out.pop()
-            k += 1
-        out.extend(piece[k:] if k else piece)
-    return tuple(out)
+def _assemble(data: GrigorchukData, factor: str, gs) -> tuple:
+    """(letters, Klein form, dihedral form) of the free reduction of the
+    pieces C_g d C_g^-1, g in gs, of one factor.
+
+    Each piece P_g is an involution as a word, so equal neighbours cancel as
+    integers.  For the g != h that remain, P_g P_h reduces to
+    C_g . d J(g, h) d . C_h^-1 with J non-empty and d-free, so no seam at a d
+    cancels: the reduced word is head[g1] mid[g1][g2] ... tail[gk], and so is
+    its dihedral form, J being nontrivial in D_16.  The Klein form folds the
+    chunks at each seam, as c d c d = 1 in V can make a seam product the
+    identity and the cancellation run back into earlier chunks.
+    """
+    head, _, mid, tail = data._transport_chunks(factor)
+    stack: list = []
+    for g in gs:
+        if stack and stack[-1] == g:
+            stack.pop()
+        else:
+            stack.append(g)
+    if not stack:
+        return (), (), ()
+    chunks = [head[stack[0]]]
+    chunks.extend(mid[g][h] for g, h in zip(stack, stack[1:]))
+    chunks.append(tail[stack[-1]])
+    klein: list = []
+    mul = data.klein_cd.mul
+    for chunk in chunks:
+        _nf_extend(klein, chunk.klein, mul)
+    return (
+        tuple(chain.from_iterable(chunk.letters for chunk in chunks)),
+        tuple(klein),
+        tuple(chain.from_iterable(chunk.dihedral for chunk in chunks)),
+    )
 
 
 @dataclass(frozen=True)
@@ -438,26 +522,20 @@ def verify_sigma_identity(
     is read over a,c,d through b -> cd.  Equality is reported at the free,
     Klein, and dihedral levels; inequality is reported, never raised.
     """
-    if factor not in ("first", "second"):
-        raise ValueError("factor must be 'first' or 'second'")
-    xs, core, core_klein, core_dihedral = data._family_parts(n, family)
-    conjugators = data._conjugators[factor]
+    chunks = data._transport_chunks(factor)
+    if x not in range(data.d8.order):
+        raise ValueError(f"x must be a D_8 element index in 0..{data.d8.order - 1}")
+    xs, core = data._family_parts(n, family)
     row = data.d8.mul[x]  # ^x T(w_n): every conjugator left-multiplied by x
-    computed = Word(data.acd, _transport(conjugators, (row[c] for c in xs)))
+    letters, klein, dihedral = _assemble(data, factor, (row[c] for c in xs))
 
-    conj = conjugators[x]
-    # C and core are reduced, so only the two joins can cancel, in the words
-    # and in their normal forms
-    expected = Word(data.acd, _join(_join(conj.letters, core.letters), conj.inverse))
-    klein, dihedral = data.klein_cd.mul, data.d16.mul
-    expected_klein = _nf_join(_nf_join(conj.klein[0], core_klein, klein), conj.klein[1], klein)
-    expected_dihedral = _nf_join(
-        _nf_join(conj.dihedral[0], core_dihedral, dihedral), conj.dihedral[1], dihedral
-    )
+    # C and the core are reduced, so only the two joins can cancel, in the
+    # words and in their normal forms
+    expected = data._join_chunks(data._join_chunks(chunks.head[x], core), chunks.inverse[x])
 
-    equal_free = computed.letters == expected.letters
-    equal_klein = data.klein_nf(computed) == expected_klein
-    equal_dihedral = data.dihedral_nf(computed) == expected_dihedral
+    equal_free = letters == expected.letters
+    equal_klein = klein == expected.klein
+    equal_dihedral = dihedral == expected.dihedral
     level = (
         "free"
         if equal_free
@@ -469,8 +547,8 @@ def verify_sigma_identity(
         factor=factor,
         x=x,
         x_name=str(data.d8.element_names[x]),
-        expected=expected,
-        computed=computed,
+        expected=Word(data.acd, expected.letters),
+        computed=Word(data.acd, letters),
         equal_free=equal_free,
         equal_klein=equal_klein,
         equal_dihedral=equal_dihedral,

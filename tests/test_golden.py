@@ -108,6 +108,9 @@ GOLDEN = [
     ("grigorchuk verify --max-n 3", 0,
      "715744175ab2e8ec21266339c1c4118fcfe19e66e80872ab559432281db808c2",
      "492281fdb132d89636873544517fb50eabf078f6a1b03cbbff9a78a471a07e12"),
+    ("grigorchuk verify --max-n 8", 0,
+     "2cd4fb5b57b7ff401bb8211211fcf117762e0cbd8560973919e334440158bda2",
+     "5f05148ea87049fc662bacf08291a5b8af1627abda449589eb552185d7c4ad45"),
 ]
 
 

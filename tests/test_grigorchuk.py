@@ -7,14 +7,17 @@ import random
 import pytest
 
 from gpq.errors import DegenerateCase
+from gpq import words
 from gpq.grigorchuk import (
+    _assemble,
+    _check_chunks,
     _nf_join,
     make_grigorchuk_data,
     run_full_verification,
     transport_induced_relation,
     verify_sigma_identity,
 )
-from gpq.induction import YLetter, basic_relation
+from gpq.induction import YLetter, basic_relation, conjugate_relation
 from gpq.words import Word, apply_substitution, free_reduce
 from helpers import free_product_nf, phi0_letterwise, verify_whole_words
 
@@ -368,3 +371,130 @@ def test_normal_forms_reject_foreign_letters(grig):
 def test_verification_extends_to_n_five(grig):
     reports, summary = run_full_verification(grig, 5)
     assert summary.total == 160 and summary.all_equal
+
+
+def test_verify_and_relator_family_reject_bad_arguments(grig):
+    for x in (-1, 8):
+        with pytest.raises(ValueError, match="x must be"):
+            verify_sigma_identity(grig, 1, "w", "first", x)
+    with pytest.raises(ValueError, match="factor"):
+        verify_sigma_identity(grig, 1, "w", "third", 0)
+    with pytest.raises(ValueError, match="unknown family"):
+        verify_sigma_identity(grig, 1, "q", "first", 0)
+    with pytest.raises(ValueError, match="unknown family"):
+        grig.relator_family("abd", "q", 1)
+    with pytest.raises(ValueError, match="n must be"):
+        verify_sigma_identity(grig, -1, "w", "first", 0)
+
+
+def test_family_words_apply_sigma_once_per_n(monkeypatch):
+    # the grid up to max_n needs w_1 .. w_{max_n + 1} of each family, and
+    # builds each from the one before it; relator_family is unchanged
+    data = make_grigorchuk_data()
+    calls = []
+    apply = words.apply_substitution
+
+    def counted(sub, word):
+        calls.append(sub is data.sigma_abd)
+        return apply(sub, word)
+
+    monkeypatch.setattr(words, "apply_substitution", counted)
+    run_full_verification(data, 4)
+    assert calls == [True] * (2 * 5)
+    for family in ("w", "z"):
+        for n in (5, 2, 3, 0, 6):
+            assert data._family_word(n, family) == data.relator_family("abd", family, n)
+
+
+def _whole_pieces(grig, factor, gs):
+    """The pieces C_g d C_g^-1 of gs concatenated unreduced, C_g built from
+    phi0_word and free_reduce alone."""
+    a, d = W(grig.acd, "a"), W(grig.acd, "d")
+    letters = []
+    for g in gs:
+        u = grig.phi0_word(g) if factor == "second" else free_reduce(a * grig.phi0_word(g))
+        letters.extend((u * d * u.inverse()).letters)
+    return Word(grig.acd, tuple(letters))
+
+
+def _check_assembly(grig, factor, gs):
+    whole = _whole_pieces(grig, factor, gs)
+    letters, klein, dihedral = _assemble(grig, factor, gs)
+    assert letters == free_reduce(whole).letters, (factor, gs)
+    assert klein == grig.klein_nf(whole), (factor, gs)
+    assert dihedral == grig.dihedral_nf(whole), (factor, gs)
+
+
+def test_assembly_matches_the_whole_word_normal_forms(grig):
+    # random conjugator sequences, with repeats so that pieces cancel; and
+    # sequences f g h k with J(g, h) = c, where d J(g, h) d = c in V meets
+    # the neighbouring J's last and first letters and a Klein seam product
+    # is the identity, so the fold must run back into earlier chunks
+    rng = random.Random(4247)
+    a = W(grig.acd, "a")
+    c = grig.acd.index("c")
+    for factor in ("first", "second"):
+        conj = [
+            grig.phi0_word(g) if factor == "second" else free_reduce(a * grig.phi0_word(g))
+            for g in range(8)
+        ]
+        J = {
+            (g, h): free_reduce(conj[g].inverse() * conj[h]).letters
+            for g in range(8)
+            for h in range(8)
+            if g != h
+        }
+        for _ in range(200):
+            gs = [rng.randrange(8) for _ in range(rng.randrange(16))]
+            if rng.random() < 0.5:
+                gs += gs[::-1][: rng.randrange(len(gs) + 1)]
+            _check_assembly(grig, factor, gs)
+        identity_seams = 0
+        for (g, h), j in J.items():
+            if j != ((c, 1),):
+                continue
+            for f in range(8):
+                for k in range(8):
+                    if f == g or k == h:
+                        continue
+                    # d J(g, h) d = c in V cancels the c that ends J(f, g) or
+                    # starts J(h, k), when exactly one of them has it there
+                    if (J[f, g][-1][0] == c) != (J[h, k][0][0] == c):
+                        identity_seams += 1
+                        before = [rng.choice([e for e in range(8) if e != f])]
+                        after = [rng.choice([e for e in range(8) if e != k])]
+                        _check_assembly(grig, factor, before + [f, g, h, k] + after)
+        assert identity_seams >= 20, factor
+
+
+def test_assembly_matches_the_whole_word_normal_forms_on_the_grid(grig):
+    for n in range(1, 7):
+        for family in ("w", "z"):
+            basic = basic_relation(grig.relator_family("abd", family, n), grig.b_extension)
+            for x in range(8):
+                gs = [yl.conjugator for yl in conjugate_relation(basic, x, grig.b_extension)]
+                for factor in ("first", "second"):
+                    _check_assembly(grig, factor, gs)
+
+
+def test_chunk_tables_are_checked_when_built(grig):
+    # the assembly's premises: each J(g, h) non-empty, d-free and nontrivial
+    # in D_16; a table that breaks one is refused
+    d = (grig.acd.index("d"), 1)
+    for factor in ("first", "second"):
+        chunks = grig._transport_chunks(factor)
+        assert _check_chunks(chunks, d) is chunks
+        good = chunks.mid[0][1]
+        for bad in (
+            good._replace(letters=(d,)),
+            good._replace(letters=good.letters + (d,)),
+            good._replace(dihedral=good.dihedral[:1]),
+        ):
+            mid = tuple(
+                tuple(bad if (g, h) == (0, 1) else m for h, m in enumerate(row))
+                for g, row in enumerate(chunks.mid)
+            )
+            with pytest.raises(RuntimeError, match="J"):
+                _check_chunks(chunks._replace(mid=mid), d)
+    with pytest.raises(ValueError, match="factor"):
+        transport_induced_relation(grig, (), "third")
