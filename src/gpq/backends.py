@@ -1,14 +1,15 @@
 """Word-problem oracles: finite tables, free / free-abelian groups, B(1,n).
 
-Every oracle names group elements by small hashable keys: `key(w)` is the key
-of the element the word w represents, `step(k, d)` the key of k times the
-letter d = (index, exponent), and `word(k)` the canonical normal-form word,
-used to name and sort elements.  The base class derives `normal_form(w)` as
-`word(key(w))` and `is_identity(w)` by comparing keys, so an oracle defines
-`key`, `step`, `describe` and, unless its keys are normal-form letter tuples,
-`word`.  An object offering only `alphabet` and `normal_form` gets keys from
-`keyed`.  Oracles are immutable after construction and safe for concurrent
-queries.
+Every oracle names group elements by small hashable keys.  It states its
+group law once, as `step(k, d)`: the key of k times the letter
+d = (index, exponent).  `identity` is the key of the empty word, and
+`word(k)` the canonical normal-form word, used to name and sort elements.
+The base class folds `key(w)` from `identity` by one step per letter, and
+derives `normal_form(w)` as `word(key(w))` and `is_identity(w)` by comparing
+with `identity`; so an oracle defines `identity`, `step`, `describe` and,
+unless its keys are normal-form letter tuples, `word`.  An object offering
+only `alphabet` and `normal_form` gets keys from `keyed`.  Oracles are
+immutable after construction and safe for concurrent queries.
 """
 
 from __future__ import annotations
@@ -21,16 +22,20 @@ from .words import Alphabet, Word, directions, free_reduce
 
 
 class WordOracle:
-    """Interface: element keys and steps, from which normal forms and
-    is_identity follow, plus a descriptor.
+    """Interface: the identity key and one step per letter, from which keys,
+    normal forms and is_identity follow, plus a descriptor.
 
     The default `word` reads a key as the letter tuple of its normal form.
     """
 
     alphabet: Alphabet
+    identity: object  # the key of the empty word
 
     def key(self, word: Word):
-        raise NotImplementedError
+        key, step = self.identity, self.step
+        for direction in word.letters:
+            key = step(key, direction)
+        return key
 
     def step(self, key, direction: tuple[int, int]):
         raise NotImplementedError
@@ -42,7 +47,7 @@ class WordOracle:
         return self.word(self.key(word))
 
     def is_identity(self, word: Word) -> bool:
-        return self.key(word) == self.key(Word(self.alphabet))
+        return self.key(word) == self.identity
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -51,6 +56,8 @@ class WordOracle:
 class NormalFormKeys(WordOracle):
     """Keys for any object with `alphabet` and `normal_form`: the letter tuple
     of the object's normal form."""
+
+    identity = ()
 
     def __init__(self, oracle):
         self.alphabet = oracle.alphabet
@@ -85,6 +92,7 @@ class FiniteGroupTable(WordOracle):
     mul: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
     generator_map: tuple[int, ...]
+    identity = 0
 
     def __post_init__(self):
         n = len(self.element_names)
@@ -115,8 +123,6 @@ class FiniteGroupTable(WordOracle):
             g = images[idx]
             acc = self.mul[acc][g if exp == 1 else self.inv[g]]
         return acc
-
-    key = evaluate  # the element index
 
     def multiply_indices(self, *indices: int) -> int:
         acc = 0
@@ -233,8 +239,10 @@ _DEFAULT_NAMES = "abcdefghijklmnopqrstuvwxyz"
 @dataclass(frozen=True)
 class FreeGroupOracle(WordOracle):
     alphabet: Alphabet
+    identity = ()
 
     def key(self, word: Word) -> tuple[tuple[int, int], ...]:
+        # one pass: a fold of `step` copies the key at every letter, quadratic in |w|
         return free_reduce(word).letters
 
     def step(self, key, direction: tuple[int, int]):
@@ -251,11 +259,9 @@ class FreeGroupOracle(WordOracle):
 class FreeAbelianOracle(WordOracle):
     alphabet: Alphabet
 
-    def key(self, word: Word) -> tuple[int, ...]:
-        exps = [0] * len(self.alphabet)
-        for idx, exp in word.letters:
-            exps[idx] += exp
-        return tuple(exps)
+    @property
+    def identity(self) -> tuple[int, ...]:
+        return (0,) * len(self.alphabet)
 
     def step(self, key: tuple[int, ...], direction: tuple[int, int]) -> tuple[int, ...]:
         idx, exp = direction
@@ -297,22 +303,7 @@ class BaumslagSolitarOracle(WordOracle):
 
     alphabet: Alphabet
     n: int
-
-    def key(self, word: Word) -> tuple[int, int, int]:
-        # the affine model x -> n^k x + m / n^s in integers; a^-p b^m a^r is
-        # x -> n^(r-p) x + m / n^p with p the least p >= -k keeping m integral
-        n, k, m, s = self.n, 0, 0, 0
-        for idx, exp in word.letters:
-            if idx == 0:
-                k += exp
-                continue
-            if k + s < 0:
-                m, s = m * n ** (-k - s), -k
-            m += exp * n ** (k + s)
-        while s and m % n == 0:
-            m, s = m // n, s - 1
-        p = max(s, -k)
-        return p, m * n ** (p - s), k + p
+    identity = (0, 0, 0)
 
     def step(self, key: tuple[int, int, int], direction: tuple[int, int]) -> tuple[int, int, int]:
         p, m, r = key

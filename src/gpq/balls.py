@@ -281,20 +281,15 @@ def _reduce_recording(word: Word):
     return Word(word.alphabet, tuple(stack)), moves
 
 
-def _relator_rewrites(oracle: WordOracle, p: Presentation, extra_relators=()):
+def _relator_rewrites(oracle: WordOracle, p: Presentation):
     """(remove, insert, free-reduced insert) patterns from every
     rotation/inversion and split of every relator: an occurrence of u may
     become v^-1 whenever uv is a relator.  Raises OracleMismatch unless every
-    relator of `p` and every extra relator is trivial under the oracle."""
+    relator of `p` is trivial under the oracle."""
     _check_oracle(oracle, p)
-    for rel in extra_relators:
-        if not oracle.is_identity(rel):
-            raise OracleMismatch(f"relator '{rel}' is not trivial under {oracle.describe()}")
     rewrites = []
     seen = set()
-    all_rels = [r for r in p.relators if not free_reduce(r).is_empty()]
-    all_rels += [r for r in extra_relators if not free_reduce(r).is_empty()]
-    for rel in all_rels:
+    for rel in [r for r in p.relators if not free_reduce(r).is_empty()]:
         for variant in rotations_and_inverses(rel):
             n = len(variant)
             backwards = variant.inverse().letters
@@ -329,7 +324,6 @@ def null_homotopy_search(
     loop: Word,
     region: Ball,
     step_cap: int = 20_000,
-    extra_relators=(),
 ) -> Witness:
     """Breadth-first search for a null-homotopy of `loop` inside `region`.
 
@@ -338,14 +332,14 @@ def null_homotopy_search(
     intermediate loop must trace inside the region.  Raises Exhausted after
     `step_cap` states; incompleteness is explicit.
 
-    On entry every relator of `p` and every extra relator must be trivial
-    under the oracle, or OracleMismatch is raised: a cell the group does not
-    have would certify loops that do not die.  Each state's successors are
-    tried rewrite by rewrite in `_relator_rewrites` order, and for one
-    rewrite at ascending positions; that order fixes which parent first
-    reaches a state, hence the witness and `states_explored`.
+    On entry every relator of `p` must be trivial under the oracle, or
+    OracleMismatch is raised: a cell the group does not have would certify
+    loops that do not die.  Each state's successors are tried rewrite by
+    rewrite in `_relator_rewrites` order, and for one rewrite at ascending
+    positions; that order fixes which parent first reaches a state, hence
+    the witness and `states_explored`.
     """
-    rewrites = _relator_rewrites(oracle, p, extra_relators)
+    rewrites = _relator_rewrites(oracle, p)
     return _search(oracle, p, loop, region, step_cap, rewrites)
 
 
@@ -518,14 +512,13 @@ def check_pi1_bounded_balls(
     generators = pi1_generators(ball).generators
     if not generators:
         return True
-    short_loops = _closed_paths_up_to(ball, c)
     # the short loops replace the presentation's cells entirely: a generator is
     # normally generated by short loops iff it dies using short-loop cells only
-    stripped = Presentation(p.alphabet, (), p.name)
-    rewrites = _relator_rewrites(oracle, stripped, short_loops)
+    loops = Presentation(p.alphabet, tuple(_closed_paths_up_to(ball, c)), p.name)
+    rewrites = _relator_rewrites(oracle, loops)
     for g in generators:
         try:
-            _search(oracle, stripped, g, ball, step_cap, rewrites)
+            _search(oracle, loops, g, ball, step_cap, rewrites)
         except Exhausted:
             return False
     return True
@@ -541,12 +534,13 @@ def isodiametric_estimate(
     """Least D <= d_max such that the identity word fills inside B(D)."""
     if not oracle.is_identity(word):
         raise NotNullHomotopic(f"'{word}' is not trivial under {oracle.describe()}")
+    rewrites = _relator_rewrites(oracle, p)
     for d in range(d_max + 1):
         region = build_ball(oracle, p, d)
         if not _loop_inside(region, word):
             continue
         try:
-            null_homotopy_search(oracle, p, word, region, step_cap=step_cap)
+            _search(oracle, p, word, region, step_cap, rewrites)
             return d
         except Exhausted:
             continue

@@ -247,11 +247,11 @@ def britton_pinch_reduce(
         return None
 
     while True:
-        if len(steps) >= step_cap:
-            raise BrittonStuck("step cap reached", word=current, trace=tuple(steps))
         pinch = find_pinch(current.letters)
         if pinch is None:
             return current, tuple(steps)
+        if len(steps) >= step_cap:
+            raise BrittonStuck("step cap reached", word=current, trace=tuple(steps))
         k0, k1, e0 = pinch
         middle = Word(ep.alphabet, tuple(current.letters[k0 + 1 : k1]))
         if e0 == 1:

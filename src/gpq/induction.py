@@ -79,17 +79,16 @@ def basic_relation(word: Word, data: SplitExtensionData) -> tuple[YLetter, ...]:
     if not word.is_positive():
         raise NonPositiveRelator(f"'{word}' has negative exponents")
     F = data.quotient
-    total = data._image_of(word)
-    if total != 0:
-        raise DoesNotCloseUp(
-            f"'{word}' has quotient image {F.element_names[total]}, not the identity"
-        )
     out = []
     prefix = 0
     for idx, _ in word.letters:
         if not data.y_is_trivial(idx):
             out.append(YLetter(prefix, idx))
         prefix = F.mul[prefix][data.p_map[idx]]
+    if prefix != 0:
+        raise DoesNotCloseUp(
+            f"'{word}' has quotient image {F.element_names[prefix]}, not the identity"
+        )
     return tuple(out)
 
 

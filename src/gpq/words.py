@@ -12,6 +12,7 @@ ones).  The text format's tokenizer and word grammar live here too, so
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator
 
@@ -51,10 +52,15 @@ class Alphabet:
     def __len__(self):
         return len(self.letters)
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        """Each letter name's index."""
+        return {name: i for i, name in enumerate(self.letters)}
+
     def index(self, name: str) -> int:
         try:
-            return self.letters.index(name)
-        except ValueError:
+            return self._positions[name]
+        except KeyError:
             raise KeyError(f"letter {name!r} not in alphabet {self.letters}") from None
 
     def spec(self, i: int) -> str:
@@ -316,7 +322,7 @@ def rename_word(word: Word, target: Alphabet, name_map: dict[str, str] | None = 
 
     A letter of the word that `target` lacks raises KeyError.
     """
-    index = {name: i for i, name in enumerate(target.letters)}
+    index = target._positions
     names = word.alphabet.letters
     if name_map:
         names = tuple(name_map.get(name, name) for name in names)

@@ -8,6 +8,9 @@ from fractions import Fraction
 import pytest
 
 from gpq.backends import (
+    BaumslagSolitarOracle,
+    FiniteGroupTable,
+    FreeAbelianOracle,
     bs_oracle,
     dihedral_group,
     free_abelian_oracle,
@@ -15,7 +18,7 @@ from gpq.backends import (
     klein_group,
 )
 from gpq.errors import BadOrder, Unsupported
-from gpq.words import Word, words_up_to_length
+from gpq.words import Word, free_reduce, words_up_to_length
 
 
 def W(oracle, text):
@@ -142,10 +145,12 @@ def test_w_winverse_is_identity(make):
     ],
 )
 def test_oracle_keys_agree_with_normal_forms(make):
-    # word(key(w)) is the normal form, and step follows appending a letter
+    # word(key(w)) is the normal form, and key and step agree with a
+    # reference that does not step
     oracle = make()
     alphabet = oracle.alphabet
     dirs = [(i, e) for i in range(len(alphabet)) for e in ((1,) if alphabet.involutive[i] else (1, -1))]
+    reference, value = _reference_and_value(oracle)
     rng = random.Random(13)
     key_of_value = {}
     for _ in range(300):
@@ -153,15 +158,33 @@ def test_oracle_keys_agree_with_normal_forms(make):
         key = oracle.key(w)
         assert oracle.word(key) == oracle.normal_form(w)
         assert oracle.key(oracle.word(key)) == key
+        assert value(key) == reference(w)
         for d in dirs:
-            assert oracle.step(key, d) == oracle.key(w * Word(alphabet, (d,)))
-        if hasattr(oracle, "evaluate_affine"):
-            # the key (p, m, r) names a^-p b^m a^r, which the affine model
-            # evaluates to x -> n^(r-p) x + m / n^p
-            p, m, r = key
-            value = oracle.evaluate_affine(w)
-            assert value == (r - p, Fraction(m, oracle.n**p))
-            assert key_of_value.setdefault(value, key) == key
+            assert value(oracle.step(key, d)) == reference(w * Word(alphabet, (d,)))
+        # distinct keys name distinct elements
+        assert key_of_value.setdefault(value(key), key) == key
+
+
+def _reference_and_value(oracle):
+    """An element model computed from a whole word without `step`, and the
+    model value a key names."""
+    if isinstance(oracle, BaumslagSolitarOracle):
+        # the key (p, m, r) names a^-p b^m a^r, which the affine model
+        # evaluates to x -> n^(r-p) x + m / n^p
+        return oracle.evaluate_affine, lambda k: (k[2] - k[0], Fraction(k[1], oracle.n ** k[0]))
+    if isinstance(oracle, FiniteGroupTable):
+        return oracle.evaluate, lambda k: k
+    if isinstance(oracle, FreeAbelianOracle):
+
+        def exponent_sums(word):
+            sums = [0] * len(word.alphabet)
+            for idx, exp in word.letters:
+                sums[idx] += exp
+            return tuple(sums)
+
+        return exponent_sums, lambda k: k
+    # the free group's key is its one-pass reduction, which `step` must follow
+    return (lambda word: free_reduce(word).letters), lambda k: k
 
 
 def test_bs_normal_form_shape():

@@ -34,3 +34,15 @@ def test_grigorchuk_verify_smoke_run_checks_every_level():
     # the n <= 3 grid: all 96 identities close, each at the free, Klein or
     # dihedral level
     _smoke_run("grigorchuk-verify")
+
+
+def test_ball_build_smoke_run_matches_every_model():
+    # balls, spheres, loop generators and combings on Z^2, Z^3, F2, BS(1,2)
+    # and D8, each checked against a model that does not use the backends
+    _smoke_run("ball-build")
+
+
+def test_presentation_calculus_smoke_run_replays_every_answer():
+    # Tietze traces, decodes, pinch reductions, relator expansion, parse and
+    # print against predicted end states and replayed traces
+    _smoke_run("presentation-calculus")

@@ -248,6 +248,21 @@ def test_britton_examples(lysenok):
     assert str(word3) == "a c" and steps3 == ()
 
 
+def test_britton_step_cap_bounds_steps_taken(lysenok):
+    # a word that needs k pinch steps reduces under a cap of k and is Stuck,
+    # with its first k - 1 steps, under a cap of k - 1
+    comb = lysenok.combined_alphabet()
+    W = lambda t: Word.from_str(comb, t)
+    word, steps = britton_pinch_reduce(lysenok, W("t a t'"), step_cap=1)
+    assert str(word) == "a c a" and len(steps) == 1
+    assert britton_pinch_reduce(lysenok, W("a c"), step_cap=0) == (W("a c"), ())
+    word2, steps2 = britton_pinch_reduce(lysenok, W("t t a t' t'"), step_cap=2)
+    assert len(steps2) == 2
+    with pytest.raises(BrittonStuck, match="step cap reached") as stuck:
+        britton_pinch_reduce(lysenok, W("t t a t' t'"), step_cap=1)
+    assert stuck.value.trace == steps2[:1] and stuck.value.word == steps2[1].before
+
+
 def test_britton_stuck_is_explicit(lysenok):
     comb = lysenok.combined_alphabet()
     with pytest.raises(BrittonStuck):
