@@ -278,7 +278,7 @@ def _reduce_recording(word: Word):
                 moves.append(HomotopyMove(len(stack), ((pidx, pexp), (idx, exp)), (), "free"))
                 continue
         stack.append((idx, exp))
-    return Word(word.alphabet, tuple(stack)), moves
+    return Word._of(word.alphabet, tuple(stack)), moves
 
 
 def _relator_rewrites(oracle: WordOracle, p: Presentation):
@@ -422,7 +422,7 @@ def _assemble_witness(loop, norm_moves, seen, final_key, region, explored) -> Wi
     moves = list(norm_moves)
     for prev, move in reversed(chain):
         moves.append(move)
-        raw = Word(region.presentation.alphabet, prev)
+        raw = Word._of(region.presentation.alphabet, prev)
         _, reds = _reduce_recording(raw.splice(move.position, len(move.removed), move.inserted))
         moves.extend(reds)
     witness = Witness(loop, tuple(moves), region, explored)

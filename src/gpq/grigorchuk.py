@@ -202,7 +202,7 @@ class GrigorchukData:
             raise ValueError("translate expects a word over the a,b,d alphabet")
         images = self._bd_to_cd
         out = chain.from_iterable(images[idx] for idx, _ in word.letters)
-        return free_reduce(Word(self.acd, tuple(out)))
+        return free_reduce(Word._of(self.acd, tuple(out)))
 
     # -- normal forms for the equality levels -------------------------------------
 
@@ -425,7 +425,7 @@ def transport_induced_relation(
     concatenation is involutively reduced.
     """
     letters, _, _ = _assemble(data, factor, (yl.conjugator for yl in relation))
-    return Word(data.acd, letters)
+    return Word._of(data.acd, letters)
 
 
 def _assemble(data: GrigorchukData, factor: str, gs) -> tuple:
@@ -547,8 +547,8 @@ def verify_sigma_identity(
         factor=factor,
         x=x,
         x_name=str(data.d8.element_names[x]),
-        expected=Word(data.acd, expected.letters),
-        computed=Word(data.acd, letters),
+        expected=Word._of(data.acd, expected.letters),
+        computed=Word._of(data.acd, letters),
         equal_free=equal_free,
         equal_klein=equal_klein,
         equal_dihedral=equal_dihedral,

@@ -105,6 +105,8 @@ def reduce(rs: RewritingSystem, word: Word, step_limit: int = 10_000) -> tuple[W
     """
     if step_limit <= 0:
         raise ValueError("step_limit must be positive")
+    if word.alphabet != rs.alphabet:
+        raise ValueError("word over a different alphabet")
     # a step at pos changes no letter before pos, and no window starting
     # before pos matched: only windows that reach pos can match now
     reach = max((L for _, _, L in rs._lhs_letters), default=1) - 1

@@ -7,6 +7,12 @@ such letters are always stored with exponent +1.  Words are kept verbatim
 free product of the letter groups (Z for ordinary letters, Z/2 for involutive
 ones).  The text format's tokenizer and word grammar live here too, so
 ``Word.from_str`` and the ``parsing`` module read words the same way.
+
+A word's letters are checked once, where they enter the program: ``Word(...)``
+checks them, and so does ``Word.splice`` for the letters it inserts.  A word
+made only from the stored letters of words over the same alphabet (products,
+powers, inverses, reductions, rotations, substitution images, renamings onto
+an alphabet's own indices) is built by ``Word._of`` and not checked again.
 """
 
 from __future__ import annotations
@@ -75,23 +81,19 @@ class Word:
     letters: tuple[tuple[int, int], ...] = field(default=())
 
     def __post_init__(self):
-        n = len(self.alphabet)
-        invol = self.alphabet.involutive
-        clean = True
-        for idx, exp in self.letters:
-            if not 0 <= idx < n:
-                raise ValueError(f"letter index {idx} out of range")
-            if exp == -1:
-                if invol[idx]:
-                    clean = False
-            elif exp != 1:
-                raise ValueError(f"exponent must be +1 or -1, got {exp}")
-        if clean:
-            if not isinstance(self.letters, tuple):
-                object.__setattr__(self, "letters", tuple(self.letters))
-            return
-        norm = tuple((idx, 1 if invol[idx] else exp) for idx, exp in self.letters)
-        object.__setattr__(self, "letters", norm)
+        letters = _checked(self.alphabet, self.letters)
+        if letters is not self.letters:
+            object.__setattr__(self, "letters", letters)
+
+    @staticmethod
+    def _of(alphabet: Alphabet, letters: tuple[tuple[int, int], ...]) -> "Word":
+        """The word of `letters` unchecked: a tuple of letters already stored
+        in words over `alphabet`."""
+        word = object.__new__(Word)
+        fields = word.__dict__
+        fields["alphabet"] = alphabet
+        fields["letters"] = letters
+        return word
 
     # -- construction helpers -------------------------------------------------
 
@@ -124,22 +126,25 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if other.alphabet != self.alphabet:
             raise ValueError("cannot concatenate words over different alphabets")
-        return Word(self.alphabet, self.letters + other.letters)
+        return Word._of(self.alphabet, self.letters + other.letters)
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        return Word(self.alphabet, self.letters * n)
+        return Word._of(self.alphabet, self.letters * n)
 
     def inverse(self) -> "Word":
-        return Word(
+        invol = self.alphabet.involutive  # an involutive letter is its own inverse
+        return Word._of(
             self.alphabet,
-            tuple((idx, -exp) for idx, exp in reversed(self.letters)),
+            tuple((idx, exp if invol[idx] else -exp) for idx, exp in reversed(self.letters)),
         )
 
     def splice(self, position: int, length: int, letters: tuple[tuple[int, int], ...]) -> "Word":
-        """The word with its `length` letters from `position` replaced by `letters`."""
-        return Word(self.alphabet, self.letters[:position] + letters + self.letters[position + length :])
+        """The word with its `length` letters from `position` replaced by
+        `letters`, which are checked."""
+        inserted = _checked(self.alphabet, letters)
+        return Word._of(self.alphabet, self.letters[:position] + inserted + self.letters[position + length :])
 
     # -- queries ---------------------------------------------------------------
 
@@ -167,6 +172,26 @@ class Word:
 
     def __repr__(self):
         return f"Word({str(self) or 'e'})"
+
+
+def _checked(alphabet: Alphabet, letters: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """`letters` as a tuple, each an (index, +1 or -1) letter of `alphabet`,
+    with involutive letters stored as exponent +1; ValueError otherwise."""
+    letters = tuple(letters)
+    n = len(alphabet)
+    invol = alphabet.involutive
+    clean = True
+    for idx, exp in letters:
+        if not 0 <= idx < n:
+            raise ValueError(f"letter index {idx} out of range")
+        if exp == -1:
+            if invol[idx]:
+                clean = False
+        elif exp != 1:
+            raise ValueError(f"exponent must be +1 or -1, got {exp}")
+    if clean:
+        return letters
+    return tuple((idx, 1 if invol[idx] else exp) for idx, exp in letters)
 
 
 # --- word text: the tokenizer and word grammar of the file format ------------
@@ -290,7 +315,7 @@ def free_reduce(word: Word) -> Word:
                 stack.pop()
                 continue
         stack.append((idx, exp))
-    return Word(word.alphabet, tuple(stack))
+    return Word._of(word.alphabet, tuple(stack))
 
 
 def cyclically_reduce(word: Word) -> Word:
@@ -303,7 +328,7 @@ def cyclically_reduce(word: Word) -> Word:
             letters = letters[1:-1]
         else:
             break
-    return Word(word.alphabet, tuple(letters))
+    return Word._of(word.alphabet, tuple(letters))
 
 
 def rotations_and_inverses(word: Word) -> list[Word]:
@@ -312,7 +337,7 @@ def rotations_and_inverses(word: Word) -> list[Word]:
     for base in (word, word.inverse()):
         n = len(base)
         for k in range(max(n, 1)):
-            rot = Word(word.alphabet, base.letters[k:] + base.letters[:k])
+            rot = Word._of(word.alphabet, base.letters[k:] + base.letters[:k])
             seen.setdefault(rot.letters, rot)
     return list(seen.values())
 
@@ -320,16 +345,22 @@ def rotations_and_inverses(word: Word) -> list[Word]:
 def rename_word(word: Word, target: Alphabet, name_map: dict[str, str] | None = None) -> Word:
     """Re-read a word over another alphabet, optionally renaming letters.
 
-    A letter of the word that `target` lacks raises KeyError.
+    A letter of the word that `target` lacks raises KeyError.  A letter
+    involutive in `target` gets exponent +1, as a checked word stores it.
     """
     index = target._positions
+    invol = target.involutive
     names = word.alphabet.letters
     if name_map:
         names = tuple(name_map.get(name, name) for name in names)
+    letters = []
     try:
-        return Word(target, tuple((index[names[idx]], exp) for idx, exp in word.letters))
+        for idx, exp in word.letters:
+            j = index[names[idx]]
+            letters.append((j, 1 if invol[j] else exp))
     except KeyError as exc:
         raise KeyError(f"letter {exc.args[0]!r} not in alphabet {target.letters}") from None
+    return Word._of(target, tuple(letters))
 
 
 @dataclass(frozen=True)
@@ -375,7 +406,7 @@ def apply_substitution(sub: Substitution, word: Word) -> Word:
                 f"substitution applied to inverse letter {word.alphabet.letters[idx]}'"
             )
         out.extend(sub.images[idx].letters)
-    return Word(sub.alphabet, tuple(out))
+    return Word._of(sub.alphabet, tuple(out))
 
 
 def iterate_substitution(sub: Substitution, word: Word, n: int) -> Word:

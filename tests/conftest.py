@@ -10,6 +10,24 @@ sys.path.insert(0, str(Path(__file__).parent))
 from gpq.backends import bs_oracle, dihedral_group, free_abelian_oracle, free_oracle
 from gpq.grigorchuk import make_grigorchuk_data
 from gpq.presentations import Presentation
+from gpq.words import Word
+
+
+@pytest.fixture(scope="session", autouse=True)
+def unchecked_words_pass_the_check():
+    """Every word built by ``Word._of``, which skips the letter check, must
+    pass that check and store the letters a checked word stores."""
+    unchecked = Word._of
+
+    def of(alphabet, letters):
+        word = unchecked(alphabet, letters)
+        assert type(word.letters) is tuple, word.letters
+        assert Word(alphabet, letters).letters == word.letters, word
+        return word
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Word, "_of", staticmethod(of))
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -57,6 +57,13 @@ def test_expanding_rule_hits_limit():
     assert err.value.trace is not None and len(err.value.trace.steps) == 25
 
 
+def test_reduce_rejects_a_word_over_another_alphabet():
+    rs = RewritingSystem.make("a,b", [("a a", "b")])
+    xyz = Alphabet.make("x", "y", "z")
+    with pytest.raises(ValueError, match="different alphabet"):
+        reduce(rs, Word.from_str(xyz, "x x z"))
+
+
 def test_is_geodesic():
     assert is_geodesic(free_reduction_system(Alphabet.make("a", "b")))
     assert not is_geodesic(RewritingSystem.make("a", [("a", "a a")]))

@@ -16,6 +16,7 @@ from gpq.words import (
     apply_substitution,
     free_reduce,
     iterate_substitution,
+    rename_word,
     words_of_length,
     words_up_to_length,
 )
@@ -71,6 +72,18 @@ def test_word_stores_involutive_inverse_as_the_letter():
     assert Word(AB, ((0, -1),)).letters == ((0, -1),)
 
 
+def test_word_from_an_iterator_keeps_its_letters():
+    assert Word(AB, (letter for letter in ((0, 1), (1, 1)))) == W(AB, "a b")
+    assert Word(ACD, iter([(0, -1), (2, 1)])).letters == ((0, 1), (2, 1))
+
+
+def test_rename_onto_an_involutive_letter_stores_it_positive():
+    target = Alphabet.make("x!", "y")
+    assert rename_word(W(AB, "a' b'"), target, {"a": "x", "b": "y"}).letters == ((0, 1), (1, -1))
+    with pytest.raises(KeyError, match="'b' not in alphabet"):
+        rename_word(W(AB, "a b"), Alphabet.make("a"))
+
+
 def test_splice():
     w = W(AB, "a b a")
     assert w.splice(1, 1, W(AB, "a' b b").letters) == W(AB, "a a' b b a")
@@ -79,6 +92,11 @@ def test_splice():
     assert w.splice(0, 3, ()).is_empty()
     # the result is a Word like any other: involutive inverses are stored positive
     assert W(ACD, "a c").splice(1, 1, ((2, -1),)) == W(ACD, "a d")
+    # the inserted letters are checked
+    with pytest.raises(ValueError, match="out of range"):
+        w.splice(1, 0, ((2, 1),))
+    with pytest.raises(ValueError, match="exponent"):
+        w.splice(0, 1, ((0, 2),))
 
 
 @pytest.mark.parametrize("alphabet", [AB, Alphabet.make("a!", "c!", "d")])
