@@ -3,12 +3,13 @@
 Every oracle names group elements by small hashable keys.  It states its
 group law once, as `step(k, d)`: the key of k times the letter
 d = (index, exponent).  `identity` is the key of the empty word, and
-`word(k)` the canonical normal-form word, used to name and sort elements.
+`word(k)` the canonical normal-form word, for callers who want one.
 The base class folds `key(w)` from `identity` by one step per letter, and
 derives `normal_form(w)` as `word(key(w))` and `is_identity(w)` by comparing
 with `identity`; so an oracle defines `identity`, `step`, `describe` and,
-unless its keys are normal-form letter tuples, `word`.  An object offering
-only `alphabet` and `normal_form` gets keys from `keyed`.  Oracles are
+unless its keys are normal-form letter tuples, `word`.  Balls need only
+`identity`, `step` and `describe`.  An object offering only `alphabet` and
+`normal_form` gets keys from `keyed`.  Oracles are
 immutable after construction and safe for concurrent queries.
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadOrder, Unsupported
+from .errors import BadOrder, LimitExceeded, Unsupported
 from .words import Alphabet, Word, directions, free_reduce
 
 
@@ -292,6 +293,12 @@ def free_abelian_oracle(k: int, alphabet: Alphabet | None = None) -> FreeAbelian
 # --- Baumslag-Solitar B(1, n) ----------------------------------------------------
 
 
+# The longest normal form BaumslagSolitarOracle.word builds.  |m| can grow
+# like n^k in a word with k letters a, so a short word can have a normal form
+# too long to hold in memory: a^30 b a^-30 in B(1,3) has 3^30 letters b.
+BS_WORD_LETTER_CAP = 1_000_000
+
+
 @dataclass(frozen=True)
 class BaumslagSolitarOracle(WordOracle):
     """B(1,n) = < a, b | a b a^-1 b^-n >, normal form a^-p b^m a^r.
@@ -299,6 +306,8 @@ class BaumslagSolitarOracle(WordOracle):
     Here p, r >= 0 and n does not divide m when both p and r are positive;
     the key is (p, m, r).  A step by b^e adds e n^r to m, one by a^e moves r
     (b^m a^-1 = a^-1 b^(mn) at r = 0), and a^-1 b^(nm) a = b^m then cancels.
+    `word` raises LimitExceeded rather than build a normal form of more than
+    BS_WORD_LETTER_CAP letters; keys have no such limit.
     """
 
     alphabet: Alphabet
@@ -321,6 +330,11 @@ class BaumslagSolitarOracle(WordOracle):
 
     def word(self, key: tuple[int, int, int]) -> Word:
         p, m, r = key
+        if p + abs(m) + r > BS_WORD_LETTER_CAP:
+            raise LimitExceeded(
+                f"the normal form a^-{p} b^m a^{r} in B(1,{self.n}) has more than "
+                f"{BS_WORD_LETTER_CAP:,} letters"
+            )
         b = (1, 1 if m > 0 else -1)
         return Word(self.alphabet, ((0, -1),) * p + (b,) * abs(m) + ((0, 1),) * r)
 

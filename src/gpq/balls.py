@@ -1,9 +1,14 @@
 """Metric balls and spheres in Cayley 2-complexes, and bounded searches on them.
 
 Vertices are the oracle's element keys at distance <= r from the basepoint,
-named by their normal forms.  One breadth-first pass steps once per vertex and
-direction, the outer shell included, and fills the neighbour table that edges,
-2-cells, loop tracing and combings read; an edge or 2-cell belongs to the ball
+named by their first BFS path, in discovery (shortlex) order.  One
+breadth-first pass steps once per vertex and direction, in `words.directions`
+order and the outer shell included; it records the path that first reaches
+each vertex, which by induction on distance is the shortlex-least geodesic
+from the basepoint, and fills the neighbour table that edges, 2-cells, loop
+tracing and combings read.  A vertex's name is the basepoint followed by that
+path, so building a ball needs only the oracle's `identity`, `step` and
+`describe`, never a normal form.  An edge or 2-cell belongs to the ball
 exactly when all its boundary vertices do.  On top of the complex: loop
 generators for the fundamental group from a spanning tree (each of length
 <= 2r+1), breadth-first null-homotopy search with replayable witnesses,
@@ -49,7 +54,7 @@ class Ball:
     oracle: WordOracle
     basepoint: Word
     radius: int
-    vertices: tuple[Word, ...]             # canonical normal forms, shortlex order
+    vertices: tuple[Word, ...]             # basepoint * first BFS path, discovery (shortlex) order
     edges: tuple[tuple[int, int, int], ...]  # (vertex, letter, vertex), positive direction
     cells: tuple[tuple[int, int], ...]     # (base vertex, relator index)
     distances: tuple[int, ...]
@@ -85,11 +90,12 @@ class Ball:
 
 
 def _explore(oracle: WordOracle, basepoint: Word, r: int):
-    """Basepoint key, distances within radius r, and the neighbour table."""
+    """Basepoint key, the first-reaching path of each key within radius r in
+    discovery order, and the neighbour table."""
     dirs = directions(oracle.alphabet)
     step = oracle.step
     base = oracle.key(basepoint)
-    dist = {base: 0}
+    path = {base: ()}
     table = {}
     frontier = [base]
     for d in range(r + 1):
@@ -98,32 +104,27 @@ def _explore(oracle: WordOracle, basepoint: Word, r: int):
             for direction in dirs:
                 found = step(key, direction)
                 table[(key, direction)] = found
-                if d < r and found not in dist:
-                    dist[found] = d + 1
+                if d < r and found not in path:
+                    path[found] = path[key] + (direction,)
                     nxt.append(found)
         frontier = nxt
-    return base, dist, table
+    return base, path, table
 
 
 def _build(oracle: WordOracle, p: Presentation, r: int, basepoint: Word | None, sphere: bool):
     if r < 0:
         raise ValueError("radius must be >= 0")
     _check_oracle(oracle, p)
+    alphabet = p.alphabet
     if basepoint is None:
-        basepoint = Word.identity(p.alphabet)
-    ops = keyed(oracle)
-    base, dist, table = _explore(ops, basepoint, r)
-    named = sorted(
-        ((ops.word(k), k) for k, d in dist.items() if d == r or not sphere),
-        key=lambda wk: wk[0].shortlex_key(),
-    )
-    keys = tuple(k for _, k in named)
+        basepoint = Word.identity(alphabet)
+    base, path, table = _explore(keyed(oracle), basepoint, r)
+    keys = tuple(k for k, letters in path.items() if len(letters) == r or not sphere)
     index = {k: i for i, k in enumerate(keys)}
     if sphere:
         table = {kd: k for kd, k in table.items() if kd[0] in index}
-    alphabet = p.alphabet
     # a cell's boundary path from its base vertex, its last edge closing it
-    paths = [(ri, rel.letters[:-1]) for ri, rel in enumerate(p.relators) if rel.letters]
+    boundaries = [(ri, rel.letters[:-1]) for ri, rel in enumerate(p.relators) if rel.letters]
     edges = set()
     cells = []
     for i, key in enumerate(keys):
@@ -131,17 +132,19 @@ def _build(oracle: WordOracle, p: Presentation, r: int, basepoint: Word | None, 
             j = index.get(table[(key, (li, 1))])
             if j is not None:
                 edges.add((min(i, j), li, max(i, j)) if alphabet.involutive[li] else (i, li, j))
-        for ri, path in paths:
+        for ri, boundary in boundaries:
             cur = key
-            for direction in path:
+            for direction in boundary:
                 cur = table.get((cur, direction))
                 if cur not in index:
                     break
             else:
                 cells.append((i, ri))
+    prefix = basepoint.letters
     return Ball(
-        p, oracle, basepoint, r, tuple(w for w, _ in named), tuple(sorted(edges)), tuple(cells),
-        tuple(dist[k] for k in keys), keys, base, table, sphere,
+        p, oracle, basepoint, r, tuple(Word._of(alphabet, prefix + path[k]) for k in keys),
+        tuple(sorted(edges)), tuple(cells), tuple(len(path[k]) for k in keys), keys, base,
+        table, sphere,
     )
 
 
@@ -201,16 +204,17 @@ def pi1_generators(ball: Ball) -> LoopClassSet:
         raise Disconnected(f"ball has {path_letters.count(None)} unreachable vertices")
 
     alphabet = ball.presentation.alphabet
+    invol = alphabet.involutive
     generators = []
     for ei, (i, li, j) in enumerate(ball.edges):
         if ei in in_tree:
             continue
-        back = tuple((idx, -exp) for idx, exp in reversed(path_letters[j]))
-        loop = Word(alphabet, path_letters[i] + ((li, 1),) + back)
+        back = tuple((idx, exp if invol[idx] else -exp) for idx, exp in reversed(path_letters[j]))
+        loop = Word._of(alphabet, path_letters[i] + ((li, 1),) + back)
         assert len(loop) <= 2 * ball.radius + 1, "generator exceeds the 2r+1 bound"
         generators.append(loop)
     lcs = LoopClassSet(
-        ball, tuple(Word(alphabet, letters) for letters in path_letters), tuple(generators)
+        ball, tuple(Word._of(alphabet, letters) for letters in path_letters), tuple(generators)
     )
     assert lcs.rank == len(ball.edges) - nv + 1
     return lcs
@@ -569,16 +573,18 @@ class Combing:
 
     def verify_tame(self) -> bool:
         """For every vertex and every n <= r: the portion of its combing path
-        inside B(n) is a single connected (initial) segment."""
-        for vi in range(len(self.ball.vertices)):
-            ds = [self.ball.distances[j] for j in self.path_vertices(vi)]
-            for n in range(self.ball.radius + 1):
-                inside = [t for t, d in enumerate(ds) if d <= n]
-                if inside and inside != list(range(inside[0], inside[-1] + 1)):
-                    return False
-                if inside and inside[0] != 0:
-                    return False
-        return True
+        inside B(n) is a single initial segment.  That holds for every n
+        exactly when the distances along the path never decrease: a drop at
+        step t puts position t + 1 inside B(ds[t + 1]) and position t outside."""
+        distances = self.ball.distances
+        return all(
+            _never_decreasing([distances[j] for j in self.path_vertices(vi)])
+            for vi in range(len(self.ball.vertices))
+        )
+
+
+def _never_decreasing(ds) -> bool:
+    return all(a <= b for a, b in zip(ds, ds[1:]))
 
 
 def geodesic_0_combing(oracle: WordOracle, p: Presentation, r_max: int) -> Combing:

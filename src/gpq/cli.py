@@ -59,8 +59,12 @@ def _int_arg(text: str, spec: str) -> int:
 def _emit(report: dict, json_path: str | None):
     text = json.dumps(report, sort_keys=True, indent=2)
     if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(json_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            click.echo(f"cannot write {json_path}: {exc}", err=True)
+            sys.exit(EXIT_PARSE)
     return text
 
 
@@ -237,7 +241,11 @@ def cmd_grigorchuk():
 def grigorchuk_verify(max_n, json_path):
     """Verify every induced-relator identity for n = 1..max_n."""
     data = make_grigorchuk_data()
-    reports, summary = run_full_verification(data, max_n)
+    try:
+        reports, summary = run_full_verification(data, max_n)
+    except LimitExceeded as exc:
+        click.echo(f"resource limit: {exc}", err=True)
+        sys.exit(EXIT_LIMIT)
     for rep in reports:
         status = f"ok[{rep.level}]" if rep.equal else "MISMATCH"
         click.echo(f"{rep.case_id():32} {status}")
@@ -297,7 +305,11 @@ def grigorchuk_show(variant, family, n, hnn):
         )
         click.echo(str(hnn_presentation(ep)))
         return
-    word = data.relator_family(variant, family, n)
+    try:
+        word = data.relator_family(variant, family, n)
+    except LimitExceeded as exc:
+        click.echo(f"resource limit: {exc}", err=True)
+        sys.exit(EXIT_LIMIT)
     click.echo(_factored(word))
 
 

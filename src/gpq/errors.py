@@ -82,9 +82,10 @@ class ArityMismatch(GpqError):
 
 
 class LimitExceeded(GpqError):
-    """A reduction did not terminate within the step limit.
+    """A reduction did not terminate within the step limit, or a word would
+    exceed its letter cap.
 
-    Carries the partial word and trace so callers can inspect progress.
+    Carries the partial word and trace, if any, so callers can inspect progress.
     """
 
     def __init__(self, message, word=None, trace=None):

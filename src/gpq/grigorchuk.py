@@ -46,7 +46,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from .backends import FiniteGroupTable, dihedral_group, klein_group
-from .errors import DegenerateCase
+from .errors import DegenerateCase, LimitExceeded
 from .induction import SplitExtensionData, YLetter, basic_relation
 from .presentations import Presentation
 from .words import (
@@ -58,6 +58,13 @@ from .words import (
     iterate_substitution,
     rename_word,
 )
+
+
+# The longest relator-family word built.  Every sigma sends a to a word with
+# two a's, so w_n and z_n at least double with n; the cap admits every member
+# with n <= 11, hence the w_11 and z_11 cores of the n <= 10 grid (at most
+# 139,560 letters), and refuses w_40's trillions of letters before building any.
+FAMILY_LETTER_CAP = 1 << 18
 
 
 class _Chunk(NamedTuple):
@@ -170,14 +177,42 @@ class GrigorchukData:
             raise ValueError(f"unknown variant {variant!r}") from None
 
     def relator_family(self, variant: str, family: str, n: int) -> Word:
-        """w_n or z_n: the n-th iterate of the family seed, unreduced."""
+        """w_n or z_n: the n-th iterate of the family seed, unreduced.
+
+        Raises LimitExceeded, before building any word, if it would have more
+        than FAMILY_LETTER_CAP letters.
+        """
+        sigma, seed = self._checked_seed(variant, family, n)
+        return iterate_substitution(sigma, seed, n)
+
+    def _checked_seed(self, variant: str, family: str, n: int):
+        """(sigma, the family seed), once relator_family(variant, family, n)
+        is known to have at most FAMILY_LETTER_CAP letters; LimitExceeded
+        otherwise.  The length is predicted from the seed's letter counts and
+        those of the substitution's images, without building a word."""
         if n < 0:
             raise ValueError("n must be >= 0")
         alphabet, sigma = self._variant(variant)
         if (variant, family) not in self.seeds:
             raise ValueError(f"unknown family {family!r}")
         seed = Word.from_str(alphabet, self.seeds[(variant, family)])
-        return iterate_substitution(sigma, seed, n)
+        counts = [0] * len(alphabet)
+        for idx, _ in seed.letters:
+            counts[idx] += 1
+        for _ in range(n):
+            if sum(counts) > FAMILY_LETTER_CAP:
+                break
+            after = [0] * len(alphabet)
+            for count, image in zip(counts, sigma.images):
+                for idx, _ in image.letters:
+                    after[idx] += count
+            counts = after
+        if sum(counts) > FAMILY_LETTER_CAP:
+            raise LimitExceeded(
+                f"{family}_{n} of the {variant} variant has more than "
+                f"{FAMILY_LETTER_CAP:,} letters"
+            )
+        return sigma, seed
 
     # -- transport maps ----------------------------------------------------------
 
@@ -233,6 +268,7 @@ class GrigorchukData:
         translate(w_{n+1})) for the a,b,d variant, memoised."""
         key = (n, family)
         if key not in self._memo:
+            self._checked_seed("abd", family, n + 1)  # the longer word, before either is built
             basic = basic_relation(self._family_word(n, family), self.b_extension)
             if not basic:
                 raise DegenerateCase(f"{family}_{n} has no inducible letters (b-free)")
@@ -584,10 +620,15 @@ def run_full_verification(
     """All cases n in [1, max_n] x {w, z} x {first, second} x D_8.
 
     n = 0 is skipped (w_0 is b-free, so its basic relation is degenerate);
-    the skip is recorded in the summary.
+    the skip is recorded in the summary.  Raises LimitExceeded before any
+    case if the grid's longest words, w_(max_n + 1) and z_(max_n + 1), would
+    exceed FAMILY_LETTER_CAP.
     """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
+    if max_n:
+        for family in ("w", "z"):
+            data._checked_seed("abd", family, max_n + 1)
     reports = []
     skipped = ("n=0 skipped: w_0 = (ad)^4 is b-free, its basic relation is empty",)
     for n in range(1, max_n + 1):

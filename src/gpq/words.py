@@ -160,9 +160,6 @@ class Word:
     def is_empty(self) -> bool:
         return not self.letters
 
-    def shortlex_key(self):
-        return (len(self.letters), tuple((i, 0 if e > 0 else 1) for i, e in self.letters))
-
     def __str__(self):
         parts = []
         for idx, exp in self.letters:

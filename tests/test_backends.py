@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from gpq.backends import (
+    BS_WORD_LETTER_CAP,
     BaumslagSolitarOracle,
     FiniteGroupTable,
     FreeAbelianOracle,
@@ -17,7 +18,7 @@ from gpq.backends import (
     free_oracle,
     klein_group,
 )
-from gpq.errors import BadOrder, Unsupported
+from gpq.errors import BadOrder, LimitExceeded, Unsupported
 from gpq.words import Word, free_reduce, words_up_to_length
 
 
@@ -210,6 +211,20 @@ def test_bs_normal_form_shape():
                 r += 1
         if p > 0 and r > 0:
             assert q % 2 != 0
+
+
+def test_bs_normal_form_over_the_letter_cap_raises():
+    # a^k b a^-k is b^(3^k): 3^30 letters would not fit in memory
+    bs = bs_oracle(1, 3)
+    for k, fits in ((12, True), (13, False), (30, False)):
+        w = W(bs, f"(a)^{k} b (a')^{k}")
+        assert bs.key(w) == (0, 3**k, 0)
+        assert (3**k <= BS_WORD_LETTER_CAP) == fits
+        if fits:
+            assert bs.normal_form(w).letters == ((1, 1),) * 3**k
+        else:
+            with pytest.raises(LimitExceeded, match="more than 1,000,000 letters"):
+                bs.normal_form(w)
 
 
 def test_bs_normal_forms_faithful_against_affine_model():

@@ -9,12 +9,22 @@ from itertools import product
 
 import pytest
 
-from gpq.backends import FreeGroupOracle, dihedral_group, free_abelian_oracle, free_oracle
+from gpq.backends import (
+    FreeGroupOracle,
+    bs_oracle,
+    cyclic_group,
+    dihedral_group,
+    free_abelian_oracle,
+    free_oracle,
+    klein_group,
+)
 from gpq.balls import (
+    Combing,
     HomotopyMove,
     Witness,
     _closed_paths_up_to,
     _loop_inside,
+    _never_decreasing,
     _reduce_recording,
     build_ball,
     build_sphere,
@@ -512,3 +522,96 @@ def test_search_with_short_loop_cells_matches_whole_word_reference(z2_setup, bs2
                     assert got == want, (p.name, c, str(g), cap)
                     compared[want[0]] += 1
     assert compared["witness"] > 5 and compared["exhausted"] > 5
+
+
+# every backend, as (generators, relators, oracle on the presentation's alphabet)
+_BACKENDS = {
+    "z2": ("a, b", ["a b a' b'"], lambda al: free_abelian_oracle(2, al)),
+    "z3": ("a, b, c", ["a b a' b'", "a c a' c'", "b c b' c'"], lambda al: free_abelian_oracle(3, al)),
+    "f2": ("a, b", [], lambda al: free_oracle(2, al)),
+    "d8": ("a!, d!", ["a a", "d d", "(a d)^4"], lambda al: dihedral_group(8, al.letters)),
+    "d16": ("a!, d!", ["a a", "d d", "(a d)^8"], lambda al: dihedral_group(16, al.letters)),
+    "klein": ("c!, d!", ["c c", "d d", "(c d)^2"], lambda al: klein_group(al.letters)),
+    "c4": ("x", ["(x)^4"], lambda al: cyclic_group(4, "x")),
+    "c5": ("x", ["(x)^5"], lambda al: cyclic_group(5, "x")),
+    "bs12": ("a, b", ["a b a' b' b'"], lambda al: bs_oracle(1, 2, al.letters)),
+    "bs13": ("a, b", ["a b a' (b')^3"], lambda al: bs_oracle(1, 3, al.letters)),
+}
+
+
+def _backend(name):
+    gens, rels, make = _BACKENDS[name]
+    p = Presentation.make(gens, rels, name)
+    return p, make(p.alphabet)
+
+
+def _without_word(oracle):
+    """A copy of `oracle` whose class has no normal-form words."""
+    base = type(oracle)
+
+    class NoWord(base):
+        def word(self, key):
+            raise AssertionError("a ball must not ask for a normal form")
+
+    return NoWord(**{f.name: getattr(oracle, f.name) for f in fields(oracle)})
+
+
+@pytest.mark.parametrize("name", list(_BACKENDS))
+def test_vertices_are_named_by_their_first_bfs_path(name):
+    p, oracle = _backend(name)
+    last = len(p.alphabet) - 1
+    no_word = _without_word(oracle)
+    for base in ((), ((0, 1),), ((last, 1), (0, 1), (last, 1))):
+        basepoint = Word(p.alphabet, base) if base else None
+        for r in range(7):
+            for build in (build_ball, build_sphere):
+                ball = build(oracle, p, r, basepoint)
+                for v, key, d in zip(ball.vertices, ball.keys, ball.distances):
+                    assert v.letters[: len(base)] == base
+                    assert len(v) - len(base) == d
+                    assert oracle.key(v) == key
+                    if not base and not name.startswith("bs"):
+                        assert v == oracle.normal_form(v)
+                bare = build(no_word, p, r, basepoint)
+                assert (bare.vertices, bare.edges, bare.cells) == (ball.vertices, ball.edges, ball.cells)
+
+
+def test_bs13_names_stay_as_short_as_the_radius():
+    # the normal form of a vertex at distance <= 10 can have thousands of letters
+    p, oracle = _backend("bs13")
+    ball = build_ball(oracle, p, 10)
+    assert max(len(v) for v in ball.vertices) == 10
+    assert max(len(oracle.normal_form(v)) for v in ball.vertices) > 10_000
+
+
+def _tame_reference(ds, radius):
+    """Tameness of one combing path by definition: for every n <= radius, the
+    positions of the path inside B(n) form an initial segment."""
+    for n in range(radius + 1):
+        inside = [t for t, d in enumerate(ds) if d <= n]
+        if inside and inside != list(range(inside[0], inside[-1] + 1)):
+            return False
+        if inside and inside[0] != 0:
+            return False
+    return True
+
+
+def test_tameness_is_never_decreasing_distance():
+    outcomes = Counter()
+    for length in range(7):
+        for ds in product(range(4), repeat=length):
+            want = _tame_reference(ds, 3)
+            assert _never_decreasing(ds) == want, ds
+            outcomes[want] += 1
+    assert outcomes[True] > 100 and outcomes[False] > 1000
+
+
+def test_combing_that_leaves_a_ball_and_comes_back_is_not_tame(z2_setup):
+    p, oracle = z2_setup
+    combing = geodesic_0_combing(oracle, p, 3)
+    vi = combing.ball.vertices.index(W(p, "a"))
+    detour = Combing(combing.ball, combing.paths[:vi] + (W(p, "b a b'"),) + combing.paths[vi + 1 :])
+    ds = [combing.ball.distances[j] for j in detour.path_vertices(vi)]
+    assert ds == [0, 1, 2, 1]
+    assert not _tame_reference(ds, 3)
+    assert not detour.verify_tame()

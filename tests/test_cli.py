@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from gpq.cli import main
+from gpq.cli import _factored, main
 from gpq.parsing import parse_document
 
 Z2_FILE = "name z2;\ngens a, b;\nrel a b a' b';\n"
@@ -258,3 +258,48 @@ def test_rewrite_has_no_step_limit_option(runner, tmp_path):
     result = runner.invoke(main, ["rewrite", path, "--word", "a a", "--step-limit", "5"])
     _assert_clean_exit(result, 2)
     assert "--step-limit" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["ball", "{z2}", "--backend", "abelian", "--radius", "2"],
+        ["rewrite", "{d8}", "--word", "a d a d a"],
+        ["grigorchuk", "verify", "--max-n", "1"],
+    ],
+)
+def test_json_path_that_cannot_be_written_exit_code(runner, tmp_path, command):
+    paths = {"z2": _write(tmp_path, "z2.gp", Z2_FILE), "d8": _write(tmp_path, "d8.gp", D8_FILE)}
+    out = str(tmp_path / "missing" / "report.json")
+    result = runner.invoke(main, [arg.format(**paths) for arg in command] + ["--json", out])
+    _assert_clean_exit(result, 2)
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith(f"cannot write {out}: ")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["grigorchuk", "show", "--n", "40"],
+        ["grigorchuk", "show", "--variant", "abd", "--family", "z", "--n", "12"],
+        ["grigorchuk", "verify", "--max-n", "40"],
+        ["grigorchuk", "verify", "--max-n", "11"],
+    ],
+)
+def test_family_word_over_the_letter_cap_exit_code(runner, command):
+    # the length is predicted from letter counts: no word of 2^40 letters is built
+    result = runner.invoke(main, command)
+    _assert_clean_exit(result, 4)
+    assert len(result.stderr.splitlines()) == 1
+    assert "more than 262,144 letters" in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("variant", ["abcd", "acd", "abd"])
+@pytest.mark.parametrize("family", ["w", "z"])
+def test_family_words_up_to_n_11_are_within_the_letter_cap(runner, grig, variant, family):
+    result = runner.invoke(
+        main, ["grigorchuk", "show", "--variant", variant, "--family", family, "--n", "11"]
+    )
+    assert result.exit_code == 0
+    assert result.output.strip() == _factored(grig.relator_family(variant, family, 11))

@@ -6,9 +6,10 @@ import random
 
 import pytest
 
-from gpq.errors import DegenerateCase
+from gpq.errors import DegenerateCase, LimitExceeded
 from gpq import words
 from gpq.grigorchuk import (
+    FAMILY_LETTER_CAP,
     _assemble,
     _check_chunks,
     _nf_join,
@@ -498,3 +499,19 @@ def test_chunk_tables_are_checked_when_built(grig):
                 _check_chunks(chunks._replace(mid=mid), d)
     with pytest.raises(ValueError, match="factor"):
         transport_induced_relation(grig, (), "third")
+
+
+def test_family_words_over_the_letter_cap_are_refused_before_they_are_built(grig):
+    # in the abd variant w_11, z_11, w_12 and z_12 have 46,136, 139,560,
+    # 93,424 and 282,136 letters
+    assert len(grig.relator_family("abd", "z", 11)) <= FAMILY_LETTER_CAP
+    for variant, family, n in (("abd", "z", 12), ("acd", "w", 40), ("abcd", "z", 10**9)):
+        with pytest.raises(LimitExceeded, match=f"{family}_{n} of the {variant} variant"):
+            grig.relator_family(variant, family, n)
+    # the grid checks its longest words, w_(n+1) and z_(n+1), up front
+    with pytest.raises(LimitExceeded, match="z_12"):
+        run_full_verification(grig, 11)
+    # and a single case continuing from a shorter family word checks too
+    verify_sigma_identity(grig, 2, "z", "first", 0)
+    with pytest.raises(LimitExceeded, match="z_12"):
+        verify_sigma_identity(grig, 11, "z", "first", 0)
