@@ -226,6 +226,8 @@ def klein_group(names: tuple[str, str] = ("c", "d")) -> FiniteGroupTable:
 
 
 def cyclic_group(n: int, name: str = "x") -> FiniteGroupTable:
+    if n < 1:
+        raise BadOrder(f"cyclic order must be >= 1, got {n}")
     alphabet = Alphabet.make(name + ("!" if n == 2 else ""))
     return FiniteGroupTable.from_generators(
         alphabet, [1 % n], lambda p, q: (p + q) % n, 0

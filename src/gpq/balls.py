@@ -10,11 +10,12 @@ tracing and combings read.  A vertex's name is the basepoint followed by that
 path, so building a ball needs only the oracle's `identity`, `step` and
 `describe`, never a normal form.  An edge or 2-cell belongs to the ball
 exactly when all its boundary vertices do.  On top of the complex: loop
-generators for the fundamental group from a spanning tree (each of length
-<= 2r+1), breadth-first null-homotopy search with replayable witnesses,
-bounded connectivity-radius and isodiametric estimates, and geodesic combings
-with a mechanically checked tameness certificate.  All searches carry explicit
-caps: incompleteness is a visible value, never a silent timeout.
+generators for the fundamental group from the tree of those first paths
+(each of length <= 2r+1), breadth-first null-homotopy search with
+replayable witnesses, bounded connectivity-radius and isodiametric estimates,
+and geodesic combings with a mechanically checked tameness certificate.  All
+searches carry explicit caps: incompleteness is a visible value, never a
+silent timeout.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from functools import cached_property
 from .backends import WordOracle, keyed
 from .errors import (
     CombinatorialExplosion,
-    Disconnected,
     Exhausted,
     NotNullHomotopic,
     OracleMismatch,
@@ -176,47 +176,29 @@ class LoopClassSet:
 def pi1_generators(ball: Ball) -> LoopClassSet:
     """Spanning-tree loop generators; each has length <= 2r+1.
 
-    A loop through vertex p factors through geodesics to the basepoint, so a
-    generator is tree-path * edge * reverse tree-path.
+    The tree is the BFS tree that names the vertices: a vertex's tree path
+    is its name after the basepoint.  A loop through vertex p factors through
+    geodesics to the basepoint, so each edge off the tree gives the generator
+    tree-path * edge * reverse tree-path.
     """
-    nv = len(ball.vertices)
-    root = ball._index[ball.base_key]
-
-    adj: list[list[tuple[int, int, int, int]]] = [[] for _ in range(nv)]
-    for ei, (i, li, j) in enumerate(ball.edges):
-        adj[i].append((j, li, 1, ei))
-        involutive = ball.presentation.alphabet.involutive[li]
-        if i != j:
-            adj[j].append((i, li, 1 if involutive else -1, ei))
-
-    path_letters: list = [None] * nv  # tree path from the basepoint
-    path_letters[root] = ()
-    order = deque([root])
-    in_tree = set()  # edge indices of the spanning tree
-    while order:
-        u = order.popleft()
-        for v, li, exp, ei in sorted(adj[u]):
-            if path_letters[v] is None:
-                path_letters[v] = path_letters[u] + ((li, exp),)
-                in_tree.add(ei)
-                order.append(v)
-    if None in path_letters:
-        raise Disconnected(f"ball has {path_letters.count(None)} unreachable vertices")
-
+    if ball.is_sphere and ball.radius:
+        raise ValueError("loop generators need a ball, not a sphere")
     alphabet = ball.presentation.alphabet
     invol = alphabet.involutive
+    paths = [v.letters[len(ball.basepoint) :] for v in ball.vertices]
     generators = []
-    for ei, (i, li, j) in enumerate(ball.edges):
-        if ei in in_tree:
-            continue
-        back = tuple((idx, exp if invol[idx] else -exp) for idx, exp in reversed(path_letters[j]))
-        loop = Word._of(alphabet, path_letters[i] + ((li, 1),) + back)
+    for i, li, j in ball.edges:
+        against = (li, 1 if invol[li] else -1)  # the edge read from j to i
+        if paths[j] == paths[i] + ((li, 1),) or paths[i] == paths[j] + (against,):
+            continue  # a tree edge: it ends the path of j, or of i
+        back = tuple((idx, exp if invol[idx] else -exp) for idx, exp in reversed(paths[j]))
+        loop = Word._of(alphabet, paths[i] + ((li, 1),) + back)
         assert len(loop) <= 2 * ball.radius + 1, "generator exceeds the 2r+1 bound"
         generators.append(loop)
     lcs = LoopClassSet(
-        ball, tuple(Word._of(alphabet, letters) for letters in path_letters), tuple(generators)
+        ball, tuple(Word._of(alphabet, letters) for letters in paths), tuple(generators)
     )
-    assert lcs.rank == len(ball.edges) - nv + 1
+    assert lcs.rank == len(ball.edges) - len(paths) + 1
     return lcs
 
 

@@ -7,6 +7,7 @@ JSON reports echo every search cap (overridable via GPQ_STEP_CAP).
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import sys
@@ -56,6 +57,22 @@ def _int_arg(text: str, spec: str) -> int:
         raise ParseError(f"backend {spec!r} needs integer arguments, got {text!r}") from None
 
 
+def _cannot_write(json_path: str, exc: OSError):
+    click.echo(f"cannot write {json_path}: {exc}", err=True)
+    sys.exit(EXIT_PARSE)
+
+
+def _json_path(ctx, param, json_path: str | None):
+    """Refuse a --json PATH that is a directory or has no parent directory,
+    before any work.  Nothing is opened here: a run that fails later leaves
+    the file as it was."""
+    if json_path is not None:
+        if os.path.isdir(json_path) or not os.path.isdir(os.path.dirname(json_path) or "."):
+            code = errno.EISDIR if os.path.isdir(json_path) else errno.ENOENT
+            _cannot_write(json_path, OSError(code, os.strerror(code), json_path))
+    return json_path
+
+
 def _emit(report: dict, json_path: str | None):
     text = json.dumps(report, sort_keys=True, indent=2)
     if json_path:
@@ -63,8 +80,7 @@ def _emit(report: dict, json_path: str | None):
             with open(json_path, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
-            click.echo(f"cannot write {json_path}: {exc}", err=True)
-            sys.exit(EXIT_PARSE)
+            _cannot_write(json_path, exc)
     return text
 
 
@@ -112,7 +128,7 @@ def main():
 @click.option("--sphere", is_flag=True, help="build the metric sphere instead")
 @click.option("--pi1/--no-pi1", default=True, help="also report loop generators")
 @click.option("--kill-radius", "r_max", type=int, default=None, help="search the kill radius up to R")
-@click.option("--json", "json_path", type=click.Path(), default=None)
+@click.option("--json", "json_path", type=click.Path(), default=None, callback=_json_path)
 def cmd_ball(path, backend, radius, sphere, pi1, r_max, json_path):
     """Build a metric ball of a presentation and report its topology."""
     doc = _load_document(path)
@@ -164,7 +180,7 @@ def cmd_ball(path, backend, radius, sphere, pi1, r_max, json_path):
 @click.option("--word", "word_text", default=None, help="word to reduce")
 @click.option("--confluence", is_flag=True, help="certify local confluence")
 @click.option("--ball-witness", "witness_r", type=click.IntRange(min=0), default=None)
-@click.option("--json", "json_path", type=click.Path(), default=None)
+@click.option("--json", "json_path", type=click.Path(), default=None, callback=_json_path)
 def cmd_rewrite(path, word_text, confluence, witness_r, json_path):
     """Reduce words, certify confluence, or build ball null-homotopy witnesses."""
     doc = _load_document(path)
@@ -237,7 +253,7 @@ def cmd_grigorchuk():
 
 @cmd_grigorchuk.command("verify")
 @click.option("--max-n", type=click.IntRange(min=0), required=True)
-@click.option("--json", "json_path", type=click.Path(), default=None)
+@click.option("--json", "json_path", type=click.Path(), default=None, callback=_json_path)
 def grigorchuk_verify(max_n, json_path):
     """Verify every induced-relator identity for n = 1..max_n."""
     data = make_grigorchuk_data()

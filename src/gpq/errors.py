@@ -30,7 +30,8 @@ class DerivationDoesNotReduce(GpqError):
 
 
 class BadOrder(GpqError):
-    """Dihedral groups need an even order >= 2."""
+    """A finite group of an order it cannot have: dihedral groups need an even
+    order >= 2, cyclic groups an order >= 1."""
 
 
 class Unsupported(GpqError):
@@ -39,10 +40,6 @@ class Unsupported(GpqError):
 
 class OracleMismatch(GpqError):
     """A presentation relator is not trivial under the supplied oracle."""
-
-
-class Disconnected(GpqError):
-    """Operation requires a connected complex."""
 
 
 class NotNullHomotopic(GpqError):

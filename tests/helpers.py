@@ -18,6 +18,11 @@ free-reduces and walks every candidate loop in full, and `rewrite_restart`
 the earlier rewriting loop, which rescans from the left after every step:
 references for the library's seam-cost search and resumed scan.
 
+`pi1_generators_second_bfs` is the earlier loop-generator construction,
+which finds a spanning tree by a second breadth-first search over an
+adjacency list with sorted rows; a reference for the library's reading of
+the tree that names the vertices.
+
 `words_of_length_recursive` is the earlier recursive enumeration of the
 words of one length, kept as a reference for `words.words_of_length`.
 
@@ -438,3 +443,36 @@ def rewrite_restart(rs, word, step_limit):
         after = letters[:pos] + rhs.letters + letters[pos + len(lhs) :]
         steps.append((letters, ri, pos, after))
         letters = after
+
+
+def pi1_generators_second_bfs(ball):
+    """(tree paths, loop generators) of a ball, as Words, from a BFS spanning
+    tree over the ball's edges: each row of neighbours sorted, one generator
+    tree-path * edge * reverse tree-path per edge off the tree, in edge order."""
+    alphabet = ball.presentation.alphabet
+    invol = alphabet.involutive
+    nv = len(ball.vertices)
+    adj = [[] for _ in range(nv)]
+    for ei, (i, li, j) in enumerate(ball.edges):
+        adj[i].append((j, li, 1, ei))
+        if i != j:
+            adj[j].append((i, li, 1 if invol[li] else -1, ei))
+    root = ball._index[ball.base_key]
+    paths = [None] * nv
+    paths[root] = ()
+    order = deque([root])
+    in_tree = set()
+    while order:
+        u = order.popleft()
+        for v, li, exp, ei in sorted(adj[u]):
+            if paths[v] is None:
+                paths[v] = paths[u] + ((li, exp),)
+                in_tree.add(ei)
+                order.append(v)
+    assert None not in paths, "ball is not connected"
+    generators = []
+    for ei, (i, li, j) in enumerate(ball.edges):
+        if ei not in in_tree:
+            back = tuple((idx, exp if invol[idx] else -exp) for idx, exp in reversed(paths[j]))
+            generators.append(Word(alphabet, paths[i] + ((li, 1),) + back))
+    return tuple(Word(alphabet, p) for p in paths), tuple(generators)

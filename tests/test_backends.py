@@ -13,6 +13,7 @@ from gpq.backends import (
     FiniteGroupTable,
     FreeAbelianOracle,
     bs_oracle,
+    cyclic_group,
     dihedral_group,
     free_abelian_oracle,
     free_oracle,
@@ -49,6 +50,21 @@ def test_bad_order_rejected():
         dihedral_group(7)
     with pytest.raises(BadOrder):
         dihedral_group(0)
+
+
+@pytest.mark.parametrize("n", [0, -1, -3])
+def test_cyclic_order_below_one_rejected(n):
+    # 0 divided by zero, and -3 gave a group of order 3
+    with pytest.raises(BadOrder, match=f"cyclic order must be >= 1, got {n}"):
+        cyclic_group(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_cyclic_group_order(n):
+    g = cyclic_group(n)
+    assert g.order == n
+    assert g.is_identity(Word(g.alphabet, ((0, 1),) * n))
+    assert n == 1 or not g.is_identity(Word(g.alphabet, ((0, 1),) * (n - 1)))
 
 
 @pytest.mark.parametrize("order", [2, 4, 8, 12, 16])

@@ -10,6 +10,7 @@ from itertools import product
 import pytest
 
 from gpq.backends import (
+    FiniteGroupTable,
     FreeGroupOracle,
     bs_oracle,
     cyclic_group,
@@ -38,7 +39,7 @@ from gpq.balls import (
 from gpq.errors import Exhausted, NotNullHomotopic, OracleMismatch
 from gpq.presentations import Presentation
 from gpq.words import Alphabet, Word, directions, free_reduce, words_up_to_length
-from helpers import reduce_recording_restart, search_whole_words
+from helpers import pi1_generators_second_bfs, reduce_recording_restart, search_whole_words
 
 
 def W(p, text):
@@ -574,6 +575,46 @@ def test_vertices_are_named_by_their_first_bfs_path(name):
                         assert v == oracle.normal_form(v)
                 bare = build(no_word, p, r, basepoint)
                 assert (bare.vertices, bare.edges, bare.cells) == (ball.vertices, ball.edges, ball.cells)
+
+
+@pytest.mark.parametrize("name", list(_BACKENDS))
+def test_loop_generators_match_second_bfs_reference(name):
+    p, oracle = _backend(name)
+    last = len(p.alphabet) - 1
+    for base in ((), ((0, 1),), ((last, 1), (0, 1), (last, 1))):
+        basepoint = Word(p.alphabet, base) if base else None
+        for r in range(5):
+            ball = build_ball(oracle, p, r, basepoint)
+            lcs = pi1_generators(ball)
+            assert (lcs.tree_paths, lcs.generators) == pi1_generators_second_bfs(ball), (r, base)
+            assert [base + path.letters for path in lcs.tree_paths] == [v.letters for v in ball.vertices]
+
+
+def test_tree_paths_name_the_vertices_for_an_order_two_letter_not_declared_involutive():
+    # in Z/2 x Z/3 on non-involutive a, b the letter a has order 2: a and a'
+    # reach the same vertex, the name takes a, and so does the tree
+    alphabet = Alphabet.make("a", "b")
+    oracle = FiniteGroupTable.from_generators(
+        alphabet, [(1, 0), (0, 1)], lambda x, y: ((x[0] + y[0]) % 2, (x[1] + y[1]) % 3), (0, 0)
+    )
+    p = Presentation(alphabet, tuple(Word.from_str(alphabet, t) for t in ("a a", "b b b", "a b a' b'")))
+    for base in ((), ((0, 1),), ((1, 1), (0, 1))):
+        basepoint = Word(alphabet, base) if base else None
+        for r in range(5):
+            ball = build_ball(oracle, p, r, basepoint)
+            lcs = pi1_generators(ball)
+            assert [base + path.letters for path in lcs.tree_paths] == [v.letters for v in ball.vertices]
+            assert lcs.rank == len(pi1_generators_second_bfs(ball)[1])
+            assert all(oracle.is_identity(g) for g in lcs.generators)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_loop_generators_refuse_a_sphere(z2_setup, r):
+    p, oracle = z2_setup
+    with pytest.raises(ValueError, match="loop generators need a ball, not a sphere"):
+        pi1_generators(build_sphere(oracle, p, r))
+    # the sphere of radius 0 is the ball of radius 0
+    assert pi1_generators(build_sphere(oracle, p, 0)).rank == 0
 
 
 def test_bs13_names_stay_as_short_as_the_radius():

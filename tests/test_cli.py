@@ -45,7 +45,7 @@ def test_ball_kill_radius_and_json(runner, tmp_path):
         ["ball", path, "--backend", "abelian", "--radius", "2", "--kill-radius", "4", "--json", out],
     )
     assert result.exit_code == 0
-    payload = json.loads(open(out).read())
+    payload = json.loads(Path(out).read_text())
     assert payload["payload"]["kill_radius"] == 2
     assert "caps" in payload
 
@@ -61,7 +61,7 @@ def test_ball_json_deterministic(runner, tmp_path):
             ).exit_code
             == 0
         )
-        outs.append(open(out).read())
+        outs.append(Path(out).read_text())
     assert outs[0] == outs[1]
 
 
@@ -119,14 +119,14 @@ def test_step_cap_env_override(runner, tmp_path, monkeypatch):
     out = str(tmp_path / "r.json")
     result = runner.invoke(main, ["rewrite", path, "--word", "a a", "--json", out])
     assert result.exit_code == 0
-    assert json.loads(open(out).read())["caps"]["step_limit"] == 5
+    assert json.loads(Path(out).read_text())["caps"]["step_limit"] == 5
 
 
 def test_grigorchuk_verify(runner, tmp_path):
     out = str(tmp_path / "verify.json")
     result = runner.invoke(main, ["grigorchuk", "verify", "--max-n", "1", "--json", out])
     assert result.exit_code == 0
-    payload = json.loads(open(out).read())
+    payload = json.loads(Path(out).read_text())
     assert payload["payload"]["summary"]["total"] == 32
     assert payload["payload"]["summary"]["all_equal"] is True
     assert len(payload["payload"]["reports"]) == 32
@@ -263,18 +263,43 @@ def test_rewrite_has_no_step_limit_option(runner, tmp_path):
 @pytest.mark.parametrize(
     "command",
     [
-        ["ball", "{z2}", "--backend", "abelian", "--radius", "2"],
-        ["rewrite", "{d8}", "--word", "a d a d a"],
-        ["grigorchuk", "verify", "--max-n", "1"],
+        ["ball", "{z2}", "--backend", "abelian", "--radius", "2", "--kill-radius", "3"],
+        ["rewrite", "{d8}", "--word", "a d a d a", "--ball-witness", "2"],
+        ["grigorchuk", "verify", "--max-n", "2"],
     ],
 )
 def test_json_path_that_cannot_be_written_exit_code(runner, tmp_path, command):
+    # refused before any work: nothing on stdout, where each command prints
     paths = {"z2": _write(tmp_path, "z2.gp", Z2_FILE), "d8": _write(tmp_path, "d8.gp", D8_FILE)}
-    out = str(tmp_path / "missing" / "report.json")
-    result = runner.invoke(main, [arg.format(**paths) for arg in command] + ["--json", out])
-    _assert_clean_exit(result, 2)
-    assert len(result.stderr.splitlines()) == 1
-    assert result.stderr.startswith(f"cannot write {out}: ")
+    for out in (str(tmp_path / "missing" / "report.json"), str(tmp_path)):
+        result = runner.invoke(main, [arg.format(**paths) for arg in command] + ["--json", out])
+        _assert_clean_exit(result, 2)
+        with pytest.raises(OSError) as opening:
+            open(out, "w")
+        assert result.stderr == f"cannot write {out}: {opening.value}\n"
+        assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["ball", "{z2}", "--backend", "abelian", "--radius", "3", "--kill-radius", "3"],
+        ["rewrite", "{exp}", "--word", "a"],
+        ["grigorchuk", "verify", "--max-n", "40"],
+    ],
+)
+def test_run_that_fails_later_leaves_the_json_file_alone(runner, tmp_path, monkeypatch, command):
+    # each run passes the --json check and then hits a limit (exit 4)
+    monkeypatch.setenv("GPQ_STEP_CAP", "1")
+    paths = {"z2": _write(tmp_path, "z2.gp", Z2_FILE), "exp": _write(tmp_path, "exp.gp", EXPANDING_FILE)}
+    out = tmp_path / "report.json"
+    out.write_text("kept\n")
+    result = runner.invoke(main, [arg.format(**paths) for arg in command] + ["--json", str(out)])
+    _assert_clean_exit(result, 4)
+    assert out.read_text() == "kept\n"
+    fresh = tmp_path / "fresh.json"
+    runner.invoke(main, [arg.format(**paths) for arg in command] + ["--json", str(fresh)])
+    assert not fresh.exists()
 
 
 @pytest.mark.parametrize(
