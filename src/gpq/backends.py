@@ -1,16 +1,12 @@
 """Word-problem oracles: finite tables, free / free-abelian groups, B(1,n).
 
-Every oracle names group elements by small hashable keys.  It states its
-group law once, as `step(k, d)`: the key of k times the letter
-d = (index, exponent).  `identity` is the key of the empty word, and
-`word(k)` the canonical normal-form word, for callers who want one.
-The base class folds `key(w)` from `identity` by one step per letter, and
-derives `normal_form(w)` as `word(key(w))` and `is_identity(w)` by comparing
-with `identity`; so an oracle defines `identity`, `step`, `describe` and,
-unless its keys are normal-form letter tuples, `word`.  Balls need only
-`identity`, `step` and `describe`.  An object offering only `alphabet` and
-`normal_form` gets keys from `keyed`.  Oracles are
-immutable after construction and safe for concurrent queries.
+Every oracle names group elements by small hashable keys, equal exactly when
+the elements are.  It states its group law once, as `step(k, d)`: the key of
+k times the letter d = (index, exponent).  `identity` is the key of the empty
+word.  The base class folds `key(w)` from `identity` by one step per letter
+and derives `is_identity(w)` by comparing with `identity`; so an oracle
+defines `alphabet`, `identity`, `step` and `describe`, and nothing else.
+Oracles are immutable after construction and safe for concurrent queries.
 """
 
 from __future__ import annotations
@@ -18,16 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadOrder, LimitExceeded, Unsupported
+from .errors import BadOrder, Unsupported
 from .words import Alphabet, Word, directions, free_reduce
 
 
 class WordOracle:
-    """Interface: the identity key and one step per letter, from which keys,
-    normal forms and is_identity follow, plus a descriptor.
-
-    The default `word` reads a key as the letter tuple of its normal form.
-    """
+    """Interface: the identity key and one step per letter, from which keys
+    and is_identity follow, plus a descriptor."""
 
     alphabet: Alphabet
     identity: object  # the key of the empty word
@@ -41,39 +34,11 @@ class WordOracle:
     def step(self, key, direction: tuple[int, int]):
         raise NotImplementedError
 
-    def word(self, key) -> Word:
-        return Word(self.alphabet, key)
-
-    def normal_form(self, word: Word) -> Word:
-        return self.word(self.key(word))
-
     def is_identity(self, word: Word) -> bool:
         return self.key(word) == self.identity
 
     def describe(self) -> str:
         raise NotImplementedError
-
-
-class NormalFormKeys(WordOracle):
-    """Keys for any object with `alphabet` and `normal_form`: the letter tuple
-    of the object's normal form."""
-
-    identity = ()
-
-    def __init__(self, oracle):
-        self.alphabet = oracle.alphabet
-        self._normal_form = oracle.normal_form
-
-    def key(self, word: Word):
-        return self._normal_form(word).letters
-
-    def step(self, key, direction: tuple[int, int]):
-        return self._normal_form(Word(self.alphabet, key + (direction,))).letters
-
-
-def keyed(oracle) -> WordOracle:
-    """`oracle` itself if it offers element keys, else its NormalFormKeys."""
-    return oracle if hasattr(oracle, "step") else NormalFormKeys(oracle)
 
 
 # --- finite groups by multiplication table --------------------------------------
@@ -134,9 +99,6 @@ class FiniteGroupTable(WordOracle):
     def step(self, key: int, direction: tuple[int, int]) -> int:
         g = self.generator_map[direction[0]]
         return self.mul[key][g if direction[1] == 1 else self.inv[g]]
-
-    def word(self, key: int) -> Word:
-        return self.element_names[key]
 
     def describe(self) -> str:
         gens = ",".join(self.alphabet.letters)
@@ -270,12 +232,6 @@ class FreeAbelianOracle(WordOracle):
         idx, exp = direction
         return key[:idx] + (key[idx] + exp,) + key[idx + 1 :]
 
-    def word(self, key: tuple[int, ...]) -> Word:
-        letters = []
-        for i, e in enumerate(key):
-            letters.extend([(i, 1 if e > 0 else -1)] * abs(e))
-        return Word(self.alphabet, tuple(letters))
-
     def describe(self) -> str:
         return f"free abelian group of rank {len(self.alphabet)}"
 
@@ -295,21 +251,13 @@ def free_abelian_oracle(k: int, alphabet: Alphabet | None = None) -> FreeAbelian
 # --- Baumslag-Solitar B(1, n) ----------------------------------------------------
 
 
-# The longest normal form BaumslagSolitarOracle.word builds.  |m| can grow
-# like n^k in a word with k letters a, so a short word can have a normal form
-# too long to hold in memory: a^30 b a^-30 in B(1,3) has 3^30 letters b.
-BS_WORD_LETTER_CAP = 1_000_000
-
-
 @dataclass(frozen=True)
 class BaumslagSolitarOracle(WordOracle):
-    """B(1,n) = < a, b | a b a^-1 b^-n >, normal form a^-p b^m a^r.
+    """B(1,n) = < a, b | a b a^-1 b^-n >; the key (p, m, r) names a^-p b^m a^r.
 
-    Here p, r >= 0 and n does not divide m when both p and r are positive;
-    the key is (p, m, r).  A step by b^e adds e n^r to m, one by a^e moves r
+    Here p, r >= 0 and n does not divide m when both p and r are positive,
+    which makes the key unique.  A step by b^e adds e n^r to m, one by a^e moves r
     (b^m a^-1 = a^-1 b^(mn) at r = 0), and a^-1 b^(nm) a = b^m then cancels.
-    `word` raises LimitExceeded rather than build a normal form of more than
-    BS_WORD_LETTER_CAP letters; keys have no such limit.
     """
 
     alphabet: Alphabet
@@ -329,16 +277,6 @@ class BaumslagSolitarOracle(WordOracle):
         while p and r and m % n == 0:
             p, m, r = p - 1, m // n, r - 1
         return p, m, r
-
-    def word(self, key: tuple[int, int, int]) -> Word:
-        p, m, r = key
-        if p + abs(m) + r > BS_WORD_LETTER_CAP:
-            raise LimitExceeded(
-                f"the normal form a^-{p} b^m a^{r} in B(1,{self.n}) has more than "
-                f"{BS_WORD_LETTER_CAP:,} letters"
-            )
-        b = (1, 1 if m > 0 else -1)
-        return Word(self.alphabet, ((0, -1),) * p + (b,) * abs(m) + ((0, 1),) * r)
 
     def evaluate_affine(self, word: Word) -> tuple[int, Fraction]:
         """Faithful affine model (a: x -> n x, b: x -> x + 1) for cross-checks.

@@ -7,15 +7,13 @@ order and the outer shell included; it records the path that first reaches
 each vertex, which by induction on distance is the shortlex-least geodesic
 from the basepoint, and fills the neighbour table that edges, 2-cells, loop
 tracing and combings read.  A vertex's name is the basepoint followed by that
-path, so building a ball needs only the oracle's `identity`, `step` and
-`describe`, never a normal form.  An edge or 2-cell belongs to the ball
-exactly when all its boundary vertices do.  On top of the complex: loop
-generators for the fundamental group from the tree of those first paths
-(each of length <= 2r+1), breadth-first null-homotopy search with
-replayable witnesses, bounded connectivity-radius and isodiametric estimates,
-and geodesic combings with a mechanically checked tameness certificate.  All
-searches carry explicit caps: incompleteness is a visible value, never a
-silent timeout.
+path.  An edge or 2-cell belongs to the ball exactly when all its boundary
+vertices do.  On top of the complex: loop generators for the fundamental
+group from the tree of those first paths (each of length <= 2r+1),
+breadth-first null-homotopy search with replayable witnesses, bounded
+connectivity-radius and isodiametric estimates, and geodesic combings with a
+mechanically checked tameness certificate.  All searches carry explicit caps:
+incompleteness is a visible value, never a silent timeout.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .backends import WordOracle, keyed
+from .backends import WordOracle
 from .errors import (
     CombinatorialExplosion,
     Exhausted,
@@ -118,7 +116,7 @@ def _build(oracle: WordOracle, p: Presentation, r: int, basepoint: Word | None, 
     alphabet = p.alphabet
     if basepoint is None:
         basepoint = Word.identity(alphabet)
-    base, path, table = _explore(keyed(oracle), basepoint, r)
+    base, path, table = _explore(oracle, basepoint, r)
     keys = tuple(k for k, letters in path.items() if len(letters) == r or not sphere)
     index = {k: i for i, k in enumerate(keys)}
     if sphere:
@@ -165,7 +163,6 @@ def build_sphere(oracle: WordOracle, p: Presentation, r: int, basepoint: Word | 
 @dataclass(frozen=True)
 class LoopClassSet:
     ball: Ball
-    tree_paths: tuple[Word, ...]        # geodesic word from the basepoint per vertex
     generators: tuple[Word, ...]        # one loop per non-tree edge
 
     @property
@@ -195,9 +192,7 @@ def pi1_generators(ball: Ball) -> LoopClassSet:
         loop = Word._of(alphabet, paths[i] + ((li, 1),) + back)
         assert len(loop) <= 2 * ball.radius + 1, "generator exceeds the 2r+1 bound"
         generators.append(loop)
-    lcs = LoopClassSet(
-        ball, tuple(Word._of(alphabet, letters) for letters in paths), tuple(generators)
-    )
+    lcs = LoopClassSet(ball, tuple(generators))
     assert lcs.rank == len(ball.edges) - len(paths) + 1
     return lcs
 
@@ -574,9 +569,10 @@ def geodesic_0_combing(oracle: WordOracle, p: Presentation, r_max: int) -> Combi
 
     Each vertex of B(n) \\ B(n-1) extends a combing path of a distance-(n-1)
     neighbour by one edge, which is exactly the inductive construction that
-    makes the combing tame.  The BFS spanning tree realizes that induction.
+    makes the combing tame.  The BFS tree that names the vertices realizes
+    that induction: at the identity basepoint a vertex's name is its path.
     """
     ball = build_ball(oracle, p, max(r_max, 0))
-    combing = Combing(ball, pi1_generators(ball).tree_paths)
+    combing = Combing(ball, ball.vertices)
     assert combing.verify_tame(), "geodesic combing failed its tameness certificate"
     return combing

@@ -133,7 +133,10 @@ def cmd_ball(path, backend, radius, sphere, pi1, r_max, json_path):
     """Build a metric ball of a presentation and report its topology."""
     doc = _load_document(path)
     caps = {"step_cap": _step_cap()}
-    if r_max is not None and not sphere and r_max < radius:
+    if r_max is not None and sphere:
+        click.echo("--kill-radius needs a ball, not --sphere", err=True)
+        sys.exit(EXIT_PARSE)
+    if r_max is not None and r_max < radius:
         click.echo(f"--kill-radius {r_max} is below --radius {radius}", err=True)
         sys.exit(EXIT_PARSE)
     try:
@@ -160,7 +163,7 @@ def cmd_ball(path, backend, radius, sphere, pi1, r_max, json_path):
         rank = balls_mod.pi1_generators(ball).rank
         payload["pi1_rank"] = rank
         line += f" pi1={rank}"
-    if r_max is not None and not sphere:
+    if r_max is not None:
         try:
             kr = balls_mod.pi1_kill_radius(oracle, p, radius, r_max, step_cap=caps["step_cap"])
             payload["kill_radius"] = kr
@@ -221,7 +224,11 @@ def cmd_rewrite(path, word_text, confluence, witness_r, json_path):
             }
 
     if witness_r is not None:
-        p = doc.presentation()
+        try:
+            p = doc.presentation()
+        except ParseError as exc:
+            click.echo(f"parse error: {exc}", err=True)
+            sys.exit(EXIT_PARSE)
         try:
             result = rw.ball_null_homotopy_witness(rs, p, witness_r, step_limit=limit)
         except (CombinatorialExplosion, LimitExceeded) as exc:

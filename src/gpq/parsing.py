@@ -44,6 +44,8 @@ class Document:
     def presentation(self) -> Presentation:
         if self.alphabet is None:
             raise ParseError("document declares no generators")
+        if self.endomorphic:
+            raise ParseError("endomorphic document: Q and R are not a finite presentation")
         return Presentation(self.alphabet, tuple(self.relators), self.name)
 
     def endomorphic_presentation(self) -> EndomorphicPresentation:

@@ -12,6 +12,7 @@ import pytest
 from gpq.backends import (
     FiniteGroupTable,
     FreeGroupOracle,
+    WordOracle,
     bs_oracle,
     cyclic_group,
     dihedral_group,
@@ -196,22 +197,7 @@ def test_kill_radius_bounded_outcome_for_nonstandard_z_presentation():
     # or exhaustion) is recorded, not asserted: this presentation's universal
     # cover is the classic non-wgsc example, killing one b-loop creates another.
     p = Presentation.make("a, b", ["b a b a' b'"], "z_twisted")
-
-    class ZOracle:
-        alphabet = p.alphabet
-
-        def normal_form(self, word):
-            total = sum(e for i, e in word.letters if i == 0)  # b dies
-            letters = tuple(((0, 1 if total > 0 else -1),) * abs(total))
-            return Word(p.alphabet, letters)
-
-        def is_identity(self, word):
-            return self.normal_form(word).is_empty()
-
-        def describe(self):
-            return "Z with a = 1, b = 0"
-
-    oracle = ZOracle()
+    oracle = _TwistedZOracle(p.alphabet)
     try:
         result = pi1_kill_radius(oracle, p, 2, 3, step_cap=300)
         outcome = f"kill radius {result}"
@@ -255,7 +241,7 @@ def test_combing_paths_are_geodesics(z2_setup):
     combing = geodesic_0_combing(oracle, p, 3)
     for vi, v in enumerate(combing.ball.vertices):
         assert len(combing.paths[vi]) == combing.ball.distances[vi]
-        assert oracle.normal_form(combing.paths[vi]) == v
+        assert oracle.key(combing.paths[vi]) == combing.ball.keys[vi]
 
 
 def test_cross_check_witness_and_kill_radius(d8_setup):
@@ -300,7 +286,7 @@ def test_ball_around_shifted_basepoint(z2_setup):
 
 
 def _counting(oracle):
-    """A copy of `oracle` whose class counts its step and normal_form calls."""
+    """A copy of `oracle` whose class counts its step calls."""
     calls = Counter()
     base = type(oracle)
 
@@ -309,28 +295,7 @@ def _counting(oracle):
             calls["step"] += 1
             return base.step(self, key, direction)
 
-        def normal_form(self, word):
-            calls["normal_form"] += 1
-            return base.normal_form(self, word)
-
     return Counting(**{f.name: getattr(oracle, f.name) for f in fields(oracle)}), calls
-
-
-class _NormalFormOnly:
-    """A duck-typed oracle: alphabet, normal_form, is_identity, describe."""
-
-    def __init__(self, oracle):
-        self.alphabet = oracle.alphabet
-        self._oracle = oracle
-
-    def normal_form(self, word):
-        return self._oracle.normal_form(word)
-
-    def is_identity(self, word):
-        return self.normal_form(word).is_empty()
-
-    def describe(self):
-        return "normal forms only"
 
 
 @pytest.mark.parametrize("setup", ["z2_setup", "f2_setup", "d8_setup", "bs2_setup"])
@@ -349,24 +314,6 @@ def test_one_oracle_step_per_vertex_and_direction(setup, request):
             # the sphere explores the whole ball to find its shell and edges
             build_sphere(counting, p, r, base)
             assert calls.pop("step") == len(ball.vertices) * directions + folded
-            # even the relator check compares keys: no normal form is built
-            assert calls.pop("normal_form", 0) == 0
-
-
-@pytest.mark.parametrize("setup", ["z2_setup", "f2_setup", "d8_setup", "bs2_setup"])
-def test_duck_typed_oracle_builds_the_same_balls(setup, request):
-    # an oracle with normal forms only is keyed by its normal-form letters
-    p, oracle = request.getfixturevalue(setup)
-    duck = _NormalFormOnly(oracle)
-    for r in range(4):
-        for build in (build_ball, build_sphere):
-            native, adapted = build(oracle, p, r), build(duck, p, r)
-            assert (adapted.vertices, adapted.distances, adapted.edges, adapted.cells) == (
-                native.vertices,
-                native.distances,
-                native.edges,
-                native.cells,
-            )
 
 
 def test_reduce_recording_matches_leftmost_restart_reference():
@@ -415,18 +362,17 @@ def test_replay_rejects_moves_that_open_the_loop(z2_setup):
     assert good.replay()
 
 
-class _TwistedZOracle:
-    """Duck-typed oracle for Z = <a, b | b a b a' b'>: a counts, b = 1."""
+class _TwistedZOracle(WordOracle):
+    """Z = <a, b | b a b a' b'> on int keys: a counts, b = 1.  It defines
+    only the identity key, the step and the description."""
+
+    identity = 0
 
     def __init__(self, alphabet):
         self.alphabet = alphabet
 
-    def normal_form(self, word):
-        total = sum(e for i, e in word.letters if i == 0)
-        return Word(self.alphabet, ((0, 1 if total > 0 else -1),) * abs(total))
-
-    def is_identity(self, word):
-        return self.normal_form(word).is_empty()
+    def step(self, key, direction):
+        return key + direction[1] if direction[0] == 0 else key
 
     def describe(self):
         return "Z with a = 1, b = 0"
@@ -546,22 +492,10 @@ def _backend(name):
     return p, make(p.alphabet)
 
 
-def _without_word(oracle):
-    """A copy of `oracle` whose class has no normal-form words."""
-    base = type(oracle)
-
-    class NoWord(base):
-        def word(self, key):
-            raise AssertionError("a ball must not ask for a normal form")
-
-    return NoWord(**{f.name: getattr(oracle, f.name) for f in fields(oracle)})
-
-
 @pytest.mark.parametrize("name", list(_BACKENDS))
 def test_vertices_are_named_by_their_first_bfs_path(name):
     p, oracle = _backend(name)
     last = len(p.alphabet) - 1
-    no_word = _without_word(oracle)
     for base in ((), ((0, 1),), ((last, 1), (0, 1), (last, 1))):
         basepoint = Word(p.alphabet, base) if base else None
         for r in range(7):
@@ -571,10 +505,8 @@ def test_vertices_are_named_by_their_first_bfs_path(name):
                     assert v.letters[: len(base)] == base
                     assert len(v) - len(base) == d
                     assert oracle.key(v) == key
-                    if not base and not name.startswith("bs"):
-                        assert v == oracle.normal_form(v)
-                bare = build(no_word, p, r, basepoint)
-                assert (bare.vertices, bare.edges, bare.cells) == (ball.vertices, ball.edges, ball.cells)
+                    if not base and isinstance(oracle, FiniteGroupTable):
+                        assert v == oracle.element_names[key]
 
 
 @pytest.mark.parametrize("name", list(_BACKENDS))
@@ -585,14 +517,15 @@ def test_loop_generators_match_second_bfs_reference(name):
         basepoint = Word(p.alphabet, base) if base else None
         for r in range(5):
             ball = build_ball(oracle, p, r, basepoint)
-            lcs = pi1_generators(ball)
-            assert (lcs.tree_paths, lcs.generators) == pi1_generators_second_bfs(ball), (r, base)
-            assert [base + path.letters for path in lcs.tree_paths] == [v.letters for v in ball.vertices]
+            tree_paths, generators = pi1_generators_second_bfs(ball)
+            assert pi1_generators(ball).generators == generators, (r, base)
+            assert [base + path.letters for path in tree_paths] == [v.letters for v in ball.vertices]
 
 
 def test_tree_paths_name_the_vertices_for_an_order_two_letter_not_declared_involutive():
     # in Z/2 x Z/3 on non-involutive a, b the letter a has order 2: a and a'
-    # reach the same vertex, the name takes a, and so does the tree
+    # reach the same vertex, the name takes a, and so does the tree, which a
+    # second BFS over the edges would not: there it takes a'
     alphabet = Alphabet.make("a", "b")
     oracle = FiniteGroupTable.from_generators(
         alphabet, [(1, 0), (0, 1)], lambda x, y: ((x[0] + y[0]) % 2, (x[1] + y[1]) % 3), (0, 0)
@@ -603,9 +536,23 @@ def test_tree_paths_name_the_vertices_for_an_order_two_letter_not_declared_invol
         for r in range(5):
             ball = build_ball(oracle, p, r, basepoint)
             lcs = pi1_generators(ball)
-            assert [base + path.letters for path in lcs.tree_paths] == [v.letters for v in ball.vertices]
+            assert lcs.generators == _generators_off_the_name_tree(ball)
             assert lcs.rank == len(pi1_generators_second_bfs(ball)[1])
             assert all(oracle.is_identity(g) for g in lcs.generators)
+
+
+def _generators_off_the_name_tree(ball):
+    """tree-path(i) * a * tree-path(j)^-1 per edge (i, a, j), in edge order,
+    skipping each edge along which one vertex's name extends the other's; a
+    vertex's tree path is its name after the basepoint."""
+    alphabet = ball.presentation.alphabet
+    paths = [Word(alphabet, v.letters[len(ball.basepoint) :]) for v in ball.vertices]
+    loops = []
+    for i, li, j in ball.edges:
+        edge = Word(alphabet, ((li, 1),))
+        if paths[i] * edge != paths[j] and paths[j] * edge.inverse() != paths[i]:
+            loops.append(paths[i] * edge * paths[j].inverse())
+    return tuple(loops)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -618,11 +565,12 @@ def test_loop_generators_refuse_a_sphere(z2_setup, r):
 
 
 def test_bs13_names_stay_as_short_as_the_radius():
-    # the normal form of a vertex at distance <= 10 can have thousands of letters
+    # a vertex at distance <= 10 can be a^-p b^m a^r with |m| in the
+    # thousands: spelling it in that form would take |m| letters b
     p, oracle = _backend("bs13")
     ball = build_ball(oracle, p, 10)
     assert max(len(v) for v in ball.vertices) == 10
-    assert max(len(oracle.normal_form(v)) for v in ball.vertices) > 10_000
+    assert max(abs(m) for _, m, _ in ball.keys) > 10_000
 
 
 def _tame_reference(ds, radius):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import shlex
+import shutil
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,9 @@ D8_FILE = (
     "rule a a -> ;\nrule d d -> ;\nrule d a d a -> a d a d;\n"
 )
 EXPANDING_FILE = "gens a;\nrule a -> a a;\n"
+# an endomorphic document with a rule: its relators are Q and R, not rel
+ENDO_FILE = "endo gens a!, d!;\nQ;\nR a a, (a d)^4;\nphi s: a -> a d; d -> a;\nrule a a -> ;\n"
+REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture()
@@ -196,6 +201,53 @@ def test_kill_radius_below_radius_exit_code(runner, tmp_path):
     _assert_clean_exit(result, 2)
     assert result.stderr.strip() == "--kill-radius 1 is below --radius 2"
     assert result.stdout == ""
+
+
+def test_sphere_with_kill_radius_exit_code(runner, tmp_path):
+    # a sphere has no loop generators to kill
+    path = _write(tmp_path, "z2.gp", Z2_FILE)
+    result = runner.invoke(
+        main,
+        ["ball", path, "--backend", "abelian", "--radius", "2", "--sphere", "--kill-radius", "3"],
+    )
+    _assert_clean_exit(result, 2)
+    assert result.stderr.strip() == "--kill-radius needs a ball, not --sphere"
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["ball", "{path}", "--backend", "free", "--radius", "1"],
+        ["rewrite", "{path}", "--ball-witness", "1"],
+    ],
+)
+def test_endomorphic_document_has_no_presentation_exit_code(runner, tmp_path, command):
+    # its relators live in Q and R: a ball or witness without them is wrong
+    path = _write(tmp_path, "endo.gp", ENDO_FILE)
+    result = runner.invoke(main, [arg.format(path=path) for arg in command])
+    _assert_clean_exit(result, 2)
+    assert len(result.stderr.splitlines()) == 1
+    assert "endomorphic" in result.stderr
+    assert "V=" not in result.stdout and "certified" not in result.stdout
+
+
+def _readme_cli_examples():
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("gpq ")]
+
+
+def test_readme_lists_cli_examples():
+    assert len(_readme_cli_examples()) >= 6
+
+
+@pytest.mark.parametrize("args", _readme_cli_examples())
+def test_readme_cli_example_runs(runner, tmp_path, monkeypatch, args):
+    shutil.copytree(REPO / "samples", tmp_path / "samples")
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
 
 
 def test_negative_ball_witness_exit_code(runner, tmp_path):
