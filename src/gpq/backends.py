@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadOrder, Unsupported
+from .errors import BadOrder, OracleMismatch, Unsupported
 from .words import Alphabet, Word, directions, free_reduce
 
 
@@ -223,6 +223,12 @@ class FreeGroupOracle(WordOracle):
 @dataclass(frozen=True)
 class FreeAbelianOracle(WordOracle):
     alphabet: Alphabet
+
+    def __post_init__(self):
+        # Z^k has no element of order 2 for an involutive letter to name
+        for letter, involutive in zip(self.alphabet.letters, self.alphabet.involutive):
+            if involutive:
+                raise OracleMismatch(f"involutive letter '{letter}' in a free abelian group")
 
     @property
     def identity(self) -> tuple[int, ...]:

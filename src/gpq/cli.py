@@ -1,8 +1,10 @@
 """Command-line surface: balls, rewriting, and the Grigorchuk verification.
 
-Exit codes: 0 success, 1 verification failure, 2 parse error, 3 oracle
-mismatch, 4 resource limit.  All output is deterministic for fixed inputs;
-JSON reports echo every search cap (overridable via GPQ_STEP_CAP).
+Exit codes: 0 success, 1 verification failure, 2 parse error or bad argument,
+3 oracle mismatch, 4 resource limit.  Commands only raise: the `main` group
+ends every failed run, with the exit code and message prefix that `_FAILURES`
+gives the error.  All output is deterministic for fixed inputs; JSON reports
+echo every search cap (overridable via GPQ_STEP_CAP).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .errors import (
     BadOrder,
     CombinatorialExplosion,
     Exhausted,
+    GpqError,
     LimitExceeded,
     OracleMismatch,
     ParseError,
@@ -37,16 +40,43 @@ EXIT_ORACLE = 3
 EXIT_LIMIT = 4
 
 
+class Refused(GpqError):
+    """The command line itself is refused; its message is printed as it is."""
+
+
+# the errors that end a run, with their exit code and message prefix; any
+# other GpqError is a bug and keeps its traceback
+_FAILURES = (
+    (Refused, EXIT_PARSE, ""),
+    (ParseError, EXIT_PARSE, "parse error: "),
+    (rw.NotGeodesic, EXIT_PARSE, "bad argument: "),
+    ((OracleMismatch, BadOrder, Unsupported), EXIT_ORACLE, "oracle mismatch: "),
+    ((LimitExceeded, CombinatorialExplosion, Exhausted), EXIT_LIMIT, "resource limit: "),
+)
+
+
+class _Main(click.Group):
+    """The one place a failed run ends: exit code and message from `_FAILURES`."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except GpqError as exc:
+            for kinds, code, prefix in _FAILURES:
+                if isinstance(exc, kinds):
+                    click.echo(f"{prefix}{exc}", err=True)
+                    sys.exit(code)
+            raise
+
+
 def _step_cap(default: int = 20_000) -> int:
     text = os.environ.get("GPQ_STEP_CAP", str(default))
     try:
         cap = int(text)
     except ValueError:
-        click.echo(f"GPQ_STEP_CAP must be an integer, got {text!r}", err=True)
-        sys.exit(EXIT_PARSE)
+        raise Refused(f"GPQ_STEP_CAP must be an integer, got {text!r}") from None
     if cap < 1:
-        click.echo(f"GPQ_STEP_CAP must be at least 1, got {cap}", err=True)
-        sys.exit(EXIT_PARSE)
+        raise Refused(f"GPQ_STEP_CAP must be at least 1, got {cap}")
     return cap
 
 
@@ -57,11 +87,6 @@ def _int_arg(text: str, spec: str) -> int:
         raise ParseError(f"backend {spec!r} needs integer arguments, got {text!r}") from None
 
 
-def _cannot_write(json_path: str, exc: OSError):
-    click.echo(f"cannot write {json_path}: {exc}", err=True)
-    sys.exit(EXIT_PARSE)
-
-
 def _json_path(ctx, param, json_path: str | None):
     """Refuse a --json PATH that is a directory or has no parent directory,
     before any work.  Nothing is opened here: a run that fails later leaves
@@ -69,7 +94,8 @@ def _json_path(ctx, param, json_path: str | None):
     if json_path is not None:
         if os.path.isdir(json_path) or not os.path.isdir(os.path.dirname(json_path) or "."):
             code = errno.EISDIR if os.path.isdir(json_path) else errno.ENOENT
-            _cannot_write(json_path, OSError(code, os.strerror(code), json_path))
+            error = OSError(code, os.strerror(code), json_path)
+            raise Refused(f"cannot write {json_path}: {error}")
     return json_path
 
 
@@ -80,7 +106,7 @@ def _emit(report: dict, json_path: str | None):
             with open(json_path, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
-            _cannot_write(json_path, exc)
+            raise Refused(f"cannot write {json_path}: {exc}") from None
     return text
 
 
@@ -88,12 +114,10 @@ def _load_document(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_document(fh.read())
-    except OSError as exc:
-        click.echo(f"cannot read {path}: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise Refused(f"cannot read {path}: {exc}") from None
     except ParseError as exc:
-        click.echo(f"parse error in {path}: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
+        raise Refused(f"parse error in {path}: {exc}") from None
 
 
 def _make_oracle(spec: str, alphabet):
@@ -116,7 +140,7 @@ def _make_oracle(spec: str, alphabet):
     raise OracleMismatch(f"unknown backend {spec!r}")
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Cayley-ball topology, rewriting certificates, and presentation induction."""
 
@@ -134,22 +158,13 @@ def cmd_ball(path, backend, radius, sphere, pi1, r_max, json_path):
     doc = _load_document(path)
     caps = {"step_cap": _step_cap()}
     if r_max is not None and sphere:
-        click.echo("--kill-radius needs a ball, not --sphere", err=True)
-        sys.exit(EXIT_PARSE)
+        raise Refused("--kill-radius needs a ball, not --sphere")
     if r_max is not None and r_max < radius:
-        click.echo(f"--kill-radius {r_max} is below --radius {radius}", err=True)
-        sys.exit(EXIT_PARSE)
-    try:
-        p = doc.presentation()
-        oracle = _make_oracle(backend, p.alphabet)
-        build = balls_mod.build_sphere if sphere else balls_mod.build_ball
-        ball = build(oracle, p, radius)
-    except (OracleMismatch, BadOrder, Unsupported) as exc:
-        click.echo(f"oracle mismatch: {exc}", err=True)
-        sys.exit(EXIT_ORACLE)
-    except ParseError as exc:
-        click.echo(f"parse error: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
+        raise Refused(f"--kill-radius {r_max} is below --radius {radius}")
+    p = doc.presentation()
+    oracle = _make_oracle(backend, p.alphabet)
+    build = balls_mod.build_sphere if sphere else balls_mod.build_ball
+    ball = build(oracle, p, radius)
 
     payload = {
         "radius": radius,
@@ -168,10 +183,9 @@ def cmd_ball(path, backend, radius, sphere, pi1, r_max, json_path):
             kr = balls_mod.pi1_kill_radius(oracle, p, radius, r_max, step_cap=caps["step_cap"])
             payload["kill_radius"] = kr
             line += f" kill_radius={kr}"
-        except Exhausted as exc:
+        except Exhausted:
             click.echo(line)
-            click.echo(f"kill radius exhausted: {exc}", err=True)
-            sys.exit(EXIT_LIMIT)
+            raise
     click.echo(line)
     report = {"command": "ball", "backend": backend, "caps": caps, "payload": payload}
     if json_path:
@@ -188,8 +202,7 @@ def cmd_rewrite(path, word_text, confluence, witness_r, json_path):
     """Reduce words, certify confluence, or build ball null-homotopy witnesses."""
     doc = _load_document(path)
     if not doc.rules:
-        click.echo("document declares no rewriting rules", err=True)
-        sys.exit(EXIT_PARSE)
+        raise Refused("document declares no rewriting rules")
     rs = rw.RewritingSystem(doc.alphabet, tuple(doc.rules))
     limit = _step_cap(10_000)
     caps = {"step_limit": limit}
@@ -199,13 +212,8 @@ def cmd_rewrite(path, word_text, confluence, witness_r, json_path):
         try:
             word = Word.from_str(doc.alphabet, word_text)
         except (ParseError, KeyError) as exc:
-            click.echo(f"bad word: {exc}", err=True)
-            sys.exit(EXIT_PARSE)
-        try:
-            nf, trace = rw.reduce(rs, word, step_limit=limit)
-        except LimitExceeded as exc:
-            click.echo(f"step limit exceeded: {exc}", err=True)
-            sys.exit(EXIT_LIMIT)
+            raise Refused(f"bad word: {exc}") from None
+        nf, trace = rw.reduce(rs, word, step_limit=limit)
         click.echo(f"{word} -> {nf or 'e'} ({len(trace.steps)} steps)")
         payload["word"] = str(word)
         payload["normal_form"] = str(nf)
@@ -224,16 +232,8 @@ def cmd_rewrite(path, word_text, confluence, witness_r, json_path):
             }
 
     if witness_r is not None:
-        try:
-            p = doc.presentation()
-        except ParseError as exc:
-            click.echo(f"parse error: {exc}", err=True)
-            sys.exit(EXIT_PARSE)
-        try:
-            result = rw.ball_null_homotopy_witness(rs, p, witness_r, step_limit=limit)
-        except (CombinatorialExplosion, LimitExceeded) as exc:
-            click.echo(f"resource limit: {exc}", err=True)
-            sys.exit(EXIT_LIMIT)
+        p = doc.presentation()
+        result = rw.ball_null_homotopy_witness(rs, p, witness_r, step_limit=limit)
         if isinstance(result, rw.WitnessFailure):
             click.echo(f"FAILURE at word '{result.word}': {result.reason}")
             payload["witness"] = {"ok": False, "word": str(result.word)}
@@ -264,11 +264,7 @@ def cmd_grigorchuk():
 def grigorchuk_verify(max_n, json_path):
     """Verify every induced-relator identity for n = 1..max_n."""
     data = make_grigorchuk_data()
-    try:
-        reports, summary = run_full_verification(data, max_n)
-    except LimitExceeded as exc:
-        click.echo(f"resource limit: {exc}", err=True)
-        sys.exit(EXIT_LIMIT)
+    reports, summary = run_full_verification(data, max_n)
     for rep in reports:
         status = f"ok[{rep.level}]" if rep.equal else "MISMATCH"
         click.echo(f"{rep.case_id():32} {status}")
@@ -328,12 +324,7 @@ def grigorchuk_show(variant, family, n, hnn):
         )
         click.echo(str(hnn_presentation(ep)))
         return
-    try:
-        word = data.relator_family(variant, family, n)
-    except LimitExceeded as exc:
-        click.echo(f"resource limit: {exc}", err=True)
-        sys.exit(EXIT_LIMIT)
-    click.echo(_factored(word))
+    click.echo(_factored(data.relator_family(variant, family, n)))
 
 
 if __name__ == "__main__":

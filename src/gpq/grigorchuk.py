@@ -103,7 +103,6 @@ class GrigorchukData:
     b_extension: SplitExtensionData
     a_extension: SplitExtensionData
     phi0_table: tuple[int, ...]  # D8 element -> D16 element
-    phi1_table: tuple[int, ...]
     # phi0_word(x) for every x; the letters of the b -> cd images; the _Chunks
     # of each factor, built on first use; the last (n, w_n) of each family
     # (_family_word); the memo of _family_parts
@@ -219,9 +218,6 @@ class GrigorchukData:
     def phi0_word(self, x: int) -> Word:
         """Canonical <a,c>-word of the image of the D8 element x."""
         return self._phi0_words[x]
-
-    def phi1_word(self, x: int) -> Word:
-        return rename_word(self.d16.element_names[self.phi1_table[x]], self.acd)
 
     def phi0_hat(self, word: Word) -> Word:
         """Letterwise a -> aca, b -> d, d -> c on a,b,d-words, reduced.
@@ -428,8 +424,6 @@ def make_grigorchuk_data() -> GrigorchukData:
         a_ext._image_of(apply_substitution(sigma_acd, rename_word(nm, acd)))
         for nm in d8.element_names
     ]
-    a_elem = d16.generator_map[0]
-    phi1 = [d16.multiply_indices(a_elem, g, a_elem) for g in phi0]
     return GrigorchukData(
         abcd=abcd,
         acd=acd,
@@ -444,7 +438,6 @@ def make_grigorchuk_data() -> GrigorchukData:
         b_extension=b_ext,
         a_extension=a_ext,
         phi0_table=tuple(phi0),
-        phi1_table=tuple(phi1),
     )
 
 

@@ -108,11 +108,11 @@ def _split_on_commas(toks: list[_Tok]) -> list[list[_Tok]]:
     return groups
 
 
-def _parse_genlist(toks: list[_Tok]) -> Alphabet:
+def _parse_genlist(head: _Tok, toks: list[_Tok]) -> Alphabet:
     letters, invol = [], []
     for group in _split_on_commas(toks):
         if not group:
-            raise ParseError("empty generator entry", toks[0].line, toks[0].col)
+            raise ParseError("empty generator entry", head.line, head.col)
         name = group[0].text
         if not (name[0].isalpha() or name[0] == "_"):
             raise ParseError(f"bad generator name {name!r}", group[0].line, group[0].col)
@@ -123,7 +123,10 @@ def _parse_genlist(toks: list[_Tok]) -> Alphabet:
             raise ParseError("malformed generator entry", group[1].line, group[1].col)
         letters.append(name)
         invol.append(flag)
-    return Alphabet(tuple(letters), tuple(invol))
+    try:
+        return Alphabet(tuple(letters), tuple(invol))
+    except ValueError as exc:
+        raise ParseError(str(exc), head.line, head.col) from None
 
 
 def parse_document(text: str) -> Document:
@@ -141,8 +144,19 @@ def parse_document(text: str) -> Document:
                 f"substitution {name!r} missing images for {missing}", tok.line, tok.col
             )
         images = tuple(rules[l] for l in doc.alphabet.letters)
-        doc.substitutions[name] = Substitution(doc.alphabet, images, name)
+        try:
+            doc.substitutions[name] = Substitution(doc.alphabet, images, name)
+        except ValueError as exc:
+            raise ParseError(str(exc), tok.line, tok.col) from None
         open_sub = None
+
+    def add_image(tok: _Tok, word_toks: list[_Tok]):
+        letter = tok.text
+        if doc.alphabet is None or letter not in doc.alphabet.letters:
+            raise ParseError(f"unknown letter {letter!r}", tok.line, tok.col)
+        if letter in open_sub[1]:
+            raise ParseError(f"second image of {letter!r} in {open_sub[0]!r}", tok.line, tok.col)
+        open_sub[1][letter] = _parse_word(doc.alphabet, word_toks)
 
     for stmt in _split_statements(_tokenize(text)):
         if not stmt:
@@ -152,10 +166,7 @@ def parse_document(text: str) -> Document:
 
         # continuation of an open substitution:  letter -> word
         if open_sub is not None and len(stmt) >= 2 and stmt[1].text == "->":
-            letter = head.text
-            if letter not in doc.alphabet.letters:
-                raise ParseError(f"unknown letter {letter!r}", head.line, head.col)
-            open_sub[1][letter] = _parse_word(doc.alphabet, stmt[2:])
+            add_image(head, stmt[2:])
             continue
         close_sub()
 
@@ -166,14 +177,14 @@ def parse_document(text: str) -> Document:
         elif head.text == "gens":
             if doc.alphabet is not None:
                 raise ParseError("duplicate gens declaration", head.line, head.col)
-            doc.alphabet = _parse_genlist(rest)
+            doc.alphabet = _parse_genlist(head, rest)
         elif head.text == "endo":
             if not rest or rest[0].text != "gens":
                 raise ParseError("expected 'endo gens ...'", head.line, head.col)
             if doc.alphabet is not None:
                 raise ParseError("duplicate gens declaration", head.line, head.col)
             doc.endomorphic = True
-            doc.alphabet = _parse_genlist(rest[1:])
+            doc.alphabet = _parse_genlist(head, rest[1:])
         elif head.text == "rel":
             doc.relators.append(_parse_word(doc.alphabet, rest))
         elif head.text == "Q" or head.text == "R":
@@ -187,14 +198,13 @@ def parse_document(text: str) -> Document:
             if len(rest) < 2 or rest[1].text != ":":
                 raise ParseError(f"expected '{head.text} name: ...'", head.line, head.col)
             sub_name = rest[0].text
+            if sub_name in doc.substitutions:
+                raise ParseError(f"duplicate substitution {sub_name!r}", head.line, head.col)
             open_sub = [sub_name, {}, head]
             body = rest[2:]
             if len(body) < 2 or body[1].text != "->":
                 raise ParseError("expected 'letter -> word'", head.line, head.col)
-            letter = body[0].text
-            if doc.alphabet is None or letter not in doc.alphabet.letters:
-                raise ParseError(f"unknown letter {letter!r}", body[0].line, body[0].col)
-            open_sub[1][letter] = _parse_word(doc.alphabet, body[2:])
+            add_image(body[0], body[2:])
         elif head.text == "rule":
             arrow = next((k for k, t in enumerate(rest) if t.text == "->"), None)
             if arrow is None:

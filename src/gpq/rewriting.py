@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import CombinatorialExplosion, GpqError, LimitExceeded
+from .errors import CombinatorialExplosion, GpqError, LimitExceeded, OracleMismatch
 from .presentations import Presentation
 from .words import Alphabet, Word, free_reduce, rotations_and_inverses, words_up_to_length
 
@@ -270,7 +270,7 @@ def ball_null_homotopy_witness(
         raise NotGeodesic("witness construction requires a geodesic system")
     for rule in rs.rules:
         if not _rule_matches_presentation(rs, p, rule):
-            raise ValueError(
+            raise OracleMismatch(
                 f"rule '{rule[0]} -> {rule[1]}' has no associated relator in {p}"
             )
     bound = 2 * r + 1

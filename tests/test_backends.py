@@ -18,8 +18,8 @@ from gpq.backends import (
     free_oracle,
     klein_group,
 )
-from gpq.errors import BadOrder, Unsupported
-from gpq.words import Word, free_reduce, words_up_to_length
+from gpq.errors import BadOrder, OracleMismatch, Unsupported
+from gpq.words import Alphabet, Word, free_reduce, words_up_to_length
 
 
 def W(oracle, text):
@@ -101,6 +101,14 @@ def test_free_oracles():
     assert z2.key(W(z2, "b a b'")) == (1, 0)
     assert z2.is_identity(W(z2, "a b a' b'"))
     assert not f2.is_identity(W(f2, "a b a' b'"))
+
+
+def test_free_abelian_oracle_refuses_involutive_letters():
+    # a! = a' would close b a b a into a loop, which is not trivial in Z^2
+    involutions = Alphabet.make("a", "b!")
+    with pytest.raises(OracleMismatch, match="involutive letter 'b'"):
+        free_abelian_oracle(2, involutions)
+    assert free_oracle(2, involutions).is_identity(Word.from_str(involutions, "a b b a'"))
 
 
 def test_bs_oracle_examples():

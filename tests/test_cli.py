@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import shlex
 import shutil
 from pathlib import Path
@@ -380,3 +381,81 @@ def test_family_words_up_to_n_11_are_within_the_letter_cap(runner, grig, variant
     )
     assert result.exit_code == 0
     assert result.output.strip() == _factored(grig.relator_family(variant, family, 11))
+
+
+BALL = ["ball", "{path}", "--backend", "free", "--radius", "1"]
+WITNESS = ["rewrite", "{path}", "--ball-witness", "1"]
+
+
+@pytest.mark.parametrize(
+    "text, command, code, start",
+    [
+        (b"gens ;\n", BALL, 2, "parse error in "),
+        (b"gens a, a;\n", BALL, 2, "parse error in "),
+        (b"gens a;\nsub s: a -> ;\n", BALL, 2, "parse error in "),
+        (b"gens a;\nsub s: a -> a';\n", BALL, 2, "parse error in "),
+        (b"endo gens a;\nQ;\nR;\nphi s: a -> a';\n", BALL, 2, "parse error in "),
+        (b"gens a\xff;\n", BALL, 2, "cannot read "),
+        # a rule that lengthens words; a rule with no relator of its own
+        (b"gens a;\nrel a a a;\nrule a -> a a a a;\n", WITNESS, 2, "bad argument: "),
+        (b"gens a!, d!;\nrel a a;\nrule a a -> ;\nrule d d -> ;\n", WITNESS, 3, "oracle mismatch: "),
+    ],
+)
+def test_malformed_input_exit_code(runner, tmp_path, text, command, code, start):
+    path = tmp_path / "doc.gp"
+    path.write_bytes(text)
+    result = runner.invoke(main, [arg.format(path=path) for arg in command])
+    _assert_clean_exit(result, code)
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith(start)
+
+
+# a document is a head and up to three body statements, each malformed one time in five
+HEADS = ([b"gens a, b;", b"gens a!, b!;", b"endo gens a!, b!;", b"gens a, b, c;"],
+         [b"gens ;", b"gens a, a;", b"gens a b;", b"rel a a;"])
+BODIES = (
+    [b"rel a b a' b';", b"rel a b a' b' b';", b"rel a a;", b"rel b b;", b"rel (a b)^4;",
+     b"rule a a -> ;", b"rule b b -> ;", b"rule b a b a -> a b a b;", b"rule b a -> a b;",
+     b"rule a -> a a;", b"rel a b a' b'; rule a b -> b a; rule b a -> a b;", b"Q;",
+     b"R a a, (a b)^4;", b"sub s: a -> a b; b -> a;", b"phi s: a -> a b; b -> a;",
+     b"name n;"],
+    [b"rel (a;", b"rule -> a;", b"rel a q;", b"bogus;", b"rel a", b"a -> b;",
+     b"sub s: a -> ;", b"sub s: a -> a';", b"phi s: a -> a';", b"# \xff",
+     b"sub s: a -> a; a -> b;", b"rule a -> a a a a;"],
+)
+COMMANDS = [
+    ["ball", "{path}", "--backend", backend, "--radius", "2", *kill]
+    for backend in ("free", "abelian", "dihedral:8", "bs:1,2")
+    for kill in ([], ["--kill-radius", "3"])
+] + [
+    ["rewrite", "{path}", "--word", "a a"],
+    ["rewrite", "{path}", "--confluence"],
+    ["rewrite", "{path}", "--ball-witness", "1"],
+]
+
+
+def _random_document(rng) -> bytes:
+    def pick(fragments):
+        valid, malformed = fragments
+        return rng.choice(malformed if rng.random() < 0.2 else valid)
+
+    return b"\n".join([pick(HEADS)] + [pick(BODIES) for _ in range(rng.randint(0, 3))]) + b"\n"
+
+
+def test_every_run_ends_in_a_documented_exit_code(runner, tmp_path, monkeypatch):
+    # malformed documents among them; each run exits 0-4 through sys.exit
+    monkeypatch.setenv("GPQ_STEP_CAP", "200")
+    rng = random.Random(0)
+    path = tmp_path / "doc.gp"
+    codes = set()
+    for i in range(297):
+        path.write_bytes(_random_document(rng))
+        command = COMMANDS[i % len(COMMANDS)]
+        result = runner.invoke(main, [arg.format(path=path) for arg in command])
+        case = (path.read_bytes(), command, result.output)
+        assert result.exit_code in range(5), case
+        assert result.exception is None or isinstance(result.exception, SystemExit), case
+        if result.exit_code >= 2:
+            assert len(result.stderr.splitlines()) == 1, case
+        codes.add(result.exit_code)
+    assert codes == {0, 1, 2, 3, 4}

@@ -94,18 +94,6 @@ def test_phi0_is_an_isomorphism_onto_its_image(grig):
     assert set(phi) == image
 
 
-def test_phi1_is_a_conjugate_of_phi0(grig):
-    a = grig.d16.generator_map[0]
-    for x in range(8):
-        assert grig.phi1_table[x] == grig.d16.multiply_indices(a, grig.phi0_table[x], a)
-        conjugated = free_reduce(
-            W(grig.acd, "a") * grig.phi0_word(x) * W(grig.acd, "a")
-        )
-        assert grig.a_extension._image_of(conjugated) == grig.a_extension._image_of(
-            grig.phi1_word(x)
-        )
-
-
 def test_phi0_words_are_substituted_canonical_names(grig):
     sub = {"a": W(grig.acd, "a c a"), "d": W(grig.acd, "c")}
     for x in range(8):

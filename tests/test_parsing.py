@@ -47,6 +47,28 @@ def test_missing_semicolon_rejected():
         parse_document("gens a")
 
 
+@pytest.mark.parametrize(
+    "text, line, column, reason",
+    [
+        ("gens ;", 1, 1, "empty generator entry"),
+        ("name n;\nendo gens ;", 2, 1, "empty generator entry"),
+        ("gens a, b, a;", 1, 1, "duplicate letter names"),
+        ("gens a;\nsub s: a -> ;", 2, 1, "images must be nonempty"),
+        ("gens a;\nsub s: a -> a';", 2, 1, "images must be positive"),
+        ("endo gens a;\nQ;\nR;\nphi s: a -> a';", 4, 1, "images must be positive"),
+        # a second image or a second substitution of one name would overwrite the first
+        ("gens a, b;\nsub s: a -> a; a -> b; b -> b;", 2, 16, "second image of 'a'"),
+        ("gens a, b;\nsub s: a -> b; b -> a;\nsub s: a -> a; b -> b;", 3, 1, "duplicate substitution"),
+    ],
+)
+def test_malformed_generators_or_substitution_is_a_parse_error_at_its_statement(
+    text, line, column, reason
+):
+    with pytest.raises(ParseError, match=reason) as err:
+        parse_document(text)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
 def test_round_trip_presentation():
     text = "name t;\ngens a!, b;\nrel a a;\nrel b a b' a;\nsub s: a -> a b a; b -> a;\nrule a a -> ;\n"
     doc = parse_document(text)

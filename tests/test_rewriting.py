@@ -7,7 +7,7 @@ import random
 import pytest
 
 from gpq.backends import dihedral_group, free_abelian_oracle
-from gpq.errors import LimitExceeded
+from gpq.errors import LimitExceeded, OracleMismatch
 from gpq.presentations import Presentation
 from gpq.rewriting import (
     Certified,
@@ -188,7 +188,7 @@ def test_ball_witness_requires_geodesic():
 def test_ball_witness_requires_matching_relators():
     rs = dihedral_rewriting_system(8, ("a", "d"))
     p = Presentation.make("a!, d!", ["a a", "d d"], "v4")  # missing (ad)^4
-    with pytest.raises(ValueError):
+    with pytest.raises(OracleMismatch, match="'d a d a -> a d a d' has no associated relator"):
         ball_null_homotopy_witness(rs, p, 1)
 
 
