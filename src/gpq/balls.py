@@ -66,6 +66,11 @@ class Ball:
     def _index(self) -> dict:
         return {k: i for i, k in enumerate(self.keys)}
 
+    @cached_property
+    def _walks(self) -> dict:
+        """Inserted letters -> {start vertex key: end vertex key, or None if they leave}."""
+        return {}
+
     def summary(self) -> str:
         kind = "S" if self.is_sphere else "B"
         return (
@@ -263,11 +268,13 @@ def _reduce_recording(word: Word):
 
 
 def _relator_rewrites(oracle: WordOracle, p: Presentation):
-    """(remove, insert, free-reduced insert) patterns from every
-    rotation/inversion and split of every relator: an occurrence of u may
-    become v^-1 whenever uv is a relator.  Raises OracleMismatch unless every
-    relator of `p` is trivial under the oracle."""
+    """(remove, insert, coded remove, coded free-reduced insert) patterns from
+    every rotation/inversion and split of every relator: an occurrence of u
+    may become v^-1 whenever uv is a relator.  Coded, each signed letter is
+    chr of its index in `words.directions`.  Raises OracleMismatch unless
+    every relator of `p` is trivial under the oracle."""
     _check_oracle(oracle, p)
+    code = {d: chr(k) for k, d in enumerate(directions(p.alphabet))}
     rewrites = []
     seen = set()
     for rel in [r for r in p.relators if not free_reduce(r).is_empty()]:
@@ -279,14 +286,15 @@ def _relator_rewrites(oracle: WordOracle, p: Presentation):
                 ins = backwards[: n - cut]  # the inverse of variant[cut:]
                 if (u, ins) not in seen:
                     seen.add((u, ins))
-                    rewrites.append((u, ins, free_reduce(Word(p.alphabet, ins)).letters))
+                    red = free_reduce(Word._of(p.alphabet, ins)).letters
+                    rewrites.append((u, ins, "".join(map(code.get, u)), "".join(map(code.get, red))))
     return rewrites
 
 
-def _splice_reduced(state: tuple, pos: int, end: int, red: tuple, inverse: dict) -> tuple:
-    """free_reduce(state[:pos] + red + state[end:]) for reduced `state` and
-    `red`: only the two seams cancel, the prefix tail against red, then what
-    is left against the suffix."""
+def _splice_reduced(state: str, pos: int, end: int, red: str, inverse: dict) -> str:
+    """free_reduce(state[:pos] + red + state[end:]) for coded reduced `state`
+    and `red`: only the two seams cancel, the prefix tail against red, then
+    what is left against the suffix."""
     i, j = pos, 0
     while i and j < len(red) and inverse[state[i - 1]] == red[j]:
         i -= 1
@@ -315,10 +323,14 @@ def null_homotopy_search(
 
     On entry every relator of `p` must be trivial under the oracle, or
     OracleMismatch is raised: a cell the group does not have would certify
-    loops that do not die.  Each state's successors are tried rewrite by
-    rewrite in `_relator_rewrites` order, and for one rewrite at ascending
-    positions; that order fixes which parent first reaches a state, hence
-    the witness and `states_explored`.
+    loops that do not die.  A state is a str, one character per signed
+    letter (chr of its index in `words.directions`).  Each state's successors
+    are tried rewrite by rewrite in `_relator_rewrites` order, and for one
+    rewrite at ascending positions; that order fixes which parent first
+    reaches a state, hence the witness and `states_explored`.  A candidate
+    passes the walk of the inserted letters inside the region (memoised on
+    the region), then the seam-cost splice, then the `seen` test: pure
+    filters, whose order changes no answer.
     """
     rewrites = _relator_rewrites(oracle, p)
     return _search(oracle, p, loop, region, step_cap, rewrites)
@@ -338,11 +350,15 @@ def _search(
     if start.is_empty():
         return Witness(loop, tuple(norm_moves), region, 0)
 
+    dirs = directions(p.alphabet)
+    code = {d: chr(k) for k, d in enumerate(dirs)}
     invol = p.alphabet.involutive
-    inverse = {(i, e): (i, e if invol[i] else -e) for i, e in directions(p.alphabet)}
+    inverse = {code[(i, e)]: code[(i, e if invol[i] else -e)] for i, e in dirs}
+    walks = [region._walks.setdefault(ins, {}) for _, ins, _, _ in rewrites]
     table = region.neighbours
-    seen = {start.letters: (None, None)}  # state -> (previous state, move)
-    queue = deque([start.letters])
+    first = "".join(map(code.get, start.letters))
+    seen = {first: None}  # state -> (previous state, position, rewrite index)
+    queue = deque([first])
     explored = 0
     while queue:
         if explored >= step_cap:
@@ -351,61 +367,52 @@ def _search(
             )
         state = queue.popleft()
         explored += 1
-        n = len(state)
-        # at[i]: the vertex after the first i letters; where: each letter's positions
+        # at[i]: the vertex after the first i letters
         at = [region.base_key]
-        where = {}
-        for i, direction in enumerate(state):
-            at.append(table[(at[-1], direction)])
-            where.setdefault(direction, []).append(i)
-        for u, ins, red in rewrites:
-            lu = len(u)
-            for pos in where.get(u[0], ()) if u else range(n + 1):
-                if state[pos : pos + lu] != u:
-                    continue
-                key = _splice_reduced(state, pos, pos + lu, red, inverse)
-                if key in seen:
-                    continue
+        for c in state:
+            at.append(table[(at[-1], dirs[ord(c)])])
+        for k, (_, ins, u, red) in enumerate(rewrites):
+            lu, ends = len(u), walks[k]
+            pos = state.find(u)  # every position, 0 to len(state), for an empty u
+            while pos >= 0:
                 # the unreduced intermediate must stay inside too: the slide
                 # across the cell happens before the spurs cancel.  Prefix and
                 # suffix are paths of the inside state; ins runs from at[pos]
                 # and, u ins^-1 being trivial, closes at at[pos + lu].
                 vertex = at[pos]
-                for direction in ins:
-                    vertex = table.get((vertex, direction))
-                    if vertex is None:
-                        break
-                if vertex != at[pos + lu]:
-                    continue
-                move = HomotopyMove(pos, u, ins, "relator")
-                seen[key] = (state, move)
-                if not key:
-                    return _assemble_witness(
-                        loop, norm_moves, seen, key, region, explored
-                    )
-                queue.append(key)
+                if vertex not in ends:
+                    end = vertex
+                    for direction in ins:  # None once it leaves: no row has key None
+                        end = table.get((end, direction))
+                    ends[vertex] = end
+                if ends[vertex] == at[pos + lu]:
+                    key = _splice_reduced(state, pos, pos + lu, red, inverse)
+                    if key not in seen:
+                        seen[key] = (state, pos, k)
+                        if not key:
+                            return _assemble_witness(loop, norm_moves, seen, rewrites, dirs, region, explored)
+                        queue.append(key)
+                pos = state.find(u, pos + 1)
     raise Exhausted(
         f"state space exhausted after {explored} states without a null-homotopy",
         states_explored=explored,
     )
 
 
-def _assemble_witness(loop, norm_moves, seen, final_key, region, explored) -> Witness:
-    # walk parents back to the start state, re-recording reductions as free moves
+def _assemble_witness(loop, norm_moves, seen, rewrites, dirs, region, explored) -> Witness:
+    # walk parents back from the empty state, re-recording reductions as free moves
     chain = []
-    key = final_key
-    while True:
-        prev, move = seen[key]
-        if prev is None:
-            break
-        chain.append((prev, move))
-        key = prev
+    key = ""
+    while seen[key] is not None:
+        chain.append(seen[key])
+        key = seen[key][0]
+    alphabet = region.presentation.alphabet
     moves = list(norm_moves)
-    for prev, move in reversed(chain):
-        moves.append(move)
-        raw = Word._of(region.presentation.alphabet, prev)
-        _, reds = _reduce_recording(raw.splice(move.position, len(move.removed), move.inserted))
-        moves.extend(reds)
+    for prev, pos, k in reversed(chain):
+        u, ins, _, _ = rewrites[k]
+        moves.append(HomotopyMove(pos, u, ins, "relator"))
+        raw = tuple(dirs[ord(c)] for c in prev)
+        moves.extend(_reduce_recording(Word._of(alphabet, raw[:pos] + ins + raw[pos + len(u) :]))[1])
     witness = Witness(loop, tuple(moves), region, explored)
     assert witness.replay(), "constructed witness failed to replay"
     return witness

@@ -212,7 +212,7 @@ def cmd_rewrite(path, word_text, confluence, witness_r, json_path):
         try:
             word = Word.from_str(doc.alphabet, word_text)
         except (ParseError, KeyError) as exc:
-            raise Refused(f"bad word: {exc}") from None
+            raise Refused(f"bad word: {exc.args[0]}") from None
         nf, trace = rw.reduce(rs, word, step_limit=limit)
         click.echo(f"{word} -> {nf or 'e'} ({len(trace.steps)} steps)")
         payload["word"] = str(word)

@@ -88,7 +88,7 @@ def _parse_word(alphabet: Alphabet, toks: list[_Tok]) -> Word:
     except (ParseError, KeyError) as exc:
         line = toks[0].line if toks else None
         col = toks[0].col if toks else None
-        raise ParseError(str(exc), line, col) from None
+        raise ParseError(exc.args[0], line, col) from None
     return Word(alphabet, letters)
 
 

@@ -38,9 +38,12 @@ class RewritingSystem:
         return RewritingSystem(alphabet, built)
 
     @cached_property
-    def _lhs_letters(self) -> tuple[tuple[int, tuple, int], ...]:
-        """(rule index, lhs letters, lhs length) per rule, for matching."""
-        return tuple((ri, lhs.letters, len(lhs)) for ri, (lhs, _) in enumerate(self.rules))
+    def _rules_by_first(self) -> dict:
+        """First letter -> (rule index, lhs letters, lhs length) per lhs it starts, by rule index."""
+        by_first = {}
+        for ri, (lhs, _) in enumerate(self.rules):
+            by_first.setdefault(lhs.letters[0], []).append((ri, lhs.letters, len(lhs)))
+        return by_first
 
 
 @dataclass(frozen=True)
@@ -87,9 +90,9 @@ class ReductionTrace:
 
 def _find_leftmost(rs: RewritingSystem, letters, start: int = 0) -> tuple[int, int] | None:
     """Leftmost match position at or after `start`; ties broken by lowest rule index."""
-    lhss = rs._lhs_letters
+    by_first = rs._rules_by_first
     for pos in range(start, len(letters)):
-        for ri, lhs, L in lhss:
+        for ri, lhs, L in by_first.get(letters[pos], ()):
             # a window cut short by the end of the word is shorter than lhs
             if letters[pos : pos + L] == lhs:
                 return pos, ri
@@ -109,7 +112,7 @@ def reduce(rs: RewritingSystem, word: Word, step_limit: int = 10_000) -> tuple[W
         raise ValueError("word over a different alphabet")
     # a step at pos changes no letter before pos, and no window starting
     # before pos matched: only windows that reach pos can match now
-    reach = max((L for _, _, L in rs._lhs_letters), default=1) - 1
+    reach = max((len(lhs) for lhs, _ in rs.rules), default=1) - 1
     steps = []
     current = word
     start = 0
@@ -125,7 +128,7 @@ def reduce(rs: RewritingSystem, word: Word, step_limit: int = 10_000) -> tuple[W
             )
         pos, ri = hit
         lhs, rhs = rs.rules[ri]
-        after = current.splice(pos, len(lhs), rhs.letters)
+        after = Word._of(rs.alphabet, current.letters[:pos] + rhs.letters + current.letters[pos + len(lhs) :])
         steps.append(ReductionStep(current, ri, pos, after))
         current = after
         start = max(0, pos - reach)

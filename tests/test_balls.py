@@ -28,6 +28,7 @@ from gpq.balls import (
     _loop_inside,
     _never_decreasing,
     _reduce_recording,
+    _relator_rewrites,
     build_ball,
     build_sphere,
     check_pi1_bounded_balls,
@@ -469,6 +470,79 @@ def test_search_with_short_loop_cells_matches_whole_word_reference(z2_setup, bs2
                     assert got == want, (p.name, c, str(g), cap)
                     compared[want[0]] += 1
     assert compared["witness"] > 5 and compared["exhausted"] > 5
+
+
+class _WideZ2Oracle(WordOracle):
+    """Z^2 on 140 letters: the first and the last are the unit vectors, and
+    every other letter acts trivially."""
+
+    identity = (0, 0)
+
+    def __init__(self, alphabet):
+        self.alphabet = alphabet
+
+    def step(self, key, direction):
+        idx, exp = direction
+        if idx == 0:
+            return (key[0] + exp, key[1])
+        return (key[0], key[1] + exp) if idx == len(self.alphabet) - 1 else key
+
+    def describe(self):
+        return "Z^2 on the first and last of 140 letters"
+
+
+def test_search_over_280_directions_matches_whole_word_reference():
+    # the last letter's directions are the 279th and 280th, past any byte
+    alphabet = Alphabet.make(*(f"x{i}" for i in range(140)))
+    p = Presentation.make(", ".join(alphabet.letters), ["x0 x139 x0' x139'"], "wide_z2")
+    oracle = _WideZ2Oracle(alphabet)
+    region = build_ball(oracle, p, 2)
+    rng = random.Random(15)
+    acting = [d for d in directions(alphabet) if d[0] in (0, 139)]
+    loops = [
+        Word(alphabet, letters)
+        for n in range(2, 7)
+        for letters in product(acting, repeat=n)
+        if oracle.is_identity(Word(alphabet, letters))
+    ]
+    loops = [w for w in loops if not free_reduce(w).is_empty() and _loop_inside(region, w)]
+    loops = rng.sample(loops, 12) + _cell_loops(region, 2, 8, rng)
+    compared = Counter()
+    for loop in loops:
+        for cap in (1, 4, 100):
+            want = search_whole_words(p, loop, region, cap)
+            assert _search_outcome(oracle, p, loop, region, cap) == want, (str(loop), cap)
+            compared[want[0]] += 1
+    assert all((139, 1) in w.letters or (139, -1) in w.letters for w in loops)
+    assert compared["witness"] > 10 and compared["exhausted"] > 5
+
+
+def test_searches_with_other_cells_on_one_region_match_whole_word_reference(z2_setup):
+    # one region, searched with the presentation's cells and then with the
+    # short-loop cells of check_pi1_bounded_balls: the walks memoised by the
+    # first searches serve the second
+    p, oracle = z2_setup
+    region = build_ball(oracle, p, 2)
+    rng = random.Random(16)
+    loops = _identity_loops(oracle, region, 6, 8, rng) + list(pi1_generators(region).generators)
+    compared = Counter()
+    for loop in loops:
+        for cap in (1, 100):
+            want = search_whole_words(p, loop, region, cap)
+            assert _search_outcome(oracle, p, loop, region, cap) == want, str(loop)
+            compared[want[0]] += 1
+    first = set(region._walks)
+    stripped = Presentation(p.alphabet, (), p.name)
+    for c in (3, 7):
+        short = tuple(_closed_paths_up_to(region, c))
+        cells = Presentation(p.alphabet, short, p.name)
+        assert not short or first & {ins for _, ins, _, _ in _relator_rewrites(oracle, cells)}
+        for loop in loops[::2]:
+            for cap in (1, 100):
+                want = search_whole_words(stripped, loop, region, cap, short)
+                assert _search_outcome(oracle, cells, loop, region, cap) == want, (c, str(loop))
+                compared[want[0]] += 1
+    assert compared["witness"] > 10 and compared["exhausted"] > 10
 
 
 # every backend, as (generators, relators, oracle on the presentation's alphabet)

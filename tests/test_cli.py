@@ -119,6 +119,22 @@ def test_rewrite_limit_exit_code(runner, tmp_path, monkeypatch):
     assert result.exit_code == 4
 
 
+def test_unknown_letter_in_word_message_is_unquoted(runner, tmp_path):
+    path = _write(tmp_path, "d8.gp", D8_FILE)
+    result = runner.invoke(main, ["rewrite", path, "--word", "a q"])
+    _assert_clean_exit(result, 2)
+    assert result.stderr == "bad word: letter 'q' not in alphabet ('a', 'd')\n"
+
+
+def test_unknown_letter_in_document_message_is_unquoted(runner, tmp_path):
+    path = _write(tmp_path, "bad.gp", "gens a, b;\nrel a q;\n")
+    result = runner.invoke(main, ["ball", path, "--backend", "free", "--radius", "1"])
+    _assert_clean_exit(result, 2)
+    assert result.stderr == (
+        f"parse error in {path}: letter 'q' not in alphabet ('a', 'b') (line 2, column 5)\n"
+    )
+
+
 def test_step_cap_env_override(runner, tmp_path, monkeypatch):
     monkeypatch.setenv("GPQ_STEP_CAP", "5")
     path = _write(tmp_path, "d8.gp", D8_FILE)

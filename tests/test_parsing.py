@@ -42,6 +42,12 @@ def test_unknown_letter_rejected():
         parse_presentation("gens a; rel a b;")
 
 
+def test_unknown_letter_message_is_unquoted():
+    with pytest.raises(ParseError) as err:
+        parse_document("gens a;\nrel a q;")
+    assert str(err.value) == "letter 'q' not in alphabet ('a',) (line 2, column 5)"
+
+
 def test_missing_semicolon_rejected():
     with pytest.raises(ParseError):
         parse_document("gens a")

@@ -219,6 +219,12 @@ def _reduce_outcome(rs, word, step_limit):
 def test_resumed_reduce_matches_restart_reference():
     rng = random.Random(9)
     expanding = RewritingSystem.make("a, b", [("a a'", ""), ("b a", "a b a"), ("b' b", "")])
+    # rules sharing a first letter, a longer one first: ties at one position
+    # go to the lower rule index, not to the shorter or the later rule
+    shared = RewritingSystem.make(
+        "a, b",
+        [("a b a", "b"), ("a b", "b a'"), ("b a'", "a' b"), ("a a'", ""), ("b b'", "a"), ("b", "a a")],
+    )
     steps = limited = 0
     for rs, limit in (
         (dihedral_rewriting_system(8, ("a", "d")), 10_000),
@@ -226,6 +232,7 @@ def test_resumed_reduce_matches_restart_reference():
         (abelian_plane_system(), 10_000),
         (free_reduction_system(Alphabet.make("a", "b!", "c")), 10_000),
         (expanding, 40),
+        (shared, 40),
     ):
         symbols = directions(rs.alphabet)
         for _ in range(150):
