@@ -66,11 +66,6 @@ class Ball:
     def _index(self) -> dict:
         return {k: i for i, k in enumerate(self.keys)}
 
-    @cached_property
-    def _walks(self) -> dict:
-        """Inserted letters -> {start vertex key: end vertex key, or None if they leave}."""
-        return {}
-
     def summary(self) -> str:
         kind = "S" if self.is_sphere else "B"
         return (
@@ -267,14 +262,20 @@ def _reduce_recording(word: Word):
     return Word._of(word.alphabet, tuple(stack)), moves
 
 
+def _coding(alphabet):
+    """The search's letter coding: a signed letter is chr of its index in
+    `words.directions`, and a character c decodes to dirs[ord(c)]."""
+    dirs = directions(alphabet)
+    return dirs, {d: chr(k) for k, d in enumerate(dirs)}
+
+
 def _relator_rewrites(oracle: WordOracle, p: Presentation):
     """(remove, insert, coded remove, coded free-reduced insert) patterns from
     every rotation/inversion and split of every relator: an occurrence of u
-    may become v^-1 whenever uv is a relator.  Coded, each signed letter is
-    chr of its index in `words.directions`.  Raises OracleMismatch unless
+    may become v^-1 whenever uv is a relator.  Raises OracleMismatch unless
     every relator of `p` is trivial under the oracle."""
     _check_oracle(oracle, p)
-    code = {d: chr(k) for k, d in enumerate(directions(p.alphabet))}
+    code = _coding(p.alphabet)[1]
     rewrites = []
     seen = set()
     for rel in [r for r in p.relators if not free_reduce(r).is_empty()]:
@@ -324,13 +325,13 @@ def null_homotopy_search(
     On entry every relator of `p` must be trivial under the oracle, or
     OracleMismatch is raised: a cell the group does not have would certify
     loops that do not die.  A state is a str, one character per signed
-    letter (chr of its index in `words.directions`).  Each state's successors
-    are tried rewrite by rewrite in `_relator_rewrites` order, and for one
-    rewrite at ascending positions; that order fixes which parent first
-    reaches a state, hence the witness and `states_explored`.  A candidate
-    passes the walk of the inserted letters inside the region (memoised on
-    the region), then the seam-cost splice, then the `seen` test: pure
-    filters, whose order changes no answer.
+    letter (`_coding`).  Each state's successors are tried rewrite by
+    rewrite in `_relator_rewrites` order, and for one rewrite at ascending
+    positions; that order fixes which parent first reaches a state, hence the
+    witness and `states_explored`.  A candidate passes the walk of the
+    inserted letters inside the region (memoised per rewrite and start vertex
+    for this search only), then the seam-cost splice, then the `seen` test:
+    pure filters, whose order changes no answer.
     """
     rewrites = _relator_rewrites(oracle, p)
     return _search(oracle, p, loop, region, step_cap, rewrites)
@@ -350,11 +351,10 @@ def _search(
     if start.is_empty():
         return Witness(loop, tuple(norm_moves), region, 0)
 
-    dirs = directions(p.alphabet)
-    code = {d: chr(k) for k, d in enumerate(dirs)}
+    dirs, code = _coding(p.alphabet)
     invol = p.alphabet.involutive
     inverse = {code[(i, e)]: code[(i, e if invol[i] else -e)] for i, e in dirs}
-    walks = [region._walks.setdefault(ins, {}) for _, ins, _, _ in rewrites]
+    walks = [{} for _ in rewrites]  # per rewrite: start vertex -> end vertex or None
     table = region.neighbours
     first = "".join(map(code.get, start.letters))
     seen = {first: None}  # state -> (previous state, position, rewrite index)
