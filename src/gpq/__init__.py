@@ -38,7 +38,6 @@ from .balls import (
     build_sphere,
     check_pi1_bounded_balls,
     geodesic_0_combing,
-    isodiametric_estimate,
     null_homotopy_search,
     pi1_generators,
     pi1_kill_radius,

@@ -12,7 +12,6 @@ Oracles are immutable after construction and safe for concurrent queries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BadOrder, OracleMismatch, Unsupported
 from .words import Alphabet, Word, directions, free_reduce
@@ -71,15 +70,6 @@ class FiniteGroupTable(WordOracle):
     def order(self) -> int:
         return len(self.element_names)
 
-    def check_associative(self) -> bool:
-        n = self.order
-        return all(
-            self.mul[self.mul[i][j]][k] == self.mul[i][self.mul[j][k]]
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-        )
-
     def evaluate(self, word: Word, images=None) -> int:
         """The element index of `word`, each letter index sent to its element
         in `images` (by default the generator map)."""
@@ -88,12 +78,6 @@ class FiniteGroupTable(WordOracle):
         for idx, exp in word.letters:
             g = images[idx]
             acc = self.mul[acc][g if exp == 1 else self.inv[g]]
-        return acc
-
-    def multiply_indices(self, *indices: int) -> int:
-        acc = 0
-        for i in indices:
-            acc = self.mul[acc][i]
         return acc
 
     def step(self, key: int, direction: tuple[int, int]) -> int:
@@ -283,21 +267,6 @@ class BaumslagSolitarOracle(WordOracle):
         while p and r and m % n == 0:
             p, m, r = p - 1, m // n, r - 1
         return p, m, r
-
-    def evaluate_affine(self, word: Word) -> tuple[int, Fraction]:
-        """Faithful affine model (a: x -> n x, b: x -> x + 1) for cross-checks.
-
-        The word maps to x -> n^k x + q; appending a letter composes on the
-        right, so b contributes n^k at the current scale k.
-        """
-        k = 0
-        q = Fraction(0)
-        for idx, exp in word.letters:
-            if idx == 0:
-                k += exp
-            else:
-                q += exp * Fraction(self.n) ** k
-        return k, q
 
     def describe(self) -> str:
         return f"Baumslag-Solitar group B(1,{self.n})"

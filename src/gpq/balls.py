@@ -11,8 +11,8 @@ path.  An edge or 2-cell belongs to the ball exactly when all its boundary
 vertices do.  On top of the complex: loop generators for the fundamental
 group from the tree of those first paths (each of length <= 2r+1),
 breadth-first null-homotopy search with replayable witnesses, bounded
-connectivity-radius and isodiametric estimates, and geodesic combings with a
-mechanically checked tameness certificate.  All searches carry explicit caps:
+connectivity-radius estimates, and geodesic combings with a mechanically
+checked tameness certificate.  All searches carry explicit caps:
 incompleteness is a visible value, never a silent timeout.
 """
 
@@ -31,7 +31,7 @@ from .errors import (
     OracleMismatch,
 )
 from .presentations import Presentation
-from .words import Word, directions, free_reduce, rotations_and_inverses
+from .words import Word, direction_codes, directions, free_reduce, rotations_and_inverses
 
 
 def _check_oracle(oracle: WordOracle, p: Presentation):
@@ -214,13 +214,27 @@ class Witness:
     moves: tuple[HomotopyMove, ...]
     region: Ball
     states_explored: int
+    presentation: Presentation  # whose cells the relator moves slide across
 
     def replay(self) -> bool:
-        """Re-apply every move; True iff the loop dies inside the region."""
+        """Re-apply every move; True iff each is legal and the loop dies
+        inside the region.  A free move removes one cancelling pair and
+        inserts nothing; a relator move is one of the presentation's
+        `cell_moves`; every loop, first to last, closes inside the region."""
         current = self.start
         if not _loop_inside(self.region, current):
             return False
+        invol = current.alphabet.involutive
+        slides = {(u, ins) for u, ins, _, _ in self.presentation.cell_moves}
         for mv in self.moves:
+            if mv.kind == "free":
+                if mv.inserted or len(mv.removed) != 2:
+                    return False
+                (i, e), (j, f) = mv.removed
+                if i != j or not (invol[i] or e == -f):
+                    return False
+            elif mv.kind != "relator" or (mv.removed, mv.inserted) not in slides:
+                return False
             if current.letters[mv.position : mv.position + len(mv.removed)] != mv.removed:
                 return False
             current = current.splice(mv.position, len(mv.removed), mv.inserted)
@@ -262,36 +276,6 @@ def _reduce_recording(word: Word):
     return Word._of(word.alphabet, tuple(stack)), moves
 
 
-def _coding(alphabet):
-    """The search's letter coding: a signed letter is chr of its index in
-    `words.directions`, and a character c decodes to dirs[ord(c)]."""
-    dirs = directions(alphabet)
-    return dirs, {d: chr(k) for k, d in enumerate(dirs)}
-
-
-def _relator_rewrites(oracle: WordOracle, p: Presentation):
-    """(remove, insert, coded remove, coded free-reduced insert) patterns from
-    every rotation/inversion and split of every relator: an occurrence of u
-    may become v^-1 whenever uv is a relator.  Raises OracleMismatch unless
-    every relator of `p` is trivial under the oracle."""
-    _check_oracle(oracle, p)
-    code = _coding(p.alphabet)[1]
-    rewrites = []
-    seen = set()
-    for rel in [r for r in p.relators if not free_reduce(r).is_empty()]:
-        for variant in rotations_and_inverses(rel):
-            n = len(variant)
-            backwards = variant.inverse().letters
-            for cut in range(n + 1):
-                u = variant.letters[:cut]
-                ins = backwards[: n - cut]  # the inverse of variant[cut:]
-                if (u, ins) not in seen:
-                    seen.add((u, ins))
-                    red = free_reduce(Word._of(p.alphabet, ins)).letters
-                    rewrites.append((u, ins, "".join(map(code.get, u)), "".join(map(code.get, red))))
-    return rewrites
-
-
 def _splice_reduced(state: str, pos: int, end: int, red: str, inverse: dict) -> str:
     """free_reduce(state[:pos] + red + state[end:]) for coded reduced `state`
     and `red`: only the two seams cancel, the prefix tail against red, then
@@ -324,24 +308,17 @@ def null_homotopy_search(
 
     On entry every relator of `p` must be trivial under the oracle, or
     OracleMismatch is raised: a cell the group does not have would certify
-    loops that do not die.  A state is a str, one character per signed
-    letter (`_coding`).  Each state's successors are tried rewrite by
-    rewrite in `_relator_rewrites` order, and for one rewrite at ascending
-    positions; that order fixes which parent first reaches a state, hence the
-    witness and `states_explored`.  A candidate passes the walk of the
-    inserted letters inside the region (memoised per rewrite and start vertex
-    for this search only), then the seam-cost splice, then the `seen` test:
-    pure filters, whose order changes no answer.
+    loops that do not die.  The cells are those of `p`, which may differ
+    from the region's presentation.  A state is a str, one character per
+    signed letter (`words.direction_codes`).  Each state's successors are
+    tried move by move in `p.cell_moves` order, and for one move at
+    ascending positions; that order fixes which parent first reaches a
+    state, hence the witness and `states_explored`.  A candidate passes the
+    walk of the inserted letters inside the region (memoised per move and
+    start vertex for this search only), then the seam-cost splice, then the
+    `seen` test: pure filters, whose order changes no answer.
     """
-    rewrites = _relator_rewrites(oracle, p)
-    return _search(oracle, p, loop, region, step_cap, rewrites)
-
-
-def _search(
-    oracle: WordOracle, p: Presentation, loop: Word, region: Ball, step_cap: int, rewrites
-) -> Witness:
-    """The search of `null_homotopy_search` with its cells' rewrites given, so
-    that callers searching many loops with the same cells build them once."""
+    _check_oracle(oracle, p)
     if not oracle.is_identity(loop):
         raise NotNullHomotopic(f"'{loop}' is not trivial under {oracle.describe()}")
     if not _loop_inside(region, loop):
@@ -349,15 +326,15 @@ def _search(
 
     start, norm_moves = _reduce_recording(loop)
     if start.is_empty():
-        return Witness(loop, tuple(norm_moves), region, 0)
+        return Witness(loop, tuple(norm_moves), region, 0, p)
 
-    dirs, code = _coding(p.alphabet)
+    dirs, code = direction_codes(p.alphabet)
     invol = p.alphabet.involutive
     inverse = {code[(i, e)]: code[(i, e if invol[i] else -e)] for i, e in dirs}
-    walks = [{} for _ in rewrites]  # per rewrite: start vertex -> end vertex or None
+    walks = [{} for _ in p.cell_moves]  # per move: start vertex -> end vertex or None
     table = region.neighbours
     first = "".join(map(code.get, start.letters))
-    seen = {first: None}  # state -> (previous state, position, rewrite index)
+    seen = {first: None}  # state -> (previous state, position, move index)
     queue = deque([first])
     explored = 0
     while queue:
@@ -371,7 +348,7 @@ def _search(
         at = [region.base_key]
         for c in state:
             at.append(table[(at[-1], dirs[ord(c)])])
-        for k, (_, ins, u, red) in enumerate(rewrites):
+        for k, (_, ins, u, red) in enumerate(p.cell_moves):
             lu, ends = len(u), walks[k]
             pos = state.find(u)  # every position, 0 to len(state), for an empty u
             while pos >= 0:
@@ -390,7 +367,7 @@ def _search(
                     if key not in seen:
                         seen[key] = (state, pos, k)
                         if not key:
-                            return _assemble_witness(loop, norm_moves, seen, rewrites, dirs, region, explored)
+                            return _assemble_witness(loop, norm_moves, seen, p, dirs, region, explored)
                         queue.append(key)
                 pos = state.find(u, pos + 1)
     raise Exhausted(
@@ -399,21 +376,21 @@ def _search(
     )
 
 
-def _assemble_witness(loop, norm_moves, seen, rewrites, dirs, region, explored) -> Witness:
+def _assemble_witness(loop, norm_moves, seen, p, dirs, region, explored) -> Witness:
     # walk parents back from the empty state, re-recording reductions as free moves
     chain = []
     key = ""
     while seen[key] is not None:
         chain.append(seen[key])
         key = seen[key][0]
-    alphabet = region.presentation.alphabet
+    alphabet = p.alphabet
     moves = list(norm_moves)
     for prev, pos, k in reversed(chain):
-        u, ins, _, _ = rewrites[k]
+        u, ins, _, _ = p.cell_moves[k]
         moves.append(HomotopyMove(pos, u, ins, "relator"))
         raw = tuple(dirs[ord(c)] for c in prev)
         moves.extend(_reduce_recording(Word._of(alphabet, raw[:pos] + ins + raw[pos + len(u) :]))[1])
-    witness = Witness(loop, tuple(moves), region, explored)
+    witness = Witness(loop, tuple(moves), region, explored, p)
     assert witness.replay(), "constructed witness failed to replay"
     return witness
 
@@ -436,12 +413,11 @@ def pi1_kill_radius(
     if r > r_max:
         raise ValueError("need r <= r_max")
     generators = pi1_generators(build_ball(oracle, p, r)).generators
-    rewrites = _relator_rewrites(oracle, p)
     for R in range(r, r_max + 1):
         region = build_ball(oracle, p, R)
         try:
             for g in generators:
-                _search(oracle, p, g, region, step_cap, rewrites)
+                null_homotopy_search(oracle, p, g, region, step_cap)
         except Exhausted:
             continue
         return R
@@ -503,36 +479,12 @@ def check_pi1_bounded_balls(
     # the short loops replace the presentation's cells entirely: a generator is
     # normally generated by short loops iff it dies using short-loop cells only
     loops = Presentation(p.alphabet, tuple(_closed_paths_up_to(ball, c)), p.name)
-    rewrites = _relator_rewrites(oracle, loops)
     for g in generators:
         try:
-            _search(oracle, loops, g, ball, step_cap, rewrites)
+            null_homotopy_search(oracle, loops, g, ball, step_cap)
         except Exhausted:
             return False
     return True
-
-
-def isodiametric_estimate(
-    oracle: WordOracle,
-    p: Presentation,
-    word: Word,
-    d_max: int,
-    step_cap: int = 20_000,
-) -> int:
-    """Least D <= d_max such that the identity word fills inside B(D)."""
-    if not oracle.is_identity(word):
-        raise NotNullHomotopic(f"'{word}' is not trivial under {oracle.describe()}")
-    rewrites = _relator_rewrites(oracle, p)
-    for d in range(d_max + 1):
-        region = build_ball(oracle, p, d)
-        if not _loop_inside(region, word):
-            continue
-        try:
-            _search(oracle, p, word, region, step_cap, rewrites)
-            return d
-        except Exhausted:
-            continue
-    raise Exhausted(f"no filling found within diameter {d_max}")
 
 
 # --- geodesic 0-combings -------------------------------------------------------------

@@ -56,10 +56,6 @@ class EndomorphicPresentation:
         if len(self.stable_names) != len(self.substitutions):
             raise ValueError("one stable name per substitution required")
 
-    @property
-    def is_ascending(self) -> bool:
-        return not self.q_relators
-
     def combined_alphabet(self) -> Alphabet:
         return Alphabet(
             self.alphabet.letters + self.stable_names,

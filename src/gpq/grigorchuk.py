@@ -219,14 +219,6 @@ class GrigorchukData:
         """Canonical <a,c>-word of the image of the D8 element x."""
         return self._phi0_words[x]
 
-    def phi0_hat(self, word: Word) -> Word:
-        """Letterwise a -> aca, b -> d, d -> c on a,b,d-words, reduced.
-
-        Extends the quotient isomorphism to the monoid, as the composite
-        translate(sigma_abd(.)).
-        """
-        return self.translate_bd_to_cd(apply_substitution(self.sigma_abd, word))
-
     def translate_bd_to_cd(self, word: Word) -> Word:
         """Substitute b -> cd (the Klein relation bcd = 1), involutively reduce."""
         if word.alphabet != self.abd:

@@ -9,9 +9,10 @@ them, so a finite trace of moves can be replayed and inverted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import DerivationDoesNotReduce, InvalidMove
-from .words import Alphabet, Word, free_reduce, rename_word
+from .words import Alphabet, Word, direction_codes, free_reduce, rename_word, rotations_and_inverses
 
 
 @dataclass(frozen=True)
@@ -31,6 +32,32 @@ class Presentation:
         alphabet = Alphabet.make(*[g.strip() for g in gens.split(",")])
         rels = tuple(Word.from_str(alphabet, t) for t in relator_texts)
         return Presentation(alphabet, rels, name)
+
+    @cached_property
+    def cell_moves(self) -> tuple[tuple[tuple, tuple, str, str], ...]:
+        """The slides of a loop across a 2-cell: an occurrence of u may become
+        v^-1 whenever uv is a rotation of a relator or of its inverse.  One
+        (remove, insert, coded remove, coded free-reduced insert) tuple per
+        distinct (u, v^-1), relator by relator, variant by variant, cut by
+        cut; the codes are those of `words.direction_codes`.  Freely trivial
+        relators give none."""
+        code = direction_codes(self.alphabet)[1]
+        moves = []
+        seen = set()
+        for rel in self.relators:
+            if free_reduce(rel).is_empty():
+                continue
+            for variant in rotations_and_inverses(rel):
+                n = len(variant)
+                backwards = variant.inverse().letters
+                for cut in range(n + 1):
+                    u = variant.letters[:cut]
+                    ins = backwards[: n - cut]  # the inverse of variant[cut:]
+                    if (u, ins) not in seen:
+                        seen.add((u, ins))
+                        red = free_reduce(Word._of(self.alphabet, ins)).letters
+                        moves.append((u, ins, "".join(map(code.get, u)), "".join(map(code.get, red))))
+        return tuple(moves)
 
     def __str__(self):
         gens = ", ".join(self.alphabet.spec(i) for i in range(len(self.alphabet)))

@@ -315,19 +315,6 @@ def free_reduce(word: Word) -> Word:
     return Word._of(word.alphabet, tuple(stack))
 
 
-def cyclically_reduce(word: Word) -> Word:
-    w = free_reduce(word)
-    letters = list(w.letters)
-    invol = word.alphabet.involutive
-    while len(letters) >= 2:
-        (i0, e0), (i1, e1) = letters[0], letters[-1]
-        if i0 == i1 and (invol[i0] or e0 == -e1):
-            letters = letters[1:-1]
-        else:
-            break
-    return Word._of(word.alphabet, tuple(letters))
-
-
 def rotations_and_inverses(word: Word) -> list[Word]:
     """All cyclic rotations of the word and of its inverse, deduplicated."""
     seen = {}
@@ -388,9 +375,6 @@ class Substitution:
             images.append(Word.from_str(alphabet, rules[letter]))
         return Substitution(alphabet, tuple(images), name)
 
-    def image_of(self, name: str) -> Word:
-        return self.images[self.alphabet.index(name)]
-
 
 def apply_substitution(sub: Substitution, word: Word) -> Word:
     """Concatenation of letter images; unreduced. Requires a positive word."""
@@ -423,6 +407,14 @@ def directions(alphabet: Alphabet) -> list[tuple[int, int]]:
         if not invol:
             dirs.append((i, -1))
     return dirs
+
+
+def direction_codes(alphabet: Alphabet) -> tuple[list[tuple[int, int]], dict[tuple[int, int], str]]:
+    """The one-character coding of signed letters: a letter is chr of its
+    index in `directions(alphabet)`, and a character c decodes to
+    dirs[ord(c)].  Returns (dirs, code)."""
+    dirs = directions(alphabet)
+    return dirs, {d: chr(k) for k, d in enumerate(dirs)}
 
 
 def words_of_length(alphabet: Alphabet, length: int) -> Iterable[Word]:

@@ -27,8 +27,14 @@ the tree that names the vertices.
 words of one length, kept as a reference for `words.words_of_length`.
 
 `phi0_letterwise` is the letterwise map a -> aca, b -> d, d -> c on positive
-a,b,d-words; the library computes phi0_hat as translate(sigma_abd(.)), and
-the coherence tests check the two agree.
+a,b,d-words; the library's composite translate_bd_to_cd(apply_substitution(
+sigma_abd, .)) computes the same map, and the coherence tests check the two
+agree.
+
+`evaluate_affine` is the faithful affine model of B(1,n) (a: x -> n x,
+b: x -> x + 1), against which the tests check the oracle's keys;
+`cyclically_reduce` is the cyclic reduction of a word; `is_associative`
+checks a finite group table's `mul` on every triple.
 
 `verify_whole_words` is the earlier Grigorchuk verification case, on whole
 words: it concatenates the transport pieces of the conjugated relation and
@@ -40,10 +46,46 @@ a reference for the library's seam joins and memoised core normal forms.
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 
 from gpq.grigorchuk import VerificationReport
 from gpq.induction import basic_relation, conjugate_relation
 from gpq.words import Word, free_reduce, rotations_and_inverses
+
+
+def evaluate_affine(n, word):
+    """(k, q) with the B(1,n) word acting as x -> n^k x + q, for a: x -> n x
+    and b: x -> x + 1.  Appending a letter composes on the right, so b
+    contributes n^k at the current scale k."""
+    k = 0
+    q = Fraction(0)
+    for idx, exp in word.letters:
+        if idx == 0:
+            k += exp
+        else:
+            q += exp * Fraction(n) ** k
+    return k, q
+
+
+def cyclically_reduce(word):
+    """The free reduction of `word` with cancelling first and last letters
+    stripped until none are left."""
+    letters = list(free_reduce(word).letters)
+    invol = word.alphabet.involutive
+    while len(letters) >= 2:
+        (i0, e0), (i1, e1) = letters[0], letters[-1]
+        if i0 == i1 and (invol[i0] or e0 == -e1):
+            letters = letters[1:-1]
+        else:
+            break
+    return Word(word.alphabet, tuple(letters))
+
+
+def is_associative(table):
+    """True iff (ij)k = i(jk) for every triple of the table's elements."""
+    mul = table.mul
+    n = len(mul)
+    return all(mul[mul[i][j]][k] == mul[i][mul[j][k]] for i in range(n) for j in range(n) for k in range(n))
 
 
 def _symbols(alphabet):

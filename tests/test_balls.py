@@ -32,12 +32,12 @@ from gpq.balls import (
     build_sphere,
     check_pi1_bounded_balls,
     geodesic_0_combing,
-    isodiametric_estimate,
     null_homotopy_search,
     pi1_generators,
     pi1_kill_radius,
 )
 from gpq.errors import Exhausted, NotNullHomotopic, OracleMismatch
+from gpq import presentations
 from gpq.presentations import Presentation
 from gpq.words import Alphabet, Word, directions, free_reduce, words_up_to_length
 from helpers import pi1_generators_second_bfs, reduce_recording_restart, search_whole_words
@@ -215,16 +215,6 @@ def test_pi1_bounded_balls(z2_setup, f2_setup):
     assert check_pi1_bounded_balls(of, pf, 2, 1) is True  # vacuous
 
 
-def test_isodiametric_estimates(z2_setup, bs2_setup):
-    p, oracle = z2_setup
-    assert isodiametric_estimate(oracle, p, W(p, "a b a' b'"), 4) == 2
-    assert isodiametric_estimate(oracle, p, Word.identity(p.alphabet), 4) == 0
-    pb, ob = bs2_setup
-    assert isodiametric_estimate(ob, pb, W(pb, "a b a' b' b'"), 3) <= 3
-    with pytest.raises(NotNullHomotopic):
-        isodiametric_estimate(oracle, p, W(p, "a"), 3)
-
-
 def test_combing_certificates(z2_setup, f2_setup):
     p, oracle = z2_setup
     combing = geodesic_0_combing(oracle, p, 3)
@@ -357,9 +347,91 @@ def test_replay_rejects_moves_that_open_the_loop(z2_setup):
         HomotopyMove(1, ((0, -1),), (), "relator"),
         HomotopyMove(0, (b, (1, -1)), (), "free"),
     )
-    assert not Witness(W(p, "a b a' b'"), moves, region, 0).replay()
+    assert not Witness(W(p, "a b a' b'"), moves, region, 0, p).replay()
     good = null_homotopy_search(oracle, p, W(p, "a b a' b'"), region)
     assert good.replay()
+
+
+def test_replay_rejects_a_cell_the_presentation_lacks(z2_setup):
+    # a b a' b' is trivial in Z^2, but a ball with no 2-cells is a graph,
+    # where that loop does not die
+    p, oracle = z2_setup
+    no_cells = Presentation.make("a, b", [], "no_cells")
+    region = build_ball(oracle, no_cells, 2)
+    loop = W(p, "a b a' b'")
+    slide = (HomotopyMove(0, loop.letters, (), "relator"),)
+    assert not Witness(loop, slide, region, 0, no_cells).replay()
+    assert Witness(loop, slide, build_ball(oracle, p, 2), 0, p).replay()
+
+
+class _InverseLettersZOracle(WordOracle):
+    """Z = <a, b | a b> on int keys: b is a^-1, so a b closes a loop."""
+
+    identity = 0
+
+    def __init__(self, alphabet):
+        self.alphabet = alphabet
+
+    def step(self, key, direction):
+        return key + direction[1] if direction[0] == 0 else key - direction[1]
+
+    def describe(self):
+        return "Z with a = 1, b = -1"
+
+
+def test_replay_rejects_free_moves_that_cancel_nothing(d8_setup):
+    # a b is trivial here, so removing it keeps every loop closed: only the
+    # move check tells a cell slide from a free cancellation
+    p = Presentation.make("a, b", ["a b"], "z_ab")
+    region = build_ball(_InverseLettersZOracle(p.alphabet), p, 2)
+    a, b, a_, b_ = (0, 1), (1, 1), (0, -1), (1, -1)
+    ab, spur = W(p, "a b"), W(p, "a a'")
+
+    def replays(loop, *moves):
+        return Witness(loop, moves, region, 0, p).replay()
+
+    assert not replays(ab, HomotopyMove(0, (a, b), (), "free"))
+    assert not replays(ab, HomotopyMove(0, (a, b), (), "spur"))  # no such kind
+    assert replays(ab, HomotopyMove(0, (a, b), (), "relator"))
+    # a free move inserts nothing, and removes a pair, not one letter
+    assert not replays(spur, HomotopyMove(0, (a, a_), (b, b_), "free"), HomotopyMove(0, (b, b_), (), "free"))
+    assert not replays(spur, HomotopyMove(0, (a,), (), "free"), HomotopyMove(0, (a_,), (), "free"))
+    assert replays(spur, HomotopyMove(0, (a, a_), (), "free"))
+    # an involutive letter cancels against itself
+    pd, od = d8_setup
+    aa = W(pd, "a a")
+    assert Witness(aa, (HomotopyMove(0, aa.letters, (), "free"),), build_ball(od, pd, 1), 0, pd).replay()
+
+
+def test_replay_rejects_legal_moves_whose_loop_leaves_the_region(z2_setup):
+    # every move is a cell slide or a cancellation, but the inserted relator
+    # runs from vertex a through a^2 b, at distance 3 outside B(2)
+    p, oracle = z2_setup
+    rel = W(p, "a b a' b'").letters
+    moves = (
+        HomotopyMove(1, (), rel, "relator"),
+        HomotopyMove(1, rel, (), "relator"),
+        HomotopyMove(0, ((0, 1), (0, -1)), (), "free"),
+    )
+    loop = W(p, "a a'")
+    assert not Witness(loop, moves, build_ball(oracle, p, 2), 0, p).replay()
+    assert Witness(loop, moves, build_ball(oracle, p, 3), 0, p).replay()
+
+
+def test_cell_moves_are_built_once_per_presentation(monkeypatch):
+    # the table depends only on the presentation: one kill radius search
+    # builds it once, and a presentation equal by value builds its own
+    calls = []
+    real = presentations.rotations_and_inverses
+    monkeypatch.setattr(presentations, "rotations_and_inverses", lambda w: calls.append(w) or real(w))
+    p = Presentation.make("a, b", ["a b a' b'"], "z2")
+    oracle = free_abelian_oracle(2, p.alphabet)
+    assert pi1_kill_radius(oracle, p, 2, 4) == 2
+    assert len(calls) == 1
+    twin = Presentation.make("a, b", ["a b a' b'"], "z2")
+    assert twin == p
+    assert twin.cell_moves == p.cell_moves and twin.cell_moves is not p.cell_moves
+    assert len(calls) == 2
 
 
 class _TwistedZOracle(WordOracle):

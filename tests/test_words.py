@@ -247,7 +247,7 @@ def test_substitution_commutes_with_concatenation_under_iteration(seed):
 
 
 def test_cyclic_reduction():
-    from gpq.words import cyclically_reduce
+    from helpers import cyclically_reduce
 
     w = W(AB, "b' a b a' b' a a' b")
     r = cyclically_reduce(w)
