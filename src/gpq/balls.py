@@ -1,12 +1,13 @@
 """Metric balls and spheres in Cayley 2-complexes, and bounded searches on them.
 
-Vertices are the oracle's element keys at distance <= r from the basepoint,
-named by their first BFS path, in discovery (shortlex) order.  One
-breadth-first pass steps once per vertex and direction, in `words.directions`
-order and the outer shell included; it records the path that first reaches
-each vertex, which by induction on distance is the shortlex-least geodesic
-from the basepoint, and fills the neighbour table that edges, 2-cells, loop
-tracing and combings read.  A vertex's name is the basepoint followed by that
+A vertex is an index into discovery (shortlex) order of the elements within
+distance r; a ball's vertex 0 is its basepoint.  One breadth-first pass steps
+oracle keys, which live only in that pass, once per vertex and direction, the
+outer shell included; it records the path that first reaches each vertex (the
+shortlex-least geodesic from the basepoint, by induction on distance) and one
+row per vertex, whose entry k is the neighbour in direction
+`words.directions`[k] or None outside: edges, 2-cells, loop tracing and
+combings read the rows.  A vertex's name is the basepoint followed by its
 path.  An edge or 2-cell belongs to the ball exactly when all its boundary
 vertices do.  On top of the complex: loop generators for the fundamental
 group from the tree of those first paths (each of length <= 2r+1),
@@ -21,7 +22,6 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .backends import WordOracle
 from .errors import (
@@ -56,15 +56,10 @@ class Ball:
     edges: tuple[tuple[int, int, int], ...]  # (vertex, letter, vertex), positive direction
     cells: tuple[tuple[int, int], ...]     # (base vertex, relator index)
     distances: tuple[int, ...]
-    keys: tuple                            # oracle element key per vertex
-    base_key: object                       # oracle element key of the basepoint
-    # (vertex key, direction) -> neighbour key, for every vertex and direction
-    neighbours: dict = field(compare=False, repr=False)
+    # one row per vertex: entry k is the neighbour in direction k of
+    # `words.directions`, as a vertex index, or None outside the ball
+    neighbours: tuple[tuple[int | None, ...], ...] = field(compare=False, repr=False)
     is_sphere: bool = False
-
-    @cached_property
-    def _index(self) -> dict:
-        return {k: i for i, k in enumerate(self.keys)}
 
     def summary(self) -> str:
         kind = "S" if self.is_sphere else "B"
@@ -88,25 +83,26 @@ class Ball:
 
 
 def _explore(oracle: WordOracle, basepoint: Word, r: int):
-    """Basepoint key, the first-reaching path of each key within radius r in
-    discovery order, and the neighbour table."""
+    """The first-reaching path of each element within radius r, in discovery
+    order, and each one's row of neighbour indices (None outside the ball)."""
     dirs = directions(oracle.alphabet)
     step = oracle.step
-    base = oracle.key(basepoint)
-    path = {base: ()}
-    table = {}
-    frontier = [base]
-    for d in range(r + 1):
-        nxt = []
-        for key in frontier:
-            for direction in dirs:
-                found = step(key, direction)
-                table[(key, direction)] = found
-                if d < r and found not in path:
-                    path[found] = path[key] + (direction,)
-                    nxt.append(found)
-        frontier = nxt
-    return base, path, table
+    keys = [oracle.key(basepoint)]
+    index = {keys[0]: 0}
+    paths = [()]
+    rows = []
+    for key, path in zip(keys, paths):  # both grow while the pass reads them
+        row = []
+        for direction in dirs:
+            found = step(key, direction)
+            j = index.get(found)
+            if j is None and len(path) < r:
+                j = index[found] = len(keys)
+                keys.append(found)
+                paths.append(path + (direction,))
+            row.append(j)
+        rows.append(tuple(row))
+    return paths, rows
 
 
 def _build(oracle: WordOracle, p: Presentation, r: int, basepoint: Word | None, sphere: bool):
@@ -116,33 +112,32 @@ def _build(oracle: WordOracle, p: Presentation, r: int, basepoint: Word | None, 
     alphabet = p.alphabet
     if basepoint is None:
         basepoint = Word.identity(alphabet)
-    base, path, table = _explore(oracle, basepoint, r)
-    keys = tuple(k for k, letters in path.items() if len(letters) == r or not sphere)
-    index = {k: i for i, k in enumerate(keys)}
-    if sphere:
-        table = {kd: k for kd, k in table.items() if kd[0] in index}
+    paths, rows = _explore(oracle, basepoint, r)
+    if sphere:  # the last BFS layer: a suffix of discovery order, from vertex s on
+        s = sum(len(path) < r for path in paths)
+        paths = paths[s:]
+        rows = [tuple(None if j is None or j < s else j - s for j in row) for row in rows[s:]]
+    dirs, column = direction_codes(alphabet)
     # a cell's boundary path from its base vertex, its last edge closing it
-    boundaries = [(ri, rel.letters[:-1]) for ri, rel in enumerate(p.relators) if rel.letters]
+    boundaries = [(ri, [column[d] for d in rel.letters[:-1]]) for ri, rel in enumerate(p.relators) if rel.letters]
     edges = set()
     cells = []
-    for i, key in enumerate(keys):
-        for li in range(len(alphabet)):
-            j = index.get(table[(key, (li, 1))])
-            if j is not None:
+    for i, row in enumerate(rows):
+        for (li, e), j in zip(dirs, row):
+            if e == 1 and j is not None:
                 edges.add((min(i, j), li, max(i, j)) if alphabet.involutive[li] else (i, li, j))
         for ri, boundary in boundaries:
-            cur = key
-            for direction in boundary:
-                cur = table.get((cur, direction))
-                if cur not in index:
+            cur = i
+            for k in boundary:
+                cur = rows[cur][k]
+                if cur is None:
                     break
             else:
                 cells.append((i, ri))
     prefix = basepoint.letters
     return Ball(
-        p, oracle, basepoint, r, tuple(Word._of(alphabet, prefix + path[k]) for k in keys),
-        tuple(sorted(edges)), tuple(cells), tuple(len(path[k]) for k in keys), keys, base,
-        table, sphere,
+        p, oracle, basepoint, r, tuple(Word._of(alphabet, prefix + path) for path in paths),
+        tuple(sorted(edges)), tuple(cells), tuple(map(len, paths)), tuple(rows), sphere,
     )
 
 
@@ -245,14 +240,16 @@ class Witness:
 
 def _loop_inside(region: Ball, loop: Word) -> bool:
     """True iff `loop` traces a closed path from the basepoint inside the region."""
-    # the table has rows for the region's vertices only: leaving it finds None
-    table = region.neighbours
-    key = region.base_key
+    if region.is_sphere and region.radius:
+        return False  # the basepoint is not a vertex of the sphere
+    rows = region.neighbours
+    column = direction_codes(region.presentation.alphabet)[1]
+    v = 0
     for direction in loop.letters:
-        key = table.get((key, direction))
-        if key is None:
+        v = rows[v][column[direction]]
+        if v is None:
             return False
-    return key == region.base_key and key in region._index
+    return v == 0
 
 
 def _reduce_recording(word: Word):
@@ -310,8 +307,9 @@ def null_homotopy_search(
     OracleMismatch is raised: a cell the group does not have would certify
     loops that do not die.  The cells are those of `p`, which may differ
     from the region's presentation.  A state is a str, one character per
-    signed letter (`words.direction_codes`).  Each state's successors are
-    tried move by move in `p.cell_moves` order, and for one move at
+    signed letter: chr of its `words.direction_codes` column, the column of
+    the region's rows it steps along.  Each state's successors are tried
+    move by move in `p.cell_moves` order, and for one move at
     ascending positions; that order fixes which parent first reaches a
     state, hence the witness and `states_explored`.  A candidate passes the
     walk of the inserted letters inside the region (memoised per move and
@@ -328,12 +326,12 @@ def null_homotopy_search(
     if start.is_empty():
         return Witness(loop, tuple(norm_moves), region, 0, p)
 
-    dirs, code = direction_codes(p.alphabet)
+    dirs, column = direction_codes(p.alphabet)
     invol = p.alphabet.involutive
-    inverse = {code[(i, e)]: code[(i, e if invol[i] else -e)] for i, e in dirs}
+    inverse = {chr(k): chr(column[(i, e if invol[i] else -e)]) for k, (i, e) in enumerate(dirs)}
     walks = [{} for _ in p.cell_moves]  # per move: start vertex -> end vertex or None
-    table = region.neighbours
-    first = "".join(map(code.get, start.letters))
+    rows = region.neighbours
+    first = "".join(chr(column[d]) for d in start.letters)
     seen = {first: None}  # state -> (previous state, position, move index)
     queue = deque([first])
     explored = 0
@@ -345,9 +343,9 @@ def null_homotopy_search(
         state = queue.popleft()
         explored += 1
         # at[i]: the vertex after the first i letters
-        at = [region.base_key]
+        at = [0]
         for c in state:
-            at.append(table[(at[-1], dirs[ord(c)])])
+            at.append(rows[at[-1]][ord(c)])
         for k, (_, ins, u, red) in enumerate(p.cell_moves):
             lu, ends = len(u), walks[k]
             pos = state.find(u)  # every position, 0 to len(state), for an empty u
@@ -359,8 +357,10 @@ def null_homotopy_search(
                 vertex = at[pos]
                 if vertex not in ends:
                     end = vertex
-                    for direction in ins:  # None once it leaves: no row has key None
-                        end = table.get((end, direction))
+                    for direction in ins:
+                        end = rows[end][column[direction]]
+                        if end is None:
+                            break
                     ends[vertex] = end
                 if ends[vertex] == at[pos + lu]:
                     key = _splice_reduced(state, pos, pos + lu, red, inverse)
@@ -412,9 +412,10 @@ def pi1_kill_radius(
     """
     if r > r_max:
         raise ValueError("need r <= r_max")
-    generators = pi1_generators(build_ball(oracle, p, r)).generators
+    ball = build_ball(oracle, p, r)
+    generators = pi1_generators(ball).generators
     for R in range(r, r_max + 1):
-        region = build_ball(oracle, p, R)
+        region = ball if R == r else build_ball(oracle, p, R)
         try:
             for g in generators:
                 null_homotopy_search(oracle, p, g, region, step_cap)
@@ -429,32 +430,30 @@ def _closed_paths_up_to(region: Ball, max_length: int, cap: int = 500_000):
     deduplicated as cyclic words up to rotation and inversion."""
     alphabet = region.presentation.alphabet
     dirs = directions(alphabet)
-    index = region._index
-    table = region.neighbours
+    rows = region.neighbours
     loops = {}
     budget = 0
 
-    def dfs(start_key, vertex_key, word):
+    def dfs(start, vertex, word):
         nonlocal budget
         budget += 1
         if budget > cap:
             raise CombinatorialExplosion("closed-path enumeration exceeded its cap")
-        if word and vertex_key == start_key:
+        if word and vertex == start:
             w = Word(alphabet, tuple(word))
             if not free_reduce(w).is_empty():
                 key = min(v.letters for v in rotations_and_inverses(w))
                 loops.setdefault(key, w)
         if len(word) >= max_length - 1:
             return
-        for d in dirs:
-            nxt = table.get((vertex_key, d))
-            if nxt in index:
+        for d, nxt in zip(dirs, rows[vertex]):
+            if nxt is not None:
                 word.append(d)
-                dfs(start_key, nxt, word)
+                dfs(start, nxt, word)
                 word.pop()
 
-    for key in region.keys:
-        dfs(key, key, [])
+    for v in range(len(rows)):
+        dfs(v, v, [])
     return list(loops.values())
 
 
@@ -499,12 +498,11 @@ class Combing:
 
     def path_vertices(self, vi: int) -> list[int]:
         """Indices of the vertices the combing path to vertex vi passes through."""
-        ball = self.ball
-        key = ball.base_key
-        out = [ball._index[key]]
+        rows = self.ball.neighbours
+        column = direction_codes(self.ball.presentation.alphabet)[1]
+        out = [0]
         for direction in self.paths[vi].letters:
-            key = ball.neighbours[(key, direction)]
-            out.append(ball._index[key])
+            out.append(rows[out[-1]][column[direction]])
         return out
 
     def verify_tame(self) -> bool:

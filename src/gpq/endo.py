@@ -205,6 +205,7 @@ class PinchStep:
     length: int
     replacement: Word
     kind: str  # "expand" (t u t^-1 -> phi(u)) or "decode" (t^-1 u t -> sigma^-1(u))
+    substitution: Substitution  # phi, whose stable letter t follows the base letters
 
 
 def britton_pinch_reduce(
@@ -272,7 +273,7 @@ def britton_pinch_reduce(
                 ) from None
             kind = "decode"
         lifted = Word(combined, replacement.letters)
-        steps.append(PinchStep(current, k0, k1 - k0 + 1, lifted, kind))
+        steps.append(PinchStep(current, k0, k1 - k0 + 1, lifted, kind, sub))
         current = current.splice(k0, k1 - k0 + 1, lifted.letters)
 
 
@@ -287,9 +288,33 @@ def _apply_to_signed(sub: Substitution, word: Word) -> Word:
     return Word(sub.alphabet, tuple(out))
 
 
-def replay_pinch_trace(word: Word, steps: tuple[PinchStep, ...]) -> Word:
+def replay_pinch_trace(word: Word, steps: tuple[PinchStep, ...]) -> Word | None:
+    """Re-apply every step from `word`: the word the trace ends at, or None
+    as soon as a step does not start from the current word or is not a pinch."""
     current = word
     for st in steps:
-        assert current == st.before
+        if current != st.before or not _is_pinch(st):
+            return None
         current = current.splice(st.position, st.length, st.replacement.letters)
     return current
+
+
+def _is_pinch(st: PinchStep) -> bool:
+    """True iff the step replaces an innermost t^e u t^-e of its `before`, u
+    over the base letters, by phi(u) (expand, e = 1) or by a positive v whose
+    image is letter-identical to u freely reduced (decode, e = -1)."""
+    sub = st.substitution
+    t = len(sub.alphabet)
+    seg = st.before.letters[st.position : st.position + st.length]
+    if st.position < 0 or st.length < 2 or len(seg) != st.length:
+        return False
+    (first, e), (last, f) = seg[0], seg[-1]
+    middle, repl = seg[1:-1], st.replacement.letters
+    if first != t or last != t or e != -f or any(i >= t for i, _ in middle + repl):
+        return False
+    u = Word._of(sub.alphabet, middle)
+    if st.kind == "expand" and e == 1:
+        return repl == _apply_to_signed(sub, u).letters
+    if st.kind == "decode" and e == -1 and all(x == 1 for _, x in repl):
+        return apply_substitution(sub, Word._of(sub.alphabet, repl)).letters == free_reduce(u).letters
+    return False

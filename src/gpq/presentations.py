@@ -39,9 +39,9 @@ class Presentation:
         v^-1 whenever uv is a rotation of a relator or of its inverse.  One
         (remove, insert, coded remove, coded free-reduced insert) tuple per
         distinct (u, v^-1), relator by relator, variant by variant, cut by
-        cut; the codes are those of `words.direction_codes`.  Freely trivial
-        relators give none."""
-        code = direction_codes(self.alphabet)[1]
+        cut; a letter's code is chr of its `words.direction_codes` column.  Freely
+        trivial relators give none."""
+        code = {d: chr(k) for d, k in direction_codes(self.alphabet)[1].items()}
         moves = []
         seen = set()
         for rel in self.relators:

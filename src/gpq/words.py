@@ -409,12 +409,12 @@ def directions(alphabet: Alphabet) -> list[tuple[int, int]]:
     return dirs
 
 
-def direction_codes(alphabet: Alphabet) -> tuple[list[tuple[int, int]], dict[tuple[int, int], str]]:
-    """The one-character coding of signed letters: a letter is chr of its
-    index in `directions(alphabet)`, and a character c decodes to
-    dirs[ord(c)].  Returns (dirs, code)."""
+def direction_codes(alphabet: Alphabet) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int]]:
+    """The column k of each signed letter dirs[k], dirs = `directions(alphabet)`:
+    a ball's neighbour rows hold its neighbour at k, and the search codes it
+    as chr(k).  Returns (dirs, column)."""
     dirs = directions(alphabet)
-    return dirs, {d: chr(k) for k, d in enumerate(dirs)}
+    return dirs, {d: k for k, d in enumerate(dirs)}
 
 
 def words_of_length(alphabet: Alphabet, length: int) -> Iterable[Word]:

@@ -397,14 +397,17 @@ def search_whole_words(p, loop, region, step_cap, extra_relators=()):
     (position, removed, inserted, kind), free cancellations leftmost first.
     """
     alphabet = p.alphabet
+    oracle = region.oracle
+    inside = {oracle.key(v) for v in region.vertices}
+    base = oracle.key(region.basepoint)
 
     def closes_inside(letters):
-        key = region.base_key
+        key = base
         for direction in letters:
-            key = region.neighbours.get((key, direction))
-            if key is None:
+            if key not in inside:
                 return False
-        return key == region.base_key and key in region.keys
+            key = oracle.step(key, direction)
+        return key == base and key in inside
 
     def free_moves(letters):
         reduced, cancels = reduce_recording_restart(letters, alphabet.involutive)
@@ -499,7 +502,7 @@ def pi1_generators_second_bfs(ball):
         adj[i].append((j, li, 1, ei))
         if i != j:
             adj[j].append((i, li, 1 if invol[li] else -1, ei))
-    root = ball._index[ball.base_key]
+    root = ball.vertices.index(ball.basepoint)
     paths = [None] * nv
     paths[root] = ()
     order = deque([root])

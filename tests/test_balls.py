@@ -37,7 +37,7 @@ from gpq.balls import (
     pi1_kill_radius,
 )
 from gpq.errors import Exhausted, NotNullHomotopic, OracleMismatch
-from gpq import presentations
+from gpq import balls, presentations
 from gpq.presentations import Presentation
 from gpq.words import Alphabet, Word, directions, free_reduce, words_up_to_length
 from helpers import pi1_generators_second_bfs, reduce_recording_restart, search_whole_words
@@ -231,7 +231,8 @@ def test_combing_paths_are_geodesics(z2_setup):
     combing = geodesic_0_combing(oracle, p, 3)
     for vi, v in enumerate(combing.ball.vertices):
         assert len(combing.paths[vi]) == combing.ball.distances[vi]
-        assert oracle.key(combing.paths[vi]) == combing.ball.keys[vi]
+        assert oracle.key(combing.paths[vi]) == oracle.key(v)
+        assert combing.path_vertices(vi)[-1] == vi
 
 
 def test_cross_check_witness_and_kill_radius(d8_setup):
@@ -432,6 +433,20 @@ def test_cell_moves_are_built_once_per_presentation(monkeypatch):
     assert twin == p
     assert twin.cell_moves == p.cell_moves and twin.cell_moves is not p.cell_moves
     assert len(calls) == 2
+
+
+def test_kill_radius_builds_the_radius_r_ball_once(monkeypatch, z2_setup):
+    # B(r) gives the generators and is the first region searched
+    p, oracle = z2_setup
+    radii = []
+    real = balls._build
+    monkeypatch.setattr(balls, "_build", lambda o, q, r, *rest, **kw: radii.append(r) or real(o, q, r, *rest, **kw))
+    assert pi1_kill_radius(oracle, p, 2, 4) == 2
+    assert radii == [2]
+    radii.clear()
+    with pytest.raises(Exhausted):  # with no 2-cells no loop dies
+        pi1_kill_radius(oracle, Presentation.make("a, b", []), 2, 4)
+    assert radii == [2, 3, 4]
 
 
 class _TwistedZOracle(WordOracle):
@@ -644,12 +659,64 @@ def test_vertices_are_named_by_their_first_bfs_path(name):
         for r in range(7):
             for build in (build_ball, build_sphere):
                 ball = build(oracle, p, r, basepoint)
-                for v, key, d in zip(ball.vertices, ball.keys, ball.distances):
+                keys = [oracle.key(v) for v in ball.vertices]
+                assert len(set(keys)) == len(keys)
+                for v, key, d in zip(ball.vertices, keys, ball.distances):
                     assert v.letters[: len(base)] == base
                     assert len(v) - len(base) == d
-                    assert oracle.key(v) == key
                     if not base and isinstance(oracle, FiniteGroupTable):
                         assert v == oracle.element_names[key]
+
+
+_BASEPOINTS = lambda p: ((), ((0, 1),), ((len(p.alphabet) - 1, 1), (0, 1), (len(p.alphabet) - 1, 1)))
+
+
+@pytest.mark.parametrize("name", list(_BACKENDS))
+def test_rows_hold_the_oracle_neighbour_of_every_vertex(name):
+    # entry k of vertex i's row is j exactly when stepping i's element in
+    # direction k reaches j's element, and None when it reaches no vertex
+    p, oracle = _backend(name)
+    dirs = directions(p.alphabet)
+    for base in _BASEPOINTS(p):
+        basepoint = Word(p.alphabet, base) if base else None
+        for r in range(6):
+            for build in (build_ball, build_sphere):
+                ball = build(oracle, p, r, basepoint)
+                keys = [oracle.key(v) for v in ball.vertices]
+                index = {k: i for i, k in enumerate(keys)}
+                assert len(ball.neighbours) == len(keys)
+                for key, row in zip(keys, ball.neighbours):
+                    assert row == tuple(index.get(oracle.step(key, d)) for d in dirs)
+
+
+@pytest.mark.parametrize("name", list(_BACKENDS))
+def test_sphere_is_the_distance_r_subcomplex_of_the_ball(name):
+    p, oracle = _backend(name)
+    empty = 0
+    for base in _BASEPOINTS(p):
+        basepoint = Word(p.alphabet, base) if base else None
+        for r in range(6):
+            ball = build_ball(oracle, p, r, basepoint)
+            sphere = build_sphere(oracle, p, r, basepoint)
+            shell = [i for i, d in enumerate(ball.distances) if d == r]
+            new = {i: k for k, i in enumerate(shell)}
+            shell_keys = {oracle.key(ball.vertices[i]) for i in shell}
+
+            def on_shell(b, ri):
+                key = oracle.key(ball.vertices[b])
+                for direction in p.relators[ri].letters:
+                    key = oracle.step(key, direction)
+                    if key not in shell_keys:
+                        return False
+                return True
+
+            assert sphere.vertices == tuple(ball.vertices[i] for i in shell)
+            assert sphere.distances == (r,) * len(shell)
+            assert sphere.edges == tuple((new[i], li, new[j]) for i, li, j in ball.edges if i in new and j in new)
+            assert sphere.cells == tuple((new[b], ri) for b, ri in ball.cells if b in new and on_shell(b, ri))
+            empty += not shell
+    # past the diameter of a finite group the sphere is empty
+    assert bool(empty) == (name in ("d8", "klein", "c4", "c5"))
 
 
 @pytest.mark.parametrize("name", list(_BACKENDS))
@@ -713,7 +780,7 @@ def test_bs13_names_stay_as_short_as_the_radius():
     p, oracle = _backend("bs13")
     ball = build_ball(oracle, p, 10)
     assert max(len(v) for v in ball.vertices) == 10
-    assert max(abs(m) for _, m, _ in ball.keys) > 10_000
+    assert max(abs(m) for _, m, _ in map(oracle.key, ball.vertices)) > 10_000
 
 
 def _tame_reference(ds, radius):

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from gpq.endo import (
     EndomorphicPresentation,
+    PinchStep,
     britton_pinch_reduce,
     expand_relators,
     expand_relators_annotated,
@@ -21,6 +26,8 @@ from gpq.endo import (
 from gpq.errors import BrittonStuck, NotInImage
 from gpq.words import Alphabet, Substitution, Word, apply_substitution, free_reduce
 from helpers import decode_by_tuples
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -294,6 +301,94 @@ def test_britton_decreases_stable_letters_and_replays(lysenok):
         assert all(c1 > c2 for c1, c2 in zip(counts, counts[1:]))
         assert replay_pinch_trace(w, steps) == out
     assert reduced_words > 50
+
+
+def test_every_pinch_trace_replays_stuck_ones_too(lysenok):
+    comb = lysenok.combined_alphabet()
+    rng = random.Random(17)
+    outcomes = {"reduced": 0, "stuck": 0}
+    for _ in range(300):
+        letters = []
+        for _ in range(rng.randrange(14)):
+            i = rng.randrange(4)
+            letters.append((i, 1 if comb.involutive[i] else rng.choice((1, -1))))
+        w = Word(comb, tuple(letters))
+        try:
+            out, steps = britton_pinch_reduce(lysenok, w)
+        except BrittonStuck as exc:
+            assert replay_pinch_trace(w, exc.trace) == exc.word
+            outcomes["stuck"] += 1
+            continue
+        assert replay_pinch_trace(w, steps) == out
+        outcomes["reduced"] += 1
+    assert min(outcomes.values()) > 20, outcomes
+
+
+def _bogus_pinch_replays(lysenok):
+    """Replays of one-step traces whose step is not a pinch of the word it
+    starts from.  A splice that checked nothing would turn `t a t' c` into
+    `d d d c` by the first and into `t c c` by the second."""
+    comb = lysenok.combined_alphabet()
+    W = lambda t: Word.from_str(comb, t)
+    sigma = lysenok.substitutions[0]
+    steps = [
+        ("t a t' c", 0, 3, "d d d", "expand"),  # not phi(a)
+        ("t a t' c", 1, 2, "c", "decode"),  # not bounded by stable letters
+        ("c a t'", 0, 3, "a c a", "expand"),  # no t at the start
+        ("t' c d c", 0, 4, "c", "decode"),  # no t at the end
+        ("t a t", 0, 3, "a c a", "expand"),  # t u t, not t u t'
+        ("t c d t'", 0, 4, "c", "decode"),  # t u t' decoded
+        ("t' a t", 0, 3, "a c a", "expand"),  # t' u t expanded
+        ("t t a t' t'", 0, 5, "a c a", "expand"),  # not innermost
+        ("t' c t", 0, 3, "c", "decode"),  # c decodes to d
+        ("t' c t", 0, 3, "c", "shrink"),  # no such kind
+        ("t a t' c", -4, 3, "a c a", "expand"),  # a position counted from the end
+    ]
+    replays = [
+        replay_pinch_trace(W(w), (PinchStep(W(w), pos, n, W(repl), kind, sigma),))
+        for w, pos, n, repl, kind in steps
+    ]
+    # a pinch of another word
+    elsewhere = PinchStep(W("t a t'"), 0, 3, W("a c a"), "expand", sigma)
+    return replays + [replay_pinch_trace(W("t a t' c"), (elsewhere,))]
+
+
+def test_replay_rejects_steps_that_are_not_pinches(lysenok):
+    assert _bogus_pinch_replays(lysenok) == [None] * 12
+    # the pinches britton_pinch_reduce finds in such words replay
+    comb = lysenok.combined_alphabet()
+    W = lambda t: Word.from_str(comb, t)
+    out, steps = britton_pinch_reduce(lysenok, W("t a t' c"))
+    assert replay_pinch_trace(W("t a t' c"), steps) == out == W("a c a c")
+    out, steps = britton_pinch_reduce(lysenok, W("t' c d t"))
+    assert steps[0].kind == "decode" and replay_pinch_trace(W("t' c d t"), steps) == out == W("c")
+
+
+_BOGUS_UNDER_O = """
+import sys
+sys.path.insert(0, "tests")
+from gpq.endo import EndomorphicPresentation
+from gpq.grigorchuk import make_grigorchuk_data
+from gpq.words import Word
+from test_endo import _bogus_pinch_replays
+
+assert False, "asserts are on"
+g = make_grigorchuk_data()
+ep = EndomorphicPresentation(g.acd, (), (g.sigma_acd,), (Word.from_str(g.acd, "a a"),), ("t",))
+print(_bogus_pinch_replays(ep))
+"""
+
+
+def test_replay_rejects_steps_that_are_not_pinches_under_python_O():
+    # the checks are plain code, not asserts that -O strips: the run gets
+    # past its `assert False` and still rejects every bogus step
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BOGUS_UNDER_O], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str([None] * 12)
 
 
 def test_expand_relators_annotated_provenance(lysenok):
