@@ -509,12 +509,22 @@ class Combing:
         """For every vertex and every n <= r: the portion of its combing path
         inside B(n) is a single initial segment.  That holds for every n
         exactly when the distances along the path never decrease: a drop at
-        step t puts position t + 1 inside B(ds[t + 1]) and position t outside."""
+        step t puts position t + 1 inside B(ds[t + 1]) and position t outside.
+        A path that extends an earlier vertex's path by one letter takes that
+        path's verdict and checks its last step; any other path is walked
+        whole, so a geodesic combing costs one row lookup per vertex."""
+        rows = self.ball.neighbours
+        column = direction_codes(self.ball.presentation.alphabet)[1]
         distances = self.ball.distances
-        return all(
-            _never_decreasing([distances[j] for j in self.path_vertices(vi)])
-            for vi in range(len(self.ball.vertices))
-        )
+        ends = {}  # the end vertex of each path found tame so far
+        for vi in range(len(self.ball.vertices)):
+            path = self.paths[vi].letters
+            start = ends.get(path[:-1]) if path else None
+            walk = self.path_vertices(vi) if start is None else (start, rows[start][column[path[-1]]])
+            if not _never_decreasing([distances[j] for j in walk]):
+                return False
+            ends[path] = walk[-1]
+        return True
 
 
 def _never_decreasing(ds) -> bool:

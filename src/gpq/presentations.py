@@ -4,6 +4,12 @@ Relators are stored verbatim (possibly unreduced); two presentations are
 equal only if alphabets and relator letter sequences coincide exactly.
 Tietze moves return a new presentation together with the move that undoes
 them, so a finite trace of moves can be replayed and inverted.
+
+A move costs what it changes.  T1 appends its letter, so every old letter
+keeps its index and each relator keeps its letter tuple (the same object);
+T2 keeps them too when it cancels the last letter.  Only a T2 of an inner
+letter renumbers, re-reading the relators.  T3 and T4 keep every relator
+they do not add or remove.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ class Presentation:
 
     def __post_init__(self):
         for rel in self.relators:
-            if rel.alphabet != self.alphabet:
+            if rel.alphabet is not self.alphabet and rel.alphabet != self.alphabet:
                 raise ValueError("relator over a different alphabet")
 
     @staticmethod
@@ -115,6 +121,10 @@ def _evaluate_certificate(alphabet: Alphabet, relators: tuple[Word, ...], cert: 
     for conj, idx, exp in cert:
         if not 0 <= idx < len(relators):
             raise InvalidMove(f"certificate references relator {idx}, have {len(relators)}")
+        if exp not in (1, -1):
+            raise InvalidMove(f"certificate exponent must be 1 or -1, got {exp}")
+        if conj.alphabet != alphabet:
+            raise InvalidMove("certificate conjugator over another alphabet")
         base = relators[idx] if exp == 1 else relators[idx].inverse()
         prod = prod * conj * base * conj.inverse()
     return free_reduce(prod)
@@ -139,13 +149,16 @@ def apply_move(p: Presentation, move: TietzeMove) -> tuple[Presentation, TietzeM
             raise InvalidMove(f"generator {move.new_letter!r} already present")
         if move.defining_word.alphabet != p.alphabet:
             raise InvalidMove("defining word must be over the old alphabet")
-        new_alpha = Alphabet(
-            p.alphabet.letters + (move.new_letter,),
-            p.alphabet.involutive + (move.involutive,),
-        )
-        y = Word.letter(new_alpha, move.new_letter)
-        defining = y * rename_word(move.defining_word, new_alpha).inverse()
-        new_rels = tuple(rename_word(r, new_alpha) for r in p.relators) + (defining,)
+        try:
+            new_alpha = Alphabet(
+                p.alphabet.letters + (move.new_letter,),
+                p.alphabet.involutive + (move.involutive,),
+            )
+        except ValueError as exc:
+            raise InvalidMove(str(exc)) from None
+        # the new letter is appended, so every old letter keeps its index
+        defining = Word._of(new_alpha, ((len(p.alphabet), 1),) + move.defining_word.inverse().letters)
+        new_rels = tuple(Word._of(new_alpha, r.letters) for r in p.relators) + (defining,)
         return Presentation(new_alpha, new_rels, p.name), T2(move.new_letter)
 
     if isinstance(move, T2):
@@ -153,31 +166,31 @@ def apply_move(p: Presentation, move: TietzeMove) -> tuple[Presentation, TietzeM
             li = p.alphabet.index(move.letter)
         except KeyError:
             raise InvalidMove(f"no generator {move.letter!r}") from None
-        hits = [
-            (ri, rel)
-            for ri, rel in enumerate(p.relators)
-            if any(idx == li for idx, _ in rel.letters)
-        ]
+        y, y_inv = (li, 1), (li, -1)
+        hits = [ri for ri, rel in enumerate(p.relators) if y in rel.letters or y_inv in rel.letters]
         if len(hits) != 1:
             raise InvalidMove(
                 f"generator {move.letter!r} occurs in {len(hits)} relators; need exactly one"
             )
-        ri, rel = hits[0]
+        ri = hits[0]
+        rel = p.relators[ri]
         # The defining relator must be literally  y s^-1  with s free of y.
-        if not rel.letters or rel.letters[0] != (li, 1):
+        if not rel.letters or rel.letters[0] != y:
             raise InvalidMove(f"relator '{rel}' does not start with {move.letter}")
-        if any(idx == li for idx, _ in rel.letters[1:]):
+        s_inv = rel.letters[1:]
+        if y in s_inv or y_inv in s_inv:
             raise InvalidMove(f"{move.letter!r} reoccurs inside its defining relator")
-        s_inv = Word(p.alphabet, rel.letters[1:])
-        defining_word = s_inv.inverse()
+        defining_word = Word._of(p.alphabet, s_inv).inverse()
         new_alpha = Alphabet(
             p.alphabet.letters[:li] + p.alphabet.letters[li + 1 :],
             p.alphabet.involutive[:li] + p.alphabet.involutive[li + 1 :],
         )
-        new_rels = tuple(
-            rename_word(r, new_alpha) for ri2, r in enumerate(p.relators) if ri2 != ri
-        )
-        inverse = T1(move.letter, rename_word(defining_word, new_alpha), p.alphabet.involutive[li])
+        if li == len(new_alpha):  # the last letter: no other letter is renumbered
+            rehome = lambda w: Word._of(new_alpha, w.letters)
+        else:
+            rehome = lambda w: rename_word(w, new_alpha)
+        new_rels = tuple(map(rehome, p.relators[:ri] + p.relators[ri + 1 :]))
+        inverse = T1(move.letter, rehome(defining_word), p.alphabet.involutive[li])
         return Presentation(new_alpha, new_rels, p.name), inverse
 
     if isinstance(move, T3):
@@ -190,7 +203,7 @@ def apply_move(p: Presentation, move: TietzeMove) -> tuple[Presentation, TietzeM
     if isinstance(move, T4):
         if not 0 <= move.index < len(p.relators):
             raise InvalidMove(f"no relator at index {move.index}")
-        remaining = tuple(r for i, r in enumerate(p.relators) if i != move.index)
+        remaining = p.relators[: move.index] + p.relators[move.index + 1 :]
         _check_derivation(p.alphabet, remaining, move.derivation, p.relators[move.index], "T4")
         inverse = T3(p.relators[move.index], move.derivation)
         return Presentation(p.alphabet, remaining, p.name), inverse

@@ -36,7 +36,7 @@ class Alphabet:
         if len(set(self.letters)) != len(self.letters):
             raise ValueError(f"duplicate letter names in {self.letters}")
         for name in self.letters:
-            if not name or any(ch.isspace() for ch in name):
+            if name.split() != [name]:  # empty, or containing whitespace
                 raise ValueError(f"bad letter name {name!r}")
 
     @staticmethod

@@ -814,3 +814,62 @@ def test_combing_that_leaves_a_ball_and_comes_back_is_not_tame(z2_setup):
     assert ds == [0, 1, 2, 1]
     assert not _tame_reference(ds, 3)
     assert not detour.verify_tame()
+
+
+def _tame_by_walking_every_path(combing):
+    """The tameness check by definition of its docstring: every path walked whole."""
+    distances = combing.ball.distances
+    return all(
+        _never_decreasing([distances[j] for j in combing.path_vertices(vi)])
+        for vi in range(len(combing.ball.vertices))
+    )
+
+
+def _random_step(ball, rng, cur, down):
+    """A random direction out of vertex `cur` and its end, going down in
+    distance if `down`, else not going down, inside the ball."""
+    dirs = directions(ball.presentation.alphabet)
+    here = ball.distances[cur]
+    steps = [
+        (d, j) for d, j in zip(dirs, ball.neighbours[cur])
+        if j is not None and (ball.distances[j] < here) == down
+    ]
+    return rng.choice(steps)
+
+
+def test_verify_tame_matches_walking_every_path(z2_setup):
+    p, oracle = z2_setup
+    r = 3
+    ball = build_ball(oracle, p, r)
+    n = len(ball.vertices)
+    rng = random.Random(18)
+    outcomes = Counter()
+    for trial in range(400):
+        dip = rng.choice((0, 0.02, 0.05))  # the chance that a step goes down
+        prefix_closed = trial % 2 == 1
+        paths, ends = [()], [0]
+        while len(paths) < n:
+            down = rng.random() < dip
+            if prefix_closed:  # each path extends an earlier one by a letter
+                room = [j for j, end in enumerate(ends) if (ball.distances[end] > 0 if down else ball.distances[end] < r)]
+                if not room:
+                    continue
+                j = rng.choice(room)
+                path, cur = paths[j], ends[j]
+            else:  # each path a fresh walk of up to r letters
+                path, cur = (), 0
+                for _ in range(rng.randrange(r)):
+                    d, cur = _random_step(ball, rng, cur, False)
+                    path += (d,)
+                if down and not ball.distances[cur]:
+                    continue
+            d, cur = _random_step(ball, rng, cur, down)
+            paths.append(path + (d,))
+            ends.append(cur)
+        if trial % 4 == 3:  # some prefixes now come after their extensions
+            rng.shuffle(paths)
+        combing = Combing(ball, tuple(Word(p.alphabet, path) for path in paths))
+        want = _tame_by_walking_every_path(combing)
+        assert combing.verify_tame() == want, trial
+        outcomes[trial % 4, want] += 1
+    assert all(outcomes[kind, verdict] >= 10 for kind in range(4) for verdict in (True, False)), outcomes

@@ -109,3 +109,61 @@ def test_random_moves_invert_exactly():
         restored, _ = apply_move(q, inverse)
         assert restored == p, f"move {k} did not invert byte-identically"
         p = q  # walk on, presentation grows
+
+
+def test_t1_keeps_relator_letters():
+    p = Presentation.make("a, b!", ["a b a' b", "(b a)^3"])
+    q = tietze(p, T1("y", W(p, "a b a")))
+    assert all(new.letters is old.letters for new, old in zip(q.relators, p.relators))
+    assert str(q.relators[-1]) == "y a' b a'"
+
+
+def test_t2_of_last_letter_keeps_relator_letters():
+    p = Presentation.make("a, b, y", ["a b a' b'", "y a' b", "b b a"])
+    q, inverse = apply_move(p, T2("y"))
+    assert q.alphabet.letters == ("a", "b")
+    assert q.relators[0].letters is p.relators[0].letters
+    assert q.relators[1].letters is p.relators[2].letters
+    assert inverse == T1("y", W(q, "b' a"))
+
+
+def test_t2_of_inner_letter_renumbers():
+    p = Presentation.make("a, y, b", ["y a' b", "b b a"])
+    q, inverse = apply_move(p, T2("y"))
+    assert q.alphabet.letters == ("a", "b")
+    assert [r.letters for r in q.relators] == [((1, 1), (1, 1), (0, 1))]
+    assert str(q.relators[0]) == "b b a"
+    assert inverse == T1("y", W(q, "b' a"))
+    back = tietze(q, inverse)
+    assert back.alphabet.letters == ("a", "b", "y")
+    assert [str(r) for r in back.relators] == ["b b a", "y a' b"]
+
+
+@pytest.mark.parametrize("exponent", [2, 0, -3])
+def test_certificate_exponent_other_than_one_is_refused(exponent):
+    p = Presentation.make("a", ["a a"])
+    cert = ((Word.identity(p.alphabet), 0, exponent),)
+    with pytest.raises(InvalidMove):
+        tietze(p, T3(W(p, "a' a'"), cert))
+
+
+def test_certificate_conjugator_over_another_alphabet_is_refused():
+    p = Presentation.make("a", ["a a"])
+    other = Presentation.make("b", [])
+    cert = ((W(other, "b"), 0, 1),)
+    with pytest.raises(InvalidMove):
+        tietze(p, T3(W(p, "a a"), cert))
+
+
+@pytest.mark.parametrize("name", ["", "b c"])
+def test_t1_bad_letter_name_is_refused(name):
+    p = Presentation.make("a", [])
+    with pytest.raises(InvalidMove):
+        tietze(p, T1(name, W(p, "a")))
+
+
+@pytest.mark.parametrize("relators", [["y a y"], ["y a y'"], ["y a'", "a y'"]])
+def test_t2_sees_the_letter_with_either_exponent(relators):
+    p = Presentation.make("a, y", relators)
+    with pytest.raises(InvalidMove):
+        tietze(p, T2("y"))
