@@ -242,14 +242,18 @@ def _loop_inside(region: Ball, loop: Word) -> bool:
     """True iff `loop` traces a closed path from the basepoint inside the region."""
     if region.is_sphere and region.radius:
         return False  # the basepoint is not a vertex of the sphere
-    rows = region.neighbours
     column = direction_codes(region.presentation.alphabet)[1]
-    v = 0
-    for direction in loop.letters:
-        v = rows[v][column[direction]]
-        if v is None:
-            return False
-    return v == 0
+    return _walk(region.neighbours, 0, (column[d] for d in loop.letters)) == 0
+
+
+def _walk(rows, vertex: int, columns) -> int | None:
+    """The vertex reached from `vertex` along `columns` of the rows, or None
+    once the path leaves the ball."""
+    for k in columns:
+        vertex = rows[vertex][k]
+        if vertex is None:
+            return None
+    return vertex
 
 
 def _reduce_recording(word: Word):
@@ -289,6 +293,42 @@ def _splice_reduced(state: str, pos: int, end: int, red: str, inverse: dict) -> 
     return head[:h] + state[end:]
 
 
+def _core_length(word: str, inverse: dict) -> int:
+    """The length of the cyclic core of a coded reduced word: the word less
+    its matching x...x^-1 ends."""
+    i, j = 0, len(word)
+    while j - i > 1 and inverse[word[i]] == word[j - 1]:
+        i += 1
+        j -= 1
+    return j - i
+
+
+def _one_move_kills(state: str, moves, cores: set, inverse: dict):
+    """The (position, move index) of every move of `moves` that splices the
+    coded reduced `state` to nothing, in search order.
+
+    Two necessary conditions prune the splices.  If prefix red suffix reduces
+    to nothing, the state is freely prefix (u ins^-1) prefix^-1, a conjugate
+    of a relator rotation: its cyclic core is as long as a relator's, one of
+    `cores`.  And the suffix is then the inverse of what prefix red leaves
+    once the prefix tail cancels into red, so d = len(state) - len(u) -
+    len(red) is even and >= 0, and the position lies in [d/2, d/2 + len(red)].
+    """
+    if _core_length(state, inverse) not in cores:
+        return
+    for k, (_, _, u, red) in enumerate(moves):
+        lu, lr = len(u), len(red)
+        d = len(state) - lu - lr
+        if d < 0 or d % 2:
+            continue
+        end = d // 2 + lr + lu  # the last position a match may start at, plus lu
+        pos = state.find(u, d // 2, end)
+        while pos >= 0:
+            if not _splice_reduced(state, pos, pos + lu, red, inverse):
+                yield pos, k
+            pos = state.find(u, pos + 1, end)
+
+
 def null_homotopy_search(
     oracle: WordOracle,
     p: Presentation,
@@ -301,7 +341,11 @@ def null_homotopy_search(
     States are free-reduced loops based at the region's basepoint; moves are
     free cancellations/insertions and relator-subword replacements, and every
     intermediate loop must trace inside the region.  Raises Exhausted after
-    `step_cap` states; incompleteness is explicit.
+    `step_cap` states; incompleteness is explicit.  The search keeps at most
+    `step_cap` states: once the explored and queued states reach the cap (the
+    frontier), a new state would never be popped, so it is not recorded,
+    and once one has turned up, each state still popped is tested only for
+    a move that kills it outright.
 
     On entry every relator of `p` must be trivial under the oracle, or
     OracleMismatch is raised: a cell the group does not have would certify
@@ -331,45 +375,61 @@ def null_homotopy_search(
     inverse = {chr(k): chr(column[(i, e if invol[i] else -e)]) for k, (i, e) in enumerate(dirs)}
     walks = [{} for _ in p.cell_moves]  # per move: start vertex -> end vertex or None
     rows = region.neighbours
+    # the cyclic core lengths of the relators that give moves
+    cores = {_core_length(red, inverse) for _, _, u, red in p.cell_moves if not u}
     first = "".join(chr(column[d]) for d in start.letters)
     seen = {first: None}  # state -> (previous state, position, move index)
     queue = deque([first])
     explored = 0
-    while queue:
-        if explored >= step_cap:
-            raise Exhausted(
-                f"no null-homotopy within {step_cap} states", states_explored=explored
-            )
+    beyond = False  # a new state turned up past the frontier
+    while queue and explored < step_cap:
         state = queue.popleft()
         explored += 1
-        # at[i]: the vertex after the first i letters
-        at = [0]
-        for c in state:
-            at.append(rows[at[-1]][ord(c)])
-        for k, (_, ins, u, red) in enumerate(p.cell_moves):
-            lu, ends = len(u), walks[k]
-            pos = state.find(u)  # every position, 0 to len(state), for an empty u
-            while pos >= 0:
-                # the unreduced intermediate must stay inside too: the slide
-                # across the cell happens before the spurs cancel.  Prefix and
-                # suffix are paths of the inside state; ins runs from at[pos]
-                # and, u ins^-1 being trivial, closes at at[pos + lu].
-                vertex = at[pos]
-                if vertex not in ends:
-                    end = vertex
-                    for direction in ins:
-                        end = rows[end][column[direction]]
-                        if end is None:
-                            break
-                    ends[vertex] = end
-                if ends[vertex] == at[pos + lu]:
-                    key = _splice_reduced(state, pos, pos + lu, red, inverse)
-                    if key not in seen:
-                        seen[key] = (state, pos, k)
-                        if not key:
-                            return _assemble_witness(loop, norm_moves, seen, p, dirs, region, explored)
-                        queue.append(key)
-                pos = state.find(u, pos + 1)
+        if not beyond:
+            # at[i]: the vertex after the first i letters
+            at = [0]
+            for c in state:
+                at.append(rows[at[-1]][ord(c)])
+            for k, (_, ins, u, red) in enumerate(p.cell_moves):
+                lu, ends = len(u), walks[k]
+                pos = state.find(u)  # every position, 0 to len(state), for an empty u
+                while pos >= 0:
+                    # the unreduced intermediate must stay inside too: the slide
+                    # across the cell happens before the spurs cancel.  Prefix and
+                    # suffix are paths of the inside state; ins runs from at[pos]
+                    # and, u ins^-1 being trivial, closes at at[pos + lu].
+                    vertex = at[pos]
+                    if vertex not in ends:
+                        end = vertex
+                        for direction in ins:
+                            end = rows[end][column[direction]]
+                            if end is None:
+                                break
+                        ends[vertex] = end
+                    if ends[vertex] == at[pos + lu]:
+                        key = _splice_reduced(state, pos, pos + lu, red, inverse)
+                        if key not in seen:
+                            if key and explored + len(queue) >= step_cap:
+                                beyond = True  # the frontier: it would never be popped
+                                break
+                            seen[key] = (state, pos, k)
+                            if not key:
+                                return _assemble_witness(loop, norm_moves, seen, p, dirs, region, explored)
+                            queue.append(key)
+                    pos = state.find(u, pos + 1)
+                if beyond:
+                    break
+        if beyond:  # no state queued from here is popped: only a kill counts
+            # a move tried before the frontier killed nothing (a kill returns)
+            # or fails its walk again, so the state's first kill is the next
+            for pos, k in _one_move_kills(state, p.cell_moves, cores, inverse):
+                _, ins, u, _ = p.cell_moves[k]
+                vertex = _walk(rows, 0, map(ord, state[:pos]))
+                if _walk(rows, vertex, (column[d] for d in ins)) == _walk(rows, vertex, map(ord, u)):
+                    seen[""] = (state, pos, k)
+                    return _assemble_witness(loop, norm_moves, seen, p, dirs, region, explored)
+    if queue or beyond:
+        raise Exhausted(f"no null-homotopy within {step_cap} states", states_explored=explored)
     raise Exhausted(
         f"state space exhausted after {explored} states without a null-homotopy",
         states_explored=explored,
@@ -497,33 +557,47 @@ class Combing:
     paths: tuple[Word, ...]  # path word from basepoint to each vertex
 
     def path_vertices(self, vi: int) -> list[int]:
-        """Indices of the vertices the combing path to vertex vi passes through."""
+        """Indices of the vertices the combing path to vertex vi passes
+        through; ValueError if it leaves the ball."""
         rows = self.ball.neighbours
         column = direction_codes(self.ball.presentation.alphabet)[1]
+        path = self.paths[vi]
         out = [0]
-        for direction in self.paths[vi].letters:
+        for t, direction in enumerate(path.letters):
             out.append(rows[out[-1]][column[direction]])
+            if out[-1] is None:
+                raise ValueError(
+                    f"combing path '{path}' of vertex {vi} ({self.ball.vertices[vi]}) leaves "
+                    f"the ball at its letter {t + 1}, '{Word._of(path.alphabet, (direction,))}'"
+                )
         return out
 
     def verify_tame(self) -> bool:
-        """For every vertex and every n <= r: the portion of its combing path
-        inside B(n) is a single initial segment.  That holds for every n
-        exactly when the distances along the path never decrease: a drop at
-        step t puts position t + 1 inside B(ds[t + 1]) and position t outside.
-        A path that extends an earlier vertex's path by one letter takes that
-        path's verdict and checks its last step; any other path is walked
-        whole, so a geodesic combing costs one row lookup per vertex."""
+        """For every vertex and every n <= r: its combing path ends at it,
+        inside the ball, and the portion inside B(n) is a single initial
+        segment.  That holds for every n exactly when the distances along
+        the path never decrease: a drop at step t puts position t + 1 inside
+        B(ds[t + 1]) and position t outside.  A path that extends an earlier
+        vertex's path by one letter takes that path's verdict and checks its
+        last step; any other path is walked whole, so a geodesic combing
+        costs one row lookup per vertex."""
         rows = self.ball.neighbours
         column = direction_codes(self.ball.presentation.alphabet)[1]
         distances = self.ball.distances
-        ends = {}  # the end vertex of each path found tame so far
+        ends = {}  # the vertex of each path found tame so far
         for vi in range(len(self.ball.vertices)):
             path = self.paths[vi].letters
             start = ends.get(path[:-1]) if path else None
-            walk = self.path_vertices(vi) if start is None else (start, rows[start][column[path[-1]]])
-            if not _never_decreasing([distances[j] for j in walk]):
+            if start is not None:
+                walk = (start, rows[start][column[path[-1]]])
+            else:
+                try:
+                    walk = self.path_vertices(vi)
+                except ValueError:
+                    return False
+            if walk[-1] != vi or not _never_decreasing([distances[j] for j in walk]):
                 return False
-            ends[path] = walk[-1]
+            ends[path] = vi
         return True
 
 

@@ -45,6 +45,13 @@ class RewritingSystem:
             by_first.setdefault(lhs.letters[0], []).append((ri, lhs.letters, len(lhs)))
         return by_first
 
+    @cached_property
+    def _reach(self) -> int:
+        """The longest lhs less one: a step at pos changes no letter before
+        pos, and no window starting before pos matched, so only windows that
+        start at most this far before pos can match after it."""
+        return max((len(lhs) for lhs, _ in self.rules), default=1) - 1
+
 
 @dataclass(frozen=True)
 class ReductionStep:
@@ -110,9 +117,7 @@ def reduce(rs: RewritingSystem, word: Word, step_limit: int = 10_000) -> tuple[W
         raise ValueError("step_limit must be positive")
     if word.alphabet != rs.alphabet:
         raise ValueError("word over a different alphabet")
-    # a step at pos changes no letter before pos, and no window starting
-    # before pos matched: only windows that reach pos can match now
-    reach = max((len(lhs) for lhs, _ in rs.rules), default=1) - 1
+    reach = rs._reach
     steps = []
     current = word
     start = 0

@@ -392,9 +392,11 @@ def search_whole_words(p, loop, region, step_cap, extra_relators=()):
     """Breadth-first null-homotopy search of `loop` in `region`, one whole word
     per candidate: a Word, a free reduction and a walk of the unreduced loop.
 
-    Returns ("outside",) when the loop leaves the region, ("exhausted",
-    states explored), or ("witness", moves, states explored) with moves as
-    (position, removed, inserted, kind), free cancellations leftmost first.
+    Returns ("outside",) when the loop leaves the region, ("exhausted", end,
+    states explored) with end "cap" when states were still queued at the cap
+    and "state space" when the queue ran dry, or ("witness", moves, states
+    explored) with moves as (position, removed, inserted, kind), free
+    cancellations leftmost first.
     """
     alphabet = p.alphabet
     oracle = region.oracle
@@ -434,7 +436,7 @@ def search_whole_words(p, loop, region, step_cap, extra_relators=()):
     explored = 0
     while queue:
         if explored >= step_cap:
-            return ("exhausted", explored)
+            return ("exhausted", "cap", explored)
         state = queue.popleft()
         explored += 1
         for u, ins in rewrites:
@@ -458,7 +460,7 @@ def search_whole_words(p, loop, region, step_cap, extra_relators=()):
                     moves.append(move)
                     moves += free_moves(prev[:at] + inserted + prev[at + len(removed) :])[1]
                 return ("witness", moves, explored)
-    return ("exhausted", explored)
+    return ("exhausted", "state space", explored)
 
 
 def rewrite_restart(rs, word, step_limit):

@@ -435,6 +435,23 @@ def test_cell_moves_are_built_once_per_presentation(monkeypatch):
     assert len(calls) == 2
 
 
+def test_search_past_its_frontier_only_tests_for_one_move_kills(monkeypatch):
+    # the square of side 2 never kills the unit square, so the search ends
+    # at its cap; past the frontier a state costs a few kill tests, not the
+    # hundreds of splices of its successors
+    p = Presentation.make("a, b", ["a a b b a' a' b' b'"], "z2_side_2")
+    oracle = free_abelian_oracle(2, p.alphabet)
+    region = build_ball(oracle, p, 3)
+    calls = []
+    real = balls._splice_reduced
+    monkeypatch.setattr(balls, "_splice_reduced", lambda *args: calls.append(args) or real(*args))
+    for cap in (200, 2_000):
+        calls.clear()
+        with pytest.raises(Exhausted, match=f"^no null-homotopy within {cap} states$"):
+            null_homotopy_search(oracle, p, W(p, "a b a' b'"), region, cap)
+        assert 0 < len(calls) <= 20 * cap, (cap, len(calls))
+
+
 def test_kill_radius_builds_the_radius_r_ball_once(monkeypatch, z2_setup):
     # B(r) gives the generators and is the first region searched
     p, oracle = z2_setup
@@ -470,7 +487,11 @@ def _search_outcome(oracle, p, loop, region, cap):
     try:
         w = null_homotopy_search(oracle, p, loop, region, step_cap=cap)
     except Exhausted as exc:
-        return ("exhausted", exc.states_explored)
+        ends = {
+            f"no null-homotopy within {cap} states": "cap",
+            f"state space exhausted after {exc.states_explored} states without a null-homotopy": "state space",
+        }
+        return ("exhausted", ends[str(exc)], exc.states_explored)
     except ValueError:
         return ("outside",)
     moves = [(m.position, m.removed, m.inserted, m.kind) for m in w.moves]
@@ -527,16 +548,26 @@ def test_search_matches_whole_word_reference(z2_setup, d8_setup, bs2_setup):
         loops += _cell_loops(region, cells, 8, rng)
         loops += pi1_generators(region).generators[:4]
         for loop in loops:
-            for cap in (1, 4, 100):
+            # a loop certified within 100 states also runs at the cap it needs, and one less
+            found = search_whole_words(p, loop, region, 100)
+            needed = (found[2], found[2] - 1) if found[0] == "witness" else ()
+            for cap in (1, 2, 3, 4, 5, 100) + needed:
                 want = search_whole_words(p, loop, region, cap)
                 assert _search_outcome(oracle, p, loop, region, cap) == want, (p.name, str(loop), cap)
-                compared[want[0]] += 1
+                compared[want[:2] if want[0] == "exhausted" else want[0]] += 1
         # spheres hold no vertex of their centre, so no loop starts inside
         sphere = build_sphere(oracle, p, r, basepoint)
         for loop in loops[:3]:
             assert _search_outcome(oracle, p, loop, sphere, 100) == ("outside",)
             assert search_whole_words(p, loop, sphere, 100) == ("outside",)
-    assert compared["witness"] > 200 and compared["exhausted"] > 40
+        # with no cells nothing moves: the state space ends after the first state
+        bare = Presentation(p.alphabet, (), p.name)
+        for loop in loops[:3]:
+            want = search_whole_words(bare, loop, region, 100)
+            assert _search_outcome(oracle, bare, loop, region, 100) == want == ("exhausted", "state space", 1)
+            compared[want[:2]] += 1
+    assert compared["witness"] > 200 and compared["exhausted", "cap"] > 40, compared
+    assert compared["exhausted", "state space"] > 20, compared
 
 
 def test_search_with_short_loop_cells_matches_whole_word_reference(z2_setup, bs2_setup):
@@ -816,60 +847,103 @@ def test_combing_that_leaves_a_ball_and_comes_back_is_not_tame(z2_setup):
     assert not detour.verify_tame()
 
 
+def test_verify_tame_checks_that_each_path_ends_at_its_vertex(z2_setup):
+    p, oracle = z2_setup
+    ball = build_ball(oracle, p, 2)
+    empty = Combing(ball, (Word.identity(p.alphabet),) * len(ball.vertices))
+    assert all(empty.path_vertices(vi) == [0] for vi in range(len(ball.vertices)))
+    assert not empty.verify_tame()
+    # two vertices swap their geodesics: every step still climbs
+    geodesic = geodesic_0_combing(oracle, p, 2)
+    i, j = ball.vertices.index(W(p, "a")), ball.vertices.index(W(p, "a b"))
+    paths = list(geodesic.paths)
+    paths[i], paths[j] = paths[j], paths[i]
+    assert not Combing(ball, tuple(paths)).verify_tame()
+
+
+def _leaving_combing(p, oracle):
+    """The geodesic combing of Z^2's B(1), with the path a a a' for vertex a."""
+    combing = geodesic_0_combing(oracle, p, 1)
+    vi = combing.ball.vertices.index(W(p, "a"))
+    paths = combing.paths[:vi] + (W(p, "a a a'"),) + combing.paths[vi + 1 :]
+    return Combing(combing.ball, paths), vi
+
+
+def test_path_vertices_names_where_a_path_leaves_the_ball(z2_setup):
+    combing, vi = _leaving_combing(*z2_setup)
+    with pytest.raises(ValueError, match=f"^combing path 'a a a'' of vertex {vi} \\(a\\) leaves the ball at its letter 2, 'a'$"):
+        combing.path_vertices(vi)
+
+
+def test_a_combing_path_that_leaves_the_ball_is_not_tame(z2_setup):
+    combing, _ = _leaving_combing(*z2_setup)
+    assert not combing.verify_tame()
+
+
 def _tame_by_walking_every_path(combing):
-    """The tameness check by definition of its docstring: every path walked whole."""
+    """The tameness check by definition of its docstring: every path walked
+    whole, inside the ball, to its own vertex."""
     distances = combing.ball.distances
-    return all(
-        _never_decreasing([distances[j] for j in combing.path_vertices(vi)])
-        for vi in range(len(combing.ball.vertices))
-    )
+    for vi in range(len(combing.ball.vertices)):
+        try:
+            walk = combing.path_vertices(vi)
+        except ValueError:
+            return False
+        if walk[-1] != vi or not _never_decreasing([distances[j] for j in walk]):
+            return False
+    return True
 
 
-def _random_step(ball, rng, cur, down):
-    """A random direction out of vertex `cur` and its end, going down in
-    distance if `down`, else not going down, inside the ball."""
+def _random_combing(ball, rng, dip, prefix_closed):
+    """Path i ends at vertex i; a step goes down in distance with chance `dip`.
+
+    Prefix-closed: a tree grown in random order, each path extending the
+    path of a vertex reached before by one letter.  Otherwise each path is
+    a walk of its own, found backwards from its vertex to the basepoint.
+    """
     dirs = directions(ball.presentation.alphabet)
-    here = ball.distances[cur]
-    steps = [
-        (d, j) for d, j in zip(dirs, ball.neighbours[cur])
-        if j is not None and (ball.distances[j] < here) == down
-    ]
-    return rng.choice(steps)
+    invol = ball.presentation.alphabet.involutive
+    dist, rows = ball.distances, ball.neighbours
+
+    def pick(steps):  # steps: (goes down, step)
+        down = [step for is_down, step in steps if is_down]
+        up = [step for is_down, step in steps if not is_down]
+        return rng.choice(down if down and (not up or rng.random() < dip) else up)
+
+    paths = {0: ()}
+    while prefix_closed and len(paths) < len(rows):
+        j, d, i = pick([
+            (dist[i] < dist[j], (j, d, i))
+            for j in paths for d, i in zip(dirs, rows[j]) if i is not None and i not in paths
+        ])
+        paths[i] = paths[j] + (d,)
+    for v in range(len(rows)):
+        back, cur = [], v
+        while v not in paths and cur:  # the step d from cur to j is read j -> cur
+            d, cur = pick([(dist[j] > dist[cur], (d, j)) for d, j in zip(dirs, rows[cur]) if j is not None and dist[j] != dist[cur]])
+            back.append((d[0], d[1] if invol[d[0]] else -d[1]))
+        paths.setdefault(v, tuple(reversed(back)))
+    return [paths[v] for v in range(len(rows))]
 
 
 def test_verify_tame_matches_walking_every_path(z2_setup):
+    # kinds: fresh walks, prefix-closed trees, and each with one path moved
+    # to another vertex; the verdict counted is that before the move
     p, oracle = z2_setup
-    r = 3
-    ball = build_ball(oracle, p, r)
+    ball = build_ball(oracle, p, 3)
     n = len(ball.vertices)
     rng = random.Random(18)
     outcomes = Counter()
     for trial in range(400):
-        dip = rng.choice((0, 0.02, 0.05))  # the chance that a step goes down
-        prefix_closed = trial % 2 == 1
-        paths, ends = [()], [0]
-        while len(paths) < n:
-            down = rng.random() < dip
-            if prefix_closed:  # each path extends an earlier one by a letter
-                room = [j for j, end in enumerate(ends) if (ball.distances[end] > 0 if down else ball.distances[end] < r)]
-                if not room:
-                    continue
-                j = rng.choice(room)
-                path, cur = paths[j], ends[j]
-            else:  # each path a fresh walk of up to r letters
-                path, cur = (), 0
-                for _ in range(rng.randrange(r)):
-                    d, cur = _random_step(ball, rng, cur, False)
-                    path += (d,)
-                if down and not ball.distances[cur]:
-                    continue
-            d, cur = _random_step(ball, rng, cur, down)
-            paths.append(path + (d,))
-            ends.append(cur)
-        if trial % 4 == 3:  # some prefixes now come after their extensions
-            rng.shuffle(paths)
+        kind = trial % 4
+        paths = _random_combing(ball, rng, rng.choice((0, 0.02, 0.05)), kind % 2 == 1)
         combing = Combing(ball, tuple(Word(p.alphabet, path) for path in paths))
-        want = _tame_by_walking_every_path(combing)
-        assert combing.verify_tame() == want, trial
-        outcomes[trial % 4, want] += 1
+        verdict = _tame_by_walking_every_path(combing)
+        if kind >= 2:
+            i, j = rng.sample(range(n), 2)
+            paths[i] = paths[j]
+            combing = Combing(ball, tuple(Word(p.alphabet, path) for path in paths))
+            assert not _tame_by_walking_every_path(combing)
+        assert combing.verify_tame() == _tame_by_walking_every_path(combing), trial
+        outcomes[kind, verdict] += 1
     assert all(outcomes[kind, verdict] >= 10 for kind in range(4) for verdict in (True, False)), outcomes
