@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadOrder, OracleMismatch, Unsupported
-from .words import Alphabet, Word, directions, free_reduce
+from .words import Alphabet, Word, free_reduce
 
 
 class WordOracle:
@@ -60,11 +60,21 @@ class FiniteGroupTable(WordOracle):
     identity = 0
 
     def __post_init__(self):
-        n = len(self.element_names)
-        assert self.element_names[0].is_empty(), "index 0 must be the identity"
+        # plain checks, which `python -O` keeps
+        n, mul, inv = len(self.element_names), self.mul, self.inv
+        if not n or not self.element_names[0].is_empty():
+            raise ValueError("element 0 must be the identity, named by the empty word")
+        if len(mul) != n or any(len(row) != n for row in mul):
+            raise ValueError(f"mul must be {n} x {n}, one row and column per element")
+        if len(inv) != n:
+            raise ValueError(f"inv must have {n} entries, one per element, not {len(inv)}")
+        if len(self.generator_map) != len(self.alphabet):
+            raise ValueError(f"generator_map must have {len(self.alphabet)} entries, one per letter")
         for i in range(n):
-            assert self.mul[0][i] == i and self.mul[i][0] == i
-            assert self.mul[i][self.inv[i]] == 0 and self.mul[self.inv[i]][i] == 0
+            if mul[0][i] != i or mul[i][0] != i:
+                raise ValueError(f"row and column 0 of mul are not the identity's at element {i}")
+            if not 0 <= inv[i] < n or mul[i][inv[i]] or mul[inv[i]][i]:
+                raise ValueError(f"inv[{i}] = {inv[i]} is not the inverse of element {i}")
 
     @property
     def order(self) -> int:
@@ -96,7 +106,7 @@ class FiniteGroupTable(WordOracle):
         inverses for non-involutive ones); the first word reaching an element
         becomes its canonical name.
         """
-        gen_syms = directions(alphabet)
+        gen_syms = alphabet.directions
         # values for the symbols; an inverse value is found by power search
         elems = {identity: 0}
         names = [Word.identity(alphabet)]

@@ -6,7 +6,7 @@ oracle keys, which live only in that pass, once per vertex and direction, the
 outer shell included; it records the path that first reaches each vertex (the
 shortlex-least geodesic from the basepoint, by induction on distance) and one
 row per vertex, whose entry k is the neighbour in direction
-`words.directions`[k] or None outside: edges, 2-cells, loop tracing and
+`Alphabet.directions`[k] or None outside: edges, 2-cells, loop tracing and
 combings read the rows.  A vertex's name is the basepoint followed by its
 path.  An edge or 2-cell belongs to the ball exactly when all its boundary
 vertices do.  On top of the complex: loop generators for the fundamental
@@ -31,7 +31,7 @@ from .errors import (
     OracleMismatch,
 )
 from .presentations import Presentation
-from .words import Word, direction_codes, directions, free_reduce, rotations_and_inverses
+from .words import Word, free_reduce, rotations_and_inverses
 
 
 def _check_oracle(oracle: WordOracle, p: Presentation):
@@ -57,7 +57,7 @@ class Ball:
     cells: tuple[tuple[int, int], ...]     # (base vertex, relator index)
     distances: tuple[int, ...]
     # one row per vertex: entry k is the neighbour in direction k of
-    # `words.directions`, as a vertex index, or None outside the ball
+    # `Alphabet.directions`, as a vertex index, or None outside the ball
     neighbours: tuple[tuple[int | None, ...], ...] = field(compare=False, repr=False)
     is_sphere: bool = False
 
@@ -85,7 +85,7 @@ class Ball:
 def _explore(oracle: WordOracle, basepoint: Word, r: int):
     """The first-reaching path of each element within radius r, in discovery
     order, and each one's row of neighbour indices (None outside the ball)."""
-    dirs = directions(oracle.alphabet)
+    dirs = oracle.alphabet.directions
     step = oracle.step
     keys = [oracle.key(basepoint)]
     index = {keys[0]: 0}
@@ -117,27 +117,24 @@ def _build(oracle: WordOracle, p: Presentation, r: int, basepoint: Word | None, 
         s = sum(len(path) < r for path in paths)
         paths = paths[s:]
         rows = [tuple(None if j is None or j < s else j - s for j in row) for row in rows[s:]]
-    dirs, column = direction_codes(alphabet)
+    dirs, column, invol = alphabet.directions, alphabet.columns, alphabet.involutive
     # a cell's boundary path from its base vertex, its last edge closing it
     boundaries = [(ri, [column[d] for d in rel.letters[:-1]]) for ri, rel in enumerate(p.relators) if rel.letters]
-    edges = set()
+    # read off the rows in vertex order, the edges come out sorted; an
+    # involutive edge is kept from its lower end only
+    edges = []
     cells = []
     for i, row in enumerate(rows):
         for (li, e), j in zip(dirs, row):
-            if e == 1 and j is not None:
-                edges.add((min(i, j), li, max(i, j)) if alphabet.involutive[li] else (i, li, j))
+            if e == 1 and j is not None and (i <= j or not invol[li]):
+                edges.append((i, li, j))
         for ri, boundary in boundaries:
-            cur = i
-            for k in boundary:
-                cur = rows[cur][k]
-                if cur is None:
-                    break
-            else:
+            if _walk(rows, i, boundary) is not None:
                 cells.append((i, ri))
     prefix = basepoint.letters
     return Ball(
         p, oracle, basepoint, r, tuple(Word._of(alphabet, prefix + path) for path in paths),
-        tuple(sorted(edges)), tuple(cells), tuple(map(len, paths)), tuple(rows), sphere,
+        tuple(edges), tuple(cells), tuple(map(len, paths)), tuple(rows), sphere,
     )
 
 
@@ -242,7 +239,7 @@ def _loop_inside(region: Ball, loop: Word) -> bool:
     """True iff `loop` traces a closed path from the basepoint inside the region."""
     if region.is_sphere and region.radius:
         return False  # the basepoint is not a vertex of the sphere
-    column = direction_codes(region.presentation.alphabet)[1]
+    column = region.presentation.alphabet.columns
     return _walk(region.neighbours, 0, (column[d] for d in loop.letters)) == 0
 
 
@@ -351,7 +348,7 @@ def null_homotopy_search(
     OracleMismatch is raised: a cell the group does not have would certify
     loops that do not die.  The cells are those of `p`, which may differ
     from the region's presentation.  A state is a str, one character per
-    signed letter: chr of its `words.direction_codes` column, the column of
+    signed letter: chr of its `Alphabet.columns` column, the column of
     the region's rows it steps along.  Each state's successors are tried
     move by move in `p.cell_moves` order, and for one move at
     ascending positions; that order fixes which parent first reaches a
@@ -370,9 +367,9 @@ def null_homotopy_search(
     if start.is_empty():
         return Witness(loop, tuple(norm_moves), region, 0, p)
 
-    dirs, column = direction_codes(p.alphabet)
+    column = p.alphabet.columns
     invol = p.alphabet.involutive
-    inverse = {chr(k): chr(column[(i, e if invol[i] else -e)]) for k, (i, e) in enumerate(dirs)}
+    inverse = {chr(k): chr(column[(i, e if invol[i] else -e)]) for (i, e), k in column.items()}
     walks = [{} for _ in p.cell_moves]  # per move: start vertex -> end vertex or None
     rows = region.neighbours
     # the cyclic core lengths of the relators that give moves
@@ -400,12 +397,7 @@ def null_homotopy_search(
                     # and, u ins^-1 being trivial, closes at at[pos + lu].
                     vertex = at[pos]
                     if vertex not in ends:
-                        end = vertex
-                        for direction in ins:
-                            end = rows[end][column[direction]]
-                            if end is None:
-                                break
-                        ends[vertex] = end
+                        ends[vertex] = _walk(rows, vertex, (column[d] for d in ins))
                     if ends[vertex] == at[pos + lu]:
                         key = _splice_reduced(state, pos, pos + lu, red, inverse)
                         if key not in seen:
@@ -414,7 +406,7 @@ def null_homotopy_search(
                                 break
                             seen[key] = (state, pos, k)
                             if not key:
-                                return _assemble_witness(loop, norm_moves, seen, p, dirs, region, explored)
+                                return _assemble_witness(loop, norm_moves, seen, p, region, explored)
                             queue.append(key)
                     pos = state.find(u, pos + 1)
                 if beyond:
@@ -427,7 +419,7 @@ def null_homotopy_search(
                 vertex = _walk(rows, 0, map(ord, state[:pos]))
                 if _walk(rows, vertex, (column[d] for d in ins)) == _walk(rows, vertex, map(ord, u)):
                     seen[""] = (state, pos, k)
-                    return _assemble_witness(loop, norm_moves, seen, p, dirs, region, explored)
+                    return _assemble_witness(loop, norm_moves, seen, p, region, explored)
     if queue or beyond:
         raise Exhausted(f"no null-homotopy within {step_cap} states", states_explored=explored)
     raise Exhausted(
@@ -436,7 +428,7 @@ def null_homotopy_search(
     )
 
 
-def _assemble_witness(loop, norm_moves, seen, p, dirs, region, explored) -> Witness:
+def _assemble_witness(loop, norm_moves, seen, p, region, explored) -> Witness:
     # walk parents back from the empty state, re-recording reductions as free moves
     chain = []
     key = ""
@@ -444,6 +436,7 @@ def _assemble_witness(loop, norm_moves, seen, p, dirs, region, explored) -> Witn
         chain.append(seen[key])
         key = seen[key][0]
     alphabet = p.alphabet
+    dirs = alphabet.directions
     moves = list(norm_moves)
     for prev, pos, k in reversed(chain):
         u, ins, _, _ = p.cell_moves[k]
@@ -468,28 +461,35 @@ def pi1_kill_radius(
     """Least R in [r, r_max] such that every loop generator of B(r) dies in B(R).
 
     Bounded analogue of the connectivity radius; monotone in step_cap.  Raises
-    Exhausted when no R up to r_max certifies.
+    Exhausted, with the states its searches explored, when no R up to r_max
+    certifies: no search can show that a loop survives.
     """
     if r > r_max:
         raise ValueError("need r <= r_max")
     ball = build_ball(oracle, p, r)
     generators = pi1_generators(ball).generators
+    explored = 0
     for R in range(r, r_max + 1):
         region = ball if R == r else build_ball(oracle, p, R)
         try:
             for g in generators:
-                null_homotopy_search(oracle, p, g, region, step_cap)
-        except Exhausted:
+                explored += null_homotopy_search(oracle, p, g, region, step_cap).states_explored
+        except Exhausted as exc:
+            explored += exc.states_explored
             continue
         return R
-    raise Exhausted(f"pi1(B({r})) still survives in B({r_max})")
+    raise Exhausted(
+        f"no R in [{r}, {r_max}] certified that the loop generators of B({r}) die in B(R) "
+        f"within {step_cap} states per search",
+        states_explored=explored,
+    )
 
 
 def _closed_paths_up_to(region: Ball, max_length: int, cap: int = 500_000):
     """All closed paths of length < max_length based anywhere in the region,
     deduplicated as cyclic words up to rotation and inversion."""
     alphabet = region.presentation.alphabet
-    dirs = directions(alphabet)
+    dirs = alphabet.directions
     rows = region.neighbours
     loops = {}
     budget = 0
@@ -560,7 +560,7 @@ class Combing:
         """Indices of the vertices the combing path to vertex vi passes
         through; ValueError if it leaves the ball."""
         rows = self.ball.neighbours
-        column = direction_codes(self.ball.presentation.alphabet)[1]
+        column = self.ball.presentation.alphabet.columns
         path = self.paths[vi]
         out = [0]
         for t, direction in enumerate(path.letters):
@@ -582,7 +582,7 @@ class Combing:
         last step; any other path is walked whole, so a geodesic combing
         costs one row lookup per vertex."""
         rows = self.ball.neighbours
-        column = direction_codes(self.ball.presentation.alphabet)[1]
+        column = self.ball.presentation.alphabet.columns
         distances = self.ball.distances
         ends = {}  # the vertex of each path found tame so far
         for vi in range(len(self.ball.vertices)):

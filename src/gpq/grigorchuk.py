@@ -42,6 +42,7 @@ computes a normal form by a pass over letters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
@@ -88,7 +89,8 @@ class _Chunks(NamedTuple):
 
 @dataclass(frozen=True)
 class GrigorchukData:
-    """All fixed data of the computation: variants, quotients, transport maps."""
+    """All fixed data of the computation: variants, quotients, and as cached
+    properties the split extensions and transport maps they determine."""
 
     abcd: Alphabet
     acd: Alphabet
@@ -100,25 +102,45 @@ class GrigorchukData:
     d8: FiniteGroupTable
     d16: FiniteGroupTable
     klein_cd: FiniteGroupTable
-    b_extension: SplitExtensionData
-    a_extension: SplitExtensionData
-    phi0_table: tuple[int, ...]  # D8 element -> D16 element
-    # phi0_word(x) for every x; the letters of the b -> cd images; the _Chunks
-    # of each factor, built on first use; the last (n, w_n) of each family
-    # (_family_word); the memo of _family_parts
-    _phi0_words: tuple[Word, ...] = field(init=False, compare=False, repr=False)
-    _bd_to_cd: tuple = field(init=False, compare=False, repr=False)
+    # the _Chunks of each factor, built on first use; the last (n, w_n) of
+    # each family (_family_word); the memo of _family_parts
     _chunks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _words: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        acd = self.acd
-        words = tuple(rename_word(self.d16.element_names[g], acd) for g in self.phi0_table)
-        object.__setattr__(self, "_phi0_words", words)
+    @cached_property
+    def b_extension(self) -> SplitExtensionData:
+        """1 -> B -> G -> D8 = <a, d> -> 1, split, over the a,b,d variant."""
+        d8 = self.d8
+        lifts = tuple(rename_word(nm, self.abd) for nm in d8.element_names)
+        p_map = (d8.generator_map[0], 0, d8.generator_map[1])  # a -> a, b -> e, d -> d
+        return SplitExtensionData(self.presentation("abd"), d8, p_map, lifts)
+
+    @cached_property
+    def a_extension(self) -> SplitExtensionData:
+        """1 -> A -> G -> D16 = <a, c> -> 1, split, over the a,c,d variant."""
+        d16 = self.d16
+        lifts = tuple(rename_word(nm, self.acd) for nm in d16.element_names)
+        p_map = (d16.generator_map[0], d16.generator_map[1], 0)  # a -> a, c -> c, d -> e
+        return SplitExtensionData(self.presentation("acd"), d16, p_map, lifts)
+
+    @cached_property
+    def phi0_table(self) -> tuple[int, ...]:
+        """D8 element -> D16 element under phi0: D8 = <a,d>  ~->  <c, aca> <= D16,
+        a -> aca, d -> c, which is sigma_acd on the letters a, d."""
+        image, sigma, acd = self.a_extension._image_of, self.sigma_acd, self.acd
+        return tuple(image(apply_substitution(sigma, rename_word(nm, acd))) for nm in self.d8.element_names)
+
+    @cached_property
+    def _phi0_words(self) -> tuple[Word, ...]:
+        """phi0_word(x) for every x."""
+        return tuple(rename_word(self.d16.element_names[g], self.acd) for g in self.phi0_table)
+
+    @cached_property
+    def _bd_to_cd(self) -> tuple:
+        """The letters of each a,b,d letter's image under b -> cd."""
         images = {"a": "a", "b": "c d", "d": "d"}
-        bd_to_cd = tuple(Word.from_str(acd, images[name]).letters for name in self.abd.letters)
-        object.__setattr__(self, "_bd_to_cd", bd_to_cd)
+        return tuple(Word.from_str(self.acd, images[name]).letters for name in self.abd.letters)
 
     def _transport_chunks(self, factor: str) -> _Chunks:
         """The _Chunks of the 'first' or 'second' factor, built on first use."""
@@ -374,48 +396,6 @@ def make_grigorchuk_data() -> GrigorchukData:
         ("abd", "w"): "(a d)^4",
         ("abd", "z"): "(a d a b d a b d)^4",
     }
-    d8 = dihedral_group(8, names=("a", "d"))
-    d16 = dihedral_group(16, names=("a", "c"))
-    klein_cd = klein_group(names=("c", "d"))
-
-    # split extension 1 -> B -> G -> D8 = <a, d> -> 1 over the a,b,d variant
-    p_abd = Presentation(
-        abd,
-        (
-            Word.from_str(abd, seeds[("abd", "w")]),
-            Word.from_str(abd, seeds[("abd", "z")]),
-        ),
-        "grigorchuk_abd",
-    )
-    b_ext = SplitExtensionData(
-        presentation=p_abd,
-        quotient=d8,
-        p_map=(d8.generator_map[0], 0, d8.generator_map[1]),  # a -> a, b -> e, d -> d
-        lifts=tuple(rename_word(nm, abd) for nm in d8.element_names),
-    )
-
-    # split extension 1 -> A -> G -> D16 = <a, c> -> 1 over the a,c,d variant
-    p_acd = Presentation(
-        acd,
-        (
-            Word.from_str(acd, seeds[("acd", "w")]),
-            Word.from_str(acd, seeds[("acd", "z")]),
-        ),
-        "grigorchuk_acd",
-    )
-    a_ext = SplitExtensionData(
-        presentation=p_acd,
-        quotient=d16,
-        p_map=(d16.generator_map[0], d16.generator_map[1], 0),  # a -> a, c -> c, d -> e
-        lifts=tuple(rename_word(nm, acd) for nm in d16.element_names),
-    )
-
-    # phi0: D8 = <a,d>  ~->  <c, aca> <= D16,  a -> aca, d -> c, which is
-    # sigma_acd on the letters a, d
-    phi0 = [
-        a_ext._image_of(apply_substitution(sigma_acd, rename_word(nm, acd)))
-        for nm in d8.element_names
-    ]
     return GrigorchukData(
         abcd=abcd,
         acd=acd,
@@ -424,12 +404,9 @@ def make_grigorchuk_data() -> GrigorchukData:
         sigma_acd=sigma_acd,
         sigma_abd=sigma_abd,
         seeds=seeds,
-        d8=d8,
-        d16=d16,
-        klein_cd=klein_cd,
-        b_extension=b_ext,
-        a_extension=a_ext,
-        phi0_table=tuple(phi0),
+        d8=dihedral_group(8, names=("a", "d")),
+        d16=dihedral_group(16, names=("a", "c")),
+        klein_cd=klein_group(names=("c", "d")),
     )
 
 

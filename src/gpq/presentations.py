@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import DerivationDoesNotReduce, InvalidMove
-from .words import Alphabet, Word, direction_codes, free_reduce, rename_word, rotations_and_inverses
+from .words import Alphabet, Word, free_reduce, rename_word, rotations_and_inverses
 
 
 @dataclass(frozen=True)
@@ -45,9 +45,9 @@ class Presentation:
         v^-1 whenever uv is a rotation of a relator or of its inverse.  One
         (remove, insert, coded remove, coded free-reduced insert) tuple per
         distinct (u, v^-1), relator by relator, variant by variant, cut by
-        cut; a letter's code is chr of its `words.direction_codes` column.  Freely
+        cut; a letter's code is chr of its `Alphabet.columns` column.  Freely
         trivial relators give none."""
-        code = {d: chr(k) for d, k in direction_codes(self.alphabet)[1].items()}
+        code = {d: chr(k) for d, k in self.alphabet.columns.items()}
         moves = []
         seen = set()
         for rel in self.relators:

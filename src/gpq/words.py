@@ -63,6 +63,18 @@ class Alphabet:
         """Each letter name's index."""
         return {name: i for i, name in enumerate(self.letters)}
 
+    @cached_property
+    def directions(self) -> tuple[tuple[int, int], ...]:
+        """The signed letters in column order: (i, 1), and (i, -1) unless
+        letter i is involutive.  A ball's rows hold its neighbour in
+        direction k at column k, and the search codes that letter as chr(k)."""
+        return tuple((i, e) for i, invol in enumerate(self.involutive) for e in ((1,) if invol else (1, -1)))
+
+    @cached_property
+    def columns(self) -> dict[tuple[int, int], int]:
+        """Each signed letter's column: its index in `directions`."""
+        return {d: k for k, d in enumerate(self.directions)}
+
     def index(self, name: str) -> int:
         try:
             return self._positions[name]
@@ -398,29 +410,10 @@ def iterate_substitution(sub: Substitution, word: Word, n: int) -> Word:
     return word
 
 
-def directions(alphabet: Alphabet) -> list[tuple[int, int]]:
-    """The signed letters in alphabet order: (i, 1), and (i, -1) unless
-    letter i is involutive."""
-    dirs = []
-    for i, invol in enumerate(alphabet.involutive):
-        dirs.append((i, 1))
-        if not invol:
-            dirs.append((i, -1))
-    return dirs
-
-
-def direction_codes(alphabet: Alphabet) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int]]:
-    """The column k of each signed letter dirs[k], dirs = `directions(alphabet)`:
-    a ball's neighbour rows hold its neighbour at k, and the search codes it
-    as chr(k).  Returns (dirs, column)."""
-    dirs = directions(alphabet)
-    return dirs, {d: k for k, d in enumerate(dirs)}
-
-
 def words_of_length(alphabet: Alphabet, length: int) -> Iterable[Word]:
     """All words of exactly the given length, in lexicographic order of
-    `directions(alphabet)`."""
-    for letters in product(directions(alphabet), repeat=length):
+    `alphabet.directions`."""
+    for letters in product(alphabet.directions, repeat=length):
         yield Word(alphabet, letters)
 
 

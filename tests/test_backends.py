@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,9 @@ from gpq.backends import (
 from gpq.errors import BadOrder, OracleMismatch, Unsupported
 from gpq.words import Alphabet, Word, free_reduce, words_up_to_length
 from helpers import evaluate_affine, is_associative
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def W(oracle, text):
@@ -94,6 +101,67 @@ def test_klein_group_table():
     assert v.order == 4
     assert v.is_identity(W(v, "c d c d"))
     assert not v.is_identity(W(v, "c d"))
+
+
+def _bad_tables():
+    """(the fields of the Klein group's table broken in one way, what its
+    error names) pairs."""
+    v = klein_group(("c", "d"))
+    names, mul = v.element_names, v.mul
+    good = dict(alphabet=v.alphabet, element_names=names, mul=mul, inv=v.inv, generator_map=v.generator_map)
+    return [
+        (dict(good, element_names=names[1:2] + names[:1] + names[2:]), "element 0 must be the identity"),
+        (dict(good, element_names=(), mul=(), inv=()), "element 0 must be the identity"),
+        (dict(good, mul=mul[:3]), "mul must be 4 x 4"),
+        (dict(good, mul=mul[:3] + (mul[3][:3],)), "mul must be 4 x 4"),
+        (dict(good, inv=v.inv[:3]), "inv must have 4 entries"),
+        (dict(good, generator_map=v.generator_map[:1]), "generator_map must have 2 entries"),
+        (dict(good, mul=mul[1:2] + mul[:1] + mul[2:]), "row and column 0 of mul"),
+        (dict(good, inv=(0, 2, 1, 3)), "inv[1] = 2 is not the inverse of element 1"),
+        (dict(good, inv=(0, 1, 2, 7)), "inv[3] = 7 is not the inverse of element 3"),
+    ]
+
+
+def _table_errors():
+    """The ValueError message of each bad table, or None where one is accepted."""
+    out = []
+    for fields, _ in _bad_tables():
+        try:
+            FiniteGroupTable(**fields)
+            out.append(None)
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+def test_table_rejects_a_broken_table_naming_the_condition():
+    v = klein_group(("c", "d"))
+    assert FiniteGroupTable(v.alphabet, v.element_names, v.mul, v.inv, v.generator_map) == v
+    for (_, want), got in zip(_bad_tables(), _table_errors()):
+        assert got is not None and want in got, (want, got)
+
+
+_TABLES_UNDER_O = """
+import sys
+sys.path.insert(0, "tests")
+from test_backends import _table_errors
+
+assert False, "asserts are on"
+print(_table_errors())
+"""
+
+
+def test_table_checks_hold_under_python_O():
+    # the checks are plain code, not asserts that -O strips: the run gets
+    # past its `assert False` and still rejects every broken table
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _TABLES_UNDER_O], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    errors = _table_errors()
+    assert None not in errors and proc.stdout.strip() == str(errors)
 
 
 def test_free_oracles():

@@ -39,7 +39,7 @@ from gpq.balls import (
 from gpq.errors import Exhausted, NotNullHomotopic, OracleMismatch
 from gpq import balls, presentations
 from gpq.presentations import Presentation
-from gpq.words import Alphabet, Word, directions, free_reduce, words_up_to_length
+from gpq.words import Alphabet, Word, free_reduce, words_up_to_length
 from helpers import pi1_generators_second_bfs, reduce_recording_restart, search_whole_words
 
 
@@ -189,6 +189,30 @@ def test_kill_radius(z2_setup, f2_setup):
     pf, of = f2_setup
     for r in range(3):
         assert pi1_kill_radius(of, pf, r, r) == r
+
+
+def test_exhausted_kill_radius_claims_no_survival_and_counts_its_states(z2_setup):
+    # a search shows that a loop dies, never that it survives: the error says
+    # which radii and cap it tried, and carries every state its searches explored
+    p, oracle = z2_setup
+    for q, r, cap in ((Presentation(p.alphabet, (), p.name), 2, 100), (p, 3, 2)):
+        with pytest.raises(Exhausted) as info:
+            pi1_kill_radius(oracle, q, r, r + 1, step_cap=cap)
+        explored = 0
+        generators = pi1_generators(build_ball(oracle, q, r)).generators
+        for R in (r, r + 1):  # each radius searches up to the first generator that gives up
+            region = build_ball(oracle, q, R)
+            for g in generators:
+                try:
+                    explored += null_homotopy_search(oracle, q, g, region, cap).states_explored
+                except Exhausted as exc:
+                    explored += exc.states_explored
+                    break
+        assert info.value.states_explored == explored > 1
+        assert str(info.value) == (
+            f"no R in [{r}, {r + 1}] certified that the loop generators of B({r}) die in B(R) "
+            f"within {cap} states per search"
+        )
 
 
 def test_kill_radius_bounded_outcome_for_nonstandard_z_presentation():
@@ -514,7 +538,7 @@ def _cell_loops(region, cells, count, rng):
     its inverse that close inside `region` and do not cancel freely."""
     p = region.presentation
     rel = max(p.relators, key=len)
-    symbols = directions(p.alphabet)
+    symbols = p.alphabet.directions
     loops = []
     for _ in range(100 * count):
         loop = Word.identity(p.alphabet)
@@ -615,7 +639,7 @@ def test_search_over_280_directions_matches_whole_word_reference():
     oracle = _WideZ2Oracle(alphabet)
     region = build_ball(oracle, p, 2)
     rng = random.Random(15)
-    acting = [d for d in directions(alphabet) if d[0] in (0, 139)]
+    acting = [d for d in alphabet.directions if d[0] in (0, 139)]
     loops = [
         Word(alphabet, letters)
         for n in range(2, 7)
@@ -702,12 +726,68 @@ def test_vertices_are_named_by_their_first_bfs_path(name):
 _BASEPOINTS = lambda p: ((), ((0, 1),), ((len(p.alphabet) - 1, 1), (0, 1), (len(p.alphabet) - 1, 1)))
 
 
+def _edges_by_set_and_sort(ball):
+    """The ball's edges collected in a set, an involutive edge as (lower end,
+    letter, upper end), and sorted."""
+    alphabet = ball.presentation.alphabet
+    edges = set()
+    for i, row in enumerate(ball.neighbours):
+        for (li, e), j in zip(alphabet.directions, row):
+            if e == 1 and j is not None:
+                edges.add((min(i, j), li, max(i, j)) if alphabet.involutive[li] else (i, li, j))
+    return tuple(sorted(edges))
+
+
+@pytest.mark.parametrize("name", list(_BACKENDS))
+def test_edges_read_off_the_rows_match_set_and_sort(name):
+    p, oracle = _backend(name)
+    for base in _BASEPOINTS(p):
+        basepoint = Word(p.alphabet, base) if base else None
+        for r in range(6):
+            for build in (build_ball, build_sphere):
+                ball = build(oracle, p, r, basepoint)
+                assert ball.edges == _edges_by_set_and_sort(ball), (r, base, build.__name__)
+
+
+def test_edges_read_off_the_rows_keep_each_self_loop_once():
+    # Z/3 on a, with e and the involutive f acting as the identity: every
+    # vertex has an ordinary self-loop e and an involutive self-loop f
+    alphabet = Alphabet.make("a", "e", "f!")
+    oracle = FiniteGroupTable.from_generators(alphabet, [1, 0, 0], lambda x, y: (x + y) % 3, 0)
+    p = Presentation(alphabet, tuple(Word.from_str(alphabet, t) for t in ("a a a", "e", "f", "a e a' e'")))
+    loops = Counter()
+    for base in ((), ((0, 1),), ((2, 1), (0, 1))):
+        basepoint = Word(alphabet, base) if base else None
+        for r in range(4):
+            for build in (build_ball, build_sphere):
+                ball = build(oracle, p, r, basepoint)
+                assert ball.edges == _edges_by_set_and_sort(ball), (r, base, build.__name__)
+                loops.update(alphabet.letters[li] for i, li, j in ball.edges if i == j)
+                assert sum(li == 2 for _, li, _ in ball.edges) == len(ball.vertices)
+    assert loops["e"] == loops["f"] > 0 and not loops["a"]
+
+
+def test_alphabet_directions_and_columns_follow_the_involutive_flags():
+    wide = Alphabet.make(*(f"x{i}" for i in range(140)))
+    alphabets = [Presentation.make(gens, rels).alphabet for gens, rels, _ in _BACKENDS.values()]
+    for alphabet in alphabets + [wide, Alphabet.make("a!", "b", "c!", "d")]:
+        want = []
+        for i, invol in enumerate(alphabet.involutive):
+            want += [(i, 1)] if invol else [(i, 1), (i, -1)]
+        assert alphabet.directions == tuple(want)
+        assert alphabet.columns == {d: k for k, d in enumerate(want)}
+        # one table per alphabet, built once
+        assert alphabet.directions is alphabet.directions
+        assert alphabet.columns is alphabet.columns
+    assert len(wide.directions) == 280 and wide.columns[(139, -1)] == 279
+
+
 @pytest.mark.parametrize("name", list(_BACKENDS))
 def test_rows_hold_the_oracle_neighbour_of_every_vertex(name):
     # entry k of vertex i's row is j exactly when stepping i's element in
     # direction k reaches j's element, and None when it reaches no vertex
     p, oracle = _backend(name)
-    dirs = directions(p.alphabet)
+    dirs = p.alphabet.directions
     for base in _BASEPOINTS(p):
         basepoint = Word(p.alphabet, base) if base else None
         for r in range(6):
@@ -901,7 +981,7 @@ def _random_combing(ball, rng, dip, prefix_closed):
     path of a vertex reached before by one letter.  Otherwise each path is
     a walk of its own, found backwards from its vertex to the basepoint.
     """
-    dirs = directions(ball.presentation.alphabet)
+    dirs = ball.presentation.alphabet.directions
     invol = ball.presentation.alphabet.involutive
     dist, rows = ball.distances, ball.neighbours
 

@@ -321,6 +321,20 @@ def test_step_cap_below_one_exit_code(runner, tmp_path, monkeypatch, cap, comman
     assert result.stdout == ""
 
 
+def test_exhausted_kill_radius_exit_code_claims_no_survival(runner, tmp_path, monkeypatch):
+    # the searches can only show that a loop dies: an exhausted kill radius
+    # names the radii and the cap it tried
+    monkeypatch.setenv("GPQ_STEP_CAP", "2")
+    path = _write(tmp_path, "z2.gp", Z2_FILE)
+    result = runner.invoke(main, ["ball", path, "--backend", "abelian", "--radius", "3", "--kill-radius", "4"])
+    _assert_clean_exit(result, 4)
+    assert result.stdout == "V=25 E=36 C=12 pi1=12\n"
+    assert result.stderr == (
+        "resource limit: no R in [3, 4] certified that the loop generators of B(3) die in B(R) "
+        "within 2 states per search\n"
+    )
+
+
 def test_rewrite_has_no_step_limit_option(runner, tmp_path):
     # the step limit of `rewrite` is GPQ_STEP_CAP
     path = _write(tmp_path, "d8.gp", D8_FILE)

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 
 import pytest
 
 from gpq.errors import DegenerateCase, LimitExceeded
-from gpq import words
+from gpq import grigorchuk, words
 from gpq.grigorchuk import (
     FAMILY_LETTER_CAP,
+    GrigorchukData,
     _assemble,
     _check_chunks,
     _nf_join,
@@ -104,6 +106,36 @@ def test_phi0_words_are_substituted_canonical_names(grig):
         for i, _ in name.letters:
             letters.extend(sub[grig.d8.alphabet.letters[i]].letters)
         assert grig.phi0_word(x) == Word(grig.acd, tuple(letters))
+
+
+def test_split_extensions_are_built_on_first_read_and_once(monkeypatch):
+    built = []
+    split_extension = grigorchuk.SplitExtensionData
+
+    def counting(*args, **kwargs):
+        extension = split_extension(*args, **kwargs)
+        built.append(extension.quotient.order)
+        return extension
+
+    monkeypatch.setattr(grigorchuk, "SplitExtensionData", counting)
+    # phi0 reads the a extension; either read order builds each extension once
+    orders = {("b_extension", "a_extension", "phi0_table"): [8, 16], ("phi0_table", "b_extension"): [16, 8]}
+    for reads, built_orders in orders.items():
+        built.clear()
+        data = make_grigorchuk_data()
+        assert built == []
+        for name in reads * 2:
+            assert getattr(data, name) is getattr(data, name)
+        assert built == built_orders
+    assert data.b_extension.presentation == data.presentation("abd")
+    assert data.a_extension.presentation == data.presentation("acd")
+
+
+def test_grigorchuk_data_takes_only_its_defining_values():
+    # the extensions and phi0 follow from these, so no caller can pass them inconsistently
+    assert [f.name for f in fields(GrigorchukData) if f.init] == [
+        "abcd", "acd", "abd", "sigma_abcd", "sigma_acd", "sigma_abd", "seeds", "d8", "d16", "klein_cd",
+    ]
 
 
 def test_transport_single_letters(grig):

@@ -25,7 +25,7 @@ from gpq.rewriting import (
     is_geodesic,
     reduce,
 )
-from gpq.words import Alphabet, Word, directions, words_up_to_length
+from gpq.words import Alphabet, Word, words_up_to_length
 from helpers import rewrite_restart
 
 
@@ -234,7 +234,7 @@ def test_resumed_reduce_matches_restart_reference():
         (expanding, 40),
         (shared, 40),
     ):
-        symbols = directions(rs.alphabet)
+        symbols = rs.alphabet.directions
         for _ in range(150):
             word = Word(rs.alphabet, tuple(rng.choice(symbols) for _ in range(rng.randrange(40))))
             want = rewrite_restart(rs, word, limit)
