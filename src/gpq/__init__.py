@@ -36,7 +36,6 @@ from .balls import (
     Ball,
     build_ball,
     build_sphere,
-    check_pi1_bounded_balls,
     geodesic_0_combing,
     null_homotopy_search,
     pi1_generators,

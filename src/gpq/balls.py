@@ -11,8 +11,8 @@ combings read the rows.  A vertex's name is the basepoint followed by its
 path.  An edge or 2-cell belongs to the ball exactly when all its boundary
 vertices do.  On top of the complex: loop generators for the fundamental
 group from the tree of those first paths (each of length <= 2r+1),
-breadth-first null-homotopy search with replayable witnesses, bounded
-connectivity-radius estimates, and geodesic combings with a mechanically
+breadth-first null-homotopy search with replayable witnesses, the kill
+radius those searches bound, and geodesic combings with a mechanically
 checked tameness certificate.  All searches carry explicit caps:
 incompleteness is a visible value, never a silent timeout.
 """
@@ -24,14 +24,9 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .backends import WordOracle
-from .errors import (
-    CombinatorialExplosion,
-    Exhausted,
-    NotNullHomotopic,
-    OracleMismatch,
-)
+from .errors import Exhausted, NotNullHomotopic, OracleMismatch
 from .presentations import Presentation
-from .words import Word, free_reduce, rotations_and_inverses
+from .words import Word, free_reduce
 
 
 def _check_oracle(oracle: WordOracle, p: Presentation):
@@ -464,13 +459,19 @@ def pi1_kill_radius(
     Exhausted, with the states its searches explored, when no R up to r_max
     certifies: no search can show that a loop survives.
     """
+    return kill_radius(build_ball(oracle, p, r), r_max, step_cap)
+
+
+def kill_radius(ball: Ball, r_max: int, step_cap: int = 20_000) -> int:
+    """`pi1_kill_radius` of the ball's oracle, presentation and radius, on the
+    ball itself: the larger balls share its basepoint."""
+    r, oracle, p = ball.radius, ball.oracle, ball.presentation
     if r > r_max:
         raise ValueError("need r <= r_max")
-    ball = build_ball(oracle, p, r)
     generators = pi1_generators(ball).generators
     explored = 0
     for R in range(r, r_max + 1):
-        region = ball if R == r else build_ball(oracle, p, R)
+        region = ball if R == r else build_ball(oracle, p, R, ball.basepoint)
         try:
             for g in generators:
                 explored += null_homotopy_search(oracle, p, g, region, step_cap).states_explored
@@ -483,67 +484,6 @@ def pi1_kill_radius(
         f"within {step_cap} states per search",
         states_explored=explored,
     )
-
-
-def _closed_paths_up_to(region: Ball, max_length: int, cap: int = 500_000):
-    """All closed paths of length < max_length based anywhere in the region,
-    deduplicated as cyclic words up to rotation and inversion."""
-    alphabet = region.presentation.alphabet
-    dirs = alphabet.directions
-    rows = region.neighbours
-    loops = {}
-    budget = 0
-
-    def dfs(start, vertex, word):
-        nonlocal budget
-        budget += 1
-        if budget > cap:
-            raise CombinatorialExplosion("closed-path enumeration exceeded its cap")
-        if word and vertex == start:
-            w = Word(alphabet, tuple(word))
-            if not free_reduce(w).is_empty():
-                key = min(v.letters for v in rotations_and_inverses(w))
-                loops.setdefault(key, w)
-        if len(word) >= max_length - 1:
-            return
-        for d, nxt in zip(dirs, rows[vertex]):
-            if nxt is not None:
-                word.append(d)
-                dfs(start, nxt, word)
-                word.pop()
-
-    for v in range(len(rows)):
-        dfs(v, v, [])
-    return list(loops.values())
-
-
-def check_pi1_bounded_balls(
-    oracle: WordOracle,
-    p: Presentation,
-    r: int,
-    c: int,
-    step_cap: int = 20_000,
-) -> bool:
-    """True iff every loop generator of B(r) is found (within bounds) to be a
-    product of conjugates of loops of length < c.
-
-    Implemented by gluing a cell along every closed path of length < c in the
-    ball and searching for null-homotopies there.  False means not found
-    within bounds, never a disproof.
-    """
-    ball = build_ball(oracle, p, r)
-    generators = pi1_generators(ball).generators
-    if not generators:
-        return True
-    # the short loops replace the presentation's cells entirely: a generator is
-    # normally generated by short loops iff it dies using short-loop cells only
-    loops = Presentation(p.alphabet, tuple(_closed_paths_up_to(ball, c)), p.name)
-    for g in generators:
-        try:
-            null_homotopy_search(oracle, loops, g, ball, step_cap)
-        except Exhausted:
-            return False
-    return True
 
 
 # --- geodesic 0-combings -------------------------------------------------------------
@@ -613,7 +553,7 @@ def geodesic_0_combing(oracle: WordOracle, p: Presentation, r_max: int) -> Combi
     makes the combing tame.  The BFS tree that names the vertices realizes
     that induction: at the identity basepoint a vertex's name is its path.
     """
-    ball = build_ball(oracle, p, max(r_max, 0))
+    ball = build_ball(oracle, p, r_max)
     combing = Combing(ball, ball.vertices)
     assert combing.verify_tame(), "geodesic combing failed its tameness certificate"
     return combing

@@ -22,7 +22,6 @@ from .backends import bs_oracle, dihedral_group, free_abelian_oracle, free_oracl
 from .endo import EndomorphicPresentation, hnn_presentation
 from .errors import (
     BadOrder,
-    CombinatorialExplosion,
     Exhausted,
     GpqError,
     LimitExceeded,
@@ -51,7 +50,7 @@ _FAILURES = (
     (ParseError, EXIT_PARSE, "parse error: "),
     (rw.NotGeodesic, EXIT_PARSE, "bad argument: "),
     ((OracleMismatch, BadOrder, Unsupported), EXIT_ORACLE, "oracle mismatch: "),
-    ((LimitExceeded, CombinatorialExplosion, Exhausted), EXIT_LIMIT, "resource limit: "),
+    ((LimitExceeded, Exhausted), EXIT_LIMIT, "resource limit: "),
 )
 
 
@@ -180,7 +179,7 @@ def cmd_ball(path, backend, radius, sphere, pi1, r_max, json_path):
         line += f" pi1={rank}"
     if r_max is not None:
         try:
-            kr = balls_mod.pi1_kill_radius(oracle, p, radius, r_max, step_cap=caps["step_cap"])
+            kr = balls_mod.kill_radius(ball, r_max, step_cap=caps["step_cap"])
             payload["kill_radius"] = kr
             line += f" kill_radius={kr}"
         except Exhausted:

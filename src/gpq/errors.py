@@ -80,7 +80,7 @@ class ArityMismatch(GpqError):
 
 class LimitExceeded(GpqError):
     """A reduction did not terminate within the step limit, or a word would
-    exceed its letter cap.
+    exceed its letter cap, or an enumeration its count cap.
 
     Carries the partial word and trace, if any, so callers can inspect progress.
     """
@@ -97,10 +97,6 @@ class Exhausted(GpqError):
     def __init__(self, message, states_explored=None):
         super().__init__(message)
         self.states_explored = states_explored
-
-
-class CombinatorialExplosion(GpqError):
-    """An enumeration would exceed the configured cap."""
 
 
 class DegenerateCase(GpqError):

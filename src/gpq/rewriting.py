@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import CombinatorialExplosion, GpqError, LimitExceeded, OracleMismatch
+from .errors import GpqError, LimitExceeded, OracleMismatch
 from .presentations import Presentation
 from .words import Alphabet, Word, free_reduce, rotations_and_inverses, words_up_to_length
 
@@ -272,7 +272,8 @@ def ball_null_homotopy_witness(
     reduction sequence w -> w1 -> ... -> e is a null-homotopy whose stages all
     have length <= 2r+1, hence stay within B(r).  Returns a certificate with
     one (word, trace) witness per identity word, or a WitnessFailure carrying
-    the first violating word.
+    the first violating word.  Raises LimitExceeded, before reducing any
+    word, if there are more than `word_cap` candidates.
     """
     if not is_geodesic(rs):
         raise NotGeodesic("witness construction requires a geodesic system")
@@ -282,14 +283,16 @@ def ball_null_homotopy_witness(
                 f"rule '{rule[0]} -> {rule[1]}' has no associated relator in {p}"
             )
     bound = 2 * r + 1
-    count = 0
+    count = layer = 1  # the words of length <= bound, counted up to the first past the cap
+    for _ in range(bound):
+        if count > word_cap:
+            break
+        layer *= len(rs.alphabet.directions)
+        count += layer
+    if count > word_cap:
+        raise LimitExceeded(f"more than {word_cap} candidate words at radius {r}")
     witnesses = []
     for w in words_up_to_length(rs.alphabet, bound):
-        count += 1
-        if count > word_cap:
-            raise CombinatorialExplosion(
-                f"more than {word_cap} candidate words at radius {r}"
-            )
         try:
             nf, trace = reduce(rs, w, step_limit=step_limit)
         except LimitExceeded:

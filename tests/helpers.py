@@ -23,6 +23,10 @@ which finds a spanning tree by a second breadth-first search over an
 adjacency list with sorted rows; a reference for the library's reading of
 the tree that names the vertices.
 
+`closed_paths_up_to` enumerates the short closed paths of a ball, deduplicated
+as cyclic words: test data for searches whose cells are short loops rather
+than a presentation's relators.
+
 `words_of_length_recursive` is the earlier recursive enumeration of the
 words of one length, kept as a reference for `words.words_of_length`.
 
@@ -311,6 +315,32 @@ def decode_by_tuples(images, letters):
             best[pos] = min(options, key=lambda src: (len(src), src))
             counts[pos] = min(total, 2)
     return best[0], counts[0] > 1
+
+
+def closed_paths_up_to(region, max_length):
+    """All closed paths of length < max_length based anywhere in the region,
+    that do not cancel freely, deduplicated as cyclic words up to rotation and
+    inversion: the first found of each class, depth first."""
+    alphabet = region.presentation.alphabet
+    rows = region.neighbours
+    loops = {}
+
+    def dfs(start, vertex, word):
+        if word and vertex == start:
+            w = Word(alphabet, tuple(word))
+            if not free_reduce(w).is_empty():
+                loops.setdefault(min(v.letters for v in rotations_and_inverses(w)), w)
+        if len(word) >= max_length - 1:
+            return
+        for direction, nxt in zip(alphabet.directions, rows[vertex]):
+            if nxt is not None:
+                word.append(direction)
+                dfs(start, nxt, word)
+                word.pop()
+
+    for v in range(len(rows)):
+        dfs(v, v, [])
+    return list(loops.values())
 
 
 def words_of_length_recursive(alphabet, length):

@@ -24,14 +24,13 @@ from gpq.balls import (
     Combing,
     HomotopyMove,
     Witness,
-    _closed_paths_up_to,
     _loop_inside,
     _never_decreasing,
     _reduce_recording,
     build_ball,
     build_sphere,
-    check_pi1_bounded_balls,
     geodesic_0_combing,
+    kill_radius,
     null_homotopy_search,
     pi1_generators,
     pi1_kill_radius,
@@ -40,7 +39,12 @@ from gpq.errors import Exhausted, NotNullHomotopic, OracleMismatch
 from gpq import balls, presentations
 from gpq.presentations import Presentation
 from gpq.words import Alphabet, Word, free_reduce, words_up_to_length
-from helpers import pi1_generators_second_bfs, reduce_recording_restart, search_whole_words
+from helpers import (
+    closed_paths_up_to,
+    pi1_generators_second_bfs,
+    reduce_recording_restart,
+    search_whole_words,
+)
 
 
 def W(p, text):
@@ -191,6 +195,25 @@ def test_kill_radius(z2_setup, f2_setup):
         assert pi1_kill_radius(of, pf, r, r) == r
 
 
+def test_kill_radius_of_a_ball_about_any_basepoint(z2_setup, bs2_setup, d8_setup):
+    # the Cayley complex looks the same from every vertex: a ball about another
+    # basepoint has the kill radius, and explores the states, of one about e
+    for p, oracle in (z2_setup, bs2_setup, d8_setup):
+        for r, cap in ((1, 20_000), (3, 2)):  # z2 at (3, 2) ends Exhausted
+            try:
+                want = pi1_kill_radius(oracle, p, r, r + 1, step_cap=cap)
+            except Exhausted as exc:
+                want = exc.states_explored
+            ball = build_ball(oracle, p, r, W(p, "a d a" if p.name == "d8" else "b a' b"))
+            try:
+                got = kill_radius(ball, r + 1, step_cap=cap)
+            except Exhausted as exc:
+                got = exc.states_explored
+            assert got == want, (p.name, r, cap)
+        with pytest.raises(ValueError, match="need r <= r_max"):
+            kill_radius(ball, r - 1)
+
+
 def test_exhausted_kill_radius_claims_no_survival_and_counts_its_states(z2_setup):
     # a search shows that a loop dies, never that it survives: the error says
     # which radii and cap it tried, and carries every state its searches explored
@@ -231,14 +254,6 @@ def test_kill_radius_bounded_outcome_for_nonstandard_z_presentation():
     assert outcome  # bounded search must terminate with a recorded outcome
 
 
-def test_pi1_bounded_balls(z2_setup, f2_setup):
-    p, oracle = z2_setup
-    assert check_pi1_bounded_balls(oracle, p, 2, 5) is True
-    assert check_pi1_bounded_balls(oracle, p, 2, 3) is False
-    pf, of = f2_setup
-    assert check_pi1_bounded_balls(of, pf, 2, 1) is True  # vacuous
-
-
 def test_combing_certificates(z2_setup, f2_setup):
     p, oracle = z2_setup
     combing = geodesic_0_combing(oracle, p, 3)
@@ -248,6 +263,13 @@ def test_combing_certificates(z2_setup, f2_setup):
     assert geodesic_0_combing(of, pf, 2).verify_tame()
     empty = geodesic_0_combing(oracle, p, 0)
     assert len(empty.paths) == 1 and empty.paths[0].is_empty()
+
+
+def test_combing_refuses_a_negative_radius(z2_setup):
+    # as build_ball does: a negative radius is not read as B(0)
+    p, oracle = z2_setup
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        geodesic_0_combing(oracle, p, -1)
 
 
 def test_combing_paths_are_geodesics(z2_setup):
@@ -595,14 +617,14 @@ def test_search_matches_whole_word_reference(z2_setup, d8_setup, bs2_setup):
 
 
 def test_search_with_short_loop_cells_matches_whole_word_reference(z2_setup, bs2_setup):
-    # the cells check_pi1_bounded_balls glues: every short closed path, as the
-    # relators of a presentation that replace the presentation's own
+    # short-loop cells: every short closed path, as the relators of a
+    # presentation that replace the presentation's own
     compared = Counter()
     for p, oracle in (z2_setup, bs2_setup):
         ball = build_ball(oracle, p, 2)
         stripped = Presentation(p.alphabet, (), p.name)
         for c in (3, 5):
-            short = tuple(_closed_paths_up_to(ball, c))
+            short = tuple(closed_paths_up_to(ball, c))
             loops = Presentation(p.alphabet, short, p.name)
             for g in pi1_generators(ball).generators:
                 for cap in (2, 200):
@@ -660,7 +682,7 @@ def test_search_over_280_directions_matches_whole_word_reference():
 
 def test_searches_with_other_cells_on_one_region_match_whole_word_reference(z2_setup):
     # one region, searched with the presentation's cells and then with the
-    # short-loop cells of check_pi1_bounded_balls: no search leaves state on
+    # short-loop cells, every short closed path: no search leaves state on
     # the region that changes a later search with other cells
     p, oracle = z2_setup
     region = build_ball(oracle, p, 2)
@@ -674,7 +696,7 @@ def test_searches_with_other_cells_on_one_region_match_whole_word_reference(z2_s
             compared[want[0]] += 1
     stripped = Presentation(p.alphabet, (), p.name)
     for c in (3, 7):
-        short = tuple(_closed_paths_up_to(region, c))
+        short = tuple(closed_paths_up_to(region, c))
         cells = Presentation(p.alphabet, short, p.name)
         for loop in loops[::2]:
             for cap in (1, 100):

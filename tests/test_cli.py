@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from gpq import balls, rewriting
 from gpq.cli import _factored, main
 from gpq.parsing import parse_document
 
@@ -333,6 +334,32 @@ def test_exhausted_kill_radius_exit_code_claims_no_survival(runner, tmp_path, mo
         "resource limit: no R in [3, 4] certified that the loop generators of B(3) die in B(R) "
         "within 2 states per search\n"
     )
+
+
+def test_ball_kill_radius_builds_its_ball_once(runner, monkeypatch):
+    # the kill radius starts from the ball the command built and reported
+    radii = []
+    explore = balls._explore
+    monkeypatch.setattr(
+        balls, "_explore", lambda oracle, basepoint, r: radii.append(r) or explore(oracle, basepoint, r)
+    )
+    path = str(REPO / "samples" / "z2.gp")
+    result = runner.invoke(main, ["ball", path, "--backend", "abelian", "--radius", "3", "--kill-radius", "4"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == "V=25 E=36 C=12 pi1=12 kill_radius=3\n"
+    assert radii == [3]
+
+
+def test_ball_witness_over_the_word_cap_exit_code(runner, monkeypatch):
+    # 2^18 - 1 candidate words of length <= 17: refused before the first reduction
+    calls = []
+    reduce = rewriting.reduce
+    monkeypatch.setattr(rewriting, "reduce", lambda *args, **kw: calls.append(args) or reduce(*args, **kw))
+    result = runner.invoke(main, ["rewrite", str(REPO / "samples" / "d8.gp"), "--ball-witness", "8"])
+    _assert_clean_exit(result, 4)
+    assert result.stderr == "resource limit: more than 200000 candidate words at radius 8\n"
+    assert result.stdout == ""
+    assert calls == []
 
 
 def test_rewrite_has_no_step_limit_option(runner, tmp_path):

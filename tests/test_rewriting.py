@@ -170,6 +170,21 @@ def test_ball_witness_d8():
             assert len(step.before) <= bound and len(step.after) <= bound
 
 
+def test_ball_witness_word_cap_is_checked_before_any_reduction(monkeypatch):
+    # d8 has 2^0 + ... + 2^3 = 15 words of length <= 3: a cap of 15 admits
+    # them all, a cap of 14 refuses the radius without reducing a word
+    from gpq import rewriting
+
+    rs = dihedral_rewriting_system(8, ("a", "d"))
+    p = Presentation.make("a!, d!", ["a a", "d d", "(a d)^4"], "d8")
+    assert ball_null_homotopy_witness(rs, p, 1, word_cap=15).words_checked == 15
+    calls = []
+    monkeypatch.setattr(rewriting, "reduce", lambda *args, **kw: calls.append(args) or reduce(*args, **kw))
+    with pytest.raises(LimitExceeded, match="^more than 14 candidate words at radius 1$"):
+        ball_null_homotopy_witness(rs, p, 1, word_cap=14)
+    assert calls == []
+
+
 def test_ball_witness_free_group_vacuous():
     p = Presentation.make("a, b", [], "f2")
     rs = free_reduction_system(p.alphabet)
