@@ -11,7 +11,9 @@ Oracles are immutable after construction and safe for concurrent queries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import BadOrder, OracleMismatch, Unsupported
 from .words import Alphabet, Word, free_reduce
@@ -40,50 +42,124 @@ class WordOracle:
         raise NotImplementedError
 
 
-# --- finite groups by multiplication table --------------------------------------
+# --- finite groups by right-multiplication rows -----------------------------------
+
+
+def _explore(directions, start, step, r):
+    """The first-reaching path of each key within r steps of `start`, in
+    discovery order (breadth-first, each key's steps in `directions` order),
+    and each one's row of neighbour indices, None beyond radius r.  `step(key,
+    d)` is the key one step from `key` along d."""
+    keys = [start]
+    index = {start: 0}
+    paths = [()]
+    rows = []
+    for key, path in zip(keys, paths):  # both grow while the pass reads them
+        row = []
+        for direction in directions:
+            found = step(key, direction)
+            j = index.get(found)
+            if j is None and len(path) < r:
+                j = index[found] = len(keys)
+                keys.append(found)
+                paths.append(path + (direction,))
+            row.append(j)
+        rows.append(tuple(row))
+    return paths, rows
 
 
 @dataclass(frozen=True)
 class FiniteGroupTable(WordOracle):
-    """A finite group given by its full multiplication table.
+    """A finite group given by its right-multiplication rows.
 
-    Index 0 is the identity; element_names[i] is the canonical word for
-    element i (shortlex-first over the generating alphabet); generator_map
-    sends alphabet letters to element indices.
+    rows[i][k] is element i times the signed letter `Alphabet.directions`[k].
+    Element 0 is the identity, and the elements are numbered in the order a
+    breadth-first pass over the rows reaches them, so the path that first
+    reaches element i, element_names[i], is its shortlex-least word.  The
+    constructor checks that order, the rows' shape and that each letter's
+    inverse steps back, not that the rows are a group's; `from_generators`
+    builds a group's.  The names, the full table `mul`, `inv` and the
+    generator map are read off the rows on first use.
     """
 
     alphabet: Alphabet
-    element_names: tuple[Word, ...]
-    mul: tuple[tuple[int, ...], ...]
-    inv: tuple[int, ...]
-    generator_map: tuple[int, ...]
+    rows: tuple[tuple[int, ...], ...]
     identity = 0
 
     def __post_init__(self):
         # plain checks, which `python -O` keeps
-        n, mul, inv = len(self.element_names), self.mul, self.inv
-        if not n or not self.element_names[0].is_empty():
-            raise ValueError("element 0 must be the identity, named by the empty word")
-        if len(mul) != n or any(len(row) != n for row in mul):
-            raise ValueError(f"mul must be {n} x {n}, one row and column per element")
-        if len(inv) != n:
-            raise ValueError(f"inv must have {n} entries, one per element, not {len(inv)}")
-        if len(self.generator_map) != len(self.alphabet):
-            raise ValueError(f"generator_map must have {len(self.alphabet)} entries, one per letter")
-        for i in range(n):
-            if mul[0][i] != i or mul[i][0] != i:
-                raise ValueError(f"row and column 0 of mul are not the identity's at element {i}")
-            if not 0 <= inv[i] < n or mul[i][inv[i]] or mul[inv[i]][i]:
-                raise ValueError(f"inv[{i}] = {inv[i]} is not the inverse of element {i}")
+        rows, alphabet, n = self.rows, self.alphabet, len(self.rows)
+        dirs, column, invol = alphabet.directions, alphabet.columns, alphabet.involutive
+        if not n:
+            raise ValueError("a table needs rows, the identity's first")
+        for i, row in enumerate(rows):
+            if len(row) != len(dirs):
+                raise ValueError(f"row {i} has {len(row)} entries, not one per direction ({len(dirs)})")
+            for k, j in enumerate(row):
+                if type(j) is not int or not 0 <= j < n:
+                    raise ValueError(f"rows[{i}][{k}] = {j!r} is not an element index in 0..{n - 1}")
+        back = [column[(idx, e if invol[idx] else -e)] for idx, e in dirs]
+        reached = 1  # the rows read so far reach elements 0..reached-1
+        for i, row in enumerate(rows):
+            if i >= reached:
+                raise ValueError(f"element {i} is not reached from the identity")
+            for k, j in enumerate(row):
+                if rows[j][back[k]] != i:
+                    letter = Word._of(alphabet, (dirs[k],))
+                    raise ValueError(f"letter {letter} steps element {i} to {j}, and its inverse does not step back")
+                if j > reached:
+                    raise ValueError(f"element {j} is reached before element {reached}: rows out of breadth-first order")
+                reached += j == reached
+
+    @cached_property
+    def _tree(self) -> tuple[tuple[int, int], ...]:
+        """(i, k) per element j >= 1: rows[i][k], the first entry that holds j."""
+        tree = []
+        for i, row in enumerate(self.rows):
+            for k, j in enumerate(row):
+                if j == len(tree) + 1:
+                    tree.append((i, k))
+        return tuple(tree)
+
+    @cached_property
+    def element_names(self) -> tuple[Word, ...]:
+        """Each element's path from the identity in the tree of first entries."""
+        dirs = self.alphabet.directions
+        paths = [()]
+        for i, k in self._tree:
+            paths.append(paths[i] + (dirs[k],))
+        return tuple(Word._of(self.alphabet, path) for path in paths)
+
+    @cached_property
+    def mul(self) -> tuple[tuple[int, ...], ...]:
+        """mul[i][j] is element i times element j: i stepped along j's tree path."""
+        rows, tree = self.rows, self._tree
+        table = []
+        for i in range(len(rows)):
+            row = [i]
+            for parent, k in tree:
+                row.append(rows[row[parent]][k])
+            table.append(tuple(row))
+        return tuple(table)
+
+    @cached_property
+    def inv(self) -> tuple[int, ...]:
+        return tuple(row.index(0) for row in self.mul)
+
+    @cached_property
+    def generator_map(self) -> tuple[int, ...]:
+        """The element of each letter."""
+        return tuple(self.rows[0][self.alphabet.columns[(i, 1)]] for i in range(len(self.alphabet)))
 
     @property
     def order(self) -> int:
-        return len(self.element_names)
+        return len(self.rows)
 
     def evaluate(self, word: Word, images=None) -> int:
         """The element index of `word`, each letter index sent to its element
         in `images` (by default the generator map)."""
-        images = self.generator_map if images is None else images
+        if images is None:
+            return self.key(word)
         acc = 0
         for idx, exp in word.letters:
             g = images[idx]
@@ -91,8 +167,7 @@ class FiniteGroupTable(WordOracle):
         return acc
 
     def step(self, key: int, direction: tuple[int, int]) -> int:
-        g = self.generator_map[direction[0]]
-        return self.mul[key][g if direction[1] == 1 else self.inv[g]]
+        return self.rows[key][self.alphabet.columns[direction]]
 
     def describe(self) -> str:
         gens = ",".join(self.alphabet.letters)
@@ -100,52 +175,18 @@ class FiniteGroupTable(WordOracle):
 
     @staticmethod
     def from_generators(alphabet: Alphabet, values, compose, identity) -> "FiniteGroupTable":
-        """Closure of abstract generator values under `compose`.
+        """The table of the group that the letters' `values` generate under
+        `compose`: one breadth-first pass from `identity` numbers its
+        elements, one `compose` per element and direction."""
 
-        Elements are discovered by shortlex BFS over positive letters (and
-        inverses for non-involutive ones); the first word reaching an element
-        becomes its canonical name.
-        """
-        gen_syms = alphabet.directions
-        # values for the symbols; an inverse value is found by power search
-        elems = {identity: 0}
-        names = [Word.identity(alphabet)]
-        value_list = [identity]
-        frontier = [(Word.identity(alphabet), identity)]
-        sym_values = {}
-        for idx, exp in gen_syms:
-            v = values[idx]
-            if exp == -1:
-                # finite order: invert by repeated composition
-                w = v
-                prev = identity
-                while w != identity:
-                    prev = w
-                    w = compose(w, v)
-                v = prev if v != identity else identity
-            sym_values[(idx, exp)] = v
-        while frontier:
-            new_frontier = []
-            for word, val in frontier:
-                for sym in gen_syms:
-                    nval = compose(val, sym_values[sym])
-                    if nval not in elems:
-                        elems[nval] = len(value_list)
-                        nword = Word(alphabet, word.letters + (sym,))
-                        names.append(nword)
-                        value_list.append(nval)
-                        new_frontier.append((nword, nval))
-            frontier = new_frontier
-        n = len(value_list)
-        mul = tuple(
-            tuple(elems[compose(value_list[i], value_list[j])] for j in range(n))
-            for i in range(n)
-        )
-        inv = []
-        for i in range(n):
-            inv.append(next(j for j in range(n) if mul[i][j] == 0))
-        gmap = tuple(elems[values[i]] for i in range(len(alphabet)))
-        return FiniteGroupTable(alphabet, tuple(names), mul, tuple(inv), gmap)
+        def inverse(v):  # finite order: v^-1 is the last power of v before the identity
+            power, last = v, identity
+            while power != identity:
+                last, power = power, compose(power, v)
+            return last
+
+        steps = [values[i] if e == 1 else inverse(values[i]) for i, e in alphabet.directions]
+        return FiniteGroupTable(alphabet, tuple(_explore(steps, identity, compose, math.inf)[1]))
 
 
 def dihedral_group(order: int, names: tuple[str, str] = ("x", "y")) -> FiniteGroupTable:

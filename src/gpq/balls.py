@@ -23,7 +23,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 
-from .backends import WordOracle
+from .backends import WordOracle, _explore
 from .errors import Exhausted, NotNullHomotopic, OracleMismatch
 from .presentations import Presentation
 from .words import Word, free_reduce
@@ -56,13 +56,6 @@ class Ball:
     neighbours: tuple[tuple[int | None, ...], ...] = field(compare=False, repr=False)
     is_sphere: bool = False
 
-    def summary(self) -> str:
-        kind = "S" if self.is_sphere else "B"
-        return (
-            f"{kind}({self.radius}): V={len(self.vertices)} "
-            f"E={len(self.edges)} C={len(self.cells)}"
-        )
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -77,29 +70,6 @@ class Ball:
         )
 
 
-def _explore(oracle: WordOracle, basepoint: Word, r: int):
-    """The first-reaching path of each element within radius r, in discovery
-    order, and each one's row of neighbour indices (None outside the ball)."""
-    dirs = oracle.alphabet.directions
-    step = oracle.step
-    keys = [oracle.key(basepoint)]
-    index = {keys[0]: 0}
-    paths = [()]
-    rows = []
-    for key, path in zip(keys, paths):  # both grow while the pass reads them
-        row = []
-        for direction in dirs:
-            found = step(key, direction)
-            j = index.get(found)
-            if j is None and len(path) < r:
-                j = index[found] = len(keys)
-                keys.append(found)
-                paths.append(path + (direction,))
-            row.append(j)
-        rows.append(tuple(row))
-    return paths, rows
-
-
 def _build(oracle: WordOracle, p: Presentation, r: int, basepoint: Word | None, sphere: bool):
     if r < 0:
         raise ValueError("radius must be >= 0")
@@ -107,7 +77,7 @@ def _build(oracle: WordOracle, p: Presentation, r: int, basepoint: Word | None, 
     alphabet = p.alphabet
     if basepoint is None:
         basepoint = Word.identity(alphabet)
-    paths, rows = _explore(oracle, basepoint, r)
+    paths, rows = _explore(oracle.alphabet.directions, oracle.key(basepoint), oracle.step, r)
     if sphere:  # the last BFS layer: a suffix of discovery order, from vertex s on
         s = sum(len(path) < r for path in paths)
         paths = paths[s:]
@@ -149,7 +119,6 @@ def build_sphere(oracle: WordOracle, p: Presentation, r: int, basepoint: Word | 
 
 @dataclass(frozen=True)
 class LoopClassSet:
-    ball: Ball
     generators: tuple[Word, ...]        # one loop per non-tree edge
 
     @property
@@ -179,7 +148,7 @@ def pi1_generators(ball: Ball) -> LoopClassSet:
         loop = Word._of(alphabet, paths[i] + ((li, 1),) + back)
         assert len(loop) <= 2 * ball.radius + 1, "generator exceeds the 2r+1 bound"
         generators.append(loop)
-    lcs = LoopClassSet(ball, tuple(generators))
+    lcs = LoopClassSet(tuple(generators))
     assert lcs.rank == len(ball.edges) - len(paths) + 1
     return lcs
 
@@ -341,7 +310,8 @@ def null_homotopy_search(
 
     On entry every relator of `p` must be trivial under the oracle, or
     OracleMismatch is raised: a cell the group does not have would certify
-    loops that do not die.  The cells are those of `p`, which may differ
+    loops that do not die; the region's own oracle and presentation were
+    checked when it was built.  The cells are those of `p`, which may differ
     from the region's presentation.  A state is a str, one character per
     signed letter: chr of its `Alphabet.columns` column, the column of
     the region's rows it steps along.  Each state's successors are tried
@@ -352,7 +322,8 @@ def null_homotopy_search(
     start vertex for this search only), then the seam-cost splice, then the
     `seen` test: pure filters, whose order changes no answer.
     """
-    _check_oracle(oracle, p)
+    if oracle is not region.oracle or p is not region.presentation:  # else `_build` checked them
+        _check_oracle(oracle, p)
     if not oracle.is_identity(loop):
         raise NotNullHomotopic(f"'{loop}' is not trivial under {oracle.describe()}")
     if not _loop_inside(region, loop):

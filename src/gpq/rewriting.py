@@ -253,27 +253,22 @@ class NullHomotopyCertificate:
     witnesses: tuple[tuple[Word, ReductionTrace], ...]
 
 
-@dataclass(frozen=True)
-class WitnessFailure:
-    word: Word
-    reason: str
-
-
 def ball_null_homotopy_witness(
     rs: RewritingSystem,
     p: Presentation,
     r: int,
     step_limit: int = 10_000,
     word_cap: int = 200_000,
-):
+) -> NullHomotopyCertificate:
     """Certify that identity words of length <= 2r+1 reduce inside the ball B(r).
 
     For a geodesic system whose rules all correspond to relators of p, every
     reduction sequence w -> w1 -> ... -> e is a null-homotopy whose stages all
-    have length <= 2r+1, hence stay within B(r).  Returns a certificate with
-    one (word, trace) witness per identity word, or a WitnessFailure carrying
-    the first violating word.  Raises LimitExceeded, before reducing any
-    word, if there are more than `word_cap` candidates.
+    have length <= 2r+1 (no rule lengthens a word), hence stay within B(r).
+    Returns a certificate with one (word, trace) witness per identity word.
+    Raises LimitExceeded before reducing any word if there are more than
+    `word_cap` candidates, and, naming the word, if a candidate's reduction
+    hits `step_limit`.
     """
     if not is_geodesic(rs):
         raise NotGeodesic("witness construction requires a geodesic system")
@@ -295,14 +290,10 @@ def ball_null_homotopy_witness(
     for w in words_up_to_length(rs.alphabet, bound):
         try:
             nf, trace = reduce(rs, w, step_limit=step_limit)
-        except LimitExceeded:
-            return WitnessFailure(w, "reduction did not terminate")
-        if not nf.is_empty():
-            continue
-        for step in trace.steps:
-            if len(step.after) > bound or len(step.before) > bound:
-                return WitnessFailure(w, f"intermediate loop longer than {bound}")
-        witnesses.append((w, trace))
+        except LimitExceeded as exc:
+            raise LimitExceeded(f"candidate word '{w}': {exc}", exc.word, exc.trace) from None
+        if nf.is_empty():
+            witnesses.append((w, trace))
     return NullHomotopyCertificate(r, count, tuple(witnesses))
 
 

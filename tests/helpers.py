@@ -35,6 +35,13 @@ a,b,d-words; the library's composite translate_bd_to_cd(apply_substitution(
 sigma_abd, .)) computes the same map, and the coherence tests check the two
 agree.
 
+`closure_table` is the earlier finite-group closure: a shortlex BFS over
+words names each element by the first word that reaches it, then every
+product and inverse is composed or scanned for; a reference for the
+tables that `FiniteGroupTable` reads off its breadth-first rows.
+`dihedral_closure`, `klein_closure` and `cyclic_closure` give it the same
+generator values as the library's named groups.
+
 `evaluate_affine` is the faithful affine model of B(1,n) (a: x -> n x,
 b: x -> x + 1), against which the tests check the oracle's keys;
 `cyclically_reduce` is the cyclic reduction of a word; `is_associative`
@@ -55,6 +62,64 @@ from fractions import Fraction
 from gpq.grigorchuk import VerificationReport
 from gpq.induction import basic_relation, conjugate_relation
 from gpq.words import Word, free_reduce, rotations_and_inverses
+
+
+def closure_table(alphabet, values, compose, identity):
+    """(element_names, mul, inv, generator_map) of the group that the
+    letters' values generate under `compose`."""
+    syms = alphabet.directions
+    sym_values = {}
+    for idx, exp in syms:
+        v = values[idx]
+        if exp == -1:  # finite order: invert by repeated composition
+            w, prev = v, identity
+            while w != identity:
+                prev, w = w, compose(w, v)
+            v = prev
+        sym_values[(idx, exp)] = v
+    elems = {identity: 0}
+    names = [Word.identity(alphabet)]
+    value_list = [identity]
+    frontier = [(names[0], identity)]
+    while frontier:
+        new_frontier = []
+        for word, val in frontier:
+            for sym in syms:
+                nval = compose(val, sym_values[sym])
+                if nval not in elems:
+                    elems[nval] = len(value_list)
+                    nword = Word(alphabet, word.letters + (sym,))
+                    names.append(nword)
+                    value_list.append(nval)
+                    new_frontier.append((nword, nval))
+        frontier = new_frontier
+    n = len(value_list)
+    mul = tuple(tuple(elems[compose(value_list[i], value_list[j])] for j in range(n)) for i in range(n))
+    inv = tuple(next(j for j in range(n) if mul[i][j] == 0) for i in range(n))
+    gmap = tuple(elems[values[i]] for i in range(len(alphabet)))
+    return tuple(names), mul, inv, gmap
+
+
+def dihedral_closure(alphabet, order):
+    """`closure_table` of `dihedral_group(order)`: its two letters the
+    reflections (0, 1) and (1, 1) of (Z/m) x| (Z/2), order = 2m."""
+    m = order // 2
+
+    def compose(p, q):
+        return ((p[0] + (q[0] if p[1] == 0 else -q[0])) % m, (p[1] + q[1]) % 2)
+
+    return closure_table(alphabet, [(0, 1), (1 % m, 1)], compose, (0, 0))
+
+
+def klein_closure(alphabet):
+    """`closure_table` of `klein_group()`, on (Z/2)^2."""
+    compose = lambda p, q: ((p[0] + q[0]) % 2, (p[1] + q[1]) % 2)  # noqa: E731
+    return closure_table(alphabet, [(1, 0), (0, 1)], compose, (0, 0))
+
+
+def cyclic_closure(alphabet, n):
+    """`closure_table` of `cyclic_group(n)`, on Z/n."""
+    return closure_table(alphabet, [1 % n], lambda p, q: (p + q) % n, 0)
 
 
 def evaluate_affine(n, word):

@@ -23,9 +23,12 @@ from gpq.backends import (
     free_oracle,
     klein_group,
 )
+from gpq.balls import build_ball
 from gpq.errors import BadOrder, OracleMismatch, Unsupported
+from gpq.grigorchuk import make_grigorchuk_data
+from gpq.presentations import Presentation
 from gpq.words import Alphabet, Word, free_reduce, words_up_to_length
-from helpers import evaluate_affine, is_associative
+from helpers import cyclic_closure, dihedral_closure, evaluate_affine, is_associative, klein_closure
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -104,30 +107,32 @@ def test_klein_group_table():
 
 
 def _bad_tables():
-    """(the fields of the Klein group's table broken in one way, what its
-    error names) pairs."""
+    """(an alphabet and rows broken in one way, what the error names) pairs,
+    beside the Klein group's rows ((1, 2), (0, 3), (3, 0), (2, 1))."""
     v = klein_group(("c", "d"))
-    names, mul = v.element_names, v.mul
-    good = dict(alphabet=v.alphabet, element_names=names, mul=mul, inv=v.inv, generator_map=v.generator_map)
+    rows, cd, x = v.rows, v.alphabet, Alphabet.make("x!")
     return [
-        (dict(good, element_names=names[1:2] + names[:1] + names[2:]), "element 0 must be the identity"),
-        (dict(good, element_names=(), mul=(), inv=()), "element 0 must be the identity"),
-        (dict(good, mul=mul[:3]), "mul must be 4 x 4"),
-        (dict(good, mul=mul[:3] + (mul[3][:3],)), "mul must be 4 x 4"),
-        (dict(good, inv=v.inv[:3]), "inv must have 4 entries"),
-        (dict(good, generator_map=v.generator_map[:1]), "generator_map must have 2 entries"),
-        (dict(good, mul=mul[1:2] + mul[:1] + mul[2:]), "row and column 0 of mul"),
-        (dict(good, inv=(0, 2, 1, 3)), "inv[1] = 2 is not the inverse of element 1"),
-        (dict(good, inv=(0, 1, 2, 7)), "inv[3] = 7 is not the inverse of element 3"),
+        ((cd, ()), "a table needs rows"),
+        ((cd, rows[:3] + (rows[3][:1],)), "row 3 has 1 entries, not one per direction (2)"),
+        ((cd, rows[:3] + ((2, 4),)), "rows[3][1] = 4 is not an element index in 0..3"),
+        ((cd, rows[:3] + ((2, -1),)), "rows[3][1] = -1 is not an element index in 0..3"),
+        ((cd, rows[:3] + ((2, 1.0),)), "rows[3][1] = 1.0 is not an element index in 0..3"),
+        ((cd, rows[:3] + ((2, "1"),)), "rows[3][1] = '1' is not an element index in 0..3"),
+        # x declared involutive, but of order 3
+        ((x, ((1,), (2,), (0,))), "letter x steps element 0 to 1, and its inverse does not step back"),
+        ((cd, ((1, 2), (0, 3), (3, 0), (2, 2))), "letter d steps element 1 to 3, and its inverse does not step back"),
+        # c and d swapped: the identity's row reaches element 2 first
+        ((cd, ((2, 1), (3, 0), (0, 3), (1, 2))), "element 2 is reached before element 1"),
+        ((x, ((0,), (1,))), "element 1 is not reached from the identity"),
     ]
 
 
 def _table_errors():
     """The ValueError message of each bad table, or None where one is accepted."""
     out = []
-    for fields, _ in _bad_tables():
+    for args, _ in _bad_tables():
         try:
-            FiniteGroupTable(**fields)
+            FiniteGroupTable(*args)
             out.append(None)
         except ValueError as exc:
             out.append(str(exc))
@@ -136,9 +141,45 @@ def _table_errors():
 
 def test_table_rejects_a_broken_table_naming_the_condition():
     v = klein_group(("c", "d"))
-    assert FiniteGroupTable(v.alphabet, v.element_names, v.mul, v.inv, v.generator_map) == v
+    assert v.rows == ((1, 2), (0, 3), (3, 0), (2, 1))
+    assert FiniteGroupTable(v.alphabet, v.rows) == v
     for (_, want), got in zip(_bad_tables(), _table_errors()):
         assert got is not None and want in got, (want, got)
+
+
+def test_from_generators_rejects_an_involutive_letter_of_another_order():
+    with pytest.raises(ValueError, match="letter x steps element 0 to 1, and its inverse does not step back"):
+        FiniteGroupTable.from_generators(Alphabet.make("x!"), [1], lambda p, q: (p + q) % 3, 0)
+
+
+def _closure_cases():
+    """(a table, the closure it must equal) pairs."""
+    for order in range(2, 41, 2):
+        table = dihedral_group(order)
+        yield table, dihedral_closure(table.alphabet, order)
+    for n in range(1, 13):
+        table = cyclic_group(n)
+        yield table, cyclic_closure(table.alphabet, n)
+    grig = make_grigorchuk_data()
+    for table in klein_group(), grig.klein_cd:
+        yield table, klein_closure(table.alphabet)
+    for table, order in (grig.d8, 8), (grig.d16, 16):
+        yield table, dihedral_closure(table.alphabet, order)
+
+
+def test_tables_read_off_the_rows_match_the_closure():
+    for table, (names, mul, inv, gmap) in _closure_cases():
+        assert table.element_names == names, table.describe()
+        assert (table.mul, table.inv, table.generator_map) == (mul, inv, gmap), table.describe()
+        assert table.order == len(names) and is_associative(table), table.describe()
+
+
+def test_a_ball_on_a_large_dihedral_table_reads_only_its_rows():
+    table = dihedral_group(4000, ("a", "d"))
+    p = Presentation(table.alphabet, (Word.from_str(table.alphabet, "(a d)^2000"),))
+    ball = build_ball(table, p, 2)
+    assert [str(v) for v in ball.vertices] == ["", "a", "d", "a d", "d a"]
+    assert "mul" not in vars(table) and "element_names" not in vars(table)
 
 
 _TABLES_UNDER_O = """

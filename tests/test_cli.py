@@ -341,13 +341,46 @@ def test_ball_kill_radius_builds_its_ball_once(runner, monkeypatch):
     radii = []
     explore = balls._explore
     monkeypatch.setattr(
-        balls, "_explore", lambda oracle, basepoint, r: radii.append(r) or explore(oracle, basepoint, r)
+        balls, "_explore", lambda dirs, start, step, r: radii.append(r) or explore(dirs, start, step, r)
     )
     path = str(REPO / "samples" / "z2.gp")
     result = runner.invoke(main, ["ball", path, "--backend", "abelian", "--radius", "3", "--kill-radius", "4"])
     assert result.exit_code == 0, result.output
     assert result.stdout == "V=25 E=36 C=12 pi1=12 kill_radius=3\n"
     assert radii == [3]
+
+
+@pytest.mark.parametrize("kill, calls", [([], 0), (["--kill-radius", "4"], 1)])
+def test_ball_builds_its_loop_generators_only_for_the_kill_radius(runner, monkeypatch, kill, calls):
+    # pi1= is E - V + 1; only the kill radius needs the generators themselves
+    built = []
+    pi1_generators = balls.pi1_generators
+    monkeypatch.setattr(balls, "pi1_generators", lambda ball: built.append(ball) or pi1_generators(ball))
+    path = str(REPO / "samples" / "z2.gp")
+    result = runner.invoke(main, ["ball", path, "--backend", "abelian", "--radius", "3", *kill])
+    assert result.exit_code == 0, result.output
+    assert result.stdout.startswith("V=25 E=36 C=12 pi1=12")
+    assert len(built) == calls
+
+
+def test_ball_kill_radius_checks_the_oracle_once(runner, monkeypatch):
+    # the searches on the ball built for the command reuse its oracle check
+    checks = []
+    check = balls._check_oracle
+    monkeypatch.setattr(balls, "_check_oracle", lambda oracle, p: checks.append(p) or check(oracle, p))
+    path = str(REPO / "samples" / "z2.gp")
+    result = runner.invoke(main, ["ball", path, "--backend", "abelian", "--radius", "3", "--kill-radius", "4"])
+    assert result.stdout == "V=25 E=36 C=12 pi1=12 kill_radius=3\n"
+    assert len(checks) == 1
+
+
+def test_ball_witness_step_limit_is_a_resource_limit(runner, tmp_path):
+    # a b -> b a and b a -> a b loop forever on 'a b': a step limit, not a failed check
+    path = _write(tmp_path, "swap.gp", "gens a, b;\nrel a b a' b';\nrule a b -> b a;\nrule b a -> a b;\n")
+    result = runner.invoke(main, ["rewrite", path, "--ball-witness", "1"])
+    _assert_clean_exit(result, 4)
+    assert result.stderr == "resource limit: candidate word 'a b': no irreducible word within 10000 steps\n"
+    assert "FAILURE" not in result.output
 
 
 def test_ball_witness_over_the_word_cap_exit_code(runner, monkeypatch):
@@ -500,7 +533,7 @@ def _random_document(rng) -> bytes:
 
 
 def test_every_run_ends_in_a_documented_exit_code(runner, tmp_path, monkeypatch):
-    # malformed documents among them; each run exits 0-4 through sys.exit
+    # malformed documents among them; each run exits 0 or 2-4 through sys.exit
     monkeypatch.setenv("GPQ_STEP_CAP", "200")
     rng = random.Random(0)
     path = tmp_path / "doc.gp"
@@ -515,4 +548,5 @@ def test_every_run_ends_in_a_documented_exit_code(runner, tmp_path, monkeypatch)
         if result.exit_code >= 2:
             assert len(result.stderr.splitlines()) == 1, case
         codes.add(result.exit_code)
-    assert codes == {0, 1, 2, 3, 4}
+    # exit 1 is a MISMATCH in the Grigorchuk grid, which neither command runs
+    assert codes == {0, 2, 3, 4}
