@@ -46,26 +46,38 @@ class WordOracle:
 
 
 def _explore(directions, start, step, r):
-    """The first-reaching path of each key within r steps of `start`, in
-    discovery order (breadth-first, each key's steps in `directions` order),
-    and each one's row of neighbour indices, None beyond radius r.  `step(key,
-    d)` is the key one step from `key` along d."""
+    """The tree of first entries and one row per key within r steps of
+    `start`, in discovery order (breadth-first, each key's steps in
+    `directions` order).  Entry k of a row is the index of the key one step
+    along directions[k], None beyond radius r; the tree holds (i, k) per key
+    j >= 1, rows[i][k] being the first entry that holds j, the step that
+    first reaches it.  `step(key, d)` is the key one step from `key` along d."""
     keys = [start]
     index = {start: 0}
-    paths = [()]
+    depths = [0]
+    tree = []
     rows = []
-    for key, path in zip(keys, paths):  # both grow while the pass reads them
+    for key, depth in zip(keys, depths):  # both grow while the pass reads them
         row = []
         for direction in directions:
             found = step(key, direction)
             j = index.get(found)
-            if j is None and len(path) < r:
+            if j is None and depth < r:
                 j = index[found] = len(keys)
                 keys.append(found)
-                paths.append(path + (direction,))
+                depths.append(depth + 1)
+                tree.append((len(rows), len(row)))
             row.append(j)
         rows.append(tuple(row))
-    return paths, rows
+    return tree, rows
+
+
+def _first_paths(tree, directions) -> list[tuple[tuple[int, int], ...]]:
+    """Each key's path from key 0 in a tree of first entries."""
+    paths = [()]
+    for i, k in tree:
+        paths.append(paths[i] + (directions[k],))
+    return paths
 
 
 @dataclass(frozen=True)
@@ -77,9 +89,9 @@ class FiniteGroupTable(WordOracle):
     breadth-first pass over the rows reaches them, so the path that first
     reaches element i, element_names[i], is its shortlex-least word.  The
     constructor checks that order, the rows' shape and that each letter's
-    inverse steps back, not that the rows are a group's; `from_generators`
-    builds a group's.  The names, the full table `mul`, `inv` and the
-    generator map are read off the rows on first use.
+    inverse steps back, and reading `mul` that its rows are permutations,
+    not that the rows are a group's.  The names, the full table `mul`, `inv`
+    and the generator map are read off the rows on first use.
     """
 
     alphabet: Alphabet
@@ -112,22 +124,14 @@ class FiniteGroupTable(WordOracle):
                 reached += j == reached
 
     @cached_property
-    def _tree(self) -> tuple[tuple[int, int], ...]:
-        """(i, k) per element j >= 1: rows[i][k], the first entry that holds j."""
-        tree = []
-        for i, row in enumerate(self.rows):
-            for k, j in enumerate(row):
-                if j == len(tree) + 1:
-                    tree.append((i, k))
-        return tuple(tree)
+    def _tree(self) -> list[tuple[int, int]]:
+        """The tree of first entries, from a breadth-first pass over the rows, which are in its order."""
+        return _explore(range(len(self.alphabet.directions)), 0, lambda i, k: self.rows[i][k], math.inf)[0]
 
     @cached_property
     def element_names(self) -> tuple[Word, ...]:
         """Each element's path from the identity in the tree of first entries."""
-        dirs = self.alphabet.directions
-        paths = [()]
-        for i, k in self._tree:
-            paths.append(paths[i] + (dirs[k],))
+        paths = _first_paths(self._tree, self.alphabet.directions)
         return tuple(Word._of(self.alphabet, path) for path in paths)
 
     @cached_property
@@ -139,6 +143,8 @@ class FiniteGroupTable(WordOracle):
             row = [i]
             for parent, k in tree:
                 row.append(rows[row[parent]][k])
+            if len(set(row)) < len(row):
+                raise ValueError(f"row {i} of mul is not a permutation: the rows are not a group's regular action")
             table.append(tuple(row))
         return tuple(table)
 
@@ -158,8 +164,7 @@ class FiniteGroupTable(WordOracle):
     def evaluate(self, word: Word, images=None) -> int:
         """The element index of `word`, each letter index sent to its element
         in `images` (by default the generator map)."""
-        if images is None:
-            return self.key(word)
+        images = self.generator_map if images is None else images
         acc = 0
         for idx, exp in word.letters:
             g = images[idx]
@@ -207,9 +212,7 @@ def dihedral_group(order: int, names: tuple[str, str] = ("x", "y")) -> FiniteGro
         r2, f2 = q
         return ((r1 + (r2 if f1 == 0 else -r2)) % m, (f1 + f2) % 2)
 
-    x = (0, 1)
-    y = (1 % m, 1)
-    return FiniteGroupTable.from_generators(alphabet, [x, y], compose, (0, 0))
+    return FiniteGroupTable.from_generators(alphabet, [(0, 1), (1 % m, 1)], compose, (0, 0))
 
 
 def klein_group(names: tuple[str, str] = ("c", "d")) -> FiniteGroupTable:
@@ -226,9 +229,7 @@ def cyclic_group(n: int, name: str = "x") -> FiniteGroupTable:
     if n < 1:
         raise BadOrder(f"cyclic order must be >= 1, got {n}")
     alphabet = Alphabet.make(name + ("!" if n == 2 else ""))
-    return FiniteGroupTable.from_generators(
-        alphabet, [1 % n], lambda p, q: (p + q) % n, 0
-    )
+    return FiniteGroupTable.from_generators(alphabet, [1 % n], lambda p, q: (p + q) % n, 0)
 
 
 # --- free and free-abelian groups ------------------------------------------------
@@ -278,15 +279,11 @@ class FreeAbelianOracle(WordOracle):
 
 
 def free_oracle(k: int, alphabet: Alphabet | None = None) -> FreeGroupOracle:
-    if alphabet is None:
-        alphabet = Alphabet.make(*_DEFAULT_NAMES[:k])
-    return FreeGroupOracle(alphabet)
+    return FreeGroupOracle(Alphabet.make(*_DEFAULT_NAMES[:k]) if alphabet is None else alphabet)
 
 
 def free_abelian_oracle(k: int, alphabet: Alphabet | None = None) -> FreeAbelianOracle:
-    if alphabet is None:
-        alphabet = Alphabet.make(*_DEFAULT_NAMES[:k])
-    return FreeAbelianOracle(alphabet)
+    return FreeAbelianOracle(Alphabet.make(*_DEFAULT_NAMES[:k]) if alphabet is None else alphabet)
 
 
 # --- Baumslag-Solitar B(1, n) ----------------------------------------------------

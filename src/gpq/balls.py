@@ -3,18 +3,19 @@
 A vertex is an index into discovery (shortlex) order of the elements within
 distance r; a ball's vertex 0 is its basepoint.  One breadth-first pass steps
 oracle keys, which live only in that pass, once per vertex and direction, the
-outer shell included; it records the path that first reaches each vertex (the
-shortlex-least geodesic from the basepoint, by induction on distance) and one
-row per vertex, whose entry k is the neighbour in direction
-`Alphabet.directions`[k] or None outside: edges, 2-cells, loop tracing and
-combings read the rows.  A vertex's name is the basepoint followed by its
-path.  An edge or 2-cell belongs to the ball exactly when all its boundary
-vertices do.  On top of the complex: loop generators for the fundamental
-group from the tree of those first paths (each of length <= 2r+1),
-breadth-first null-homotopy search with replayable witnesses, the kill
-radius those searches bound, and geodesic combings with a mechanically
-checked tameness certificate.  All searches carry explicit caps:
-incompleteness is a visible value, never a silent timeout.
+outer shell included, and records one row per vertex, whose entry k is the
+neighbour in direction `Alphabet.directions`[k] or None outside: edges,
+2-cells, loop tracing and combings read the rows.  The first row entry that
+holds a vertex is the step that first reaches it, so the rows give each
+vertex's first path (the shortlex-least geodesic from the basepoint, by
+induction on distance); a vertex's name is the basepoint followed by it.
+An edge or 2-cell belongs to the ball exactly when all its boundary vertices
+do.  On top of the complex: loop generators for the fundamental group from
+the tree of those first paths (each of length <= 2r+1), breadth-first
+null-homotopy search with replayable witnesses, the kill radius those
+searches bound, and geodesic combings with a mechanically checked tameness
+certificate.  All searches carry explicit caps: incompleteness is a visible
+value, never a silent timeout.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 
-from .backends import WordOracle, _explore
+from .backends import WordOracle, _explore, _first_paths
 from .errors import Exhausted, NotNullHomotopic, OracleMismatch
 from .presentations import Presentation
 from .words import Word, free_reduce
@@ -77,12 +78,13 @@ def _build(oracle: WordOracle, p: Presentation, r: int, basepoint: Word | None, 
     alphabet = p.alphabet
     if basepoint is None:
         basepoint = Word.identity(alphabet)
-    paths, rows = _explore(oracle.alphabet.directions, oracle.key(basepoint), oracle.step, r)
+    dirs, column, invol = alphabet.directions, alphabet.columns, alphabet.involutive
+    tree, rows = _explore(dirs, oracle.key(basepoint), oracle.step, r)
+    paths = _first_paths(tree, dirs)
     if sphere:  # the last BFS layer: a suffix of discovery order, from vertex s on
         s = sum(len(path) < r for path in paths)
         paths = paths[s:]
         rows = [tuple(None if j is None or j < s else j - s for j in row) for row in rows[s:]]
-    dirs, column, invol = alphabet.directions, alphabet.columns, alphabet.involutive
     # a cell's boundary path from its base vertex, its last edge closing it
     boundaries = [(ri, [column[d] for d in rel.letters[:-1]]) for ri, rel in enumerate(p.relators) if rel.letters]
     # read off the rows in vertex order, the edges come out sorted; an

@@ -152,6 +152,15 @@ def test_from_generators_rejects_an_involutive_letter_of_another_order():
         FiniteGroupTable.from_generators(Alphabet.make("x!"), [1], lambda p, q: (p + q) % 3, 0)
 
 
+def test_rows_of_an_action_that_is_not_regular_are_rejected_when_mul_is_read():
+    # S_3 on three points by x = (0 1), y = (1 2): the constructor's checks
+    # hold, but x y sends point 1 to 0, as x does, so row 1 of mul is (1, 0, 0)
+    table = FiniteGroupTable(Alphabet.make("x!", "y!"), ((1, 0), (0, 2), (2, 1)))
+    for name in "mul", "inv":
+        with pytest.raises(ValueError, match="row 1 of mul is not a permutation: the rows are not a group's regular action"):
+            getattr(table, name)
+
+
 def _closure_cases():
     """(a table, the closure it must equal) pairs."""
     for order in range(2, 41, 2):
