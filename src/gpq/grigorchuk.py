@@ -28,15 +28,17 @@ word is assembled from: head C_g, mid d J(g, h) for g != h with
 J(g, h) = reduce(C_g^-1 C_h), and tail d C_g^-1, each with its Klein and
 dihedral normal forms.  Work per (n, family), memoised on the data: w_n
 (sigma applied once per n), the conjugators of its basic relation T(w_n)
-over D_8 (empty for n = 0, which is degenerate), the core w_{n+1} =
-sigma(w_n) read over a,c,d through b -> cd, and the core's two normal forms.
-Work per case (factor, x), per piece: the conjugators of x T(w_n), read off
-one row of the D_8 table, cancel as integers, each piece C_g d C_g^-1 being
-an involution; the pieces left join with no cancellation at any d, so the
-transported word and its dihedral form are the concatenated chunks, and its
-Klein form folds them at the seams.  The expected word joins C, the core and
-C^-1 at two seams, its normal forms the memoised ones the same way.  No case
-computes a normal form by a pass over letters.
+over D_8 (empty for n = 0, which is degenerate) with equal neighbours
+cancelled as integers, each piece C_g d C_g^-1 being an involution, the
+core w_{n+1} = sigma(w_n) read over a,c,d through b -> cd, and the core's
+two normal forms.  Work per case (factor, x), per piece: one row of the
+D_8 table maps the cancelled conjugators to those of x T(w_n), still
+cancelled; the transported word and its dihedral form are the pieces'
+chunks concatenated, and one fold over the seams gives its Klein form.  The
+expected word joins C, the core and C^-1 at two seams, its normal forms by
+the same fold.  Letters are compared only when the two lengths agree, and a
+report's words are joined on first read.  No case computes a normal form
+by a pass over letters.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 from .backends import FiniteGroupTable, dihedral_group, klein_group
@@ -274,7 +277,8 @@ class GrigorchukData:
         return word
 
     def _family_parts(self, n: int, family: str):
-        """(the D_8 conjugator of each y-letter of T(w_n), the _Chunk of
+        """(the D_8 conjugators of the y-letters of T(w_n) with equal
+        neighbours cancelled, the number of y-letters, the _Chunk of
         translate(w_{n+1})) for the a,b,d variant, memoised."""
         key = (n, family)
         if key not in self._memo:
@@ -283,7 +287,8 @@ class GrigorchukData:
             if not basic:
                 raise DegenerateCase(f"{family}_{n} has no inducible letters (b-free)")
             core = self.translate_bd_to_cd(self._family_word(n + 1, family))
-            self._memo[key] = (tuple(yl.conjugator for yl in basic), self._chunk(core.letters))
+            stack = _cancel(yl.conjugator for yl in basic)
+            self._memo[key] = (tuple(stack), len(basic), self._chunk(core.letters))
         return self._memo[key]
 
 
@@ -321,7 +326,8 @@ def _free_product_nf(word: Word, table: FiniteGroupTable, embed: dict, passthrou
             g = table.generator_map[embed[name]]
             action[(idx, 1)], action[(idx, -1)] = g, table.inv[g]
         elif name in passthrough:
-            assert alphabet.involutive[idx], "passthrough letters must be involutive"
+            if not alphabet.involutive[idx]:
+                raise ValueError(f"passthrough letter {name!r} is not involutive")
             action[(idx, 1)] = ("p", name)
     mul = table.mul
     out: list = []
@@ -351,32 +357,43 @@ def _free_product_nf(word: Word, table: FiniteGroupTable, embed: dict, passthrou
 def _nf_join(u: tuple, v: tuple, mul) -> tuple:
     """The normal form of the product of normal forms u and v, `mul` the
     table's multiplication: the free-product form of _join."""
-    out = list(u)
-    _nf_extend(out, v, mul)
-    return tuple(out)
+    return tuple(_fold(list(u), (v,), mul))
 
 
-def _nf_extend(out: list, v: tuple, mul) -> None:
+def _fold(out: list, forms, mul) -> list:
     """Extend the normal form `out` in place to that of its product with the
-    normal form v.  At the seam two table syllables multiply, and two equal
-    passthrough letters cancel; only an identity product or a cancellation
-    lets the seam move on, into v and back into `out`."""
-    j = 0
-    while out and j < len(v):
-        (kind, left), (other, right) = out[-1], v[j]
-        if kind == other == "t":
-            out.pop()
-            j += 1
+    normal forms in `forms`, in turn, and return it.  At each seam two table
+    syllables multiply into one, and two equal passthrough letters cancel;
+    only an identity product or a cancellation lets the seam move on, into
+    the next form and back into `out`."""
+    for v in forms:
+        j = len(out)
+        out += v
+        if not j or not v:
+            continue
+        (kind, left), (other, right) = out[j - 1], out[j]
+        if kind != other:
+            continue
+        if kind == "t":
             g = mul[left][right]
-            if g:
-                out.append(("t", g))
+            if g:  # the common seam: one syllable, no cascade
+                out[j - 1] = ("t", g)
+                del out[j]
+                continue
+        elif left != right:
+            continue
+        i, j = j - 2, j + 1
+        while i >= 0 and j < len(out):
+            (kind, left), (other, right) = out[i], out[j]
+            if kind != other or kind == "p" and left != right:
                 break
-        elif kind == other == "p" and left == right:
-            out.pop()
             j += 1
-        else:
-            break
-    out.extend(v[j:] if j else v)
+            if kind == "t" and mul[left][right]:
+                out[i] = ("t", mul[left][right])
+                break
+            i -= 1
+        del out[i + 1 : j]
+    return out
 
 
 def make_grigorchuk_data() -> GrigorchukData:
@@ -428,53 +445,84 @@ def transport_induced_relation(
 
 def _assemble(data: GrigorchukData, factor: str, gs) -> tuple:
     """(letters, Klein form, dihedral form) of the free reduction of the
-    pieces C_g d C_g^-1, g in gs, of one factor.
+    pieces C_g d C_g^-1, g in gs, of one factor."""
+    pieces = _pieces(data._transport_chunks(factor), _cancel(gs))
+    return (
+        tuple(chain.from_iterable(p.letters for p in pieces)),
+        tuple(_fold([], (p.klein for p in pieces), data.klein_cd.mul)),
+        tuple(chain.from_iterable(p.dihedral for p in pieces)),
+    )
 
-    Each piece P_g is an involution as a word, so equal neighbours cancel as
-    integers.  For the g != h that remain, P_g P_h reduces to
-    C_g . d J(g, h) d . C_h^-1 with J non-empty and d-free, so no seam at a d
-    cancels: the reduced word is head[g1] mid[g1][g2] ... tail[gk], and so is
-    its dihedral form, J being nontrivial in D_16.  The Klein form folds the
-    chunks at each seam, as c d c d = 1 in V can make a seam product the
-    identity and the cancellation run back into earlier chunks.
-    """
-    head, _, mid, tail = data._transport_chunks(factor)
+
+def _cancel(gs) -> list:
+    """The conjugators gs with equal neighbours cancelled: each piece
+    P_g = C_g d C_g^-1 is an involution as a word, so P_g P_g = 1."""
     stack: list = []
     for g in gs:
         if stack and stack[-1] == g:
             stack.pop()
         else:
             stack.append(g)
+    return stack
+
+
+def _pieces(chunks: _Chunks, stack) -> list:
+    """The chunks of the pieces of conjugators `stack`, no two neighbours
+    equal: head[g1] mid[g1][g2] ... tail[gk].
+
+    As J(g, h) is non-empty and d-free, no seam at a d cancels: the reduced
+    word is the chunks' letters joined, and so is its dihedral form, J being
+    nontrivial in D_16.  In V, c d c d = 1 can make a seam product of the
+    Klein forms the identity, so _fold runs back into earlier chunks.
+    """
     if not stack:
-        return (), (), ()
-    chunks = [head[stack[0]]]
-    chunks.extend(mid[g][h] for g, h in zip(stack, stack[1:]))
-    chunks.append(tail[stack[-1]])
-    klein: list = []
-    mul = data.klein_cd.mul
-    for chunk in chunks:
-        _nf_extend(klein, chunk.klein, mul)
-    return (
-        tuple(chain.from_iterable(chunk.letters for chunk in chunks)),
-        tuple(klein),
-        tuple(chain.from_iterable(chunk.dihedral for chunk in chunks)),
-    )
+        return []
+    head, _, mid, tail = chunks
+    pieces = [head[stack[0]]]
+    pieces.extend(mid[g][h] for g, h in zip(stack, stack[1:]))
+    pieces.append(tail[stack[-1]])
+    return pieces
 
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """One case.  Its expected and computed words are kept as what they are
+    joined from, C, the core and C^-1, and the transported word's chunks, and
+    are built on first read."""
+
     n: int
     family: str
     factor: str
     x: int
     x_name: str
-    expected: Word
-    computed: Word
-    equal_free: bool
+    y_letters: int
     equal_klein: bool
     equal_dihedral: bool
-    level: str | None
-    y_letters: int
+    expected_length: int
+    computed_length: int
+    alphabet: Alphabet = field(repr=False)
+    expected_parts: tuple = field(repr=False)  # (C, core, C^-1), reduced letters
+    computed_parts: tuple = field(repr=False)  # chunks, joined without cancellation
+
+    @cached_property
+    def expected(self) -> Word:
+        c, core, c_inv = self.expected_parts
+        return Word._of(self.alphabet, _join(_join(c, core), c_inv))
+
+    @cached_property
+    def computed(self) -> Word:
+        return Word._of(self.alphabet, tuple(chain.from_iterable(p.letters for p in self.computed_parts)))
+
+    @cached_property
+    def equal_free(self) -> bool:
+        # words of different lengths differ; only those of equal length are read
+        return self.expected_length == self.computed_length and self.expected.letters == self.computed.letters
+
+    @property
+    def level(self) -> str | None:
+        if self.equal_free:
+            return "free"
+        return "klein" if self.equal_klein else "dihedral" if self.equal_dihedral else None
 
     @property
     def equal(self) -> bool:
@@ -495,18 +543,33 @@ class VerificationReport:
             "equal_free": self.equal_free,
             "equal_klein": self.equal_klein,
             "equal_dihedral": self.equal_dihedral,
-            "expected_length": len(self.expected),
-            "computed_length": len(self.computed),
+            "expected_length": self.expected_length,
+            "computed_length": self.computed_length,
             "y_letters": self.y_letters,
         }
 
 
-def _join(u: tuple, v: tuple) -> tuple:
-    """free_reduce(u v) for reduced u and v over involutive letters."""
+def _overlap(u: tuple, v: tuple) -> int:
+    """How many letters cancel where reduced u and v over involutive letters meet."""
     k = 0
     while k < min(len(u), len(v)) and u[-1 - k] == v[k]:
         k += 1
+    return k
+
+
+def _join(u: tuple, v: tuple) -> tuple:
+    """free_reduce(u v) for reduced u and v over involutive letters."""
+    k = _overlap(u, v)
     return u[: len(u) - k] + v[k:]
+
+
+def _joined_length(c: tuple, core: tuple, c_inv: tuple) -> int:
+    """len(_join(_join(c, core), c_inv)), building no more than the last
+    len(c_inv) letters of the first join, all the second one reads."""
+    k = _overlap(c, core)
+    rest = core[max(k, len(core) - len(c_inv)) :]
+    tail = rest if len(rest) == len(c_inv) else c[: len(c) - k] + rest
+    return len(c) + len(core) + len(c_inv) - 2 * (k + _overlap(tail, c_inv))
 
 
 def verify_sigma_identity(
@@ -523,35 +586,29 @@ def verify_sigma_identity(
     chunks = data._transport_chunks(factor)
     if x not in range(data.d8.order):
         raise ValueError(f"x must be a D_8 element index in 0..{data.d8.order - 1}")
-    xs, core = data._family_parts(n, family)
-    row = data.d8.mul[x]  # ^x T(w_n): every conjugator left-multiplied by x
-    letters, klein, dihedral = _assemble(data, factor, (row[c] for c in xs))
-
+    stack, y_letters, core = data._family_parts(n, family)
+    row = data.d8.mul[x]  # ^x T(w_n): x g = x h only for g = h, so the stack stays cancelled
+    pieces = _pieces(chunks, [row[g] for g in stack])
+    c, c_inv = chunks.head[x], chunks.inverse[x]
     # C and the core are reduced, so only the two joins can cancel, in the
     # words and in their normal forms
-    expected = data._join_chunks(data._join_chunks(chunks.head[x], core), chunks.inverse[x])
-
-    equal_free = letters == expected.letters
-    equal_klein = klein == expected.klein
-    equal_dihedral = dihedral == expected.dihedral
-    level = (
-        "free"
-        if equal_free
-        else "klein" if equal_klein else "dihedral" if equal_dihedral else None
-    )
+    klein_mul, dihedral_mul = data.klein_cd.mul, data.d16.mul
+    klein = _fold([], (p.klein for p in pieces), klein_mul)
+    dihedral = list(chain.from_iterable(p.dihedral for p in pieces))
     return VerificationReport(
         n=n,
         family=family,
         factor=factor,
         x=x,
         x_name=str(data.d8.element_names[x]),
-        expected=Word._of(data.acd, expected.letters),
-        computed=Word._of(data.acd, letters),
-        equal_free=equal_free,
-        equal_klein=equal_klein,
-        equal_dihedral=equal_dihedral,
-        level=level,
-        y_letters=len(xs),
+        y_letters=y_letters,
+        equal_klein=klein == _fold(list(c.klein), (core.klein, c_inv.klein), klein_mul),
+        equal_dihedral=dihedral == _fold(list(c.dihedral), (core.dihedral, c_inv.dihedral), dihedral_mul),
+        expected_length=_joined_length(c.letters, core.letters, c_inv.letters),
+        computed_length=sum(map(len, map(itemgetter(0), pieces))),  # the chunks' letters
+        alphabet=data.acd,
+        expected_parts=(c.letters, core.letters, c_inv.letters),
+        computed_parts=tuple(pieces),
     )
 
 

@@ -79,12 +79,16 @@ def basic_relation(word: Word, data: SplitExtensionData) -> tuple[YLetter, ...]:
     if not word.is_positive():
         raise NonPositiveRelator(f"'{word}' has negative exponents")
     F = data.quotient
+    # per generator, read once: whether its y-letter is trivial, and the
+    # column of the quotient table that right-multiplies by its image
+    trivial = [data.y_is_trivial(j) for j in range(len(data.p_map))]
+    columns = [[row[p] for row in F.mul] for p in data.p_map]
     out = []
     prefix = 0
     for idx, _ in word.letters:
-        if not data.y_is_trivial(idx):
+        if not trivial[idx]:
             out.append(YLetter(prefix, idx))
-        prefix = F.mul[prefix][data.p_map[idx]]
+        prefix = columns[idx][prefix]
     if prefix != 0:
         raise DoesNotCloseUp(
             f"'{word}' has quotient image {F.element_names[prefix]}, not the identity"

@@ -52,14 +52,18 @@ words: it concatenates the transport pieces of the conjugated relation and
 free-reduces the result, builds the expected word from w_{n+1} iterated from
 the seed, and takes each of the four normal forms in a pass over its word;
 a reference for the library's seam joins and memoised core normal forms.
+It returns a `WholeWordReport`, its own record with the fields and the
+`to_dict()` of the library's `VerificationReport`, so that nothing of the
+library's report (its lengths, its words joined on first read, its level)
+stands in the reference.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 
-from gpq.grigorchuk import VerificationReport
 from gpq.induction import basic_relation, conjugate_relation
 from gpq.words import Word, free_reduce, rotations_and_inverses
 
@@ -439,8 +443,43 @@ def phi0_letterwise(data, word):
     return free_reduce(Word(data.acd, tuple(out)))
 
 
+@dataclass(frozen=True)
+class WholeWordReport:
+    """One Grigorchuk case computed on whole words, with both words kept."""
+
+    n: int
+    family: str
+    factor: str
+    x: int
+    x_name: str
+    expected: Word
+    computed: Word
+    equal_free: bool
+    equal_klein: bool
+    equal_dihedral: bool
+    level: str | None
+    y_letters: int
+
+    def to_dict(self) -> dict:
+        return {
+            "case": f"n={self.n} {self.family} {self.factor} x={self.x_name or 'e'}",
+            "n": self.n,
+            "family": self.family,
+            "factor": self.factor,
+            "x": self.x_name or "e",
+            "equal": self.level is not None,
+            "level": self.level,
+            "equal_free": self.equal_free,
+            "equal_klein": self.equal_klein,
+            "equal_dihedral": self.equal_dihedral,
+            "expected_length": len(self.expected),
+            "computed_length": len(self.computed),
+            "y_letters": self.y_letters,
+        }
+
+
 def verify_whole_words(data, n, family, factor, x):
-    """The VerificationReport of one case, every word built whole: the pieces
+    """The WholeWordReport of one case, every word built whole: the pieces
     C d C^-1 of ^x T(w_n) concatenated, then free-reduced, against
     free_reduce(C w_{n+1} C^-1), with C = phi0(x) for the second factor and
     free_reduce(a phi0(x)) for the first."""
@@ -467,7 +506,7 @@ def verify_whole_words(data, n, family, factor, x):
     level = (
         "free" if equal_free else "klein" if equal_klein else "dihedral" if equal_dihedral else None
     )
-    return VerificationReport(
+    return WholeWordReport(
         n=n,
         family=family,
         factor=factor,

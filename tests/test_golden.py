@@ -111,6 +111,10 @@ GOLDEN = [
     ("grigorchuk verify --max-n 8", 0,
      "2cd4fb5b57b7ff401bb8211211fcf117762e0cbd8560973919e334440158bda2",
      "5f05148ea87049fc662bacf08291a5b8af1627abda449589eb552185d7c4ad45"),
+    # the largest grid FAMILY_LETTER_CAP admits
+    ("grigorchuk verify --max-n 10", 0,
+     "026b0df385762791da25aecc7634fe68bc7baeba28f175b10835e1c44dd5c440",
+     "c5a16df0289377acbc9c5105adbe71b27b8ba30eabebbae20c1be9ea3aeec3f4"),
 ]
 
 

@@ -1,0 +1,22 @@
+"""Every Python file of the project parses under the oldest grammar that
+pyproject.toml promises (Python 3.10), whatever Python runs the tests."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted(p for folder in ("src", "tests", "perfbench") for p in (ROOT / folder).rglob("*.py"))
+
+
+def test_the_sources_are_found():
+    names = {p.relative_to(ROOT).as_posix() for p in SOURCES}
+    assert {"src/gpq/words.py", "tests/test_grammar.py", "perfbench/run.py"} <= names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.relative_to(ROOT).as_posix() for p in SOURCES])
+def test_parses_under_python_3_10(path):
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

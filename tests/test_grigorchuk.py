@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +17,10 @@ from gpq.grigorchuk import (
     FAMILY_LETTER_CAP,
     GrigorchukData,
     _assemble,
+    _cancel,
     _check_chunks,
+    _join,
+    _joined_length,
     _nf_join,
     make_grigorchuk_data,
     run_full_verification,
@@ -21,8 +28,11 @@ from gpq.grigorchuk import (
     verify_sigma_identity,
 )
 from gpq.induction import YLetter, basic_relation, conjugate_relation
-from gpq.words import Word, apply_substitution, free_reduce
+from gpq.words import Alphabet, Word, apply_substitution, free_reduce
 from helpers import free_product_nf, phi0_letterwise, verify_whole_words
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def W(alphabet, text):
@@ -216,6 +226,104 @@ def test_reports_match_whole_word_reference():
             assert got.to_dict() == ref.to_dict(), case
             assert got.expected.letters == ref.expected.letters, case
             assert got.computed.letters == ref.computed.letters, case
+
+
+def test_report_words_are_built_on_first_read(grig):
+    # a report keeps what its words are joined from; only the cases whose two
+    # lengths agree read their letters to decide the level: the 8 free ones
+    # and n=3 w second x=d a d
+    reports, _ = run_full_verification(make_grigorchuk_data(), 3)
+    read = []
+    for rep in reports:
+        rep.to_dict()
+        built = {"expected", "computed"} & set(vars(rep))
+        assert built in ({"expected", "computed"}, set()), rep.case_id()
+        if built:
+            read.append((rep.case_id(), rep.level))
+        assert rep.expected is rep.expected and len(rep.expected) == rep.expected_length
+        assert rep.computed is rep.computed and len(rep.computed) == rep.computed_length
+    assert [level for _, level in read] == ["free"] * 8 + ["dihedral"]
+    assert read[-1][0] == "n=3 w second x=d a d"
+
+
+def test_cancelling_commutes_with_conjugating(grig):
+    # the premise the 16 cases of an (n, family) share one cancellation on:
+    # x g = x h only for g = h, so cancelling x T(w_n) piece by piece gives
+    # x applied to the cancelled T(w_n)
+    cancelled_pieces = 0
+    for n in range(1, 7):
+        for family in ("w", "z"):
+            basic = basic_relation(grig.relator_family("abd", family, n), grig.b_extension)
+            cancelled = _cancel(yl.conjugator for yl in basic)
+            cancelled_pieces += len(basic) - len(cancelled)
+            for x in range(8):
+                conjugated = conjugate_relation(basic, x, grig.b_extension)
+                row = grig.d8.mul[x]
+                assert _cancel(yl.conjugator for yl in conjugated) == [row[g] for g in cancelled], (n, family, x)
+    assert cancelled_pieces > 1000
+
+
+def test_the_grid_cancels_once_per_n_and_family(monkeypatch):
+    calls = []
+
+    def counted(gs):
+        calls.append(1)
+        return _cancel(gs)
+
+    monkeypatch.setattr(grigorchuk, "_cancel", counted)
+    _, summary = run_full_verification(make_grigorchuk_data(), 4)
+    assert summary.total == 128 and summary.all_equal
+    assert len(calls) == 8
+
+
+def test_joined_length_is_the_length_of_the_join():
+    # cores shorter than, as long as and longer than the conjugator, so the
+    # second seam reaches back into c, stops in the core, or both
+    rng = random.Random(4248)
+
+    def reduced(n):
+        letters = []
+        while len(letters) < n:
+            letter = (rng.randrange(3), 1)
+            if not letters or letters[-1] != letter:
+                letters.append(letter)
+        return tuple(letters)
+
+    for _ in range(2000):
+        c = reduced(rng.randrange(6))
+        core = reduced(rng.randrange(10))
+        c_inv = c[::-1]
+        if rng.random() < 0.5 and c:  # make the core start with c^-1's letters
+            core = _join(c_inv[: rng.randrange(len(c) + 1)], core)
+        assert _joined_length(c, core, c_inv) == len(_join(_join(c, core), c_inv)), (c, core)
+
+
+_PASSTHROUGH_UNDER_O = """
+from gpq.grigorchuk import make_grigorchuk_data
+from gpq.words import Alphabet, Word
+
+assert False, "asserts are on"
+word = Word.from_str(Alphabet.make("a", "c!", "d!"), "a a")
+try:
+    make_grigorchuk_data().klein_nf(word)
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_a_passthrough_letter_of_infinite_order_is_refused(grig):
+    # in <a> * V with a of infinite order, a a is not the identity; the normal
+    # forms take only involutive passthrough letters, in process and under -O
+    for nf, names, text in ((grig.klein_nf, ("a", "c!", "d!"), "a a"), (grig.dihedral_nf, ("a!", "c!", "d"), "d d")):
+        with pytest.raises(ValueError, match=f"passthrough letter '{text[0]}' is not involutive"):
+            nf(Word.from_str(Alphabet.make(*names), text))
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _PASSTHROUGH_UNDER_O], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "passthrough letter 'a' is not involutive"
 
 
 def test_nf_join_is_the_normal_form_of_the_product(grig):
