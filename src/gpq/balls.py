@@ -148,10 +148,12 @@ def pi1_generators(ball: Ball) -> LoopClassSet:
             continue  # a tree edge: it ends the path of j, or of i
         back = tuple((idx, exp if invol[idx] else -exp) for idx, exp in reversed(paths[j]))
         loop = Word._of(alphabet, paths[i] + ((li, 1),) + back)
-        assert len(loop) <= 2 * ball.radius + 1, "generator exceeds the 2r+1 bound"
+        if len(loop) > 2 * ball.radius + 1:
+            raise RuntimeError(f"generator '{loop}' exceeds the 2r+1 bound")
         generators.append(loop)
     lcs = LoopClassSet(tuple(generators))
-    assert lcs.rank == len(ball.edges) - len(paths) + 1
+    if lcs.rank != len(ball.edges) - len(paths) + 1:
+        raise RuntimeError(f"loop rank {lcs.rank} is not edges - vertices + 1")
     return lcs
 
 
@@ -412,7 +414,8 @@ def _assemble_witness(loop, norm_moves, seen, p, region, explored) -> Witness:
         raw = tuple(dirs[ord(c)] for c in prev)
         moves.extend(_reduce_recording(Word._of(alphabet, raw[:pos] + ins + raw[pos + len(u) :]))[1])
     witness = Witness(loop, tuple(moves), region, explored, p)
-    assert witness.replay(), "constructed witness failed to replay"
+    if not witness.replay():
+        raise RuntimeError("constructed witness failed to replay")
     return witness
 
 
@@ -528,5 +531,6 @@ def geodesic_0_combing(oracle: WordOracle, p: Presentation, r_max: int) -> Combi
     """
     ball = build_ball(oracle, p, r_max)
     combing = Combing(ball, ball.vertices)
-    assert combing.verify_tame(), "geodesic combing failed its tameness certificate"
+    if not combing.verify_tame():
+        raise RuntimeError("geodesic combing failed its tameness certificate")
     return combing

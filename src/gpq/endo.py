@@ -82,13 +82,18 @@ def expand_relators_annotated(
 
     for qi, q in enumerate(ep.q_relators):
         emit((), -1 - qi, q)
-    k_indices = range(len(ep.substitutions))
+    # the images under (i1, ..., ik) are phi_{i1} of the kept images under
+    # (i2, ..., ik): one substitution per relator and level
+    subs = ep.substitutions
+    level = {(): ep.r_relators}
     for k in range(depth + 1):
-        for seq in product(k_indices, repeat=k):
-            for ri, r in enumerate(ep.r_relators):
-                w = r
-                for i in reversed(seq):  # phi_{i1} applied last
-                    w = apply_substitution(ep.substitutions[i], w)
+        if k:
+            level = {
+                seq: tuple(apply_substitution(subs[seq[0]], w) for w in level[seq[1:]])
+                for seq in product(range(len(subs)), repeat=k)
+            }
+        for seq, images in level.items():
+            for ri, w in enumerate(images):
                 emit(seq, ri, w)
     return out
 
@@ -154,12 +159,43 @@ class DecodeResult:
 def sigma_decode(sub: Substitution, word: Word, with_flags: bool = False):
     """Invert the free-monoid map: find v with sub(v) letter-identical to word.
 
-    Dynamic programming over suffix positions; among multiple parses the
-    shortlex-least source is returned (`with_flags=True` also reports
-    ambiguity).  Raises NotInImage when no parse exists.
+    When no image is a prefix (or no image a suffix) of another, a word has at
+    most one parse, and one regex scan of the coded word reads it (see
+    `Substitution.image_scan`); such a parse is never ambiguous.  Otherwise a
+    dynamic programme over suffix positions finds every parse, and among
+    several the shortlex-least source is returned.  `with_flags=True` also
+    reports ambiguity.  Raises NotInImage when no parse exists.
     """
     if not word.is_positive():
         raise NegativeExponent("decoding applies to positive words only")
+    scan = sub.image_scan
+    if scan is not None:
+        pattern, from_right, source_letter = scan
+        code = "".join([chr(i) for i, _ in word.letters])
+        tokens = pattern.findall(code[::-1] if from_right else code)
+        if sum(map(len, tokens)) != len(code):  # a gap the images do not cover
+            raise _not_in_image(sub, word)
+        parse = [source_letter[token] for token in tokens]
+        if from_right:
+            parse.reverse()
+        ambiguous = False
+    else:
+        parse, ambiguous = _decode_by_suffixes(sub, word)
+    source = Word(sub.alphabet, tuple(parse))
+    if apply_substitution(sub, source).letters != word.letters:
+        raise RuntimeError(f"decoded source '{source}' does not map back to '{word}'")
+    if with_flags:
+        return DecodeResult(source, ambiguous)
+    return source
+
+
+def _not_in_image(sub: Substitution, word: Word) -> NotInImage:
+    return NotInImage(f"'{word}' is not a product of images of {sub.name or 'the substitution'}")
+
+
+def _decode_by_suffixes(sub: Substitution, word: Word) -> tuple[list[tuple[int, int]], bool]:
+    """The shortlex-least parse of a positive word into images, and whether
+    it has two or more parses; NotInImage when it has none."""
     n = len(word)
     letters = word.letters
     images = [img.letters for img in sub.images]
@@ -182,17 +218,13 @@ def sigma_decode(sub: Substitution, word: Word, with_flags: bool = False):
                 total += counts[end]
         counts[pos] = min(total, 2)
     if not counts[0]:
-        raise NotInImage(f"'{word}' is not a product of images of {sub.name or 'the substitution'}")
+        raise _not_in_image(sub, word)
     parse = []
     pos = 0
     while pos < n:
         parse.append((first[pos], 1))
         pos += len(images[first[pos]])
-    source = Word(sub.alphabet, tuple(parse))
-    assert apply_substitution(sub, source).letters == word.letters
-    if with_flags:
-        return DecodeResult(source, counts[0] > 1)
-    return source
+    return parse, counts[0] > 1
 
 
 # --- Britton pinch reduction ---------------------------------------------------------

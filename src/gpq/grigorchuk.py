@@ -318,13 +318,18 @@ def _free_product_nf(word: Word, table: FiniteGroupTable, embed: dict, passthrou
     element, written out as a syllable only when a passthrough letter follows.
     Passthrough letters must be involutive, so one equal to the last syllable
     cancels it, and the table syllable before it becomes pending again.
+    Embedded letters must be involutive too, with table generators that
+    square to the identity: else x x would be the identity in the table but
+    not in the word's group.
     """
     alphabet = word.alphabet
     action = {}  # (idx, exp) -> table element, or the ('p', name) syllable
     for idx, name in enumerate(alphabet.letters):
         if name in embed:
             g = table.generator_map[embed[name]]
-            action[(idx, 1)], action[(idx, -1)] = g, table.inv[g]
+            if not alphabet.involutive[idx] or table.mul[g][g]:
+                raise ValueError(f"embedded letter {name!r} must be involutive, and its table generator square to 1")
+            action[(idx, 1)] = g
         elif name in passthrough:
             if not alphabet.involutive[idx]:
                 raise ValueError(f"passthrough letter {name!r} is not involutive")

@@ -17,6 +17,7 @@ an alphabet's own indices) is built by ``Word._of`` and not checked again.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
@@ -317,13 +318,14 @@ def free_reduce(word: Word) -> Word:
     """
     stack: list[tuple[int, int]] = []
     invol = word.alphabet.involutive
-    for idx, exp in word.letters:
+    for letter in word.letters:
         if stack:
+            idx, exp = letter
             pidx, pexp = stack[-1]
             if pidx == idx and (invol[idx] or pexp == -exp):
                 stack.pop()
                 continue
-        stack.append((idx, exp))
+        stack.append(letter)
     return Word._of(word.alphabet, tuple(stack))
 
 
@@ -386,6 +388,28 @@ class Substitution:
                 raise ValueError(f"no image for letter {letter!r}")
             images.append(Word.from_str(alphabet, rules[letter]))
         return Substitution(alphabet, tuple(images), name)
+
+    @cached_property
+    def image_scan(self) -> tuple[re.Pattern, bool, dict[str, tuple[int, int]]] | None:
+        """How a positive word is parsed into images by one regex scan, or
+        None when no scan parses every word.
+
+        A word is coded as a str, one ``chr(index)`` per letter.  When no
+        image's code is a prefix of another's, a word has at most one parse
+        and it is read left to right: the pattern is the alternation of the
+        image codes, the flag is False.  Otherwise, when no code is a suffix
+        of another's, the same holds right to left on reversed codes, and the
+        flag is True.  The dict maps each (reversed) code to its source
+        letter.  Two letters with equal images make every parse ambiguous
+        and give None, as do images that prefix each other both ways.
+        """
+        codes = ["".join(chr(i) for i, _ in img.letters) for img in self.images]
+        for from_right in (False, True):
+            keys = [code[::-1] for code in codes] if from_right else codes
+            if not any(i != j and b.startswith(a) for i, a in enumerate(keys) for j, b in enumerate(keys)):
+                pattern = re.compile("|".join(map(re.escape, keys)))
+                return pattern, from_right, {key: (i, 1) for i, key in enumerate(keys)}
+        return None
 
 
 def apply_substitution(sub: Substitution, word: Word) -> Word:

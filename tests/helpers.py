@@ -47,6 +47,10 @@ b: x -> x + 1), against which the tests check the oracle's keys;
 `cyclically_reduce` is the cyclic reduction of a word; `is_associative`
 checks a finite group table's `mul` on every triple.
 
+`expand_by_sequences` is the earlier relator expansion, which applies each
+composition sequence from its relator in full; a reference for the
+library's expansion, which applies one substitution per relator and level.
+
 `verify_whole_words` is the earlier Grigorchuk verification case, on whole
 words: it concatenates the transport pieces of the conjugated relation and
 free-reduces the result, builds the expected word from w_{n+1} iterated from
@@ -63,9 +67,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from gpq.induction import basic_relation, conjugate_relation
-from gpq.words import Word, free_reduce, rotations_and_inverses
+from gpq.words import Word, apply_substitution, free_reduce, rotations_and_inverses
 
 
 def closure_table(alphabet, values, compose, identity):
@@ -384,6 +389,25 @@ def decode_by_tuples(images, letters):
             best[pos] = min(options, key=lambda src: (len(src), src))
             counts[pos] = min(total, 2)
     return best[0], counts[0] > 1
+
+
+def expand_by_sequences(ep, depth):
+    """The (sequence, relator index, word) list of expand_relators_annotated,
+    each composite applied from its relator."""
+    out, seen = [], set()
+    for qi, q in enumerate(ep.q_relators):
+        if q.letters not in seen:
+            seen.add(q.letters)
+            out.append(((), -1 - qi, q))
+    for k in range(depth + 1):
+        for seq in product(range(len(ep.substitutions)), repeat=k):
+            for ri, w in enumerate(ep.r_relators):
+                for i in reversed(seq):  # phi_{i1} applied last
+                    w = apply_substitution(ep.substitutions[i], w)
+                if w.letters not in seen:
+                    seen.add(w.letters)
+                    out.append((seq, ri, w))
+    return out
 
 
 def closed_paths_up_to(region, max_length):

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import gpq.endo
 from gpq.endo import (
     EndomorphicPresentation,
     PinchStep,
@@ -25,7 +26,7 @@ from gpq.endo import (
 )
 from gpq.errors import BrittonStuck, NotInImage
 from gpq.words import Alphabet, Substitution, Word, apply_substitution, free_reduce
-from helpers import decode_by_tuples
+from helpers import decode_by_tuples, expand_by_sequences
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -406,9 +407,11 @@ def test_sigma_decode_matches_tuple_reference(grig):
     abc = Alphabet.make("a", "b", "c")
     # "a a" parses as b and as a a, "a a a" as a b and as b a (and a a a)
     ambiguous = Substitution.from_rules(abc, {"a": "a", "b": "a a", "c": "b a"})
+    shared_first = Substitution.from_rules(abc, {"a": "a b", "b": "a c", "c": "b"})
+    duplicate = Substitution.from_rules(abc, {"a": "a b", "b": "a b", "c": "c"})
     rng = random.Random(11)
     seen = {"decoded": 0, "ambiguous": 0, "undecodable": 0}
-    for sub in (grig.sigma_acd, grig.sigma_abd, ambiguous):
+    for sub in (grig.sigma_acd, grig.sigma_abd, grig.sigma_abcd, ambiguous, shared_first, duplicate):
         images = [img.letters for img in sub.images]
         for _ in range(600):
             if rng.random() < 0.5:
@@ -424,6 +427,78 @@ def test_sigma_decode_matches_tuple_reference(grig):
                 continue
             assert result.source.letters == want
             assert result.ambiguous == want_ambiguous
+            assert not (want_ambiguous and sub.image_scan), str(sub.images)
             seen["decoded"] += 1
             seen["ambiguous"] += want_ambiguous
     assert min(seen.values()) > 100, seen
+
+
+def test_affix_free_images_are_read_by_one_scan(grig, monkeypatch):
+    # prefix-free images are scanned from the left, suffix-free ones from the
+    # right; images that prefix each other both ways, or equal images, take
+    # the dynamic programme
+    abc = Alphabet.make("a", "b", "c")
+    rules = (
+        ({"a": "a b", "b": "a c", "c": "b"}, False),  # shared first letters
+        ({"a": "a", "b": "a a", "c": "b a"}, None),  # prefixes both ways
+        ({"a": "a b", "b": "a b", "c": "c"}, None),  # equal images
+    )
+    cases = [(grig.sigma_abd, False), (grig.sigma_abcd, False), (grig.sigma_acd, True)]
+    cases += [(Substitution.from_rules(abc, r), from_right) for r, from_right in rules]
+    # letter 40 codes as "(", which the pattern must escape
+    many = Alphabet.make(*(f"x{i}" for i in range(48)))
+    shift = Substitution(many, tuple(Word(many, ((i, 1), ((i + 1) % 48, 1))) for i in range(48)))
+    cases.append((shift, False))
+    dp_calls = []
+    dp = gpq.endo._decode_by_suffixes
+
+    def counted_dp(sub, word):
+        dp_calls.append(sub)
+        return dp(sub, word)
+
+    monkeypatch.setattr(gpq.endo, "_decode_by_suffixes", counted_dp)
+    rng = random.Random(12)
+    for sub, from_right in cases:
+        scan = sub.image_scan
+        assert (None if scan is None else scan[1]) == from_right, str(sub.images)
+        source = Word(sub.alphabet, tuple((rng.randrange(len(sub.alphabet)), 1) for _ in range(60)))
+        dp_calls.clear()
+        decoded = sigma_decode(sub, apply_substitution(sub, source))
+        assert dp_calls == ([] if scan else [sub])
+        if scan:  # the only parse
+            assert decoded == source
+    word = Word.from_str(many, "x40 x41 x40")
+    with pytest.raises(NotInImage):
+        sigma_decode(shift, word)
+
+
+@pytest.fixture
+def two_substitutions():
+    ab = Alphabet.make("a", "b")
+    return EndomorphicPresentation(
+        alphabet=ab,
+        q_relators=(Word.from_str(ab, "a b a' b'"),),
+        substitutions=(
+            Substitution.from_rules(ab, {"a": "a b", "b": "b"}),
+            Substitution.from_rules(ab, {"a": "b", "b": "a"}),
+        ),
+        r_relators=(Word.from_str(ab, "a b"), Word.from_str(ab, "b a"), Word.from_str(ab, "a a b")),
+    )
+
+
+def test_expansion_of_two_substitutions_matches_recomputing_each_sequence(two_substitutions):
+    for depth in range(4):
+        got = expand_relators_annotated(two_substitutions, depth)
+        assert got == expand_by_sequences(two_substitutions, depth)
+    # the swap repeats images, so deduplication drops 20 of the 46
+    assert len(got) == 26 and {(1, 0, 1), (0, 1, 0)} <= {seq for seq, _, _ in got}
+
+
+def test_expansion_applies_one_substitution_per_relator_and_level(lysenok, two_substitutions, monkeypatch):
+    calls = []
+    monkeypatch.setattr(gpq.endo, "apply_substitution", lambda sub, w: calls.append(1) or apply_substitution(sub, w))
+    expand_relators(lysenok, 4)
+    assert len(calls) == 4 * 3  # d |R|, not d (d + 1) / 2 |R|
+    calls.clear()
+    expand_relators(two_substitutions, 3)
+    assert len(calls) == (2 + 4 + 8) * 3

@@ -1,5 +1,6 @@
 """Every Python file of the project parses under the oldest grammar that
-pyproject.toml promises (Python 3.10), whatever Python runs the tests."""
+pyproject.toml promises (Python 3.10), whatever Python runs the tests, and
+the library checks nothing with `assert`, which `python -O` removes."""
 
 from __future__ import annotations
 
@@ -20,3 +21,14 @@ def test_the_sources_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=[p.relative_to(ROOT).as_posix() for p in SOURCES])
 def test_parses_under_python_3_10(path):
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_the_library_has_no_assert_statement():
+    found = [
+        f"{path.relative_to(ROOT).as_posix()}:{node.lineno}"
+        for path in SOURCES
+        if path.relative_to(ROOT).parts[:2] == ("src", "gpq")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from gpq.backends import cyclic_group
 from gpq.errors import DegenerateCase, LimitExceeded
 from gpq import grigorchuk, words
 from gpq.grigorchuk import (
@@ -19,6 +20,7 @@ from gpq.grigorchuk import (
     _assemble,
     _cancel,
     _check_chunks,
+    _free_product_nf,
     _join,
     _joined_length,
     _nf_join,
@@ -324,6 +326,41 @@ def test_a_passthrough_letter_of_infinite_order_is_refused(grig):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "passthrough letter 'a' is not involutive"
+
+
+_EMBEDDED_UNDER_O = """
+from gpq.grigorchuk import make_grigorchuk_data
+from gpq.words import Alphabet, Word
+
+assert False, "asserts are on"
+data = make_grigorchuk_data()
+for nf, names, text in ((data.dihedral_nf, ("a", "c!", "d!"), "a a"), (data.klein_nf, ("a!", "c", "d!"), "c c")):
+    try:
+        print(nf(Word.from_str(Alphabet.make(*names), text)))
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+def test_an_embedded_letter_of_infinite_order_is_refused(grig):
+    # a a is the identity in D_16 but not where a has infinite order; the
+    # normal forms embed only involutions onto involutions, in process and
+    # under -O
+    messages = [f"embedded letter {x!r} must be involutive, and its table generator square to 1" for x in "ac"]
+    cases = ((grig.dihedral_nf, ("a", "c!", "d!"), "a a"), (grig.klein_nf, ("a!", "c", "d!"), "c c"))
+    for (nf, names, text), message in zip(cases, messages):
+        with pytest.raises(ValueError, match=message):
+            nf(Word.from_str(Alphabet.make(*names), text))
+    # x x is not the identity where x is an involution sent to an element of order 3
+    with pytest.raises(ValueError, match="embedded letter 'x' must be involutive"):
+        _free_product_nf(Word.from_str(Alphabet.make("x!", "p!"), "x x"), cyclic_group(3), {"x": 0}, ("p",))
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _EMBEDDED_UNDER_O], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == messages
 
 
 def test_nf_join_is_the_normal_form_of_the_product(grig):

@@ -117,6 +117,14 @@ def random_word(alphabet, rng, max_len=20, positive=False):
     return Word(alphabet, tuple(letters))
 
 
+def test_free_reduce_keeps_the_letter_tuples_it_reads():
+    # a b b' b' a' a reduces to a b', its letters 0 and 3 themselves, not copies
+    letters = tuple((idx, exp) for idx, exp in zip((0, 1, 1, 1, 0, 0), (1, 1, -1, -1, -1, 1)))
+    r = free_reduce(Word(AB, letters))
+    assert r == W(AB, "a b'")
+    assert r.letters[0] is letters[0] and r.letters[1] is letters[3]
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
 def test_free_reduce_idempotent_and_shrinking(seed):
