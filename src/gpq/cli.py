@@ -216,7 +216,8 @@ def cmd_rewrite(path, word_text, confluence, witness_r, json_path):
         click.echo(f"{word} -> {nf or 'e'} ({len(trace.steps)} steps)")
         payload["word"] = str(word)
         payload["normal_form"] = str(nf)
-        payload["trace"] = json.loads(trace.to_json())
+        if json_path:
+            payload["trace"] = json.loads(trace.to_json())
 
     if confluence:
         result = rw.certify_local_confluence(rs, step_limit=limit)

@@ -1,14 +1,20 @@
 """String rewriting with traces, critical pairs, and confluence certificates.
 
 A rewriting system replaces subwords according to finitely many rules
-lhs -> rhs.  Reduction records a full trace; geodesic systems never increase
-length, which is what lets a reduction sequence of an identity word double as
-a null-homotopy staying inside a metric ball (see `ball_null_homotopy_witness`).
+lhs -> rhs.  Reduction rewrites the leftmost match first, the lowest rule
+index winning a tie.  It works on a word coded as a str, one
+``chr(column)`` per letter (`Alphabet.columns`), and finds each match with
+one regex scan of all left-hand sides (`RewritingSystem._scan`); the moves it
+makes are replayed into a full trace only for the words a caller keeps.
+Geodesic systems never increase length, which is what lets a reduction
+sequence of an identity word double as a null-homotopy staying inside a
+metric ball (see `ball_null_homotopy_witness`).
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,12 +44,13 @@ class RewritingSystem:
         return RewritingSystem(alphabet, built)
 
     @cached_property
-    def _rules_by_first(self) -> dict:
-        """First letter -> (rule index, lhs letters, lhs length) per lhs it starts, by rule index."""
-        by_first = {}
-        for ri, (lhs, _) in enumerate(self.rules):
-            by_first.setdefault(lhs.letters[0], []).append((ri, lhs.letters, len(lhs)))
-        return by_first
+    def _scan(self) -> tuple[re.Pattern, tuple[str, ...]]:
+        """The coded left-hand sides as one regex alternation, group i + 1
+        matching rule i, and the coded right-hand sides.  A search stops at
+        the leftmost position where some lhs matches, and the alternation
+        takes the lowest rule index there."""
+        pattern = "|".join(f"({re.escape(_code(self.alphabet, lhs.letters))})" for lhs, _ in self.rules)
+        return re.compile(pattern), tuple(_code(self.alphabet, rhs.letters) for _, rhs in self.rules)
 
     @cached_property
     def _reach(self) -> int:
@@ -95,15 +102,48 @@ class ReductionTrace:
         )
 
 
-def _find_leftmost(rs: RewritingSystem, letters, start: int = 0) -> tuple[int, int] | None:
-    """Leftmost match position at or after `start`; ties broken by lowest rule index."""
-    by_first = rs._rules_by_first
-    for pos in range(start, len(letters)):
-        for ri, lhs, L in by_first.get(letters[pos], ()):
-            # a window cut short by the end of the word is shorter than lhs
-            if letters[pos : pos + L] == lhs:
-                return pos, ri
-    return None
+def _code(alphabet: Alphabet, letters) -> str:
+    """`letters` as a str, one ``chr(column)`` per letter."""
+    columns = alphabet.columns
+    return "".join([chr(columns[d]) for d in letters])
+
+
+def _rewrite(rs: RewritingSystem, code: str, step_limit: int) -> tuple[str, list[tuple[int, int]], bool]:
+    """Rewrite the coded word leftmost match first for at most `step_limit`
+    steps: the coded result, the (rule, position) moves, and whether it
+    stopped irreducible.  After a step at pos the scan resumes `rs._reach`
+    letters before pos."""
+    if step_limit <= 0:
+        raise ValueError("step_limit must be positive")
+    pattern, rhs = rs._scan
+    search = pattern.search
+    reach = rs._reach
+    moves = []
+    hit = search(code)
+    while hit is not None:
+        if len(moves) >= step_limit:
+            return code, moves, False
+        pos, ri = hit.start(), hit.lastindex - 1
+        code = code[:pos] + rhs[ri] + code[hit.end() :]
+        moves.append((ri, pos))
+        hit = search(code, max(0, pos - reach))
+    return code, moves, True
+
+
+def _traced(rs: RewritingSystem, word: Word, moves, irreducible: bool, step_limit: int):
+    """The word that `moves` take `word` to, with their trace; LimitExceeded
+    with both when the moves stopped at the step limit."""
+    steps = []
+    current = word
+    for ri, pos in moves:
+        lhs, rhs = rs.rules[ri]
+        after = Word._of(rs.alphabet, current.letters[:pos] + rhs.letters + current.letters[pos + len(lhs) :])
+        steps.append(ReductionStep(current, ri, pos, after))
+        current = after
+    trace = ReductionTrace(tuple(steps))
+    if not irreducible:
+        raise LimitExceeded(f"no irreducible word within {step_limit} steps", word=current, trace=trace)
+    return current, trace
 
 
 def reduce(rs: RewritingSystem, word: Word, step_limit: int = 10_000) -> tuple[Word, ReductionTrace]:
@@ -113,30 +153,10 @@ def reduce(rs: RewritingSystem, word: Word, step_limit: int = 10_000) -> tuple[W
     Raises LimitExceeded (with partial trace) if the limit is hit; completeness
     of a system is never assumed, only evidenced.
     """
-    if step_limit <= 0:
-        raise ValueError("step_limit must be positive")
     if word.alphabet != rs.alphabet:
         raise ValueError("word over a different alphabet")
-    reach = rs._reach
-    steps = []
-    current = word
-    start = 0
-    while True:
-        hit = _find_leftmost(rs, current.letters, start)
-        if hit is None:
-            return current, ReductionTrace(tuple(steps))
-        if len(steps) >= step_limit:
-            raise LimitExceeded(
-                f"no irreducible word within {step_limit} steps",
-                word=current,
-                trace=ReductionTrace(tuple(steps)),
-            )
-        pos, ri = hit
-        lhs, rhs = rs.rules[ri]
-        after = Word._of(rs.alphabet, current.letters[:pos] + rhs.letters + current.letters[pos + len(lhs) :])
-        steps.append(ReductionStep(current, ri, pos, after))
-        current = after
-        start = max(0, pos - reach)
+    _, moves, irreducible = _rewrite(rs, _code(rs.alphabet, word.letters), step_limit)
+    return _traced(rs, word, moves, irreducible, step_limit)
 
 
 def is_geodesic(rs: RewritingSystem) -> bool:
@@ -203,20 +223,21 @@ def certify_local_confluence(rs: RewritingSystem, step_limit: int = 1_000):
     plus termination evidence yields confluence by Newman's lemma; termination
     is probed here by reducing every rule side.
     """
-    try:
-        for lhs, rhs in rs.rules:
-            reduce(rs, lhs, step_limit=step_limit)
-            reduce(rs, rhs, step_limit=step_limit)
-    except LimitExceeded:
+
+    def normal_form(word: Word) -> str | None:
+        """The coded normal form of `word`, None past the step limit."""
+        code, _, irreducible = _rewrite(rs, _code(rs.alphabet, word.letters), step_limit)
+        return code if irreducible else None
+
+    if any(normal_form(side) is None for rule in rs.rules for side in rule):
         return Inconclusive("a rule side does not reduce within the step limit")
     pairs = critical_pairs(rs)
     for pair in pairs:
-        try:
-            nf_left, _ = reduce(rs, pair.left, step_limit=step_limit)
-            nf_right, _ = reduce(rs, pair.right, step_limit=step_limit)
-        except LimitExceeded:
+        left, right = normal_form(pair.left), normal_form(pair.right)
+        if left is None or right is None:
             return Inconclusive(f"peak '{pair.peak}' does not join within the step limit")
-        if nf_left != nf_right:
+        if left != right:
+            nf_left, nf_right = reduce(rs, pair.left, step_limit)[0], reduce(rs, pair.right, step_limit)[0]
             return Counterexample(pair.peak, nf_left, nf_right)
     return Certified(len(pairs))
 
@@ -288,12 +309,13 @@ def ball_null_homotopy_witness(
         raise LimitExceeded(f"more than {word_cap} candidate words at radius {r}")
     witnesses = []
     for w in words_up_to_length(rs.alphabet, bound):
+        code, moves, irreducible = _rewrite(rs, _code(rs.alphabet, w.letters), step_limit)
+        if code and irreducible:
+            continue  # not an identity word: its trace is never built
         try:
-            nf, trace = reduce(rs, w, step_limit=step_limit)
+            witnesses.append((w, _traced(rs, w, moves, irreducible, step_limit)[1]))
         except LimitExceeded as exc:
             raise LimitExceeded(f"candidate word '{w}': {exc}", exc.word, exc.trace) from None
-        if nf.is_empty():
-            witnesses.append((w, trace))
     return NullHomotopyCertificate(r, count, tuple(witnesses))
 
 

@@ -436,9 +436,9 @@ def iterate_substitution(sub: Substitution, word: Word, n: int) -> Word:
 
 def words_of_length(alphabet: Alphabet, length: int) -> Iterable[Word]:
     """All words of exactly the given length, in lexicographic order of
-    `alphabet.directions`."""
+    `alphabet.directions`, whose letters are already checked."""
     for letters in product(alphabet.directions, repeat=length):
-        yield Word(alphabet, letters)
+        yield Word._of(alphabet, letters)
 
 
 def words_up_to_length(alphabet: Alphabet, max_length: int) -> Iterable[Word]:

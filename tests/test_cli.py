@@ -386,8 +386,8 @@ def test_ball_witness_step_limit_is_a_resource_limit(runner, tmp_path):
 def test_ball_witness_over_the_word_cap_exit_code(runner, monkeypatch):
     # 2^18 - 1 candidate words of length <= 17: refused before the first reduction
     calls = []
-    reduce = rewriting.reduce
-    monkeypatch.setattr(rewriting, "reduce", lambda *args, **kw: calls.append(args) or reduce(*args, **kw))
+    rewrite = rewriting._rewrite
+    monkeypatch.setattr(rewriting, "_rewrite", lambda *args: calls.append(args) or rewrite(*args))
     result = runner.invoke(main, ["rewrite", str(REPO / "samples" / "d8.gp"), "--ball-witness", "8"])
     _assert_clean_exit(result, 4)
     assert result.stderr == "resource limit: more than 200000 candidate words at radius 8\n"

@@ -179,7 +179,8 @@ def test_ball_witness_word_cap_is_checked_before_any_reduction(monkeypatch):
     p = Presentation.make("a!, d!", ["a a", "d d", "(a d)^4"], "d8")
     assert ball_null_homotopy_witness(rs, p, 1, word_cap=15).words_checked == 15
     calls = []
-    monkeypatch.setattr(rewriting, "reduce", lambda *args, **kw: calls.append(args) or reduce(*args, **kw))
+    rewrite = rewriting._rewrite
+    monkeypatch.setattr(rewriting, "_rewrite", lambda *args: calls.append(args) or rewrite(*args))
     with pytest.raises(LimitExceeded, match="^more than 14 candidate words at radius 1$"):
         ball_null_homotopy_witness(rs, p, 1, word_cap=14)
     assert calls == []
@@ -208,8 +209,6 @@ def test_ball_witness_requires_matching_relators():
 
 
 def test_reduce_outputs_are_irreducible():
-    from gpq.rewriting import _find_leftmost
-
     for rs in (
         dihedral_rewriting_system(8, ("a", "d")),
         abelian_plane_system(),
@@ -217,7 +216,10 @@ def test_reduce_outputs_are_irreducible():
     ):
         for w in words_up_to_length(rs.alphabet, 5):
             nf, _ = reduce(rs, w)
-            assert _find_leftmost(rs, nf.letters) is None
+            # no window of the normal form is a left-hand side
+            for lhs, _ in rs.rules:
+                windows = {nf.letters[i : i + len(lhs)] for i in range(len(nf) - len(lhs) + 1)}
+                assert lhs.letters not in windows, (str(w), str(nf))
 
 
 def _reduce_outcome(rs, word, step_limit):
@@ -258,3 +260,78 @@ def test_resumed_reduce_matches_restart_reference():
             limited += not want[2]
     # every system rewrites, and the expanding one also stops at its limit
     assert steps > 5_000 and limited > 20
+
+
+def _witness_by_reduce(rs, r, step_limit):
+    """The certificate of ball_null_homotopy_witness from one full `reduce`
+    per candidate word, or the LimitExceeded it raises."""
+    witnesses, checked = [], 0
+    for w in words_up_to_length(rs.alphabet, 2 * r + 1):
+        checked += 1
+        try:
+            nf, trace = reduce(rs, w, step_limit=step_limit)
+        except LimitExceeded as exc:
+            return LimitExceeded(f"candidate word '{w}': {exc}", exc.word, exc.trace)
+        if nf.is_empty():
+            witnesses.append((w, trace))
+    return NullHomotopyCertificate(r, checked, tuple(witnesses))
+
+
+@pytest.mark.parametrize(
+    "make, relators, max_r",
+    [
+        (lambda: dihedral_rewriting_system(8, ("a", "d")), ["a a", "d d", "(a d)^4"], 3),
+        (lambda: dihedral_rewriting_system(16, ("a", "d")), ["a a", "d d", "(a d)^8"], 2),
+        (abelian_plane_system, ["a b a' b'"], 2),
+    ],
+    ids=["d8", "d16", "z2"],
+)
+def test_ball_witness_matches_a_reduce_per_candidate(make, relators, max_r):
+    rs = make()
+    gens = ", ".join(rs.alphabet.spec(i) for i in range(len(rs.alphabet)))
+    p = Presentation.make(gens, relators, "p")
+    for r in range(max_r + 1):
+        want = _witness_by_reduce(rs, r, 10_000)
+        assert ball_null_homotopy_witness(rs, p, r) == want
+        assert want.witnesses and all(trace.steps or w.is_empty() for w, trace in want.witnesses)
+
+
+def test_ball_witness_limit_matches_a_reduce_per_candidate():
+    # a b -> b a and b a -> a b swap forever: the first such candidate hits the limit
+    p = Presentation.make("a, b", ["a b a' b'"], "z2")
+    rs = RewritingSystem(p.alphabet, ((W(p, "a b"), W(p, "b a")), (W(p, "b a"), W(p, "a b"))))
+    want = _witness_by_reduce(rs, 1, 25)
+    assert isinstance(want, LimitExceeded)
+    with pytest.raises(LimitExceeded) as err:
+        ball_null_homotopy_witness(rs, p, 1, step_limit=25)
+    got = err.value
+    assert str(got) == str(want) == "candidate word 'a b': no irreducible word within 25 steps"
+    assert (got.word, got.trace) == (want.word, want.trace)
+    assert len(got.trace.steps) == 25 and got.trace.verify(rs)
+
+
+def test_reduce_over_a_large_alphabet_matches_restart_reference():
+    # 70 letters give 140 directions, so letter codes run past chr(127) and
+    # through regex metacharacters such as '(', '*', '.', '?', '[' and '\\';
+    # 140 cancellation rules and 3 more make the alternation 143 groups wide
+    letters = [f"x{i}" for i in range(70)]
+    alphabet = Alphabet.make(*letters)
+    extra = [("x69 x0", "x0 x69"), ("x40 x41 x42", "x63"), ("x63'", "x40' x41'")]
+    rs = RewritingSystem(
+        alphabet,
+        free_reduction_system(alphabet).rules
+        + tuple((Word.from_str(alphabet, l), Word.from_str(alphabet, r)) for l, r in extra),
+    )
+    assert len(rs.alphabet.directions) == 140 and len(rs.rules) == 143
+    rng = random.Random(11)
+    columns = (0, 1, 40, 41, 42, 43, 46, 47, 63, 80, 81, 82, 83, 84, 85, 90, 91, 92, 93, 126, 127, 138, 139)
+    symbols = [alphabet.directions[k] for k in columns]
+    fired = set()
+    for _ in range(400):
+        word = Word(alphabet, tuple(rng.choice(symbols) for _ in range(rng.randrange(30))))
+        want = rewrite_restart(rs, word, 10_000)
+        assert _reduce_outcome(rs, word, 10_000) == want, str(word)
+        fired.update(rule for _, rule, _, _ in want[1])
+    # the cancellations of x20 ('(' ')'), x21 ('*' '+'), x45 ('Z' '[') and
+    # x46 ('\\' ']'), and all three extra rules, are among the rules that fired
+    assert {40, 41, 42, 43, 90, 91, 92, 93, 140, 141, 142} <= fired
