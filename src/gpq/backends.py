@@ -6,7 +6,10 @@ k times the letter d = (index, exponent).  `identity` is the key of the empty
 word.  The base class folds `key(w)` from `identity` by one step per letter
 and derives `is_identity(w)` by comparing with `identity`; so an oracle
 defines `alphabet`, `identity`, `step` and `describe`, and nothing else.
-Oracles are immutable after construction and safe for concurrent queries.
+Keys are a table index, one int for the free and free-abelian groups (a
+step shifts a digit in or out, or adds a stride, read from a per-direction
+table the oracle derives once), and (p, m, r) for B(1,n).  Oracles are immutable after construction and
+safe for concurrent queries.
 """
 
 from __future__ import annotations
@@ -239,18 +242,36 @@ _DEFAULT_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
 @dataclass(frozen=True)
 class FreeGroupOracle(WordOracle):
+    """F_k; the key of a reduced word is the int whose base-(w + 1) digits
+    are its letters' columns + 1, its last letter the lowest digit, with w
+    the number of directions: 0 is the identity."""
+
     alphabet: Alphabet
-    identity = ()
+    identity = 0
 
-    def key(self, word: Word) -> tuple[tuple[int, int], ...]:
-        # one pass: a fold of `step` copies the key at every letter, quadratic in |w|
-        return free_reduce(word).letters
+    @cached_property
+    def _digits(self) -> dict[tuple[int, int], tuple[int, int]]:
+        """Each direction's digit, and the digit of its inverse."""
+        column, invol = self.alphabet.columns, self.alphabet.involutive
+        return {(i, e): (k + 1, column[(i, e if invol[i] else -e)] + 1) for (i, e), k in column.items()}
 
-    def step(self, key, direction: tuple[int, int]):
-        idx, exp = direction
-        if key and key[-1][0] == idx and (self.alphabet.involutive[idx] or key[-1][1] == -exp):
-            return key[:-1]
-        return key + (direction,)
+    @cached_property
+    def _base(self) -> int:
+        return len(self.alphabet.directions) + 1
+
+    def key(self, word: Word) -> int:
+        # one pass: free-reduce, then pack the reduced letters, the key a fold of `step` reaches
+        key, base, digits = 0, self._base, self._digits
+        for direction in free_reduce(word).letters:
+            key = key * base + digits[direction][0]
+        return key
+
+    def step(self, key: int, direction: tuple[int, int]) -> int:
+        digit, back = self._digits[direction]
+        base = self._base
+        if key % base == back:
+            return key // base
+        return key * base + digit
 
     def describe(self) -> str:
         return f"free group of rank {len(self.alphabet)}"
@@ -258,7 +279,14 @@ class FreeGroupOracle(WordOracle):
 
 @dataclass(frozen=True)
 class FreeAbelianOracle(WordOracle):
+    """Z^k; the key of (x_0, ..., x_{k-1}) is the int sum of x_i 2^(64 i),
+    each x_i a balanced 64-bit field: 0 is the identity, and a step adds the
+    direction's stride.  The sum is injective while every |x_i| < 2^63, and
+    a coordinate reached in a ball is at most the basepoint's length plus the
+    radius; no additive int key of Z^k is injective without such a bound."""
+
     alphabet: Alphabet
+    identity = 0
 
     def __post_init__(self):
         # Z^k has no element of order 2 for an involutive letter to name
@@ -266,13 +294,12 @@ class FreeAbelianOracle(WordOracle):
             if involutive:
                 raise OracleMismatch(f"involutive letter '{letter}' in a free abelian group")
 
-    @property
-    def identity(self) -> tuple[int, ...]:
-        return (0,) * len(self.alphabet)
+    @cached_property
+    def _strides(self) -> dict[tuple[int, int], int]:
+        return {(i, e): e << 64 * i for i, e in self.alphabet.directions}
 
-    def step(self, key: tuple[int, ...], direction: tuple[int, int]) -> tuple[int, ...]:
-        idx, exp = direction
-        return key[:idx] + (key[idx] + exp,) + key[idx + 1 :]
+    def step(self, key: int, direction: tuple[int, int]) -> int:
+        return key + self._strides[direction]
 
     def describe(self) -> str:
         return f"free abelian group of rank {len(self.alphabet)}"

@@ -9,6 +9,8 @@ neighbour in direction `Alphabet.directions`[k] or None outside: edges,
 holds a vertex is the step that first reaches it, so the rows give each
 vertex's first path (the shortlex-least geodesic from the basepoint, by
 induction on distance); a vertex's name is the basepoint followed by it.
+The ball keeps that tree, as (parent, column) per vertex after the
+basepoint: `Ball.tree`.
 An edge or 2-cell belongs to the ball exactly when all its boundary vertices
 do.  On top of the complex: loop generators for the fundamental group from
 the tree of those first paths (each of length <= 2r+1), breadth-first
@@ -55,6 +57,9 @@ class Ball:
     # one row per vertex: entry k is the neighbour in direction k of
     # `Alphabet.directions`, as a vertex index, or None outside the ball
     neighbours: tuple[tuple[int | None, ...], ...] = field(compare=False, repr=False)
+    # the BFS tree: (parent, column) per vertex after the basepoint, rows[parent][column]
+    # the first row entry that holds it; () for a sphere, whose parents lie outside it
+    tree: tuple[tuple[int, int], ...] = field(compare=False, repr=False)
     is_sphere: bool = False
 
     def to_json(self) -> str:
@@ -85,6 +90,7 @@ def _build(oracle: WordOracle, p: Presentation, r: int, basepoint: Word | None, 
         s = sum(len(path) < r for path in paths)
         paths = paths[s:]
         rows = [tuple(None if j is None or j < s else j - s for j in row) for row in rows[s:]]
+        tree = ()
     # a cell's boundary path from its base vertex, its last edge closing it
     boundaries = [(ri, [column[d] for d in rel.letters[:-1]]) for ri, rel in enumerate(p.relators) if rel.letters]
     # read off the rows in vertex order, the edges come out sorted; an
@@ -101,7 +107,7 @@ def _build(oracle: WordOracle, p: Presentation, r: int, basepoint: Word | None, 
     prefix = basepoint.letters
     return Ball(
         p, oracle, basepoint, r, tuple(Word._of(alphabet, prefix + path) for path in paths),
-        tuple(edges), tuple(cells), tuple(map(len, paths)), tuple(rows), sphere,
+        tuple(edges), tuple(cells), tuple(map(len, paths)), tuple(rows), tuple(tree), sphere,
     )
 
 
@@ -131,23 +137,30 @@ class LoopClassSet:
 def pi1_generators(ball: Ball) -> LoopClassSet:
     """Spanning-tree loop generators; each has length <= 2r+1.
 
-    The tree is the BFS tree that names the vertices: a vertex's tree path
-    is its name after the basepoint.  A loop through vertex p factors through
-    geodesics to the basepoint, so each edge off the tree gives the generator
-    tree-path * edge * reverse tree-path.
+    The tree is the BFS tree that names the vertices, `Ball.tree`: a
+    vertex's tree path is its name after the basepoint.  A loop through
+    vertex p factors through geodesics to the basepoint, so each edge off the
+    tree gives the generator tree-path * edge * reverse tree-path.  An edge
+    (i, a, j) is on the tree when j's entry is (i, column of a), or i's entry
+    is (j, column of a read from j to i).
     """
     if ball.is_sphere and ball.radius:
         raise ValueError("loop generators need a ball, not a sphere")
     alphabet = ball.presentation.alphabet
-    invol = alphabet.involutive
+    dirs, column, invol = alphabet.directions, alphabet.columns, alphabet.involutive
+    tree = ball.tree
+    back = [(idx, e if invol[idx] else -e) for idx, e in dirs]  # each column's inverse letter
+    # each vertex's reverse tree path, one concatenation per vertex
+    reverse = [()]
+    for i, k in tree:
+        reverse.append((back[k],) + reverse[i])
     paths = [v.letters[len(ball.basepoint) :] for v in ball.vertices]
     generators = []
     for i, li, j in ball.edges:
-        against = (li, 1 if invol[li] else -1)  # the edge read from j to i
-        if paths[j] == paths[i] + ((li, 1),) or paths[i] == paths[j] + (against,):
-            continue  # a tree edge: it ends the path of j, or of i
-        back = tuple((idx, exp if invol[idx] else -exp) for idx, exp in reversed(paths[j]))
-        loop = Word._of(alphabet, paths[i] + ((li, 1),) + back)
+        k = column[(li, 1)]
+        if (j and tree[j - 1] == (i, k)) or (i and tree[i - 1] == (j, column[back[k]])):
+            continue
+        loop = Word._of(alphabet, paths[i] + (dirs[k],) + reverse[j])
         if len(loop) > 2 * ball.radius + 1:
             raise RuntimeError(f"generator '{loop}' exceeds the 2r+1 bound")
         generators.append(loop)

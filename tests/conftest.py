@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+# helpers' own asserts, rewritten like a test module's, also run under `python -O`
+pytest.register_assert_rewrite("helpers")
 sys.path.insert(0, str(Path(__file__).parent))
 
 from gpq.backends import bs_oracle, dihedral_group, free_abelian_oracle, free_oracle

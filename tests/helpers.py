@@ -23,6 +23,10 @@ which finds a spanning tree by a second breadth-first search over an
 adjacency list with sorted rows; a reference for the library's reading of
 the tree that names the vertices.
 
+`pi1_generators_by_paths` is the earlier reading of that tree, which tells
+a tree edge by comparing its ends' whole paths and reverses a path per
+generator; a reference for the library's reading of the tree entries.
+
 `closed_paths_up_to` enumerates the short closed paths of a ball, deduplicated
 as cyclic words: test data for searches whose cells are short loops rather
 than a presentation's relators.
@@ -681,3 +685,21 @@ def pi1_generators_second_bfs(ball):
             back = tuple((idx, exp if invol[idx] else -exp) for idx, exp in reversed(paths[j]))
             generators.append(Word(alphabet, paths[i] + ((li, 1),) + back))
     return tuple(Word(alphabet, p) for p in paths), tuple(generators)
+
+
+def pi1_generators_by_paths(ball):
+    """The loop generators of a ball, as Words, from its vertices' tree paths
+    (their names after the basepoint): an edge (i, a, j) is a tree edge when
+    path(j) = path(i) a or path(i) = path(j) a^-1, and every other edge gives
+    path(i) a path(j)^-1, in edge order."""
+    alphabet = ball.presentation.alphabet
+    invol = alphabet.involutive
+    paths = [v.letters[len(ball.basepoint) :] for v in ball.vertices]
+    generators = []
+    for i, li, j in ball.edges:
+        against = (li, 1 if invol[li] else -1)  # the edge read from j to i
+        if paths[j] == paths[i] + ((li, 1),) or paths[i] == paths[j] + (against,):
+            continue
+        back = tuple((idx, exp if invol[idx] else -exp) for idx, exp in reversed(paths[j]))
+        generators.append(Word(alphabet, paths[i] + ((li, 1),) + back))
+    return tuple(generators)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import partial
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -214,13 +215,55 @@ def test_table_checks_hold_under_python_O():
     assert None not in errors and proc.stdout.strip() == str(errors)
 
 
+def _free_letters(oracle, key):
+    """The reduced letters a free-group key names: its base-(w + 1) digits,
+    w the number of directions, are the letters' columns + 1, the last
+    letter lowest."""
+    dirs = oracle.alphabet.directions
+    letters = []
+    while key:
+        key, digit = divmod(key, len(dirs) + 1)
+        assert digit, "a zero digit inside a key names no letter"
+        letters.append(dirs[digit - 1])
+    return tuple(reversed(letters))
+
+
+def _exponents(oracle, key):
+    """The exponent vector a free-abelian key names: one balanced 64-bit
+    field per letter, the first letter's lowest."""
+    sums = []
+    for _ in oracle.alphabet.letters:
+        x = (key + 2**63) % 2**64 - 2**63
+        sums.append(x)
+        key = (key - x) >> 64
+    assert key == 0, "a key names no more fields than letters"
+    return tuple(sums)
+
+
 def test_free_oracles():
     f2 = free_oracle(2)
-    assert f2.key(W(f2, "a b b' ")) == ((0, 1),)
+    assert _free_letters(f2, f2.key(W(f2, "a b b' "))) == ((0, 1),)
     z2 = free_abelian_oracle(2)
-    assert z2.key(W(z2, "b a b'")) == (1, 0)
+    assert _exponents(z2, z2.key(W(z2, "b a b'"))) == (1, 0)
     assert z2.is_identity(W(z2, "a b a' b'"))
     assert not f2.is_identity(W(f2, "a b a' b'"))
+
+
+def test_free_abelian_keys_round_trip_near_the_field_bound():
+    # steps from explicit keys whose coordinates sit at +-(2^63 - 2) and 0
+    # stay injective up to +-(2^63 - 1): no field carries into the next
+    z3 = free_abelian_oracle(3)
+    edge = 2**63 - 2
+    for start in product((edge, -edge, 0), repeat=3):
+        key = sum(x << 64 * i for i, x in enumerate(start))
+        assert _exponents(z3, key) == start
+        for i, e in z3.alphabet.directions:
+            want = list(start)
+            want[i] += e
+            assert _exponents(z3, z3.step(key, (i, e))) == tuple(want)
+    top = sum((2**63 - 1) << 64 * i for i in range(3))
+    assert _exponents(z3, top) == (2**63 - 1,) * 3
+    assert _exponents(z3, -top) == (1 - 2**63,) * 3
 
 
 def test_free_abelian_oracle_refuses_involutive_letters():
@@ -245,6 +288,10 @@ def test_bs_unsupported_cases():
         bs_oracle(1, 0)
 
 
+# ten directions, two of them involutive letters: a free key digit runs past 7
+_WIDE = Alphabet.make("a", "b", "c", "d!", "e!", "f")
+
+
 def _random_word(alphabet, rng, max_len):
     letters = []
     for _ in range(rng.randrange(max_len + 1)):
@@ -263,6 +310,7 @@ def _random_word(alphabet, rng, max_len):
         lambda: dihedral_group(16, ("a", "c")),
         lambda: bs_oracle(1, 2),
         lambda: bs_oracle(1, 3),
+        lambda: free_oracle(6, _WIDE),
     ],
 )
 def test_w_winverse_is_identity(make):
@@ -286,6 +334,7 @@ def test_w_winverse_is_identity(make):
         lambda: bs_oracle(1, 1),
         lambda: bs_oracle(1, 2),
         lambda: bs_oracle(1, 3),
+        lambda: free_oracle(6, _WIDE),
     ],
 )
 def test_oracle_keys_agree_with_normal_forms(make):
@@ -323,9 +372,9 @@ def _reference_and_value(oracle):
                 sums[idx] += exp
             return tuple(sums)
 
-        return exponent_sums, lambda k: k
-    # the free group's key is its one-pass reduction, which `step` must follow
-    return (lambda word: free_reduce(word).letters), lambda k: k
+        return exponent_sums, partial(_exponents, oracle)
+    # the free group's key packs its one-pass reduction, which `step` must follow
+    return (lambda word: free_reduce(word).letters), partial(_free_letters, oracle)
 
 
 def test_bs_normal_form_shape():

@@ -41,6 +41,7 @@ from gpq.presentations import Presentation
 from gpq.words import Alphabet, Word, free_reduce, words_up_to_length
 from helpers import (
     closed_paths_up_to,
+    pi1_generators_by_paths,
     pi1_generators_second_bfs,
     reduce_recording_restart,
     search_whole_words,
@@ -865,6 +866,28 @@ def test_loop_generators_match_second_bfs_reference(name):
             assert [base + path.letters for path in tree_paths] == [v.letters for v in ball.vertices]
 
 
+@pytest.mark.parametrize("name", ["z2", "z3", "f2", "bs12", "d8", "c1"])
+def test_loop_generators_match_the_path_comparison_reference(name):
+    # c1, the trivial group on one letter: its one edge is a self-loop
+    p, oracle = (Presentation.make("x", ["x"], "c1"), cyclic_group(1, "x")) if name == "c1" else _backend(name)
+    for base in ((), ((len(p.alphabet) - 1, 1), (0, 1))):
+        basepoint = Word(p.alphabet, base) if base else None
+        for r in range(5):
+            ball = build_ball(oracle, p, r, basepoint)
+            assert pi1_generators(ball).generators == pi1_generators_by_paths(ball), (r, base)
+            # each tree entry (i, k) of vertex v: rows[i][k] is v, and no
+            # earlier row entry holds v
+            rows = ball.neighbours
+            assert len(ball.tree) == len(rows) - 1
+            first = {}
+            for i, row in enumerate(rows):
+                for k, j in enumerate(row):
+                    first.setdefault(j, (i, k))
+            for v, (i, k) in enumerate(ball.tree, 1):
+                assert rows[i][k] == v and first[v] == (i, k)
+            assert build_sphere(oracle, p, r, basepoint).tree == ()
+
+
 def test_tree_paths_name_the_vertices_for_an_order_two_letter_not_declared_involutive():
     # in Z/2 x Z/3 on non-involutive a, b the letter a has order 2: a and a'
     # reach the same vertex, the name takes a, and so does the tree, which a
@@ -879,23 +902,9 @@ def test_tree_paths_name_the_vertices_for_an_order_two_letter_not_declared_invol
         for r in range(5):
             ball = build_ball(oracle, p, r, basepoint)
             lcs = pi1_generators(ball)
-            assert lcs.generators == _generators_off_the_name_tree(ball)
+            assert lcs.generators == pi1_generators_by_paths(ball)
             assert lcs.rank == len(pi1_generators_second_bfs(ball)[1])
             assert all(oracle.is_identity(g) for g in lcs.generators)
-
-
-def _generators_off_the_name_tree(ball):
-    """tree-path(i) * a * tree-path(j)^-1 per edge (i, a, j), in edge order,
-    skipping each edge along which one vertex's name extends the other's; a
-    vertex's tree path is its name after the basepoint."""
-    alphabet = ball.presentation.alphabet
-    paths = [Word(alphabet, v.letters[len(ball.basepoint) :]) for v in ball.vertices]
-    loops = []
-    for i, li, j in ball.edges:
-        edge = Word(alphabet, ((li, 1),))
-        if paths[i] * edge != paths[j] and paths[j] * edge.inverse() != paths[i]:
-            loops.append(paths[i] * edge * paths[j].inverse())
-    return tuple(loops)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
