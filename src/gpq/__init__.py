@@ -64,7 +64,6 @@ from .grigorchuk import (
     GrigorchukData,
     make_grigorchuk_data,
     run_full_verification,
-    transport_induced_relation,
     verify_sigma_identity,
 )
 

@@ -104,7 +104,7 @@ class FiniteGroupTable(WordOracle):
     def __post_init__(self):
         # plain checks, which `python -O` keeps
         rows, alphabet, n = self.rows, self.alphabet, len(self.rows)
-        dirs, column, invol = alphabet.directions, alphabet.columns, alphabet.involutive
+        dirs = alphabet.directions
         if not n:
             raise ValueError("a table needs rows, the identity's first")
         for i, row in enumerate(rows):
@@ -113,7 +113,7 @@ class FiniteGroupTable(WordOracle):
             for k, j in enumerate(row):
                 if type(j) is not int or not 0 <= j < n:
                     raise ValueError(f"rows[{i}][{k}] = {j!r} is not an element index in 0..{n - 1}")
-        back = [column[(idx, e if invol[idx] else -e)] for idx, e in dirs]
+        back = alphabet.inverse_columns
         reached = 1  # the rows read so far reach elements 0..reached-1
         for i, row in enumerate(rows):
             if i >= reached:
@@ -252,8 +252,8 @@ class FreeGroupOracle(WordOracle):
     @cached_property
     def _digits(self) -> dict[tuple[int, int], tuple[int, int]]:
         """Each direction's digit, and the digit of its inverse."""
-        column, invol = self.alphabet.columns, self.alphabet.involutive
-        return {(i, e): (k + 1, column[(i, e if invol[i] else -e)] + 1) for (i, e), k in column.items()}
+        inverse = self.alphabet.inverse_columns
+        return {d: (k + 1, inverse[k] + 1) for d, k in self.alphabet.columns.items()}
 
     @cached_property
     def _base(self) -> int:

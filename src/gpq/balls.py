@@ -147,18 +147,17 @@ def pi1_generators(ball: Ball) -> LoopClassSet:
     if ball.is_sphere and ball.radius:
         raise ValueError("loop generators need a ball, not a sphere")
     alphabet = ball.presentation.alphabet
-    dirs, column, invol = alphabet.directions, alphabet.columns, alphabet.involutive
+    dirs, column, back = alphabet.directions, alphabet.columns, alphabet.inverse_columns
     tree = ball.tree
-    back = [(idx, e if invol[idx] else -e) for idx, e in dirs]  # each column's inverse letter
     # each vertex's reverse tree path, one concatenation per vertex
     reverse = [()]
     for i, k in tree:
-        reverse.append((back[k],) + reverse[i])
+        reverse.append((dirs[back[k]],) + reverse[i])
     paths = [v.letters[len(ball.basepoint) :] for v in ball.vertices]
     generators = []
     for i, li, j in ball.edges:
         k = column[(li, 1)]
-        if (j and tree[j - 1] == (i, k)) or (i and tree[i - 1] == (j, column[back[k]])):
+        if (j and tree[j - 1] == (i, k)) or (i and tree[i - 1] == (j, back[k])):
             continue
         loop = Word._of(alphabet, paths[i] + (dirs[k],) + reverse[j])
         if len(loop) > 2 * ball.radius + 1:
@@ -329,9 +328,9 @@ def null_homotopy_search(
     OracleMismatch is raised: a cell the group does not have would certify
     loops that do not die; the region's own oracle and presentation were
     checked when it was built.  The cells are those of `p`, which may differ
-    from the region's presentation.  A state is a str, one character per
-    signed letter: chr of its `Alphabet.columns` column, the column of
-    the region's rows it steps along.  Each state's successors are tried
+    from the region's presentation.  A state is a str, a loop's
+    `Alphabet.code`: one character per signed letter, the column of the
+    region's rows it steps along.  Each state's successors are tried
     move by move in `p.cell_moves` order, and for one move at
     ascending positions; that order fixes which parent first reaches a
     state, hence the witness and `states_explored`.  A candidate passes the
@@ -350,14 +349,12 @@ def null_homotopy_search(
     if start.is_empty():
         return Witness(loop, tuple(norm_moves), region, 0, p)
 
-    column = p.alphabet.columns
-    invol = p.alphabet.involutive
-    inverse = {chr(k): chr(column[(i, e if invol[i] else -e)]) for (i, e), k in column.items()}
+    column, inverse = p.alphabet.columns, p.alphabet.inverse_codes
     walks = [{} for _ in p.cell_moves]  # per move: start vertex -> end vertex or None
     rows = region.neighbours
     # the cyclic core lengths of the relators that give moves
     cores = {_core_length(red, inverse) for _, _, u, red in p.cell_moves if not u}
-    first = "".join(chr(column[d]) for d in start.letters)
+    first = p.alphabet.code(start.letters)
     seen = {first: None}  # state -> (previous state, position, move index)
     queue = deque([first])
     explored = 0

@@ -171,7 +171,7 @@ def sigma_decode(sub: Substitution, word: Word, with_flags: bool = False):
     scan = sub.image_scan
     if scan is not None:
         pattern, from_right, source_letter = scan
-        code = "".join([chr(i) for i, _ in word.letters])
+        code = sub.alphabet.code(word.letters)
         tokens = pattern.findall(code[::-1] if from_right else code)
         if sum(map(len, tokens)) != len(code):  # a gap the images do not cover
             raise _not_in_image(sub, word)

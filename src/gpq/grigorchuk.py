@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 from .backends import FiniteGroupTable, dihedral_group, klein_group
 from .errors import DegenerateCase, LimitExceeded
-from .induction import SplitExtensionData, YLetter, basic_relation
+from .induction import SplitExtensionData, basic_relation
 from .presentations import Presentation
 from .words import (
     Alphabet,
@@ -433,30 +433,6 @@ def make_grigorchuk_data() -> GrigorchukData:
 
 
 # --- transport and verification ------------------------------------------------------
-
-
-def transport_induced_relation(
-    data: GrigorchukData, relation: tuple[YLetter, ...], factor: str
-) -> Word:
-    """Expand a conjugated-b relator into a word over a,c,d.
-
-    Each ^x b becomes u d u^-1 with u = phi0(x) for the second direct factor
-    and u = a phi0(x) for the first (the a-conjugated embedding); the
-    concatenation is involutively reduced.
-    """
-    letters, _, _ = _assemble(data, factor, (yl.conjugator for yl in relation))
-    return Word._of(data.acd, letters)
-
-
-def _assemble(data: GrigorchukData, factor: str, gs) -> tuple:
-    """(letters, Klein form, dihedral form) of the free reduction of the
-    pieces C_g d C_g^-1, g in gs, of one factor."""
-    pieces = _pieces(data._transport_chunks(factor), _cancel(gs))
-    return (
-        tuple(chain.from_iterable(p.letters for p in pieces)),
-        tuple(_fold([], (p.klein for p in pieces), data.klein_cd.mul)),
-        tuple(chain.from_iterable(p.dihedral for p in pieces)),
-    )
 
 
 def _cancel(gs) -> list:

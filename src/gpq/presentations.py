@@ -45,9 +45,8 @@ class Presentation:
         v^-1 whenever uv is a rotation of a relator or of its inverse.  One
         (remove, insert, coded remove, coded free-reduced insert) tuple per
         distinct (u, v^-1), relator by relator, variant by variant, cut by
-        cut; a letter's code is chr of its `Alphabet.columns` column.  Freely
-        trivial relators give none."""
-        code = {d: chr(k) for d, k in self.alphabet.columns.items()}
+        cut, coded by `Alphabet.code`.  Freely trivial relators give none."""
+        code = self.alphabet.code
         moves = []
         seen = set()
         for rel in self.relators:
@@ -62,7 +61,7 @@ class Presentation:
                     if (u, ins) not in seen:
                         seen.add((u, ins))
                         red = free_reduce(Word._of(self.alphabet, ins)).letters
-                        moves.append((u, ins, "".join(map(code.get, u)), "".join(map(code.get, red))))
+                        moves.append((u, ins, code(u), code(red)))
         return tuple(moves)
 
     def __str__(self):

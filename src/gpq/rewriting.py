@@ -2,10 +2,10 @@
 
 A rewriting system replaces subwords according to finitely many rules
 lhs -> rhs.  Reduction rewrites the leftmost match first, the lowest rule
-index winning a tie.  It works on a word coded as a str, one
-``chr(column)`` per letter (`Alphabet.columns`), and finds each match with
-one regex scan of all left-hand sides (`RewritingSystem._scan`); the moves it
-makes are replayed into a full trace only for the words a caller keeps.
+index winning a tie.  It works on a word coded as a str by `Alphabet.code`,
+one character per letter, and finds each match with one regex scan of all
+left-hand sides (`RewritingSystem._scan`); the moves it makes are replayed
+into a full trace only for the words a caller keeps.
 Geodesic systems never increase length, which is what lets a reduction
 sequence of an identity word double as a null-homotopy staying inside a
 metric ball (see `ball_null_homotopy_witness`).
@@ -49,8 +49,8 @@ class RewritingSystem:
         matching rule i, and the coded right-hand sides.  A search stops at
         the leftmost position where some lhs matches, and the alternation
         takes the lowest rule index there."""
-        pattern = "|".join(f"({re.escape(_code(self.alphabet, lhs.letters))})" for lhs, _ in self.rules)
-        return re.compile(pattern), tuple(_code(self.alphabet, rhs.letters) for _, rhs in self.rules)
+        pattern = "|".join(f"({re.escape(self.alphabet.code(lhs.letters))})" for lhs, _ in self.rules)
+        return re.compile(pattern), tuple(self.alphabet.code(rhs.letters) for _, rhs in self.rules)
 
     @cached_property
     def _reach(self) -> int:
@@ -102,12 +102,6 @@ class ReductionTrace:
         )
 
 
-def _code(alphabet: Alphabet, letters) -> str:
-    """`letters` as a str, one ``chr(column)`` per letter."""
-    columns = alphabet.columns
-    return "".join([chr(columns[d]) for d in letters])
-
-
 def _rewrite(rs: RewritingSystem, code: str, step_limit: int) -> tuple[str, list[tuple[int, int]], bool]:
     """Rewrite the coded word leftmost match first for at most `step_limit`
     steps: the coded result, the (rule, position) moves, and whether it
@@ -155,7 +149,7 @@ def reduce(rs: RewritingSystem, word: Word, step_limit: int = 10_000) -> tuple[W
     """
     if word.alphabet != rs.alphabet:
         raise ValueError("word over a different alphabet")
-    _, moves, irreducible = _rewrite(rs, _code(rs.alphabet, word.letters), step_limit)
+    _, moves, irreducible = _rewrite(rs, rs.alphabet.code(word.letters), step_limit)
     return _traced(rs, word, moves, irreducible, step_limit)
 
 
@@ -226,7 +220,7 @@ def certify_local_confluence(rs: RewritingSystem, step_limit: int = 1_000):
 
     def normal_form(word: Word) -> str | None:
         """The coded normal form of `word`, None past the step limit."""
-        code, _, irreducible = _rewrite(rs, _code(rs.alphabet, word.letters), step_limit)
+        code, _, irreducible = _rewrite(rs, rs.alphabet.code(word.letters), step_limit)
         return code if irreducible else None
 
     if any(normal_form(side) is None for rule in rs.rules for side in rule):
@@ -309,7 +303,7 @@ def ball_null_homotopy_witness(
         raise LimitExceeded(f"more than {word_cap} candidate words at radius {r}")
     witnesses = []
     for w in words_up_to_length(rs.alphabet, bound):
-        code, moves, irreducible = _rewrite(rs, _code(rs.alphabet, w.letters), step_limit)
+        code, moves, irreducible = _rewrite(rs, rs.alphabet.code(w.letters), step_limit)
         if code and irreducible:
             continue  # not an identity word: its trace is never built
         try:

@@ -68,13 +68,35 @@ class Alphabet:
     def directions(self) -> tuple[tuple[int, int], ...]:
         """The signed letters in column order: (i, 1), and (i, -1) unless
         letter i is involutive.  A ball's rows hold its neighbour in
-        direction k at column k, and the search codes that letter as chr(k)."""
+        direction k at column k, and `code` writes that letter as chr(k)."""
         return tuple((i, e) for i, invol in enumerate(self.involutive) for e in ((1,) if invol else (1, -1)))
 
     @cached_property
     def columns(self) -> dict[tuple[int, int], int]:
         """Each signed letter's column: its index in `directions`."""
         return {d: k for k, d in enumerate(self.directions)}
+
+    @cached_property
+    def inverse_columns(self) -> tuple[int, ...]:
+        """Each column's inverse column."""
+        column, invol = self.columns, self.involutive
+        return tuple(column[(i, e if invol[i] else -e)] for i, e in self.directions)
+
+    @cached_property
+    def inverse_codes(self) -> dict[str, str]:
+        """Each letter's code to its inverse's code."""
+        return {chr(k): chr(j) for k, j in enumerate(self.inverse_columns)}
+
+    @cached_property
+    def _chars(self) -> tuple:
+        """The code of letter (i, e) at [e][i]; an involutive letter's both ways."""
+        plus = [self.columns[(i, 1)] for i in range(len(self))]
+        return None, tuple(map(chr, plus)), tuple(chr(self.inverse_columns[k]) for k in plus)
+
+    def code(self, letters) -> str:
+        """`letters` as a str, one chr(column) per signed letter."""
+        chars = self._chars
+        return "".join([chars[e][i] for i, e in letters])
 
     def index(self, name: str) -> int:
         try:
@@ -394,7 +416,7 @@ class Substitution:
         """How a positive word is parsed into images by one regex scan, or
         None when no scan parses every word.
 
-        A word is coded as a str, one ``chr(index)`` per letter.  When no
+        A word is coded as a str by `Alphabet.code`.  When no
         image's code is a prefix of another's, a word has at most one parse
         and it is read left to right: the pattern is the alternation of the
         image codes, the flag is False.  Otherwise, when no code is a suffix
@@ -403,7 +425,7 @@ class Substitution:
         letter.  Two letters with equal images make every parse ambiguous
         and give None, as do images that prefix each other both ways.
         """
-        codes = ["".join(chr(i) for i, _ in img.letters) for img in self.images]
+        codes = [self.alphabet.code(img.letters) for img in self.images]
         for from_right in (False, True):
             keys = [code[::-1] for code in codes] if from_right else codes
             if not any(i != j and b.startswith(a) for i, a in enumerate(keys) for j, b in enumerate(keys)):

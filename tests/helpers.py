@@ -64,6 +64,12 @@ It returns a `WholeWordReport`, its own record with the fields and the
 `to_dict()` of the library's `VerificationReport`, so that nothing of the
 library's report (its lengths, its words joined on first read, its level)
 stands in the reference.
+
+`transport_induced_relation` expands a conjugated-b relator into a word over
+a,c,d, and `assemble` gives the letters, Klein form and dihedral form of a
+factor's pieces C_g d C_g^-1: both read the library's transport chunks the
+way its verification cases do, so the tests can check that path against
+whole-word reductions.
 """
 
 from __future__ import annotations
@@ -71,8 +77,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
+from gpq.grigorchuk import _cancel, _fold, _pieces
 from gpq.induction import basic_relation, conjugate_relation
 from gpq.words import Word, apply_substitution, free_reduce, rotations_and_inverses
 
@@ -703,3 +710,25 @@ def pi1_generators_by_paths(ball):
         back = tuple((idx, exp if invol[idx] else -exp) for idx, exp in reversed(paths[j]))
         generators.append(Word(alphabet, paths[i] + ((li, 1),) + back))
     return tuple(generators)
+
+
+def transport_induced_relation(data, relation, factor):
+    """Expand a conjugated-b relator into a word over a,c,d.
+
+    Each ^x b becomes u d u^-1 with u = phi0(x) for the second direct factor
+    and u = a phi0(x) for the first (the a-conjugated embedding); the
+    concatenation is involutively reduced.
+    """
+    letters, _, _ = assemble(data, factor, (yl.conjugator for yl in relation))
+    return Word._of(data.acd, letters)
+
+
+def assemble(data, factor, gs):
+    """(letters, Klein form, dihedral form) of the free reduction of the
+    pieces C_g d C_g^-1, g in gs, of one factor."""
+    pieces = _pieces(data._transport_chunks(factor), _cancel(gs))
+    return (
+        tuple(chain.from_iterable(p.letters for p in pieces)),
+        tuple(_fold([], (p.klein for p in pieces), data.klein_cd.mul)),
+        tuple(chain.from_iterable(p.dihedral for p in pieces)),
+    )

@@ -433,6 +433,41 @@ def test_sigma_decode_matches_tuple_reference(grig):
     assert min(seen.values()) > 100, seen
 
 
+def test_sigma_decode_on_a_mixed_alphabet():
+    # letter index and column differ, so a scan that coded words one way and
+    # images another would miss parses; the scan, the dynamic programme and
+    # the tuple reference must agree on every word, images or not
+    mixed = Alphabet.make("t", "a!", "b", "c!")
+    rng = random.Random(2701)
+    seen = {"scan": 0, "dp": 0, "decoded": 0, "undecodable": 0}
+    for _ in range(120):
+        images = tuple(
+            Word(mixed, tuple((rng.randrange(4), 1) for _ in range(rng.randrange(1, 4)))) for _ in range(4)
+        )
+        sub = Substitution(mixed, images)
+        seen["scan" if sub.image_scan else "dp"] += 1
+        for _ in range(20):
+            if rng.random() < 0.5:
+                source = Word(mixed, tuple((rng.randrange(4), 1) for _ in range(rng.randrange(10))))
+                word = apply_substitution(sub, source)
+            else:
+                word = Word(mixed, tuple((rng.randrange(4), 1) for _ in range(rng.randrange(12))))
+            want, _ = decode_by_tuples([img.letters for img in images], word.letters)
+            try:
+                decoded = sigma_decode(sub, word)
+            except NotInImage:
+                assert want is None
+                with pytest.raises(NotInImage):
+                    gpq.endo._decode_by_suffixes(sub, word)
+                seen["undecodable"] += 1
+                continue
+            assert decoded.letters == want
+            assert apply_substitution(sub, decoded) == word
+            assert list(decoded.letters) == gpq.endo._decode_by_suffixes(sub, word)[0]
+            seen["decoded"] += 1
+    assert min(seen.values()) > 20, seen
+
+
 def test_affix_free_images_are_read_by_one_scan(grig, monkeypatch):
     # prefix-free images are scanned from the left, suffix-free ones from the
     # right; images that prefix each other both ways, or equal images, take

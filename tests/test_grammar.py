@@ -1,6 +1,7 @@
 """Every Python file of the project parses under the oldest grammar that
-pyproject.toml promises (Python 3.10), whatever Python runs the tests, and
-the library checks nothing with `assert`, which `python -O` removes."""
+pyproject.toml promises (Python 3.10), whatever Python runs the tests, the
+library checks nothing with `assert`, which `python -O` removes, and only
+`words` writes the letter code that `Alphabet.code` owns."""
 
 from __future__ import annotations
 
@@ -30,5 +31,16 @@ def test_the_library_has_no_assert_statement():
         if path.relative_to(ROOT).parts[:2] == ("src", "gpq")
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_only_words_spells_out_the_letter_code():
+    found = [
+        f"{path.relative_to(ROOT).as_posix()}:{number}"
+        for path in SOURCES
+        if path.relative_to(ROOT).parts[:2] == ("src", "gpq") and path.name != "words.py"
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "chr(" in line
     ]
     assert found == []

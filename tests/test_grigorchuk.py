@@ -17,7 +17,6 @@ from gpq import grigorchuk, words
 from gpq.grigorchuk import (
     FAMILY_LETTER_CAP,
     GrigorchukData,
-    _assemble,
     _cancel,
     _check_chunks,
     _free_product_nf,
@@ -26,12 +25,11 @@ from gpq.grigorchuk import (
     _nf_join,
     make_grigorchuk_data,
     run_full_verification,
-    transport_induced_relation,
     verify_sigma_identity,
 )
 from gpq.induction import YLetter, basic_relation, conjugate_relation
 from gpq.words import Alphabet, Word, apply_substitution, free_reduce
-from helpers import free_product_nf, phi0_letterwise, verify_whole_words
+from helpers import assemble, free_product_nf, phi0_letterwise, transport_induced_relation, verify_whole_words
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -587,7 +585,7 @@ def _whole_pieces(grig, factor, gs):
 
 def _check_assembly(grig, factor, gs):
     whole = _whole_pieces(grig, factor, gs)
-    letters, klein, dihedral = _assemble(grig, factor, gs)
+    letters, klein, dihedral = assemble(grig, factor, gs)
     assert letters == free_reduce(whole).letters, (factor, gs)
     assert klein == grig.klein_nf(whole), (factor, gs)
     assert dihedral == grig.dihedral_nf(whole), (factor, gs)

@@ -242,6 +242,22 @@ def test_inverse_is_an_involution_and_antihomomorphism(seed):
     assert free_reduce(u * u.inverse()).is_empty()
 
 
+def test_code_and_inverse_columns_on_a_mixed_alphabet():
+    # letter index and column differ: t, t', a, b, b', c sit in columns 0-5
+    mixed = Alphabet.make("t", "a!", "b", "c!")
+    assert mixed.directions == ((0, 1), (0, -1), (1, 1), (2, 1), (2, -1), (3, 1))
+    rng = random.Random(27)
+    for _ in range(200):
+        letters = tuple(rng.choice(mixed.directions) for _ in range(rng.randrange(12)))
+        assert [ord(ch) for ch in mixed.code(letters)] == [mixed.columns[d] for d in letters]
+    inverse = mixed.inverse_columns
+    assert inverse == (1, 0, 2, 4, 3, 5)
+    for k, d in enumerate(mixed.directions):
+        assert inverse[inverse[k]] == k
+        assert (mixed.directions[inverse[k]],) == Word(mixed, (d,)).inverse().letters
+        assert mixed.inverse_codes[mixed.code((d,))] == mixed.code((mixed.directions[inverse[k]],))
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_substitution_commutes_with_concatenation_under_iteration(seed):
