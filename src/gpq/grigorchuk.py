@@ -26,13 +26,14 @@ D_8 element g the reduced conjugator C_g (phi0(g) for the second factor,
 a phi0(g) for the first) and its inverse, and the chunks the transported
 word is assembled from: head C_g, mid d J(g, h) for g != h with
 J(g, h) = reduce(C_g^-1 C_h), and tail d C_g^-1, each with its Klein and
-dihedral normal forms.  Work per (n, family), memoised on the data: w_n
-(sigma applied once per n), the conjugators of its basic relation T(w_n)
-over D_8 (empty for n = 0, which is degenerate) with equal neighbours
-cancelled as integers, each piece C_g d C_g^-1 being an involution, the
-core w_{n+1} = sigma(w_n) read over a,c,d through b -> cd, and the core's
-two normal forms.  Work per case (factor, x), per piece: one row of the
-D_8 table maps the cancelled conjugators to those of x T(w_n), still
+dihedral normal forms, as tuples of ints.  Work per (n, family), memoised
+on the data: w_n (sigma applied once per n), the conjugators of its basic
+relation T(w_n) over D_8 (empty for n = 0, which is degenerate) from the
+prefix walk of basic_relation, with equal neighbours cancelled as integers,
+each piece C_g d C_g^-1 being an involution, the core w_{n+1} = sigma(w_n)
+over a,c,d through b -> cd, read off w_n through each letter's image, and
+the core's two normal forms.  Work per case (factor, x), per piece: one row
+of the D_8 table maps the cancelled conjugators to those of x T(w_n), still
 cancelled; the transported word and its dihedral form are the pieces'
 chunks concatenated, and one fold over the seams gives its Klein form.  The
 expected word joins C, the core and C^-1 at two seams, its normal forms by
@@ -51,7 +52,7 @@ from typing import NamedTuple
 
 from .backends import FiniteGroupTable, dihedral_group, klein_group
 from .errors import DegenerateCase, LimitExceeded
-from .induction import SplitExtensionData, basic_relation
+from .induction import SplitExtensionData, prefix_walk
 from .presentations import Presentation
 from .words import (
     Alphabet,
@@ -144,6 +145,11 @@ class GrigorchukData:
         """The letters of each a,b,d letter's image under b -> cd."""
         images = {"a": "a", "b": "c d", "d": "d"}
         return tuple(Word.from_str(self.acd, images[name]).letters for name in self.abd.letters)
+
+    @cached_property
+    def _tau(self) -> tuple:
+        """The letters of translate_bd_to_cd(sigma_abd(x)) for each a,b,d letter x."""
+        return tuple(self.translate_bd_to_cd(image).letters for image in self.sigma_abd.images)
 
     def _transport_chunks(self, factor: str) -> _Chunks:
         """The _Chunks of the 'first' or 'second' factor, built on first use."""
@@ -279,16 +285,18 @@ class GrigorchukData:
     def _family_parts(self, n: int, family: str):
         """(the D_8 conjugators of the y-letters of T(w_n) with equal
         neighbours cancelled, the number of y-letters, the _Chunk of
-        translate(w_{n+1})) for the a,b,d variant, memoised."""
+        translate(w_{n+1})) for the a,b,d variant, memoised.  Free reduction
+        commutes with concatenation, so the core is w_n read through _tau."""
         key = (n, family)
         if key not in self._memo:
-            self._checked_seed("abd", family, n + 1)  # the longer word, before either is built
-            basic = basic_relation(self._family_word(n, family), self.b_extension)
-            if not basic:
+            self._checked_seed("abd", family, n + 1)  # as if w_{n+1} were built
+            word = self._family_word(n, family)
+            conjugators, _ = prefix_walk(word, self.b_extension)
+            if not conjugators:
                 raise DegenerateCase(f"{family}_{n} has no inducible letters (b-free)")
-            core = self.translate_bd_to_cd(self._family_word(n + 1, family))
-            stack = _cancel(yl.conjugator for yl in basic)
-            self._memo[key] = (tuple(stack), len(basic), self._chunk(core.letters))
+            tau = self._tau
+            core = free_reduce(Word._of(self.acd, tuple(chain.from_iterable(tau[i] for i, _ in word.letters))))
+            self._memo[key] = (tuple(_cancel(conjugators)), len(conjugators), self._chunk(core.letters))
         return self._memo[key]
 
 
@@ -312,7 +320,8 @@ def _check_chunks(chunks: _Chunks, d: tuple) -> _Chunks:
 
 def _free_product_nf(word: Word, table: FiniteGroupTable, embed: dict, passthrough):
     """Syllable normal form in (group of `table`) * (free product of passthrough
-    involutions).  Returns a tuple of ('t', element) and ('p', letter) syllables.
+    involutions).  Returns a tuple of int syllables: a table element g > 0
+    stands as itself, a passthrough letter as -1 - its index.
 
     One pass: runs of embedded letters multiply into one pending table
     element, written out as a syllable only when a passthrough letter follows.
@@ -323,7 +332,7 @@ def _free_product_nf(word: Word, table: FiniteGroupTable, embed: dict, passthrou
     not in the word's group.
     """
     alphabet = word.alphabet
-    action = {}  # (idx, exp) -> table element, or the ('p', name) syllable
+    action = {}  # (idx, exp) -> table element >= 0, or the syllable -1 - idx
     for idx, name in enumerate(alphabet.letters):
         if name in embed:
             g = table.generator_map[embed[name]]
@@ -333,29 +342,28 @@ def _free_product_nf(word: Word, table: FiniteGroupTable, embed: dict, passthrou
         elif name in passthrough:
             if not alphabet.involutive[idx]:
                 raise ValueError(f"passthrough letter {name!r} is not involutive")
-            action[(idx, 1)] = ("p", name)
+            action[(idx, 1)] = -1 - idx
     mul = table.mul
     out: list = []
     pending = 0
     for letter in word.letters:
         act = action.get(letter)
-        if type(act) is int:
-            pending = mul[pending][act]
-        elif act is None:
+        if act is None:
             name = alphabet.letters[letter[0]]
             raise ValueError(f"letter {name!r} is neither embedded nor passthrough")
+        if act >= 0:
+            pending = mul[pending][act]
         elif pending:
-            out.append(("t", pending))
-            out.append(act)
+            out += (pending, act)
             pending = 0
         elif out and out[-1] == act:
             out.pop()
-            if out and out[-1][0] == "t":
-                pending = out.pop()[1]
+            if out and out[-1] > 0:
+                pending = out.pop()
         else:
             out.append(act)
     if pending:
-        out.append(("t", pending))
+        out.append(pending)
     return tuple(out)
 
 
@@ -368,33 +376,31 @@ def _nf_join(u: tuple, v: tuple, mul) -> tuple:
 def _fold(out: list, forms, mul) -> list:
     """Extend the normal form `out` in place to that of its product with the
     normal forms in `forms`, in turn, and return it.  At each seam two table
-    syllables multiply into one, and two equal passthrough letters cancel;
-    only an identity product or a cancellation lets the seam move on, into
-    the next form and back into `out`."""
+    syllables (both > 0) multiply into one, and two equal passthrough
+    syllables (both < 0) cancel; only an identity product or a cancellation
+    lets the seam move on, into the next form and back into `out`."""
     for v in forms:
         j = len(out)
         out += v
         if not j or not v:
             continue
-        (kind, left), (other, right) = out[j - 1], out[j]
-        if kind != other:
-            continue
-        if kind == "t":
+        left, right = out[j - 1], out[j]
+        if left > 0 < right:
             g = mul[left][right]
             if g:  # the common seam: one syllable, no cascade
-                out[j - 1] = ("t", g)
+                out[j - 1] = g
                 del out[j]
                 continue
         elif left != right:
             continue
         i, j = j - 2, j + 1
         while i >= 0 and j < len(out):
-            (kind, left), (other, right) = out[i], out[j]
-            if kind != other or kind == "p" and left != right:
+            left, right = out[i], out[j]
+            if left != right and not left > 0 < right:
                 break
             j += 1
-            if kind == "t" and mul[left][right]:
-                out[i] = ("t", mul[left][right])
+            if left > 0 and mul[left][right]:
+                out[i] = mul[left][right]
                 break
             i -= 1
         del out[i + 1 : j]
@@ -569,13 +575,13 @@ def verify_sigma_identity(
         raise ValueError(f"x must be a D_8 element index in 0..{data.d8.order - 1}")
     stack, y_letters, core = data._family_parts(n, family)
     row = data.d8.mul[x]  # ^x T(w_n): x g = x h only for g = h, so the stack stays cancelled
-    pieces = _pieces(chunks, [row[g] for g in stack])
+    pieces = _pieces(chunks, list(map(row.__getitem__, stack)))
     c, c_inv = chunks.head[x], chunks.inverse[x]
     # C and the core are reduced, so only the two joins can cancel, in the
     # words and in their normal forms
     klein_mul, dihedral_mul = data.klein_cd.mul, data.d16.mul
-    klein = _fold([], (p.klein for p in pieces), klein_mul)
-    dihedral = list(chain.from_iterable(p.dihedral for p in pieces))
+    klein = _fold([], map(itemgetter(1), pieces), klein_mul)
+    dihedral = list(chain.from_iterable(map(itemgetter(2), pieces)))
     return VerificationReport(
         n=n,
         family=family,

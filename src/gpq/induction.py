@@ -76,6 +76,13 @@ def basic_relation(word: Word, data: SplitExtensionData) -> tuple[YLetter, ...]:
     trivially-lifting generators only feed the prefixes.  The word must die in
     the quotient, else the relator does not close up.
     """
+    return tuple(map(YLetter, *prefix_walk(word, data)))
+
+
+def prefix_walk(word: Word, data: SplitExtensionData) -> tuple[list[int], list[int]]:
+    """The conjugators and the base generators of the y-letters of
+    basic_relation(word, data), as two lists of ints, in one pass over the
+    word's prefixes."""
     if not word.is_positive():
         raise NonPositiveRelator(f"'{word}' has negative exponents")
     F = data.quotient
@@ -83,17 +90,18 @@ def basic_relation(word: Word, data: SplitExtensionData) -> tuple[YLetter, ...]:
     # column of the quotient table that right-multiplies by its image
     trivial = [data.y_is_trivial(j) for j in range(len(data.p_map))]
     columns = [[row[p] for row in F.mul] for p in data.p_map]
-    out = []
+    conjugators, bases = [], []
     prefix = 0
     for idx, _ in word.letters:
         if not trivial[idx]:
-            out.append(YLetter(prefix, idx))
+            conjugators.append(prefix)
+            bases.append(idx)
         prefix = columns[idx][prefix]
     if prefix != 0:
         raise DoesNotCloseUp(
             f"'{word}' has quotient image {F.element_names[prefix]}, not the identity"
         )
-    return tuple(out)
+    return conjugators, bases
 
 
 def conjugate_relation(relation: tuple[YLetter, ...], x: int, data: SplitExtensionData) -> tuple[YLetter, ...]:

@@ -318,8 +318,9 @@ def group_order(presentation, limit: int = 50_000) -> int:
 
 def free_product_nf(word, table, passthrough):
     """Syllable normal form of `word` in (group of `table`) * (free product of
-    the involutive `passthrough` letters), as ('t', element) and ('p', name)
-    syllables.
+    the involutive `passthrough` letters), as int syllables: a table element
+    g > 0 as itself, a passthrough letter as -1 - its index in the word's
+    alphabet.
 
     Letters of the table's alphabet form 't' blocks.  Until no rule applies:
     join two adjacent blocks, drop a block that evaluates to the identity, or
@@ -357,7 +358,7 @@ def free_product_nf(word, table, passthrough):
 
     while rewrite_once():
         pass
-    return tuple(("t", evaluate(v)) if k == "t" else (k, v) for k, v in items)
+    return tuple(evaluate(v) if k == "t" else -1 - word.alphabet.index(v) for k, v in items)
 
 
 def reduce_recording_restart(letters, involutive):

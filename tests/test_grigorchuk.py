@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 import subprocess
 import sys
 from dataclasses import fields
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
 from gpq.backends import cyclic_group
-from gpq.errors import DegenerateCase, LimitExceeded
-from gpq import grigorchuk, words
+from gpq.errors import DegenerateCase, DoesNotCloseUp, LimitExceeded
+from gpq import grigorchuk, induction, words
 from gpq.grigorchuk import (
     FAMILY_LETTER_CAP,
     GrigorchukData,
@@ -377,6 +379,24 @@ def test_nf_join_is_the_normal_form_of_the_product(grig):
             assert _nf_join(nf(u), nf(v), table.mul) == nf(u * v), (str(u), str(v))
 
 
+def test_nf_join_with_two_passthrough_letters():
+    # with two passthrough letters p q can stand side by side, so a seam
+    # that cancels p p can leave a table syllable facing q, where it stops
+    rng = random.Random(4249)
+    alphabet = Alphabet.make("x!", "p!", "q!")
+    table = cyclic_group(2)
+    nf = lambda w: _free_product_nf(w, table, {"x": 0}, ("p", "q"))  # noqa: E731
+    u, v = W(alphabet, "x p"), W(alphabet, "p q")
+    assert (nf(u), nf(v)) == ((1, -2), (-2, -3))
+    assert _nf_join(nf(u), nf(v), table.mul) == nf(u * v) == (1, -3)
+    for _ in range(400):
+        u = Word(alphabet, tuple((rng.randrange(3), 1) for _ in range(rng.randrange(10))))
+        w = Word(alphabet, tuple((rng.randrange(3), 1) for _ in range(rng.randrange(6))))
+        v = u.inverse() * w if rng.random() < 0.5 else w
+        assert nf(u) == free_product_nf(u, table, ("p", "q")), str(u)
+        assert _nf_join(nf(u), nf(v), table.mul) == nf(u * v), (str(u), str(v))
+
+
 def test_transport_cancels_whole_pieces(grig):
     # two equal consecutive conjugators: the second piece C d C^-1 cancels
     # whole, and the pieces around it meet at the seam
@@ -524,7 +544,8 @@ def test_normal_forms_match_the_rewriting_model(grig):
             forms.append(nf(w))
             assert forms[-1] == free_product_nf(w, table, passthrough), str(w)
         assert sum(f == () for f in forms) >= 150
-        assert any({"t", "p"} <= {kind for kind, _ in f} for f in forms)
+        # both syllable kinds occur: table elements > 0, passthrough letters < 0
+        assert any(min(f) < 0 < max(f) for f in forms if f)
 
 
 def test_normal_forms_reject_foreign_letters(grig):
@@ -554,8 +575,8 @@ def test_verify_and_relator_family_reject_bad_arguments(grig):
 
 
 def test_family_words_apply_sigma_once_per_n(monkeypatch):
-    # the grid up to max_n needs w_1 .. w_{max_n + 1} of each family, and
-    # builds each from the one before it; relator_family is unchanged
+    # the grid up to max_n needs w_1 .. w_{max_n} of each family, and builds
+    # each from the one before it; relator_family is unchanged
     data = make_grigorchuk_data()
     calls = []
     apply = words.apply_substitution
@@ -566,10 +587,90 @@ def test_family_words_apply_sigma_once_per_n(monkeypatch):
 
     monkeypatch.setattr(words, "apply_substitution", counted)
     run_full_verification(data, 4)
-    assert calls == [True] * (2 * 5)
+    assert calls == [True] * (2 * 4)
     for family in ("w", "z"):
         for n in (5, 2, 3, 0, 6):
             assert data._family_word(n, family) == data.relator_family("abd", family, n)
+
+
+def test_the_grid_builds_no_y_letter_and_no_word_past_max_n(monkeypatch):
+    # the n <= 8 grid reads T(w_n) off the prefix walk, as ints, and its
+    # cores off w_n: it builds w_1 .. w_8 of each family, never w_9 or z_9
+    data = make_grigorchuk_data()
+    beyond = {data.relator_family("abd", family, 9).letters for family in ("w", "z")}
+    y_letters, built = [], []
+    init, apply = induction.YLetter.__init__, words.apply_substitution
+    monkeypatch.setattr(induction.YLetter, "__init__", lambda self, *args: y_letters.append(args) or init(self, *args))
+    monkeypatch.setattr(words, "apply_substitution", lambda sub, word: built.append(apply(sub, word)) or built[-1])
+    _, summary = run_full_verification(data, 8)
+    assert summary.total == 256 and summary.all_equal
+    assert y_letters == []
+    assert len(built) == 2 * 8 and not beyond & {word.letters for word in built}
+    # the counters count: basic_relation builds its YLetters
+    assert len(basic_relation(data.relator_family("abd", "w", 1), data.b_extension)) == len(y_letters) > 0
+
+
+_WALK_REFUSALS = """
+import dataclasses, sys
+from gpq.grigorchuk import make_grigorchuk_data
+from gpq.induction import basic_relation
+from gpq.words import Word
+
+print(sys.flags.optimize)
+grig = make_grigorchuk_data()
+# w_0 = b dies in D_8, w_1 = sigma(b) = d does not
+bad = dataclasses.replace(grig, seeds={**grig.seeds, ("abd", "w"): "b"})
+for refused in (lambda: bad._family_parts(1, "w"), lambda: basic_relation(Word.from_str(grig.abd, "d"), grig.b_extension)):
+    try:
+        refused()
+    except Exception as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+def test_the_grid_reads_basic_relations_off_the_prefix_walk(grig):
+    # the grid's cancelled conjugators and y-letter count are those of
+    # basic_relation, which runs the same walk
+    for n in range(1, 10):
+        for family in ("w", "z"):
+            basic = basic_relation(grig.relator_family("abd", family, n), grig.b_extension)
+            stack, y_letters, _ = grig._family_parts(n, family)
+            assert list(stack) == _cancel(yl.conjugator for yl in basic), (n, family)
+            assert y_letters == len(basic), (n, family)
+    with pytest.raises(DegenerateCase, match=r"^w_0 has no inducible letters \(b-free\)$"):
+        grig._family_parts(0, "w")
+    # a family word that does not close up is refused by the walk, with the
+    # same message for the grid and for basic_relation, in process and under -O
+    message = "'d' has quotient image d, not the identity"
+    bad = dataclasses.replace(grig, seeds={**grig.seeds, ("abd", "w"): "b"})
+    with pytest.raises(DoesNotCloseUp, match=f"^{message}$"):
+        bad._family_parts(1, "w")
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    for flags, optimize in (([], "0"), (["-O"], "1")):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _WALK_REFUSALS], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [optimize] + [f"DoesNotCloseUp {message}"] * 2
+
+
+def test_cores_are_read_through_the_letter_images_of_sigma_then_translate(grig):
+    # _tau holds translate(sigma(x)) per letter x, and w_n read through it
+    # reduces to translate(w_{n+1}), the core the grid uses
+    for idx, name in enumerate(grig.abd.letters):
+        image = apply_substitution(grig.sigma_abd, Word.letter(grig.abd, name))
+        assert grig._tau[idx] == grig.translate_bd_to_cd(image).letters, name
+    for family in ("w", "z"):
+        word = grig.relator_family("abd", family, 0)
+        for n in range(11):
+            after = apply_substitution(grig.sigma_abd, word)
+            reference = grig.translate_bd_to_cd(after)
+            read = chain.from_iterable(grig._tau[idx] for idx, _ in word.letters)
+            assert free_reduce(Word(grig.acd, tuple(read))) == reference, (n, family)
+            if n:
+                assert grig._family_parts(n, family)[2].letters == reference.letters, (n, family)
+            word = after
 
 
 def _whole_pieces(grig, factor, gs):
