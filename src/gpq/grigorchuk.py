@@ -24,22 +24,29 @@ level at which its case closes.
 Work per GrigorchukData, done once per factor on its first case: for each
 D_8 element g the reduced conjugator C_g (phi0(g) for the second factor,
 a phi0(g) for the first) and its inverse, and the chunks the transported
-word is assembled from: head C_g, mid d J(g, h) for g != h with
-J(g, h) = reduce(C_g^-1 C_h), and tail d C_g^-1, each with its Klein and
-dihedral normal forms, as tuples of ints.  Work per (n, family), memoised
-on the data: w_n (sigma applied once per n), the conjugators of its basic
-relation T(w_n) over D_8 (empty for n = 0, which is degenerate) from the
-prefix walk of basic_relation, with equal neighbours cancelled as integers,
-each piece C_g d C_g^-1 being an involution, the core w_{n+1} = sigma(w_n)
-over a,c,d through b -> cd, read off w_n through each letter's image, and
-the core's two normal forms.  Work per case (factor, x), per piece: one row
-of the D_8 table maps the cancelled conjugators to those of x T(w_n), still
-cancelled; the transported word and its dihedral form are the pieces'
-chunks concatenated, and one fold over the seams gives its Klein form.  The
-expected word joins C, the core and C^-1 at two seams, its normal forms by
-the same fold.  Letters are compared only when the two lengths agree, and a
-report's words are joined on first read.  No case computes a normal form
-by a pass over letters.
+word is assembled from: head C_g and tail d C_g^-1, each with its Klein and
+dihedral normal forms, as tuples of ints.  The mid chunks d J(g, h) for
+g != h, J(g, h) = reduce(C_g^-1 C_h), are built once for both factors: a
+is an involution, so reduce((a C_g)^-1 a C_h) = reduce(C_g^-1 C_h).  Work
+per (n, family), memoised on the data: w_n (sigma applied once per n), the
+conjugators of its basic relation T(w_n) over D_8 (empty for n = 0, which
+is degenerate) from the prefix walk of basic_relation, with equal
+neighbours cancelled as integers, each piece C_g d C_g^-1 being an
+involution, the core w_{n+1} = sigma(w_n) over a,c,d through b -> cd, read
+off w_n through each letter's image, and the core's two normal forms.  Work
+per (n, family, x), kept on the data until another is asked for: one row
+of the D_8 table maps the cancelled conjugators s_1 .. s_k to those of
+x T(w_n), still cancelled, and the middle of the transported word, the
+chunks mid[s_i][s_i+1], gets its letter count, its dihedral form (the
+chunks' forms concatenated) and its Klein form (one fold over the seams).
+The grid runs the two factors' cases of each x in a row, so each middle is
+built once.  Work per case (factor, x): the transported word is the head
+of s_1, the middle and the tail of s_k; its dihedral form is theirs
+concatenated, and its Klein form joins them at two seams by the same fold,
+which can cascade into the middle.  The expected word joins C, the core and
+C^-1 at two seams, its normal forms by the same fold.  Letters are compared
+only when the two lengths agree, and a report's words are joined on first
+read.  No case computes a normal form by a pass over letters.
 """
 
 from __future__ import annotations
@@ -83,12 +90,29 @@ class _Chunk(NamedTuple):
 class _Chunks(NamedTuple):
     """One factor's transport chunks, indexed by D_8 elements g and h: the
     conjugator C_g and C_g^-1, which the expected word joins around the core,
-    and the tables the transported word is assembled from."""
+    and the tables the transported word is assembled from.  The mid table is
+    the same for both factors: a is an involution, so
+    reduce((a C_g)^-1 a C_h) = reduce(C_g^-1 C_h)."""
 
     head: tuple  # C_g
     inverse: tuple  # C_g^-1
     mid: tuple  # mid[g][h] = d J(g, h), J(g, h) = reduce(C_g^-1 C_h); None for g = h
     tail: tuple  # d C_g^-1
+
+
+class _Middle(NamedTuple):
+    """The middle of the transported word of the cases (factor, x) of one
+    (n, family, x), which does not depend on the factor: for the cancelled
+    conjugators s_1 .. s_k of x T(w_n), the chunks mid[s_i][s_i+1], their
+    Klein form folded over the seams, their dihedral form concatenated, and
+    their letter count."""
+
+    first: int  # s_1
+    last: int  # s_k
+    chunks: tuple
+    klein: list
+    dihedral: list
+    length: int
 
 
 @dataclass(frozen=True)
@@ -107,10 +131,12 @@ class GrigorchukData:
     d16: FiniteGroupTable
     klein_cd: FiniteGroupTable
     # the _Chunks of each factor, built on first use; the last (n, w_n) of
-    # each family (_family_word); the memo of _family_parts
+    # each family (_family_word); the memo of _family_parts; the last
+    # ((n, family, x), _Middle) (_middle)
     _chunks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _words: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _last_middle: list = field(default_factory=lambda: [None, None], init=False, compare=False, repr=False)
 
     @cached_property
     def b_extension(self) -> SplitExtensionData:
@@ -160,7 +186,8 @@ class GrigorchukData:
             d = self._chunk(((self.acd.index("d"), 1),))
             head = tuple(self._chunk(_join(prefix, u.letters)) for u in self._phi0_words)
             inverse = tuple(self._chunk(c.letters[::-1]) for c in head)  # involutive letters
-            mid = tuple(
+            built = next(iter(self._chunks.values()), None)  # the other factor's
+            mid = built.mid if built else tuple(
                 tuple(
                     None if g == h else self._join_chunks(d, self._join_chunks(inverse[g], head[h]))
                     for h in range(len(head))
@@ -172,7 +199,7 @@ class GrigorchukData:
         return self._chunks[factor]
 
     def _chunk(self, letters: tuple) -> _Chunk:
-        word = Word(self.acd, letters)
+        word = Word._of(self.acd, letters)
         return _Chunk(letters, self.klein_nf(word), self.dihedral_nf(word))
 
     def _join_chunks(self, u: _Chunk, v: _Chunk) -> _Chunk:
@@ -298,6 +325,26 @@ class GrigorchukData:
             core = free_reduce(Word._of(self.acd, tuple(chain.from_iterable(tau[i] for i, _ in word.letters))))
             self._memo[key] = (tuple(_cancel(conjugators)), len(conjugators), self._chunk(core.letters))
         return self._memo[key]
+
+    def _middle(self, n: int, family: str, x: int, mid: tuple) -> _Middle:
+        """The _Middle of (n, family, x) over the mid table `mid`, kept until
+        another is asked for: the grid asks for each one twice in a row, once
+        per factor."""
+        key = (n, family, x)
+        if self._last_middle[0] != key:
+            stack, _, _ = self._family_parts(n, family)
+            row = self.d8.mul[x]  # ^x T(w_n): x g = x h only for g = h, so the stack stays cancelled
+            s = list(map(row.__getitem__, stack))
+            chunks = tuple(mid[g][h] for g, h in zip(s, s[1:]))
+            self._last_middle[:] = key, _Middle(
+                s[0],
+                s[-1],
+                chunks,
+                _fold([], map(itemgetter(1), chunks), self.klein_cd.mul),
+                list(chain.from_iterable(map(itemgetter(2), chunks))),
+                sum(map(len, map(itemgetter(0), chunks))),
+            )
+        return self._last_middle[1]
 
 
 def _check_chunks(chunks: _Chunks, d: tuple) -> _Chunks:
@@ -453,29 +500,12 @@ def _cancel(gs) -> list:
     return stack
 
 
-def _pieces(chunks: _Chunks, stack) -> list:
-    """The chunks of the pieces of conjugators `stack`, no two neighbours
-    equal: head[g1] mid[g1][g2] ... tail[gk].
-
-    As J(g, h) is non-empty and d-free, no seam at a d cancels: the reduced
-    word is the chunks' letters joined, and so is its dihedral form, J being
-    nontrivial in D_16.  In V, c d c d = 1 can make a seam product of the
-    Klein forms the identity, so _fold runs back into earlier chunks.
-    """
-    if not stack:
-        return []
-    head, _, mid, tail = chunks
-    pieces = [head[stack[0]]]
-    pieces.extend(mid[g][h] for g, h in zip(stack, stack[1:]))
-    pieces.append(tail[stack[-1]])
-    return pieces
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     """One case.  Its expected and computed words are kept as what they are
-    joined from, C, the core and C^-1, and the transported word's chunks, and
-    are built on first read."""
+    joined from, C, the core and C^-1, and the transported word's head chunk,
+    middle chunks (shared with the case of the other factor) and tail chunk,
+    and are built on first read."""
 
     n: int
     family: str
@@ -489,7 +519,7 @@ class VerificationReport:
     computed_length: int
     alphabet: Alphabet = field(repr=False)
     expected_parts: tuple = field(repr=False)  # (C, core, C^-1), reduced letters
-    computed_parts: tuple = field(repr=False)  # chunks, joined without cancellation
+    computed_parts: tuple = field(repr=False)  # (head, middle chunks, tail), joined without cancellation
 
     @cached_property
     def expected(self) -> Word:
@@ -498,7 +528,9 @@ class VerificationReport:
 
     @cached_property
     def computed(self) -> Word:
-        return Word._of(self.alphabet, tuple(chain.from_iterable(p.letters for p in self.computed_parts)))
+        head, mids, tail = self.computed_parts
+        letters = chain(head.letters, chain.from_iterable(map(itemgetter(0), mids)), tail.letters)
+        return Word._of(self.alphabet, tuple(letters))
 
     @cached_property
     def equal_free(self) -> bool:
@@ -573,15 +605,20 @@ def verify_sigma_identity(
     chunks = data._transport_chunks(factor)
     if x not in range(data.d8.order):
         raise ValueError(f"x must be a D_8 element index in 0..{data.d8.order - 1}")
-    stack, y_letters, core = data._family_parts(n, family)
-    row = data.d8.mul[x]  # ^x T(w_n): x g = x h only for g = h, so the stack stays cancelled
-    pieces = _pieces(chunks, list(map(row.__getitem__, stack)))
+    _, y_letters, core = data._family_parts(n, family)
+    middle = data._middle(n, family, x, chunks.mid)
+    # the transported word is head[s_1] mid[s_1][s_2] ... mid[s_k-1][s_k]
+    # tail[s_k].  As J(g, h) is non-empty and d-free, no seam at a d cancels:
+    # the reduced word is the chunks' letters joined, and so is its dihedral
+    # form, J being nontrivial in D_16.  In V, c d c d = 1 can make a seam
+    # product of the Klein forms the identity, so _fold runs back into the
+    # middle.  C and the core are reduced, so only the two joins can cancel,
+    # in the words and in their normal forms.
+    head, tail = chunks.head[middle.first], chunks.tail[middle.last]
     c, c_inv = chunks.head[x], chunks.inverse[x]
-    # C and the core are reduced, so only the two joins can cancel, in the
-    # words and in their normal forms
     klein_mul, dihedral_mul = data.klein_cd.mul, data.d16.mul
-    klein = _fold([], map(itemgetter(1), pieces), klein_mul)
-    dihedral = list(chain.from_iterable(map(itemgetter(2), pieces)))
+    klein = _fold(list(head.klein), (middle.klein, tail.klein), klein_mul)
+    dihedral = [*head.dihedral, *middle.dihedral, *tail.dihedral]
     return VerificationReport(
         n=n,
         family=family,
@@ -592,10 +629,10 @@ def verify_sigma_identity(
         equal_klein=klein == _fold(list(c.klein), (core.klein, c_inv.klein), klein_mul),
         equal_dihedral=dihedral == _fold(list(c.dihedral), (core.dihedral, c_inv.dihedral), dihedral_mul),
         expected_length=_joined_length(c.letters, core.letters, c_inv.letters),
-        computed_length=sum(map(len, map(itemgetter(0), pieces))),  # the chunks' letters
+        computed_length=len(head.letters) + middle.length + len(tail.letters),
         alphabet=data.acd,
         expected_parts=(c.letters, core.letters, c_inv.letters),
-        computed_parts=tuple(pieces),
+        computed_parts=(head, middle.chunks, tail),
     )
 
 
@@ -639,9 +676,12 @@ def run_full_verification(
     skipped = ("n=0 skipped: w_0 = (ad)^4 is b-free, its basic relation is empty",)
     for n in range(1, max_n + 1):
         for family in ("w", "z"):
-            for factor in ("first", "second"):
-                for x in range(data.d8.order):
-                    reports.append(verify_sigma_identity(data, n, family, factor, x))
+            # x before factor, so both factors' cases of an x share its middle
+            first, second = [], []
+            for x in range(data.d8.order):
+                first.append(verify_sigma_identity(data, n, family, "first", x))
+                second.append(verify_sigma_identity(data, n, family, "second", x))
+            reports += first + second
     by_level: dict = {}
     for rep in reports:
         key = rep.level or "unequal"

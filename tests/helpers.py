@@ -67,9 +67,9 @@ stands in the reference.
 
 `transport_induced_relation` expands a conjugated-b relator into a word over
 a,c,d, and `assemble` gives the letters, Klein form and dihedral form of a
-factor's pieces C_g d C_g^-1: both read the library's transport chunks the
-way its verification cases do, so the tests can check that path against
-whole-word reductions.
+factor's pieces C_g d C_g^-1, from the chunks `pieces_of` lists: all read
+the library's transport chunks the way its verification cases do, so the
+tests can check that path against whole-word reductions.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 
-from gpq.grigorchuk import _cancel, _fold, _pieces
+from gpq.grigorchuk import _cancel, _fold
 from gpq.induction import basic_relation, conjugate_relation
 from gpq.words import Word, apply_substitution, free_reduce, rotations_and_inverses
 
@@ -727,9 +727,27 @@ def transport_induced_relation(data, relation, factor):
 def assemble(data, factor, gs):
     """(letters, Klein form, dihedral form) of the free reduction of the
     pieces C_g d C_g^-1, g in gs, of one factor."""
-    pieces = _pieces(data._transport_chunks(factor), _cancel(gs))
+    pieces = pieces_of(data._transport_chunks(factor), _cancel(gs))
     return (
         tuple(chain.from_iterable(p.letters for p in pieces)),
         tuple(_fold([], (p.klein for p in pieces), data.klein_cd.mul)),
         tuple(chain.from_iterable(p.dihedral for p in pieces)),
     )
+
+
+def pieces_of(chunks, stack):
+    """The chunks of the pieces of conjugators `stack`, no two neighbours
+    equal: head[g1] mid[g1][g2] ... tail[gk].
+
+    As J(g, h) is non-empty and d-free, no seam at a d cancels: the reduced
+    word is the chunks' letters joined, and so is its dihedral form, J being
+    nontrivial in D_16.  In V, c d c d = 1 can make a seam product of the
+    Klein forms the identity, so _fold runs back into earlier chunks.
+    """
+    if not stack:
+        return []
+    head, _, mid, tail = chunks
+    pieces = [head[stack[0]]]
+    pieces.extend(mid[g][h] for g, h in zip(stack, stack[1:]))
+    pieces.append(tail[stack[-1]])
+    return pieces

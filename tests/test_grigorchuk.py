@@ -278,6 +278,80 @@ def test_the_grid_cancels_once_per_n_and_family(monkeypatch):
     assert len(calls) == 8
 
 
+def test_the_grid_builds_one_middle_per_n_family_and_x(monkeypatch):
+    # both factors' cases of an (n, family, x) share one middle: 4 x 2 x 8
+    # middles for the 128 cases of the n <= 4 grid, one kept at a time
+    built = []
+    middle = grigorchuk._Middle
+    monkeypatch.setattr(grigorchuk, "_Middle", lambda *args: built.append(args) or middle(*args))
+    data = make_grigorchuk_data()
+    _, summary = run_full_verification(data, 4)
+    assert summary.total == 128 and summary.all_equal
+    assert len(built) == 64
+    assert data._last_middle[0] == (4, "z", 7) and data._last_middle[1] == middle(*built[-1])
+
+
+def test_both_factors_share_each_middle(grig):
+    # the two reports of one (n, family, x) hold the same middle chunks, not
+    # a copy; those of different x do not
+    reports, _ = run_full_verification(make_grigorchuk_data(), 3)
+    by_case = {(rep.n, rep.family, rep.x, rep.factor): rep for rep in reports}
+    mids = []
+    for n in range(1, 4):
+        for family in ("w", "z"):
+            for x in range(8):
+                first, second = (by_case[n, family, x, factor].computed_parts[1] for factor in ("first", "second"))
+                assert first is second, (n, family, x)
+                mids.append(first)
+    assert len(set(map(id, mids))) == len(mids) == 48
+
+
+def test_grid_cases_come_in_n_family_factor_x_order(grig):
+    reports, _ = run_full_verification(make_grigorchuk_data(), 3)
+    names = [str(name) or "e" for name in grig.d8.element_names]
+    assert [rep.case_id() for rep in reports] == [
+        f"n={n} {family} {factor} x={name}"
+        for n in range(1, 4)
+        for family in ("w", "z")
+        for factor in ("first", "second")
+        for name in names
+    ]
+
+
+def test_both_factors_share_the_mid_table(grig):
+    # J(g, h) = reduce((a C_g)^-1 a C_h) = reduce(C_g^-1 C_h): the one mid
+    # table is what each factor's own heads and inverses give
+    d = grig._chunk(((grig.acd.index("d"), 1),))
+    first, second = grig._transport_chunks("first"), grig._transport_chunks("second")
+    assert first.mid is second.mid and first.head != second.head
+    for chunks in (first, second):
+        pairs = 0
+        for g in range(8):
+            for h in range(8):
+                if g == h:
+                    assert chunks.mid[g][h] is None
+                    continue
+                pairs += 1
+                want = grig._join_chunks(d, grig._join_chunks(chunks.inverse[g], chunks.head[h]))
+                assert chunks.mid[g][h] == want, (g, h)
+        assert pairs == 56
+
+
+def test_a_lone_case_after_a_grid_matches_the_grid():
+    # the kept middle is keyed by (n, family, x): a case of another n or
+    # family with the x of the grid's last middle builds its own
+    reports, _ = run_full_verification(make_grigorchuk_data(), 3)
+    by_case = {(rep.n, rep.family, rep.factor, rep.x): rep for rep in reports}
+    data = make_grigorchuk_data()
+    run_full_verification(data, 2)
+    assert data._last_middle[0] == (2, "z", 7)
+    for case in ((2, "w", "first", 7), (3, "w", "second", 7), (3, "z", "first", 7), (1, "z", "second", 7)):
+        lone, grid = verify_sigma_identity(data, *case), by_case[case]
+        assert lone.to_dict() == grid.to_dict(), case
+        assert lone.expected.letters == grid.expected.letters, case
+        assert lone.computed.letters == grid.computed.letters, case
+
+
 def test_joined_length_is_the_length_of_the_join():
     # cores shorter than, as long as and longer than the conjugator, so the
     # second seam reaches back into c, stops in the core, or both
