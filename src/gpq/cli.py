@@ -87,11 +87,11 @@ def _int_arg(text: str, spec: str) -> int:
 
 
 def _json_path(ctx, param, json_path: str | None):
-    """Refuse a --json PATH that is a directory or has no parent directory,
+    """Refuse a --json PATH that is empty, a directory or in no directory,
     before any work.  Nothing is opened here: a run that fails later leaves
     the file as it was."""
     if json_path is not None:
-        if os.path.isdir(json_path) or not os.path.isdir(os.path.dirname(json_path) or "."):
+        if not json_path or os.path.isdir(json_path) or not os.path.isdir(os.path.dirname(json_path) or "."):
             code = errno.EISDIR if os.path.isdir(json_path) else errno.ENOENT
             error = OSError(code, os.strerror(code), json_path)
             raise Refused(f"cannot write {json_path}: {error}")
@@ -149,10 +149,9 @@ def main():
 @click.option("--backend", required=True, help="free | abelian | dihedral:ORDER | bs:M,N")
 @click.option("--radius", type=click.IntRange(min=0), required=True)
 @click.option("--sphere", is_flag=True, help="build the metric sphere instead")
-@click.option("--pi1/--no-pi1", default=True, help="also report loop generators")
 @click.option("--kill-radius", "r_max", type=int, default=None, help="search the kill radius up to R")
 @click.option("--json", "json_path", type=click.Path(), default=None, callback=_json_path)
-def cmd_ball(path, backend, radius, sphere, pi1, r_max, json_path):
+def cmd_ball(path, backend, radius, sphere, r_max, json_path):
     """Build a metric ball of a presentation and report its topology."""
     doc = _load_document(path)
     caps = {"step_cap": _step_cap()}
@@ -173,7 +172,7 @@ def cmd_ball(path, backend, radius, sphere, pi1, r_max, json_path):
         "cells": len(ball.cells),
     }
     line = f"V={len(ball.vertices)} E={len(ball.edges)} C={len(ball.cells)}"
-    if pi1 and not sphere:
+    if not sphere:
         rank = len(ball.edges) - len(ball.vertices) + 1  # the rank `pi1_generators` asserts
         payload["pi1_rank"] = rank
         line += f" pi1={rank}"

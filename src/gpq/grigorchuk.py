@@ -21,32 +21,32 @@ d-letters multiplies neighbouring conjugator words inside the finite quotient
 <a,c>, which free reduction alone cannot see.  Each report states the first
 level at which its case closes.
 
-Work per GrigorchukData, done once per factor on its first case: for each
-D_8 element g the reduced conjugator C_g (phi0(g) for the second factor,
+Work per GrigorchukData, done on its first case: for each D_8 element g
+and each factor the reduced conjugator C_g (phi0(g) for the second factor,
 a phi0(g) for the first) and its inverse, and the chunks the transported
 word is assembled from: head C_g and tail d C_g^-1, each with its Klein and
 dihedral normal forms, as tuples of ints.  The mid chunks d J(g, h) for
 g != h, J(g, h) = reduce(C_g^-1 C_h), are built once for both factors: a
-is an involution, so reduce((a C_g)^-1 a C_h) = reduce(C_g^-1 C_h).  Work
-per (n, family), memoised on the data: w_n (sigma applied once per n), the
-conjugators of its basic relation T(w_n) over D_8 (empty for n = 0, which
-is degenerate) from the prefix walk of basic_relation, with equal
-neighbours cancelled as integers, each piece C_g d C_g^-1 being an
-involution, the core w_{n+1} = sigma(w_n) over a,c,d through b -> cd, read
-off w_n through each letter's image, and the core's two normal forms.  Work
-per (n, family, x), kept on the data until another is asked for: one row
-of the D_8 table maps the cancelled conjugators s_1 .. s_k to those of
-x T(w_n), still cancelled, and the middle of the transported word, the
-chunks mid[s_i][s_i+1], gets its letter count, its dihedral form (the
-chunks' forms concatenated) and its Klein form (one fold over the seams).
-The grid runs the two factors' cases of each x in a row, so each middle is
-built once.  Work per case (factor, x): the transported word is the head
-of s_1, the middle and the tail of s_k; its dihedral form is theirs
-concatenated, and its Klein form joins them at two seams by the same fold,
-which can cascade into the middle.  The expected word joins C, the core and
-C^-1 at two seams, its normal forms by the same fold.  Letters are compared
-only when the two lengths agree, and a report's words are joined on first
-read.  No case computes a normal form by a pass over letters.
+is an involution, so reduce((a C_g)^-1 a C_h) = reduce(C_g^-1 C_h).  Each
+family keeps one working record, of its last n: w_n (continued by sigma
+once per n), the conjugators of its basic relation T(w_n) over D_8 from
+the prefix walk of basic_relation (w_0 has none, and no record), their
+number and the stack s_1 .. s_k left when equal neighbours cancel, each
+piece C_g d C_g^-1 being an involution, the core w_{n+1} = sigma(w_n) over
+a,c,d through b -> cd, read off w_n through each letter's image, with its
+two normal forms, and the middle of the last x asked for.  Row x of the
+D_8 table maps the stack to that of x T(w_n), still cancelled, and the
+middle, the chunks mid[x s_i][x s_i+1], gets its letter count, its
+dihedral form (the chunks' forms concatenated) and its Klein form (one
+fold over the seams).  The grid runs the two factors' cases of each x in
+a row, so each middle is built once.  Work per case (factor, x): the
+transported word is the head of x s_1, the middle and the tail of x s_k;
+its dihedral form is theirs concatenated, and its Klein form joins them at
+two seams by the same fold, which can cascade into the middle.  The
+expected word joins C, the core and C^-1 at two seams, its normal forms
+by the same fold.  Letters are compared only when the two lengths agree,
+and a report's words are joined on first read.  No case computes
+a normal form by a pass over letters.
 """
 
 from __future__ import annotations
@@ -101,18 +101,30 @@ class _Chunks(NamedTuple):
 
 
 class _Middle(NamedTuple):
-    """The middle of the transported word of the cases (factor, x) of one
-    (n, family, x), which does not depend on the factor: for the cancelled
-    conjugators s_1 .. s_k of x T(w_n), the chunks mid[s_i][s_i+1], their
-    Klein form folded over the seams, their dihedral form concatenated, and
-    their letter count."""
+    """The middle of the transported word of one (n, family, x), the same for
+    both factors: for the cancelled conjugators s_1 .. s_k of x T(w_n), the
+    chunks mid[s_i][s_i+1], their Klein form folded over the seams, their
+    dihedral form concatenated, and their letter count."""
 
-    first: int  # s_1
-    last: int  # s_k
     chunks: tuple
     klein: list
     dihedral: list
     length: int
+
+
+@dataclass
+class _Family:
+    """The working record of one relator family at one n: w_n over a,b,d,
+    the D_8 conjugators of the y-letters of T(w_n) with equal neighbours
+    cancelled, the number of y-letters, the _Chunk of the core
+    translate(w_{n+1}), and the (x, _Middle) of the last x asked for."""
+
+    n: int
+    word: Word
+    stack: tuple
+    y_letters: int
+    core: _Chunk
+    middle: tuple = (None, None)
 
 
 @dataclass(frozen=True)
@@ -130,13 +142,8 @@ class GrigorchukData:
     d8: FiniteGroupTable
     d16: FiniteGroupTable
     klein_cd: FiniteGroupTable
-    # the _Chunks of each factor, built on first use; the last (n, w_n) of
-    # each family (_family_word); the memo of _family_parts; the last
-    # ((n, family, x), _Middle) (_middle)
-    _chunks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _words: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _last_middle: list = field(default_factory=lambda: [None, None], init=False, compare=False, repr=False)
+    # the working _Family of each relator family, at the last n asked for
+    _families: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @cached_property
     def b_extension(self) -> SplitExtensionData:
@@ -177,26 +184,22 @@ class GrigorchukData:
         """The letters of translate_bd_to_cd(sigma_abd(x)) for each a,b,d letter x."""
         return tuple(self.translate_bd_to_cd(image).letters for image in self.sigma_abd.images)
 
-    def _transport_chunks(self, factor: str) -> _Chunks:
-        """The _Chunks of the 'first' or 'second' factor, built on first use."""
-        if factor not in self._chunks:
-            if factor not in ("first", "second"):
-                raise ValueError("factor must be 'first' or 'second'")
-            prefix = ((self.acd.index("a"), 1),) if factor == "first" else ()
-            d = self._chunk(((self.acd.index("d"), 1),))
+    @cached_property
+    def _transport_chunks(self) -> dict:
+        """The _Chunks of the 'first' and the 'second' factor, around one mid
+        table, which the first factor's heads and inverses build."""
+        d, join = self._chunk(((self.acd.index("d"), 1),)), self._join_chunks
+        chunks, mid = {}, None
+        for factor, prefix in (("first", ((self.acd.index("a"), 1),)), ("second", ())):
             head = tuple(self._chunk(_join(prefix, u.letters)) for u in self._phi0_words)
             inverse = tuple(self._chunk(c.letters[::-1]) for c in head)  # involutive letters
-            built = next(iter(self._chunks.values()), None)  # the other factor's
-            mid = built.mid if built else tuple(
-                tuple(
-                    None if g == h else self._join_chunks(d, self._join_chunks(inverse[g], head[h]))
-                    for h in range(len(head))
-                )
-                for g in range(len(head))
+            mid = mid or tuple(
+                tuple(None if g == h else join(d, join(u, v)) for h, v in enumerate(head))
+                for g, u in enumerate(inverse)
             )
-            tail = tuple(self._join_chunks(d, c) for c in inverse)
-            self._chunks[factor] = _check_chunks(_Chunks(head, inverse, mid, tail), d.letters[0])
-        return self._chunks[factor]
+            tail = tuple(join(d, c) for c in inverse)
+            chunks[factor] = _check_chunks(_Chunks(head, inverse, mid, tail), d.letters[0])
+        return chunks
 
     def _chunk(self, letters: tuple) -> _Chunk:
         word = Word._of(self.acd, letters)
@@ -297,54 +300,42 @@ class GrigorchukData:
 
     # -- the part of a verification case shared by all (factor, x) ----------------
 
-    def _family_word(self, n: int, family: str) -> Word:
-        """relator_family("abd", family, n), continued from the family's last
-        word unless that lies beyond n: in the grid's order of n, sigma is
-        applied once per (n, family), and one word per family is kept."""
-        last = self._words.get(family)
-        if last is None or last[0] > n:
-            word = self.relator_family("abd", family, n)
-        else:
-            word = iterate_substitution(self.sigma_abd, last[1], n - last[0])
-        self._words[family] = (n, word)
-        return word
-
-    def _family_parts(self, n: int, family: str):
-        """(the D_8 conjugators of the y-letters of T(w_n) with equal
-        neighbours cancelled, the number of y-letters, the _Chunk of
-        translate(w_{n+1})) for the a,b,d variant, memoised.  Free reduction
-        commutes with concatenation, so the core is w_n read through _tau."""
-        key = (n, family)
-        if key not in self._memo:
+    def _family(self, n: int, family: str) -> _Family:
+        """The working record of `family` (a,b,d variant) at n, in place of its
+        last: w_n continues that record's w by sigma once per n, or is built
+        from the seed if that n lies beyond.  Free reduction commutes with
+        concatenation, so the core is w_n read through _tau."""
+        record = self._families.get(family)
+        if record is None or record.n != n:
             self._checked_seed("abd", family, n + 1)  # as if w_{n+1} were built
-            word = self._family_word(n, family)
+            if record is None or record.n > n:
+                word = self.relator_family("abd", family, n)
+            else:
+                word = iterate_substitution(self.sigma_abd, record.word, n - record.n)
             conjugators, _ = prefix_walk(word, self.b_extension)
             if not conjugators:
                 raise DegenerateCase(f"{family}_{n} has no inducible letters (b-free)")
             tau = self._tau
             core = free_reduce(Word._of(self.acd, tuple(chain.from_iterable(tau[i] for i, _ in word.letters))))
-            self._memo[key] = (tuple(_cancel(conjugators)), len(conjugators), self._chunk(core.letters))
-        return self._memo[key]
+            stack = tuple(_cancel(conjugators))
+            record = self._families[family] = _Family(n, word, stack, len(conjugators), self._chunk(core.letters))
+        return record
 
-    def _middle(self, n: int, family: str, x: int, mid: tuple) -> _Middle:
-        """The _Middle of (n, family, x) over the mid table `mid`, kept until
-        another is asked for: the grid asks for each one twice in a row, once
-        per factor."""
-        key = (n, family, x)
-        if self._last_middle[0] != key:
-            stack, _, _ = self._family_parts(n, family)
+    def _middle(self, record: _Family, x: int, mid: tuple) -> _Middle:
+        """The _Middle of x over the mid table `mid`, kept on the record until
+        another x is asked for: the grid asks for each one twice in a row,
+        once per factor."""
+        if record.middle[0] != x:
             row = self.d8.mul[x]  # ^x T(w_n): x g = x h only for g = h, so the stack stays cancelled
-            s = list(map(row.__getitem__, stack))
+            s = list(map(row.__getitem__, record.stack))
             chunks = tuple(mid[g][h] for g, h in zip(s, s[1:]))
-            self._last_middle[:] = key, _Middle(
-                s[0],
-                s[-1],
+            record.middle = x, _Middle(
                 chunks,
                 _fold([], map(itemgetter(1), chunks), self.klein_cd.mul),
                 list(chain.from_iterable(map(itemgetter(2), chunks))),
                 sum(map(len, map(itemgetter(0), chunks))),
             )
-        return self._last_middle[1]
+        return record.middle[1]
 
 
 def _check_chunks(chunks: _Chunks, d: tuple) -> _Chunks:
@@ -602,11 +593,13 @@ def verify_sigma_identity(
     is read over a,c,d through b -> cd.  Equality is reported at the free,
     Klein, and dihedral levels; inequality is reported, never raised.
     """
-    chunks = data._transport_chunks(factor)
+    chunks = data._transport_chunks.get(factor)
+    if chunks is None:
+        raise ValueError("factor must be 'first' or 'second'")
     if x not in range(data.d8.order):
         raise ValueError(f"x must be a D_8 element index in 0..{data.d8.order - 1}")
-    _, y_letters, core = data._family_parts(n, family)
-    middle = data._middle(n, family, x, chunks.mid)
+    record = data._family(n, family)
+    middle = data._middle(record, x, chunks.mid)
     # the transported word is head[s_1] mid[s_1][s_2] ... mid[s_k-1][s_k]
     # tail[s_k].  As J(g, h) is non-empty and d-free, no seam at a d cancels:
     # the reduced word is the chunks' letters joined, and so is its dihedral
@@ -614,7 +607,8 @@ def verify_sigma_identity(
     # product of the Klein forms the identity, so _fold runs back into the
     # middle.  C and the core are reduced, so only the two joins can cancel,
     # in the words and in their normal forms.
-    head, tail = chunks.head[middle.first], chunks.tail[middle.last]
+    row, core = data.d8.mul[x], record.core
+    head, tail = chunks.head[row[record.stack[0]]], chunks.tail[row[record.stack[-1]]]
     c, c_inv = chunks.head[x], chunks.inverse[x]
     klein_mul, dihedral_mul = data.klein_cd.mul, data.d16.mul
     klein = _fold(list(head.klein), (middle.klein, tail.klein), klein_mul)
@@ -625,7 +619,7 @@ def verify_sigma_identity(
         factor=factor,
         x=x,
         x_name=str(data.d8.element_names[x]),
-        y_letters=y_letters,
+        y_letters=record.y_letters,
         equal_klein=klein == _fold(list(c.klein), (core.klein, c_inv.klein), klein_mul),
         equal_dihedral=dihedral == _fold(list(c.dihedral), (core.dihedral, c_inv.dihedral), dihedral_mul),
         expected_length=_joined_length(c.letters, core.letters, c_inv.letters),

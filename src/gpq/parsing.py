@@ -258,6 +258,12 @@ def print_document(doc: Document) -> str:
 def document_of(presentation, substitutions=(), rules=()) -> Document:
     """Wrap library objects back into a printable document."""
     doc = Document()
+
+    def add(name, sub):  # a repeated or generated name gets '_' until new, as stable letters do
+        while name in doc.substitutions:
+            name += "_"
+        doc.substitutions[name] = sub
+
     if isinstance(presentation, EndomorphicPresentation):
         doc.endomorphic = True
         doc.alphabet = presentation.alphabet
@@ -265,12 +271,12 @@ def document_of(presentation, substitutions=(), rules=()) -> Document:
         doc.r_relators = list(presentation.r_relators)
         doc.name = presentation.name
         for sub in presentation.substitutions:
-            doc.substitutions[sub.name or f"phi{len(doc.substitutions)}"] = sub
+            add(sub.name or f"phi{len(doc.substitutions)}", sub)
     else:
         doc.alphabet = presentation.alphabet
         doc.relators = list(presentation.relators)
         doc.name = presentation.name
     for sub in substitutions:
-        doc.substitutions[sub.name or f"sub{len(doc.substitutions)}"] = sub
+        add(sub.name or f"sub{len(doc.substitutions)}", sub)
     doc.rules = list(rules)
     return doc

@@ -727,7 +727,9 @@ def transport_induced_relation(data, relation, factor):
 def assemble(data, factor, gs):
     """(letters, Klein form, dihedral form) of the free reduction of the
     pieces C_g d C_g^-1, g in gs, of one factor."""
-    pieces = pieces_of(data._transport_chunks(factor), _cancel(gs))
+    if factor not in data._transport_chunks:
+        raise ValueError("factor must be 'first' or 'second'")
+    pieces = pieces_of(data._transport_chunks[factor], _cancel(gs))
     return (
         tuple(chain.from_iterable(p.letters for p in pieces)),
         tuple(_fold([], (p.klein for p in pieces), data.klein_cd.mul)),

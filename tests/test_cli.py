@@ -403,6 +403,15 @@ def test_rewrite_has_no_step_limit_option(runner, tmp_path):
     assert "--step-limit" in result.stderr
 
 
+def test_ball_has_no_pi1_option(runner, tmp_path):
+    # a ball report always states its loop rank, E - V + 1
+    path = _write(tmp_path, "z2.gp", Z2_FILE)
+    for flag in ("--no-pi1", "--pi1"):
+        result = runner.invoke(main, ["ball", path, "--backend", "abelian", "--radius", "1", flag])
+        _assert_clean_exit(result, 2)
+        assert flag in result.stderr
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -414,7 +423,7 @@ def test_rewrite_has_no_step_limit_option(runner, tmp_path):
 def test_json_path_that_cannot_be_written_exit_code(runner, tmp_path, command):
     # refused before any work: nothing on stdout, where each command prints
     paths = {"z2": _write(tmp_path, "z2.gp", Z2_FILE), "d8": _write(tmp_path, "d8.gp", D8_FILE)}
-    for out in (str(tmp_path / "missing" / "report.json"), str(tmp_path)):
+    for out in (str(tmp_path / "missing" / "report.json"), str(tmp_path), ""):
         result = runner.invoke(main, [arg.format(**paths) for arg in command] + ["--json", out])
         _assert_clean_exit(result, 2)
         with pytest.raises(OSError) as opening:

@@ -148,6 +148,8 @@ def test_grigorchuk_data_takes_only_its_defining_values():
     assert [f.name for f in fields(GrigorchukData) if f.init] == [
         "abcd", "acd", "abd", "sigma_abcd", "sigma_acd", "sigma_abd", "seeds", "d8", "d16", "klein_cd",
     ]
+    # beyond them, only the working record of each relator family
+    assert [f.name for f in fields(GrigorchukData) if not f.init] == ["_families"]
 
 
 def test_transport_single_letters(grig):
@@ -202,8 +204,8 @@ def test_run_zero_is_empty(grig):
 
 def test_reports_replay_from_scratch(grig):
     # recomputing a report's words from its case id reproduces them
-    # byte-for-byte, on fresh data whose per-(n, family) memo the cases fill
-    # in reverse order
+    # byte-for-byte, on fresh data whose family records the cases build in
+    # reverse order, each (n, family) from the seed
     reports, _ = run_full_verification(grig, 3)
     fresh = make_grigorchuk_data()
     for rep in reversed(reports):
@@ -215,8 +217,8 @@ def test_reports_replay_from_scratch(grig):
 
 def test_reports_match_whole_word_reference():
     # every report for n <= 5 equals the earlier whole-word case, on fresh
-    # data whose per-(n, family) memo the cases fill forward, and on fresh
-    # data whose memo they fill in reverse
+    # data whose family records the cases continue forward, and on fresh
+    # data whose records they build in reverse
     forward, _ = run_full_verification(make_grigorchuk_data(), 5)
     cases = [(rep.n, rep.family, rep.factor, rep.x) for rep in forward]
     backward_data = make_grigorchuk_data()
@@ -280,7 +282,7 @@ def test_the_grid_cancels_once_per_n_and_family(monkeypatch):
 
 def test_the_grid_builds_one_middle_per_n_family_and_x(monkeypatch):
     # both factors' cases of an (n, family, x) share one middle: 4 x 2 x 8
-    # middles for the 128 cases of the n <= 4 grid, one kept at a time
+    # middles for the 128 cases of the n <= 4 grid, one kept per family
     built = []
     middle = grigorchuk._Middle
     monkeypatch.setattr(grigorchuk, "_Middle", lambda *args: built.append(args) or middle(*args))
@@ -288,7 +290,8 @@ def test_the_grid_builds_one_middle_per_n_family_and_x(monkeypatch):
     _, summary = run_full_verification(data, 4)
     assert summary.total == 128 and summary.all_equal
     assert len(built) == 64
-    assert data._last_middle[0] == (4, "z", 7) and data._last_middle[1] == middle(*built[-1])
+    record = data._families["z"]
+    assert (record.n, record.middle[0]) == (4, 7) and record.middle[1] == middle(*built[-1])
 
 
 def test_both_factors_share_each_middle(grig):
@@ -322,7 +325,7 @@ def test_both_factors_share_the_mid_table(grig):
     # J(g, h) = reduce((a C_g)^-1 a C_h) = reduce(C_g^-1 C_h): the one mid
     # table is what each factor's own heads and inverses give
     d = grig._chunk(((grig.acd.index("d"), 1),))
-    first, second = grig._transport_chunks("first"), grig._transport_chunks("second")
+    first, second = grig._transport_chunks["first"], grig._transport_chunks["second"]
     assert first.mid is second.mid and first.head != second.head
     for chunks in (first, second):
         pairs = 0
@@ -338,18 +341,46 @@ def test_both_factors_share_the_mid_table(grig):
 
 
 def test_a_lone_case_after_a_grid_matches_the_grid():
-    # the kept middle is keyed by (n, family, x): a case of another n or
-    # family with the x of the grid's last middle builds its own
+    # the kept middle lives on the record of one (n, family) and is keyed by
+    # x: a case of another n or family with the x of the grid's last middle
+    # builds its own
     reports, _ = run_full_verification(make_grigorchuk_data(), 3)
     by_case = {(rep.n, rep.family, rep.factor, rep.x): rep for rep in reports}
     data = make_grigorchuk_data()
     run_full_verification(data, 2)
-    assert data._last_middle[0] == (2, "z", 7)
+    assert (data._families["z"].n, data._families["z"].middle[0]) == (2, 7)
     for case in ((2, "w", "first", 7), (3, "w", "second", 7), (3, "z", "first", 7), (1, "z", "second", 7)):
         lone, grid = verify_sigma_identity(data, *case), by_case[case]
         assert lone.to_dict() == grid.to_dict(), case
         assert lone.expected.letters == grid.expected.letters, case
         assert lone.computed.letters == grid.computed.letters, case
+
+
+def test_lone_cases_in_shuffled_order_match_the_grid():
+    # every n <= 4 case alone, in a seeded shuffle, on one data: its family's
+    # record restarts below its n, jumps more than one n ahead, and loses the
+    # middle of an (n, family, x) between that x's two factors
+    reports, _ = run_full_verification(make_grigorchuk_data(), 4)
+    by_case = {(rep.n, rep.family, rep.factor, rep.x): rep for rep in reports}
+    cases = list(by_case)
+    random.Random(4249).shuffle(cases)
+    data = make_grigorchuk_data()
+    restarts = jumps = evictions = 0
+    seen = set()
+    for case in cases:
+        n, family, _, x = case
+        record = data._families.get(family)
+        if record is not None:
+            restarts += record.n > n
+            jumps += n - record.n > 1
+        if (n, family, x) in seen:
+            evictions += record is None or (record.n, record.middle[0]) != (n, x)
+        seen.add((n, family, x))
+        lone, grid = verify_sigma_identity(data, *case), by_case[case]
+        assert lone.to_dict() == grid.to_dict(), case
+        assert lone.expected.letters == grid.expected.letters, case
+        assert lone.computed.letters == grid.computed.letters, case
+    assert restarts and jumps and evictions
 
 
 def test_joined_length_is_the_length_of_the_join():
@@ -664,7 +695,13 @@ def test_family_words_apply_sigma_once_per_n(monkeypatch):
     assert calls == [True] * (2 * 4)
     for family in ("w", "z"):
         for n in (5, 2, 3, 0, 6):
-            assert data._family_word(n, family) == data.relator_family("abd", family, n)
+            if (n, family) == (0, "w"):
+                # w_0 is b-free: it gets no record, and w_3's stays
+                with pytest.raises(DegenerateCase):
+                    data._family(n, family)
+                assert data._families[family].n == 3
+                continue
+            assert data._family(n, family).word == data.relator_family("abd", family, n)
 
 
 def test_the_grid_builds_no_y_letter_and_no_word_past_max_n(monkeypatch):
@@ -694,7 +731,7 @@ print(sys.flags.optimize)
 grig = make_grigorchuk_data()
 # w_0 = b dies in D_8, w_1 = sigma(b) = d does not
 bad = dataclasses.replace(grig, seeds={**grig.seeds, ("abd", "w"): "b"})
-for refused in (lambda: bad._family_parts(1, "w"), lambda: basic_relation(Word.from_str(grig.abd, "d"), grig.b_extension)):
+for refused in (lambda: bad._family(1, "w"), lambda: basic_relation(Word.from_str(grig.abd, "d"), grig.b_extension)):
     try:
         refused()
     except Exception as exc:
@@ -708,17 +745,17 @@ def test_the_grid_reads_basic_relations_off_the_prefix_walk(grig):
     for n in range(1, 10):
         for family in ("w", "z"):
             basic = basic_relation(grig.relator_family("abd", family, n), grig.b_extension)
-            stack, y_letters, _ = grig._family_parts(n, family)
-            assert list(stack) == _cancel(yl.conjugator for yl in basic), (n, family)
-            assert y_letters == len(basic), (n, family)
+            record = grig._family(n, family)
+            assert list(record.stack) == _cancel(yl.conjugator for yl in basic), (n, family)
+            assert record.y_letters == len(basic), (n, family)
     with pytest.raises(DegenerateCase, match=r"^w_0 has no inducible letters \(b-free\)$"):
-        grig._family_parts(0, "w")
+        grig._family(0, "w")
     # a family word that does not close up is refused by the walk, with the
     # same message for the grid and for basic_relation, in process and under -O
     message = "'d' has quotient image d, not the identity"
     bad = dataclasses.replace(grig, seeds={**grig.seeds, ("abd", "w"): "b"})
     with pytest.raises(DoesNotCloseUp, match=f"^{message}$"):
-        bad._family_parts(1, "w")
+        bad._family(1, "w")
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     for flags, optimize in (([], "0"), (["-O"], "1")):
@@ -743,7 +780,7 @@ def test_cores_are_read_through_the_letter_images_of_sigma_then_translate(grig):
             read = chain.from_iterable(grig._tau[idx] for idx, _ in word.letters)
             assert free_reduce(Word(grig.acd, tuple(read))) == reference, (n, family)
             if n:
-                assert grig._family_parts(n, family)[2].letters == reference.letters, (n, family)
+                assert grig._family(n, family).core.letters == reference.letters, (n, family)
             word = after
 
 
@@ -823,7 +860,7 @@ def test_chunk_tables_are_checked_when_built(grig):
     # in D_16; a table that breaks one is refused
     d = (grig.acd.index("d"), 1)
     for factor in ("first", "second"):
-        chunks = grig._transport_chunks(factor)
+        chunks = grig._transport_chunks[factor]
         assert _check_chunks(chunks, d) is chunks
         good = chunks.mid[0][1]
         for bad in (

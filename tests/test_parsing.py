@@ -8,6 +8,7 @@ from gpq.endo import EndomorphicPresentation
 from gpq.errors import ParseError
 from gpq.parsing import document_of, parse_document, parse_presentation, print_document
 from gpq.presentations import Presentation
+from gpq.words import Alphabet, Substitution
 
 
 def test_parse_involutive_presentation():
@@ -117,6 +118,22 @@ def test_document_of_round_trips_library_objects():
     doc = document_of(p)
     reparsed = parse_document(print_document(doc))
     assert reparsed.presentation() == p
+
+
+def test_document_of_keeps_substitutions_whose_names_collide():
+    # an unnamed substitution's generated name, phi1 or sub1, is that of the
+    # named one before it; both are kept, in order, through print and parse
+    alphabet = Alphabet.make("a", "b")
+
+    def sub(rules, name=""):
+        return Substitution.from_rules(alphabet, rules, name)
+
+    images = ({"a": "a b", "b": "b"}, {"a": "a", "b": "b a"})
+    ep = EndomorphicPresentation(alphabet, (), (sub(images[0], "phi1"), sub(images[1])), ())
+    plain = Presentation.make("a, b", ["a b a' b'"], "ab")
+    for doc in (document_of(ep), document_of(plain, substitutions=(sub(images[0], "sub1"), sub(images[1])))):
+        reparsed = parse_document(print_document(doc))
+        assert [s.images for s in reparsed.substitutions.values()] == [sub(rules).images for rules in images]
 
 
 def test_rules_survive_round_trip():
