@@ -1,15 +1,15 @@
 """Word-problem oracles: finite tables, free / free-abelian groups, B(1,n).
 
 Every oracle names group elements by small hashable keys, equal exactly when
-the elements are.  It states its group law once, as `step(k, d)`: the key of
-k times the letter d = (index, exponent).  `identity` is the key of the empty
-word.  The base class folds `key(w)` from `identity` by one step per letter
-and derives `is_identity(w)` by comparing with `identity`; so an oracle
-defines `alphabet`, `identity`, `step` and `describe`, and nothing else.
-Keys are a table index, one int for the free and free-abelian groups (a
-step shifts a digit in or out, or adds a stride, read from a per-direction
-table the oracle derives once), and (p, m, r) for B(1,n).  Oracles are immutable after construction and
-safe for concurrent queries.
+the elements are.  It states its group law once, as `step(key, k)`: the key
+times the signed letter in column k of `Alphabet.directions`, as a ball's
+rows name it.  `identity` is the key of the empty word.  The base class
+folds `key(w)` from `identity` over the word's columns and derives
+`is_identity(w)`; so an oracle defines `alphabet`, `identity`, `step` and
+`describe`, and nothing else.  Keys are a table index, one int for the free
+and free-abelian groups (a step shifts a digit in or out, or adds a stride,
+read from a per-column table), and (p, m, r) for B(1,n).  Oracles are
+immutable after construction and safe for concurrent queries.
 """
 
 from __future__ import annotations
@@ -19,23 +19,23 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BadOrder, OracleMismatch, Unsupported
-from .words import Alphabet, Word, free_reduce
+from .words import Alphabet, Word
 
 
 class WordOracle:
-    """Interface: the identity key and one step per letter, from which keys
+    """Interface: the identity key and one step per column, from which keys
     and is_identity follow, plus a descriptor."""
 
     alphabet: Alphabet
     identity: object  # the key of the empty word
 
     def key(self, word: Word):
-        key, step = self.identity, self.step
-        for direction in word.letters:
-            key = step(key, direction)
+        key, step, column = self.identity, self.step, self.alphabet.columns
+        for k in [column[d] for d in word.letters]:
+            key = step(key, k)
         return key
 
-    def step(self, key, direction: tuple[int, int]):
+    def step(self, key, k: int):
         raise NotImplementedError
 
     def is_identity(self, word: Word) -> bool:
@@ -129,7 +129,7 @@ class FiniteGroupTable(WordOracle):
     @cached_property
     def _tree(self) -> list[tuple[int, int]]:
         """The tree of first entries, from a breadth-first pass over the rows, which are in its order."""
-        return _explore(range(len(self.alphabet.directions)), 0, lambda i, k: self.rows[i][k], math.inf)[0]
+        return _explore(range(len(self.alphabet.directions)), 0, self.step, math.inf)[0]
 
     @cached_property
     def element_names(self) -> tuple[Word, ...]:
@@ -174,8 +174,8 @@ class FiniteGroupTable(WordOracle):
             acc = self.mul[acc][g if exp == 1 else self.inv[g]]
         return acc
 
-    def step(self, key: int, direction: tuple[int, int]) -> int:
-        return self.rows[key][self.alphabet.columns[direction]]
+    def step(self, key: int, k: int) -> int:
+        return self.rows[key][k]
 
     def describe(self) -> str:
         gens = ",".join(self.alphabet.letters)
@@ -250,25 +250,13 @@ class FreeGroupOracle(WordOracle):
     identity = 0
 
     @cached_property
-    def _digits(self) -> dict[tuple[int, int], tuple[int, int]]:
-        """Each direction's digit, and the digit of its inverse."""
+    def _digits(self) -> tuple[tuple[int, int, int], ...]:
+        """Each column's digit, the digit of its inverse, and the base."""
         inverse = self.alphabet.inverse_columns
-        return {d: (k + 1, inverse[k] + 1) for d, k in self.alphabet.columns.items()}
+        return tuple((k + 1, back + 1, len(inverse) + 1) for k, back in enumerate(inverse))
 
-    @cached_property
-    def _base(self) -> int:
-        return len(self.alphabet.directions) + 1
-
-    def key(self, word: Word) -> int:
-        # one pass: free-reduce, then pack the reduced letters, the key a fold of `step` reaches
-        key, base, digits = 0, self._base, self._digits
-        for direction in free_reduce(word).letters:
-            key = key * base + digits[direction][0]
-        return key
-
-    def step(self, key: int, direction: tuple[int, int]) -> int:
-        digit, back = self._digits[direction]
-        base = self._base
+    def step(self, key: int, k: int) -> int:
+        digit, back, base = self._digits[k]
         if key % base == back:
             return key // base
         return key * base + digit
@@ -295,22 +283,30 @@ class FreeAbelianOracle(WordOracle):
                 raise OracleMismatch(f"involutive letter '{letter}' in a free abelian group")
 
     @cached_property
-    def _strides(self) -> dict[tuple[int, int], int]:
-        return {(i, e): e << 64 * i for i, e in self.alphabet.directions}
+    def _strides(self) -> tuple[int, ...]:
+        return tuple(e << 64 * i for i, e in self.alphabet.directions)
 
-    def step(self, key: int, direction: tuple[int, int]) -> int:
-        return key + self._strides[direction]
+    def step(self, key: int, k: int) -> int:
+        return key + self._strides[k]
 
     def describe(self) -> str:
         return f"free abelian group of rank {len(self.alphabet)}"
 
 
+def _rank_alphabet(k: int, alphabet: Alphabet | None) -> Alphabet:
+    """`alphabet`, by default the first k default names, which must have k letters."""
+    alphabet = Alphabet.make(*_DEFAULT_NAMES[:k]) if alphabet is None else alphabet
+    if len(alphabet) != k:
+        raise ValueError(f"rank {k} given with an alphabet of {len(alphabet)} letters")
+    return alphabet
+
+
 def free_oracle(k: int, alphabet: Alphabet | None = None) -> FreeGroupOracle:
-    return FreeGroupOracle(Alphabet.make(*_DEFAULT_NAMES[:k]) if alphabet is None else alphabet)
+    return FreeGroupOracle(_rank_alphabet(k, alphabet))
 
 
 def free_abelian_oracle(k: int, alphabet: Alphabet | None = None) -> FreeAbelianOracle:
-    return FreeAbelianOracle(Alphabet.make(*_DEFAULT_NAMES[:k]) if alphabet is None else alphabet)
+    return FreeAbelianOracle(_rank_alphabet(k, alphabet))
 
 
 # --- Baumslag-Solitar B(1, n) ----------------------------------------------------
@@ -329,10 +325,14 @@ class BaumslagSolitarOracle(WordOracle):
     n: int
     identity = (0, 0, 0)
 
-    def step(self, key: tuple[int, int, int], direction: tuple[int, int]) -> tuple[int, int, int]:
+    @cached_property
+    def _moves(self) -> tuple[tuple[int, int, int], ...]:
+        """Each column's letter index and sign, with n: one read per step."""
+        return tuple((i, e, self.n) for i, e in self.alphabet.directions)
+
+    def step(self, key: tuple[int, int, int], k: int) -> tuple[int, int, int]:
         p, m, r = key
-        idx, e = direction
-        n = self.n
+        idx, e, n = self._moves[k]
         if idx == 1:
             m += e * n**r
         elif r + e >= 0:

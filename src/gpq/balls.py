@@ -83,8 +83,10 @@ def _build(oracle: WordOracle, p: Presentation, r: int, basepoint: Word | None, 
     alphabet = p.alphabet
     if basepoint is None:
         basepoint = Word.identity(alphabet)
+    elif basepoint.alphabet != alphabet:
+        raise ValueError("basepoint over a different alphabet")
     dirs, column, invol = alphabet.directions, alphabet.columns, alphabet.involutive
-    tree, rows = _explore(dirs, oracle.key(basepoint), oracle.step, r)
+    tree, rows = _explore(range(len(dirs)), oracle.key(basepoint), oracle.step, r)
     paths = _first_paths(tree, dirs)
     if sphere:  # the last BFS layer: a suffix of discovery order, from vertex s on
         s = sum(len(path) < r for path in paths)

@@ -120,11 +120,11 @@ def _load_document(path: str):
 
 
 def _make_oracle(spec: str, alphabet):
-    kind, _, args = spec.partition(":")
-    if kind == "free":
-        return free_oracle(len(alphabet), alphabet)
-    if kind == "abelian":
-        return free_abelian_oracle(len(alphabet), alphabet)
+    kind, colon, args = spec.partition(":")
+    if kind in ("free", "abelian"):
+        if colon:
+            raise ParseError(f"backend {kind!r} takes no arguments, got {spec!r}")
+        return (free_oracle if kind == "free" else free_abelian_oracle)(len(alphabet), alphabet)
     if kind == "dihedral":
         order = _int_arg(args, spec)
         if len(alphabet) != 2:

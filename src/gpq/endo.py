@@ -181,7 +181,7 @@ def sigma_decode(sub: Substitution, word: Word, with_flags: bool = False):
         ambiguous = False
     else:
         parse, ambiguous = _decode_by_suffixes(sub, word)
-    source = Word(sub.alphabet, tuple(parse))
+    source = Word._of(sub.alphabet, tuple(parse))
     if apply_substitution(sub, source).letters != word.letters:
         raise RuntimeError(f"decoded source '{source}' does not map back to '{word}'")
     if with_flags:
@@ -282,7 +282,7 @@ def britton_pinch_reduce(
         if len(steps) >= step_cap:
             raise BrittonStuck("step cap reached", word=current, trace=tuple(steps))
         k0, k1, e0 = pinch
-        middle = Word(ep.alphabet, tuple(current.letters[k0 + 1 : k1]))
+        middle = Word._of(ep.alphabet, current.letters[k0 + 1 : k1])
         if e0 == 1:
             # t u t^-1 = phi(u); extend phi to inverses via phi(s^-1) = phi(s)^-1
             replacement = _apply_to_signed(sub, middle)
@@ -304,7 +304,7 @@ def britton_pinch_reduce(
                     trace=tuple(steps),
                 ) from None
             kind = "decode"
-        lifted = Word(combined, replacement.letters)
+        lifted = Word._of(combined, replacement.letters)
         steps.append(PinchStep(current, k0, k1 - k0 + 1, lifted, kind, sub))
         current = current.splice(k0, k1 - k0 + 1, lifted.letters)
 
@@ -313,11 +313,8 @@ def _apply_to_signed(sub: Substitution, word: Word) -> Word:
     out: list[tuple[int, int]] = []
     for idx, exp in word.letters:
         img = sub.images[idx]
-        if exp == 1:
-            out.extend(img.letters)
-        else:
-            out.extend(img.inverse().letters)
-    return Word(sub.alphabet, tuple(out))
+        out.extend((img if exp == 1 else img.inverse()).letters)
+    return Word._of(sub.alphabet, tuple(out))
 
 
 def replay_pinch_trace(word: Word, steps: tuple[PinchStep, ...]) -> Word | None:

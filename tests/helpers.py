@@ -578,7 +578,7 @@ def search_whole_words(p, loop, region, step_cap, extra_relators=()):
         for direction in letters:
             if key not in inside:
                 return False
-            key = oracle.step(key, direction)
+            key = oracle.step(key, alphabet.columns[direction])
         return key == base and key in inside
 
     def free_moves(letters):

@@ -240,6 +240,18 @@ def _exponents(oracle, key):
     return tuple(sums)
 
 
+def test_free_oracles_refuse_a_rank_other_than_the_alphabets():
+    ab = Alphabet.make("a", "b")
+    for make in (free_oracle, free_abelian_oracle):
+        assert len(make(2, ab).alphabet) == 2 and len(make(26).alphabet) == 26
+        for k in (1, 5):
+            with pytest.raises(ValueError, match=f"rank {k} given with an alphabet of 2 letters"):
+                make(k, ab)
+        # the default names run out at z
+        with pytest.raises(ValueError, match="rank 27 given with an alphabet of 26 letters"):
+            make(27)
+
+
 def test_free_oracles():
     f2 = free_oracle(2)
     assert _free_letters(f2, f2.key(W(f2, "a b b' "))) == ((0, 1),)
@@ -257,10 +269,10 @@ def test_free_abelian_keys_round_trip_near_the_field_bound():
     for start in product((edge, -edge, 0), repeat=3):
         key = sum(x << 64 * i for i, x in enumerate(start))
         assert _exponents(z3, key) == start
-        for i, e in z3.alphabet.directions:
+        for k, (i, e) in enumerate(z3.alphabet.directions):
             want = list(start)
             want[i] += e
-            assert _exponents(z3, z3.step(key, (i, e))) == tuple(want)
+            assert _exponents(z3, z3.step(key, k)) == tuple(want)
     top = sum((2**63 - 1) << 64 * i for i in range(3))
     assert _exponents(z3, top) == (2**63 - 1,) * 3
     assert _exponents(z3, -top) == (1 - 2**63,) * 3
@@ -350,7 +362,7 @@ def test_oracle_keys_agree_with_normal_forms(make):
         key = oracle.key(w)
         assert value(key) == reference(w)
         for d in dirs:
-            assert value(oracle.step(key, d)) == reference(w * Word(alphabet, (d,)))
+            assert value(oracle.step(key, alphabet.columns[d])) == reference(w * Word(alphabet, (d,)))
         # distinct keys name distinct elements
         assert key_of_value.setdefault(value(key), key) == key
 
@@ -373,7 +385,7 @@ def _reference_and_value(oracle):
             return tuple(sums)
 
         return exponent_sums, partial(_exponents, oracle)
-    # the free group's key packs its one-pass reduction, which `step` must follow
+    # the free group's key packs the reduced word, which its steps reach
     return (lambda word: free_reduce(word).letters), partial(_free_letters, oracle)
 
 

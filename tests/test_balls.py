@@ -11,7 +11,6 @@ import pytest
 
 from gpq.backends import (
     FiniteGroupTable,
-    FreeGroupOracle,
     WordOracle,
     bs_oracle,
     cyclic_group,
@@ -323,15 +322,24 @@ def test_ball_around_shifted_basepoint(z2_setup):
     assert pi1_generators(shifted).rank == pi1_generators(origin).rank
 
 
+def test_basepoint_over_another_alphabet_is_refused(z2_setup):
+    # y over <x, y> has the index of b in <a, b>, but it is not a word of the presentation
+    p, oracle = z2_setup
+    other = Word.letter(Alphabet.make("x", "y"), "y")
+    for build in (build_ball, build_sphere):
+        with pytest.raises(ValueError, match="basepoint over a different alphabet"):
+            build(oracle, p, 1, other)
+
+
 def _counting(oracle):
     """A copy of `oracle` whose class counts its step calls."""
     calls = Counter()
     base = type(oracle)
 
     class Counting(base):
-        def step(self, key, direction):
+        def step(self, key, k):
             calls["step"] += 1
-            return base.step(self, key, direction)
+            return base.step(self, key, k)
 
     return Counting(**{f.name: getattr(oracle, f.name) for f in fields(oracle)}), calls
 
@@ -341,12 +349,10 @@ def test_one_oracle_step_per_vertex_and_direction(setup, request):
     p, oracle = request.getfixturevalue(setup)
     counting, calls = _counting(oracle)
     directions = sum(1 if inv else 2 for inv in p.alphabet.involutive)
-    # the keys of the basepoint and of the checked relators fold one step per
-    # letter, except the free group's, which free-reduces in one pass
-    folds = not isinstance(oracle, FreeGroupOracle)
+    # the keys of the basepoint and of the checked relators fold one step per letter
     for r in range(5):
         for base in (None, Word(p.alphabet, ((1, 1), (0, 1), (1, 1)))):
-            folded = folds * ((0 if base is None else len(base)) + sum(len(rel) for rel in p.relators))
+            folded = (0 if base is None else len(base)) + sum(len(rel) for rel in p.relators)
             ball = build_ball(counting, p, r, base)
             assert calls.pop("step") == len(ball.vertices) * directions + folded
             # the sphere explores the whole ball to find its shell and edges
@@ -420,8 +426,9 @@ class _InverseLettersZOracle(WordOracle):
     def __init__(self, alphabet):
         self.alphabet = alphabet
 
-    def step(self, key, direction):
-        return key + direction[1] if direction[0] == 0 else key - direction[1]
+    def step(self, key, k):
+        idx, exp = self.alphabet.directions[k]
+        return key + exp if idx == 0 else key - exp
 
     def describe(self):
         return "Z with a = 1, b = -1"
@@ -522,8 +529,9 @@ class _TwistedZOracle(WordOracle):
     def __init__(self, alphabet):
         self.alphabet = alphabet
 
-    def step(self, key, direction):
-        return key + direction[1] if direction[0] == 0 else key
+    def step(self, key, k):
+        idx, exp = self.alphabet.directions[k]
+        return key + exp if idx == 0 else key
 
     def describe(self):
         return "Z with a = 1, b = 0"
@@ -645,8 +653,8 @@ class _WideZ2Oracle(WordOracle):
     def __init__(self, alphabet):
         self.alphabet = alphabet
 
-    def step(self, key, direction):
-        idx, exp = direction
+    def step(self, key, k):
+        idx, exp = self.alphabet.directions[k]
         if idx == 0:
             return (key[0] + exp, key[1])
         return (key[0], key[1] + exp) if idx == len(self.alphabet) - 1 else key
@@ -820,7 +828,7 @@ def test_rows_hold_the_oracle_neighbour_of_every_vertex(name):
                 index = {k: i for i, k in enumerate(keys)}
                 assert len(ball.neighbours) == len(keys)
                 for key, row in zip(keys, ball.neighbours):
-                    assert row == tuple(index.get(oracle.step(key, d)) for d in dirs)
+                    assert row == tuple(index.get(oracle.step(key, k)) for k in range(len(dirs)))
 
 
 @pytest.mark.parametrize("name", list(_BACKENDS))
@@ -839,7 +847,7 @@ def test_sphere_is_the_distance_r_subcomplex_of_the_ball(name):
             def on_shell(b, ri):
                 key = oracle.key(ball.vertices[b])
                 for direction in p.relators[ri].letters:
-                    key = oracle.step(key, direction)
+                    key = oracle.step(key, p.alphabet.columns[direction])
                     if key not in shell_keys:
                         return False
                 return True

@@ -278,15 +278,19 @@ def test_negative_ball_witness_exit_code(runner, tmp_path):
 
 @pytest.mark.parametrize(
     "backend, code",
-    [("dihedral:x", 2), ("bs:1,x", 2), ("bs:1", 2), ("dihedral:0", 3), ("bs:2,1", 3)],
+    [
+        ("dihedral:x", 2), ("bs:1,x", 2), ("bs:1", 2), ("abelian:junk", 2), ("free:2", 2), ("abelian:", 2),
+        ("dihedral:0", 3), ("bs:2,1", 3),
+    ],
 )
 def test_bad_backend_argument_exit_code(runner, tmp_path, backend, code):
-    # a non-integer argument does not parse; a parsed order with no oracle
-    # is an oracle mismatch
+    # a non-integer argument, or any argument to free or abelian, which take
+    # none, does not parse; a parsed order with no oracle is an oracle mismatch
     path = _write(tmp_path, "z2.gp", Z2_FILE)
     result = runner.invoke(main, ["ball", path, "--backend", backend, "--radius", "1"])
     _assert_clean_exit(result, code)
     assert len(result.stderr.splitlines()) == 1
+    assert result.stdout == ""
 
 
 @pytest.mark.parametrize(
