@@ -194,7 +194,8 @@ class Witness:
         """Re-apply every move; True iff each is legal and the loop dies
         inside the region.  A free move removes one cancelling pair and
         inserts nothing; a relator move is one of the presentation's
-        `cell_moves`; every loop, first to last, closes inside the region."""
+        `cell_moves`; each removes its letters at a position inside the
+        loop; every loop, first to last, closes inside the region."""
         current = self.start
         if not _loop_inside(self.region, current):
             return False
@@ -208,6 +209,8 @@ class Witness:
                 if i != j or not (invol[i] or e == -f):
                     return False
             elif mv.kind != "relator" or (mv.removed, mv.inserted) not in slides:
+                return False
+            if not 0 <= mv.position <= len(current) - len(mv.removed):
                 return False
             if current.letters[mv.position : mv.position + len(mv.removed)] != mv.removed:
                 return False

@@ -17,10 +17,11 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 from .errors import GpqError, LimitExceeded, OracleMismatch
 from .presentations import Presentation
-from .words import Alphabet, Word, free_reduce, rotations_and_inverses, words_up_to_length
+from .words import Alphabet, Word, free_reduce, rotations_and_inverses
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,11 @@ class RewritingSystem:
         start at most this far before pos can match after it."""
         return max((len(lhs) for lhs, _ in self.rules), default=1) - 1
 
+    @cached_property
+    def _sides(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+        """Each rule's lhs length and rhs letters: what a traced step reads."""
+        return tuple((len(lhs), rhs.letters) for lhs, rhs in self.rules)
+
 
 @dataclass(frozen=True)
 class ReductionStep:
@@ -73,10 +79,15 @@ class ReductionTrace:
     steps: tuple[ReductionStep, ...]
 
     def verify(self, rs: RewritingSystem) -> bool:
-        """Each step replaces the rule's lhs at the stated position; steps chain."""
+        """Each step names a rule of `rs` and replaces its lhs at a position
+        inside the word; steps chain."""
         for i, step in enumerate(self.steps):
+            if not 0 <= step.rule < len(rs.rules):
+                return False
             lhs, rhs = rs.rules[step.rule]
             p = step.position
+            if not 0 <= p <= len(step.before) - len(lhs):
+                return False
             if step.before.letters[p : p + len(lhs)] != lhs.letters:
                 return False
             if step.after.letters != step.before.splice(p, len(lhs), rhs.letters).letters:
@@ -117,22 +128,32 @@ def _rewrite(rs: RewritingSystem, code: str, step_limit: int) -> tuple[str, list
     while hit is not None:
         if len(moves) >= step_limit:
             return code, moves, False
-        pos, ri = hit.start(), hit.lastindex - 1
-        code = code[:pos] + rhs[ri] + code[hit.end() :]
+        pos, end = hit.span()
+        ri = hit.lastindex - 1
+        code = code[:pos] + rhs[ri] + code[end:]
         moves.append((ri, pos))
-        hit = search(code, max(0, pos - reach))
+        hit = search(code, pos - reach if pos > reach else 0)
     return code, moves, True
 
 
 def _traced(rs: RewritingSystem, word: Word, moves, irreducible: bool, step_limit: int):
     """The word that `moves` take `word` to, with their trace; LimitExceeded
-    with both when the moves stopped at the step limit."""
+    with both when the moves stopped at the step limit.  Each step's fields
+    are stored as `Word._of` stores a word's, past the frozen __init__."""
+    alphabet, sides, of, new = rs.alphabet, rs._sides, Word._of, object.__new__
     steps = []
-    current = word
+    current, letters = word, word.letters
     for ri, pos in moves:
-        lhs, rhs = rs.rules[ri]
-        after = Word._of(rs.alphabet, current.letters[:pos] + rhs.letters + current.letters[pos + len(lhs) :])
-        steps.append(ReductionStep(current, ri, pos, after))
+        width, rhs = sides[ri]
+        letters = letters[:pos] + rhs + letters[pos + width :]
+        after = of(alphabet, letters)
+        step = new(ReductionStep)
+        fields = step.__dict__
+        fields["before"] = current
+        fields["rule"] = ri
+        fields["position"] = pos
+        fields["after"] = after
+        steps.append(step)
         current = after
     trace = ReductionTrace(tuple(steps))
     if not irreducible:
@@ -280,11 +301,16 @@ def ball_null_homotopy_witness(
     For a geodesic system whose rules all correspond to relators of p, every
     reduction sequence w -> w1 -> ... -> e is a null-homotopy whose stages all
     have length <= 2r+1 (no rule lengthens a word), hence stay within B(r).
+    The candidates are enumerated as `Alphabet.code` strs, shortest first
+    and in column order within a length; a candidate becomes a `Word`, with
+    a trace, only when it rewrites to the empty word.
     Returns a certificate with one (word, trace) witness per identity word.
-    Raises LimitExceeded before reducing any word if there are more than
-    `word_cap` candidates, and, naming the word, if a candidate's reduction
-    hits `step_limit`.
+    Raises ValueError for a negative radius, LimitExceeded before reducing
+    any word if there are more than `word_cap` candidates, and, naming the
+    word, if a candidate's reduction hits `step_limit`.
     """
+    if r < 0:
+        raise ValueError("radius must be >= 0")
     if not is_geodesic(rs):
         raise NotGeodesic("witness construction requires a geodesic system")
     for rule in rs.rules:
@@ -301,15 +327,19 @@ def ball_null_homotopy_witness(
         count += layer
     if count > word_cap:
         raise LimitExceeded(f"more than {word_cap} candidate words at radius {r}")
+    dirs = rs.alphabet.directions
+    codes = rs.alphabet.code(dirs)
     witnesses = []
-    for w in words_up_to_length(rs.alphabet, bound):
-        code, moves, irreducible = _rewrite(rs, rs.alphabet.code(w.letters), step_limit)
-        if code and irreducible:
-            continue  # not an identity word: its trace is never built
-        try:
-            witnesses.append((w, _traced(rs, w, moves, irreducible, step_limit)[1]))
-        except LimitExceeded as exc:
-            raise LimitExceeded(f"candidate word '{w}': {exc}", exc.word, exc.trace) from None
+    for n in range(bound + 1):
+        for chars in product(codes, repeat=n):
+            code, moves, irreducible = _rewrite(rs, "".join(chars), step_limit)
+            if code and irreducible:
+                continue  # not an identity word: no Word or trace is built
+            w = Word._of(rs.alphabet, tuple([dirs[ord(c)] for c in chars]))
+            try:
+                witnesses.append((w, _traced(rs, w, moves, irreducible, step_limit)[1]))
+            except LimitExceeded as exc:
+                raise LimitExceeded(f"candidate word '{w}': {exc}", exc.word, exc.trace) from None
     return NullHomotopyCertificate(r, count, tuple(witnesses))
 
 

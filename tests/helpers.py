@@ -18,6 +18,12 @@ free-reduces and walks every candidate loop in full, and `rewrite_restart`
 the earlier rewriting loop, which rescans from the left after every step:
 references for the library's seam-cost search and resumed scan.
 
+`witness_word_by_word` is the earlier enumeration of
+`rewriting.ball_null_homotopy_witness`'s candidates: one `Word` per
+candidate, rewritten by `rewrite_restart`, with each step of an identity
+word's trace built by the `ReductionStep` constructor; a reference for the
+library's coded candidates and its steps built past `__init__`.
+
 `pi1_generators_second_bfs` is the earlier loop-generator construction,
 which finds a spanning tree by a second breadth-first search over an
 adjacency list with sorted rows; a reference for the library's reading of
@@ -79,9 +85,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 
+from gpq.errors import LimitExceeded
 from gpq.grigorchuk import _cancel, _fold
 from gpq.induction import basic_relation, conjugate_relation
-from gpq.words import Word, apply_substitution, free_reduce, rotations_and_inverses
+from gpq.rewriting import NullHomotopyCertificate, ReductionStep, ReductionTrace
+from gpq.words import Word, apply_substitution, free_reduce, rotations_and_inverses, words_up_to_length
 
 
 def closure_table(alphabet, values, compose, identity):
@@ -660,6 +668,25 @@ def rewrite_restart(rs, word, step_limit):
         after = letters[:pos] + rhs.letters + letters[pos + len(lhs) :]
         steps.append((letters, ri, pos, after))
         letters = after
+
+
+def witness_word_by_word(rs, r, step_limit):
+    """The certificate of `ball_null_homotopy_witness(rs, p, r, step_limit)`
+    for a p that every rule matches, or the LimitExceeded it raises."""
+    witnesses, checked = [], 0
+    for w in words_up_to_length(rs.alphabet, 2 * r + 1):
+        checked += 1
+        letters, steps, finished = rewrite_restart(rs, w, step_limit)
+        if letters and finished:
+            continue
+        trace = ReductionTrace(
+            tuple(ReductionStep(Word(rs.alphabet, b), ri, pos, Word(rs.alphabet, a)) for b, ri, pos, a in steps)
+        )
+        if not finished:
+            limit = f"no irreducible word within {step_limit} steps"
+            return LimitExceeded(f"candidate word '{w}': {limit}", Word(rs.alphabet, letters), trace)
+        witnesses.append((w, trace))
+    return NullHomotopyCertificate(r, checked, tuple(witnesses))
 
 
 def pi1_generators_second_bfs(ball):

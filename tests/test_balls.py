@@ -418,6 +418,20 @@ def test_replay_rejects_a_cell_the_presentation_lacks(z2_setup):
     assert Witness(loop, slide, build_ball(oracle, p, 2), 0, p).replay()
 
 
+def test_replay_rejects_a_move_outside_the_loop(z2_setup):
+    # an empty removal matches at every slice, and a slice clamps its
+    # position: at -5 or 5 the relator would go in at an end of the loop
+    p, oracle = z2_setup
+    region = build_ball(oracle, p, 3)
+    loop, rel = W(p, "b a b' a'"), W(p, "a b a' b'").letters
+
+    def replays(position):
+        return Witness(loop, (HomotopyMove(position, (), rel, "relator"),), region, 0, p).replay()
+
+    assert replays(0) and replays(4)
+    assert not replays(-5) and not replays(5)
+
+
 class _InverseLettersZOracle(WordOracle):
     """Z = <a, b | a b> on int keys: b is a^-1, so a b closes a loop."""
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -15,6 +16,8 @@ from gpq.rewriting import (
     Inconclusive,
     NotGeodesic,
     NullHomotopyCertificate,
+    ReductionStep,
+    ReductionTrace,
     RewritingSystem,
     abelian_plane_system,
     ball_null_homotopy_witness,
@@ -26,7 +29,7 @@ from gpq.rewriting import (
     reduce,
 )
 from gpq.words import Alphabet, Word, words_up_to_length
-from helpers import rewrite_restart
+from helpers import rewrite_restart, witness_word_by_word
 
 
 def W(rs, text):
@@ -62,6 +65,43 @@ def test_reduce_rejects_a_word_over_another_alphabet():
     xyz = Alphabet.make("x", "y", "z")
     with pytest.raises(ValueError, match="different alphabet"):
         reduce(rs, Word.from_str(xyz, "x x z"))
+
+
+def test_traced_steps_are_the_constructors_steps():
+    # _traced stores each step's fields past the frozen __init__: the steps
+    # must still be the dataclass's, field by field, and stay frozen
+    rs = dihedral_rewriting_system(8, ("a", "d"))
+    word = W(rs, "a d a d a d")
+    _, trace = reduce(rs, word)
+    want = [
+        ReductionStep(Word(rs.alphabet, before), rule, pos, Word(rs.alphabet, after))
+        for before, rule, pos, after in rewrite_restart(rs, word, 100)[1]
+    ]
+    assert len(trace.steps) == len(want) == 3
+    for step, built in zip(trace.steps, want):
+        assert type(step) is ReductionStep
+        assert step == built and hash(step) == hash(built) and repr(step) == repr(built)
+        assert vars(step) == vars(built)
+        with pytest.raises(FrozenInstanceError):
+            step.rule = 0
+
+
+def test_verify_refuses_steps_outside_the_rules_or_the_word():
+    rs = dihedral_rewriting_system(8, ("a", "d"))
+    _, trace = reduce(rs, W(rs, "a d a d a d"))
+    assert trace.verify(rs)
+
+    def forged(**fields):
+        return ReductionTrace(tuple(replace(s, **{k: f(s) for k, f in fields.items()}) for s in trace.steps))
+
+    # rule - 3 names the same rule from the end of the 3-rule list
+    assert not forged(rule=lambda s: s.rule - 3).verify(rs)
+    assert not forged(rule=lambda s: len(rs.rules)).verify(rs)
+    # d a d a -> a d a d at position 1 of a d a d a d, named from the end
+    first = trace.steps[0]
+    assert ReductionTrace((first,)).verify(rs)
+    assert not ReductionTrace((replace(first, position=first.position - len(first.before)),)).verify(rs)
+    assert not ReductionTrace((replace(first, position=len(first.before)),)).verify(rs)
 
 
 def test_is_geodesic():
@@ -181,9 +221,19 @@ def test_ball_witness_word_cap_is_checked_before_any_reduction(monkeypatch):
     calls = []
     rewrite = rewriting._rewrite
     monkeypatch.setattr(rewriting, "_rewrite", lambda *args: calls.append(args) or rewrite(*args))
+    ball_null_homotopy_witness(rs, p, 1, word_cap=15)
+    assert len(calls) == 15  # every candidate goes through _rewrite
+    calls.clear()
     with pytest.raises(LimitExceeded, match="^more than 14 candidate words at radius 1$"):
         ball_null_homotopy_witness(rs, p, 1, word_cap=14)
     assert calls == []
+
+
+def test_ball_witness_refuses_a_negative_radius():
+    rs = dihedral_rewriting_system(8, ("a", "d"))
+    p = Presentation.make("a!, d!", ["a a", "d d", "(a d)^4"], "d8")
+    with pytest.raises(ValueError, match="^radius must be >= 0$"):
+        ball_null_homotopy_witness(rs, p, -1)
 
 
 def test_ball_witness_free_group_vacuous():
@@ -294,6 +344,23 @@ def test_ball_witness_matches_a_reduce_per_candidate(make, relators, max_r):
         want = _witness_by_reduce(rs, r, 10_000)
         assert ball_null_homotopy_witness(rs, p, r) == want
         assert want.witnesses and all(trace.steps or w.is_empty() for w, trace in want.witnesses)
+
+
+@pytest.mark.parametrize(
+    "make, relators, max_r",
+    [
+        (lambda: dihedral_rewriting_system(8, ("a", "d")), ["a a", "d d", "(a d)^4"], 4),
+        (lambda: dihedral_rewriting_system(16, ("a", "d")), ["a a", "d d", "(a d)^8"], 3),
+        (abelian_plane_system, ["a b a' b'"], 3),
+    ],
+    ids=["d8", "d16", "z2"],
+)
+def test_ball_witness_matches_the_word_by_word_enumeration(make, relators, max_r):
+    rs = make()
+    gens = ", ".join(rs.alphabet.spec(i) for i in range(len(rs.alphabet)))
+    p = Presentation.make(gens, relators, "p")
+    for r in range(max_r + 1):
+        assert ball_null_homotopy_witness(rs, p, r) == witness_word_by_word(rs, r, 10_000)
 
 
 def test_ball_witness_limit_matches_a_reduce_per_candidate():
