@@ -62,6 +62,7 @@ from .errors import DegenerateCase, LimitExceeded
 from .induction import SplitExtensionData, prefix_walk
 from .presentations import Presentation
 from .words import (
+    LETTER_CAP,
     Alphabet,
     Substitution,
     Word,
@@ -72,11 +73,12 @@ from .words import (
 )
 
 
-# The longest relator-family word built.  Every sigma sends a to a word with
-# two a's, so w_n and z_n at least double with n; the cap admits every member
-# with n <= 11, hence the w_11 and z_11 cores of the n <= 10 grid (at most
-# 139,560 letters), and refuses w_40's trillions of letters before building any.
-FAMILY_LETTER_CAP = 1 << 18
+# The longest relator-family word built, the cap on a word read from text.
+# Every sigma sends a to a word with two a's, so w_n and z_n at least double
+# with n; the cap admits every member with n <= 11, hence the w_11 and z_11
+# cores of the n <= 10 grid (at most 139,560 letters), and refuses w_40's
+# trillions of letters before building any.
+FAMILY_LETTER_CAP = LETTER_CAP
 
 
 class _Chunk(NamedTuple):
@@ -596,7 +598,9 @@ def verify_sigma_identity(
     chunks = data._transport_chunks.get(factor)
     if chunks is None:
         raise ValueError("factor must be 'first' or 'second'")
-    if x not in range(data.d8.order):
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
+    if type(x) is not int or x not in range(data.d8.order):
         raise ValueError(f"x must be a D_8 element index in 0..{data.d8.order - 1}")
     record = data._family(n, family)
     middle = data._middle(record, x, chunks.mid)
@@ -661,8 +665,8 @@ def run_full_verification(
     case if the grid's longest words, w_(max_n + 1) and z_(max_n + 1), would
     exceed FAMILY_LETTER_CAP.
     """
-    if max_n < 0:
-        raise ValueError("max_n must be >= 0")
+    if type(max_n) is not int or max_n < 0:
+        raise ValueError(f"max_n must be an int >= 0, got {max_n!r}")
     if max_n:
         for family in ("w", "z"):
             data._checked_seed("abd", family, max_n + 1)

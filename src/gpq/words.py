@@ -5,8 +5,11 @@ Letters flagged involutive satisfy g^2 = 1, so g and g^-1 are identified and
 such letters are always stored with exponent +1.  Words are kept verbatim
 (possibly unreduced); ``free_reduce`` computes the unique reduced form in the
 free product of the letter groups (Z for ordinary letters, Z/2 for involutive
-ones).  The text format's tokenizer and word grammar live here too, so
-``Word.from_str`` and the ``parsing`` module read words the same way.
+ones).  The text format's tokenizer, one regex scan, and its word grammar,
+one loop over a stack of open groups, live here too, so ``Word.from_str`` and
+the ``parsing`` module read words the same way.  A word's text may expand to
+at most ``LETTER_CAP`` letters: a longer one is refused, with LimitExceeded,
+before it is built.
 
 A word's letters are checked once, where they enter the program: ``Word(...)``
 checks them, and so does ``Word.splice`` for the letters it inserts.  A word
@@ -21,9 +24,9 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from .errors import NegativeExponent, ParseError
+from .errors import LimitExceeded, NegativeExponent, ParseError
 
 
 @dataclass(frozen=True)
@@ -138,7 +141,8 @@ class Word:
         ``( ... )^k`` repeats a factor k times.
 
         Reads through the file-format tokenizer: malformed text raises
-        ParseError, an unknown letter KeyError.
+        ParseError, an unknown letter KeyError, and a text of more than
+        LETTER_CAP letters LimitExceeded.
         """
         if "#" in text:  # a comment in a file, but no part of a word
             raise ParseError(f"unexpected character '#' in word {text!r}")
@@ -227,109 +231,79 @@ def _checked(alphabet: Alphabet, letters: Iterable[tuple[int, int]]) -> tuple[tu
 
 
 # --- word text: the tokenizer and word grammar of the file format ------------
+# One pattern reads the tokens; one loop over a stack of open groups, the letters.
+
+LETTER_CAP = 1 << 18  # the most letters of a word read from text, or of a relator family word
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     text: str
     line: int
     col: int
 
 
 _PUNCT = {";", ",", ":", "(", ")", "^", "'", "!"}
+# a token, a '#' comment, a line break, or any other non-space character, an
+# error; \d is str.isdecimal(), \w str.isalnum() or '_', \S not str.isspace()
+_TOKEN = re.compile(r"->|[;,:()^'!]|\d+|\w+|#.*|\n|(?P<other>\S)")
 
 
 def _tokenize(text: str) -> list[_Tok]:
     toks = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch.isspace():
-            col += 1
-            i += 1
-        elif ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif text.startswith("->", i):
-            toks.append(_Tok("->", line, col))
-            i += 2
-            col += 2
-        elif ch in _PUNCT:
-            toks.append(_Tok(ch, line, col))
-            i += 1
-            col += 1
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Tok(text[i:j], line, col))
-            col += j - i
-            i = j
-        elif ch.isalnum() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok(text[i:j], line, col))
-            col += j - i
-            i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
+    line, start = 1, 0  # the line, and the offset of its first character
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
+        if tok == "\n":
+            line, start = line + 1, m.end()
+        elif m.lastgroup:
+            raise ParseError(f"unexpected character {tok!r}", line, m.start() - start + 1)
+        elif tok[0] != "#":
+            toks.append(_Tok(tok, line, m.start() - start + 1))
     return toks
 
 
 def _word_letters(alphabet: Alphabet, tokens: list[str]) -> tuple[tuple[int, int], ...]:
     """The (index, exponent) letters of a word's tokens; ParseError on
-    malformed text, KeyError on an unknown letter."""
-    pos = 0
-
-    def parse_seq(stop_at_close: bool) -> list[tuple[int, int]]:
-        nonlocal pos
-        out: list[tuple[int, int]] = []
-        while pos < len(tokens):
-            tok = tokens[pos]
-            if tok == ")":
-                if not stop_at_close:
-                    raise ParseError("unbalanced ')' in word")
-                return out
-            if tok == "(":
-                pos += 1
-                inner = parse_seq(True)
-                if pos >= len(tokens) or tokens[pos] != ")":
-                    raise ParseError("unbalanced '(' in word")
-                pos += 1
-                if pos < len(tokens) and tokens[pos] == "^":
-                    pos += 1
-                    if pos >= len(tokens) or not tokens[pos].isdigit():
-                        raise ParseError("expected integer after '^'")
-                    k = int(tokens[pos])
-                    pos += 1
-                else:
-                    k = 1
-                out.extend(inner * k)
-                continue
-            if tok in _PUNCT or tok == "->":
-                raise ParseError(f"unexpected {tok!r} in word")
-            idx = alphabet.index(tok)
+    malformed text, KeyError on an unknown letter, and LimitExceeded on a word
+    of more than LETTER_CAP letters, before a `)^k` builds it."""
+    groups: list[list[tuple[int, int]]] = [[]]  # the letters of each open group, outermost first
+    outside = 0  # the letters of every open group but the innermost
+    i, n = 0, len(tokens)
+    while i < n:
+        tok = tokens[i]
+        i += 1
+        if tok == "(":
+            outside += len(groups[-1])
+            groups.append([])
+        elif tok == ")":
+            if len(groups) == 1:
+                raise ParseError("unbalanced ')' in word")
+            inner = groups.pop()
+            k = 1
+            if i < n and tokens[i] == "^":
+                if i + 1 == n or not tokens[i + 1].isdecimal():  # the digits int() reads; not '²'
+                    raise ParseError("expected integer after '^'")
+                try:
+                    k = int(tokens[i + 1])
+                except ValueError:  # more digits than int() converts (4,300 by default): past the cap
+                    k = LETTER_CAP + 1
+                i += 2
+            if outside + k * len(inner) > LETTER_CAP:
+                raise LimitExceeded(f"a word's text expands to more than {LETTER_CAP:,} letters")
+            outside -= len(groups[-1])
+            groups[-1] += inner * k
+        elif tok in _PUNCT or tok == "->":
+            raise ParseError(f"unexpected {tok!r} in word")
+        else:
             exp = 1
-            pos += 1
-            if pos < len(tokens) and tokens[pos] == "'":
-                exp = -1
-                pos += 1
-            out.append((idx, exp))
-        if stop_at_close:
-            raise ParseError("unbalanced '(' in word")
-        return out
-
-    result = parse_seq(False)
-    if pos != len(tokens):
-        raise ParseError("trailing tokens in word")
-    return tuple(result)
+            if i < n and tokens[i] == "'":
+                exp, i = -1, i + 1
+            groups[-1].append((alphabet.index(tok), exp))
+    if len(groups) > 1:
+        raise ParseError("unbalanced '(' in word")
+    if len(groups[0]) > LETTER_CAP:
+        raise LimitExceeded(f"a word's text expands to more than {LETTER_CAP:,} letters")
+    return tuple(groups[0])
 
 
 def free_reduce(word: Word) -> Word:

@@ -71,6 +71,11 @@ It returns a `WholeWordReport`, its own record with the fields and the
 library's report (its lengths, its words joined on first read, its level)
 stands in the reference.
 
+`tokenize_by_characters` and `word_letters_recursive` are the earlier
+tokenizer of the text format, a branch per character class, and its earlier
+word grammar, a recursive descent with one call per open group; references
+for the library's one-pattern tokenizer and its loop over a stack of groups.
+
 `transport_induced_relation` expands a conjugated-b relator into a word over
 a,c,d, and `assemble` gives the letters, Klein form and dihedral form of a
 factor's pieces C_g d C_g^-1, from the chunks `pieces_of` lists: all read
@@ -85,7 +90,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 
-from gpq.errors import LimitExceeded
+from gpq.errors import LimitExceeded, ParseError
 from gpq.grigorchuk import _cancel, _fold
 from gpq.induction import basic_relation, conjugate_relation
 from gpq.rewriting import NullHomotopyCertificate, ReductionStep, ReductionTrace
@@ -780,3 +785,103 @@ def pieces_of(chunks, stack):
     pieces.extend(mid[g][h] for g, h in zip(stack, stack[1:]))
     pieces.append(tail[stack[-1]])
     return pieces
+
+
+_PUNCT = {";", ",", ":", "(", ")", "^", "'", "!"}
+
+
+def tokenize_by_characters(text):
+    """The (text, line, column) tokens of `text`, read one character class at
+    a time; ParseError at a character that starts no token."""
+    toks = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif ch.isspace():
+            col += 1
+            i += 1
+        elif ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif text.startswith("->", i):
+            toks.append(("->", line, col))
+            i += 2
+            col += 2
+        elif ch in _PUNCT:
+            toks.append((ch, line, col))
+            i += 1
+            col += 1
+        elif ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            toks.append((text[i:j], line, col))
+            col += j - i
+            i = j
+        elif ch.isalnum() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append((text[i:j], line, col))
+            col += j - i
+            i = j
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+    return toks
+
+
+def word_letters_recursive(alphabet, tokens):
+    """The (index, exponent) letters of a word's tokens, one recursive call
+    per open group; ParseError on malformed text, KeyError on an unknown
+    letter.  It reads an exponent that `str.isdigit` accepts with `int`, so
+    one such as '2' in superscript raises ValueError."""
+    pos = 0
+
+    def parse_seq(stop_at_close):
+        nonlocal pos
+        out = []
+        while pos < len(tokens):
+            tok = tokens[pos]
+            if tok == ")":
+                if not stop_at_close:
+                    raise ParseError("unbalanced ')' in word")
+                return out
+            if tok == "(":
+                pos += 1
+                inner = parse_seq(True)
+                if pos >= len(tokens) or tokens[pos] != ")":
+                    raise ParseError("unbalanced '(' in word")
+                pos += 1
+                if pos < len(tokens) and tokens[pos] == "^":
+                    pos += 1
+                    if pos >= len(tokens) or not tokens[pos].isdigit():
+                        raise ParseError("expected integer after '^'")
+                    k = int(tokens[pos])
+                    pos += 1
+                else:
+                    k = 1
+                out.extend(inner * k)
+                continue
+            if tok in _PUNCT or tok == "->":
+                raise ParseError(f"unexpected {tok!r} in word")
+            idx = alphabet.index(tok)
+            exp = 1
+            pos += 1
+            if pos < len(tokens) and tokens[pos] == "'":
+                exp = -1
+                pos += 1
+            out.append((idx, exp))
+        if stop_at_close:
+            raise ParseError("unbalanced '(' in word")
+        return out
+
+    result = parse_seq(False)
+    if pos != len(tokens):
+        raise ParseError("trailing tokens in word")
+    return tuple(result)

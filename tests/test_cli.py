@@ -127,6 +127,26 @@ def test_unknown_letter_in_word_message_is_unquoted(runner, tmp_path):
     assert result.stderr == "bad word: letter 'q' not in alphabet ('a', 'd')\n"
 
 
+@pytest.mark.parametrize(
+    "word, code, message",
+    [
+        ("(a d)^\u00b2", 2, "bad word: expected integer after '^'\n"),
+        ("((a d)^1000)^200", 4, "resource limit: a word's text expands to more than 262,144 letters\n"),
+    ],
+)
+def test_word_text_of_a_bad_exponent_or_past_the_letter_cap_exit_code(
+    runner, tmp_path, monkeypatch, word, code, message
+):
+    # a word past the cap is refused before rewriting; should one get past the
+    # parser, the step cap keeps its trace to one step of 400,000 letters
+    monkeypatch.setenv("GPQ_STEP_CAP", "1")
+    path = _write(tmp_path, "d8.gp", D8_FILE)
+    result = runner.invoke(main, ["rewrite", path, "--word", word])
+    _assert_clean_exit(result, code)
+    assert result.stderr == message
+    assert result.stdout == ""
+
+
 def test_unknown_letter_in_document_message_is_unquoted(runner, tmp_path):
     path = _write(tmp_path, "bad.gp", "gens a, b;\nrel a q;\n")
     result = runner.invoke(main, ["ball", path, "--backend", "free", "--radius", "1"])
@@ -502,6 +522,12 @@ WITNESS = ["rewrite", "{path}", "--ball-witness", "1"]
         # a rule that lengthens words; a rule with no relator of its own
         (b"gens a;\nrel a a a;\nrule a -> a a a a;\n", WITNESS, 2, "bad argument: "),
         (b"gens a!, d!;\nrel a a;\nrule a a -> ;\nrule d d -> ;\n", WITNESS, 3, "oracle mismatch: "),
+        # a superscript exponent, which str.isdigit accepts and int() does not
+        (b"gens a, b;\nrel (a b)^\xc2\xb2;\n", BALL, 2, "parse error in "),
+        # a word's text that expands past the letter cap, or an exponent too long for int()
+        (b"gens a, b;\nrel ((a b)^1000)^200;\n", BALL, 4, "resource limit: "),
+        pytest.param(b"gens a, b;\nrel (a)^" + b"1" * 5000 + b";\n", BALL, 4, "resource limit: ",
+                     id="exponent-of-5000-digits"),
     ],
 )
 def test_malformed_input_exit_code(runner, tmp_path, text, command, code, start):

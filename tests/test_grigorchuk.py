@@ -679,6 +679,19 @@ def test_verify_and_relator_family_reject_bad_arguments(grig):
         verify_sigma_identity(grig, -1, "w", "first", 0)
 
 
+@pytest.mark.parametrize("n, x", [(True, 0), (1.0, 0), (1, True), (1, 1.0), (1, False)])
+def test_verify_refuses_an_n_or_x_that_is_not_an_int(grig, n, x):
+    # True == 1 and 1.0 == 1, but a report's case id and x would keep them
+    with pytest.raises(ValueError, match="n must be an int" if type(n) is not int else "x must be"):
+        verify_sigma_identity(grig, n, "w", "first", x)
+
+
+@pytest.mark.parametrize("max_n", [True, 1.0, -1])
+def test_full_verification_refuses_a_max_n_other_than_an_int_at_least_0(grig, max_n):
+    with pytest.raises(ValueError, match="max_n must be an int >= 0"):
+        run_full_verification(grig, max_n)
+
+
 def test_family_words_apply_sigma_once_per_n(monkeypatch):
     # the grid up to max_n needs w_1 .. w_{max_n} of each family, and builds
     # each from the one before it; relator_family is unchanged

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpq.errors import NegativeExponent, ParseError
+from gpq.errors import LimitExceeded, NegativeExponent, ParseError
+from gpq.grigorchuk import FAMILY_LETTER_CAP
 from gpq.words import (
+    LETTER_CAP,
     Alphabet,
     Substitution,
     Word,
@@ -19,9 +22,11 @@ from gpq.words import (
     rename_word,
     words_of_length,
     words_up_to_length,
+    _tokenize,
+    _word_letters,
 )
 
-from helpers import words_of_length_recursive
+from helpers import tokenize_by_characters, word_letters_recursive, words_of_length_recursive
 
 AB = Alphabet.make("a", "b")
 INV_A = Alphabet.make("a!")
@@ -216,6 +221,7 @@ def test_from_str_parses_powers_and_inverses():
         ("a # b", ParseError),   # a file-format comment
         ("(a b", ParseError),    # unbalanced '('
         ("(a b)^ a", ParseError),  # '^' without an integer
+        ("(a b)^\u00b2", ParseError),  # a digit, but not one that int() reads
         ("a c", KeyError),       # a letter the alphabet lacks
     ],
 )
@@ -228,6 +234,86 @@ def test_from_str_bad_character_names_the_word():
     with pytest.raises(ParseError) as err:
         W(AB, "a $")
     assert str(err.value) == "unexpected character '$' in word 'a $'"
+
+
+def test_word_text_is_refused_past_the_letter_cap_before_it_is_built():
+    assert LETTER_CAP == FAMILY_LETTER_CAP == 262_144
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitExceeded):
+            W(AB, "((a b)^1000)^200")  # 400,000 letters, a list of 3.2 MB
+        assert tracemalloc.get_traced_memory()[1] < 1_000_000
+    finally:
+        tracemalloc.stop()
+    assert len(W(AB, f"(a b)^{LETTER_CAP // 2}")) == LETTER_CAP
+    assert len(W(AB, "((a b')^512)^256")) == LETTER_CAP
+    assert W(AB, "()^" + "9" * 5000 + " a") == W(AB, "a")  # an empty group repeats to nothing
+    for text in [
+        f"(a b)^{LETTER_CAP // 2} a",  # literal letters count too
+        f"a (a b)^{LETTER_CAP // 2}",
+        f"((a)^{LETTER_CAP} ((b)^{LETTER_CAP}",  # the letters of every open group count
+        "(a)^" + "1" * 5000,  # more digits than int() converts
+    ]:
+        with pytest.raises(LimitExceeded, match="more than 262,144 letters"):
+            W(AB, text)
+
+
+# each character class of the tokenizer; '-' and '>' apart start no token
+TEXT_CHARS = "ab_\u00e91 2\u0663\u00b2 \t\r\n#;,:()^'!->"
+EXPONENTS = ["0", "2", "12", "\u0663", "\u00b2"]
+WORD_TOKENS = ["a", "b", "c", "(", ")", "^", "'", *EXPONENTS, "->", ";", "!"]
+
+
+def _random_word_tokens(rng, depth=0):
+    """The tokens of a random word over a, b and the unknown c, with nested
+    groups and exponents, then as often as not with one token changed."""
+    tokens = []
+    for _ in range(rng.randrange(4)):
+        if depth < 3 and rng.random() < 0.3:
+            tokens += ["(", *_random_word_tokens(rng, depth + 1), ")"]
+            tokens += ["^", rng.choice(EXPONENTS)] if rng.random() < 0.6 else []
+        else:
+            tokens += ["c" if rng.random() < 0.05 else rng.choice("ab")] + ["'"] * (rng.random() < 0.3)
+    if depth == 0 and rng.random() < 0.5:
+        k = rng.randrange(len(tokens) + 1)
+        tokens[k : k + rng.randrange(2)] = [rng.choice(WORD_TOKENS)]
+    return tokens
+
+
+def _outcome(read, *args):
+    """(True, what `read(*args)` returns), or (False, the type name and
+    message of its error)."""
+    try:
+        return True, read(*args)
+    except (ParseError, KeyError, ValueError) as exc:
+        return False, (type(exc).__name__, str(exc))
+
+
+def test_tokenizer_matches_the_reference():
+    rng = random.Random(33)
+    for _ in range(20_000):
+        text = "".join(rng.choices(TEXT_CHARS, k=rng.randrange(16)))
+        ours, ref = _outcome(_tokenize, text), _outcome(tokenize_by_characters, text)
+        if "\u00b2" in text and ref[0]:
+            # a digit but not decimal: a word character to the pattern, so a
+            # token boundary next to it may move, but no character is lost
+            assert ours[0] and "".join(t[0] for t in ours[1]) == "".join(t[0] for t in ref[1]), repr(text)
+        else:
+            assert ours == ref, repr(text)
+
+
+def test_word_grammar_matches_the_reference():
+    rng = random.Random(33)
+    words = 0
+    for _ in range(20_000):
+        tokens = _random_word_tokens(rng)
+        ours, ref = _outcome(_word_letters, AB, tokens), _outcome(word_letters_recursive, AB, tokens)
+        if ref == (False, ("ValueError", "invalid literal for int() with base 10: '\u00b2'")):
+            assert ours == (False, ("ParseError", "expected integer after '^'")), tokens
+        else:
+            assert ours == ref, tokens
+        words += ref[0]
+    assert words > 8_000
 
 
 @given(st.integers(0, 2**32 - 1))
