@@ -49,12 +49,13 @@ class WordOracle:
 
 
 def _explore(directions, start, step, r):
-    """The tree of first entries and one row per key within r steps of
-    `start`, in discovery order (breadth-first, each key's steps in
-    `directions` order).  Entry k of a row is the index of the key one step
-    along directions[k], None beyond radius r; the tree holds (i, k) per key
-    j >= 1, rows[i][k] being the first entry that holds j, the step that
-    first reaches it.  `step(key, d)` is the key one step from `key` along d."""
+    """The tree of first entries, one row per key and each key's distance
+    from `start`, for the keys within r steps of it, in discovery order
+    (breadth-first, each key's steps in `directions` order).  Entry k of a
+    row is the index of the key one step along directions[k], None beyond
+    radius r; the tree holds (i, k) per key j >= 1, rows[i][k] being the
+    first entry that holds j, the step that first reaches it.  `step(key, d)`
+    is the key one step from `key` along d."""
     keys = [start]
     index = {start: 0}
     depths = [0]
@@ -72,7 +73,7 @@ def _explore(directions, start, step, r):
                 tree.append((len(rows), len(row)))
             row.append(j)
         rows.append(tuple(row))
-    return tree, rows
+    return tree, rows, depths
 
 
 def _first_paths(tree, directions) -> list[tuple[tuple[int, int], ...]]:

@@ -10,7 +10,9 @@ holds a vertex is the step that first reaches it, so the rows give each
 vertex's first path (the shortlex-least geodesic from the basepoint, by
 induction on distance); a vertex's name is the basepoint followed by it.
 The ball keeps that tree, as (parent, column) per vertex after the
-basepoint: `Ball.tree`.
+basepoint: `Ball.tree`.  Names are built from the tree on first read
+(`VertexNames`): building a ball, its loop generators and kill radii builds
+none.
 An edge or 2-cell belongs to the ball exactly when all its boundary vertices
 do.  On top of the complex: loop generators for the fundamental group from
 the tree of those first paths (each of length <= 2r+1), breadth-first
@@ -23,13 +25,26 @@ value, never a silent timeout.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .backends import WordOracle, _explore, _first_paths
 from .errors import Exhausted, NotNullHomotopic, OracleMismatch
 from .presentations import Presentation
 from .words import Word, free_reduce
+
+
+_NAMED_IN_FULL = 64  # letters; a longer word is named in a message by its head and length
+
+
+def _named(word: Word) -> str:
+    """`word` quoted for a one-line message: whole up to 64 letters, else
+    its first 64 letters and its length."""
+    if len(word) <= _NAMED_IN_FULL:
+        return f"'{word}'"
+    return f"'{Word._of(word.alphabet, word.letters[:_NAMED_IN_FULL])} ...' ({len(word)} letters)"
 
 
 def _check_oracle(oracle: WordOracle, p: Presentation):
@@ -39,7 +54,45 @@ def _check_oracle(oracle: WordOracle, p: Presentation):
         )
     for rel in p.relators:
         if not oracle.is_identity(rel):
-            raise OracleMismatch(f"relator '{rel}' is not trivial under {oracle.describe()}")
+            raise OracleMismatch(f"relator {_named(rel)} is not trivial under {oracle.describe()}")
+
+
+class VertexNames(Sequence):
+    """A ball's vertex names, basepoint * first path, in vertex order from
+    vertex `first` of a BFS tree on: `len` reads the tree, and any other read
+    builds the tuple of names once and answers from it.  Equal to, and hashed
+    like, that tuple."""
+
+    __slots__ = ("_alphabet", "_prefix", "_tree", "_first", "_names")
+
+    def __init__(self, alphabet, prefix: tuple[tuple[int, int], ...], tree, first: int = 0):
+        self._alphabet, self._prefix, self._tree, self._first = alphabet, prefix, tree, first
+        self._names = None
+
+    def _built(self) -> tuple[Word, ...]:
+        if self._names is None:
+            alphabet, prefix = self._alphabet, self._prefix
+            paths = _first_paths(self._tree, alphabet.directions)[self._first :]
+            self._names = tuple(Word._of(alphabet, prefix + path) for path in paths)
+        return self._names
+
+    def __len__(self):
+        return len(self._tree) + 1 - self._first
+
+    def __getitem__(self, i):
+        return self._built()[i]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __eq__(self, other):
+        return self._built() == (other._built() if isinstance(other, VertexNames) else other)
+
+    def __hash__(self):
+        return hash(self._built())
+
+    def __repr__(self):
+        return repr(self._built())
 
 
 @dataclass(frozen=True)
@@ -50,7 +103,9 @@ class Ball:
     oracle: WordOracle
     basepoint: Word
     radius: int
-    vertices: tuple[Word, ...]             # basepoint * first BFS path, discovery (shortlex) order
+    # basepoint * first BFS path, discovery (shortlex) order; `_build` gives
+    # a `VertexNames`, which builds the names on first read
+    vertices: Sequence[Word]
     edges: tuple[tuple[int, int, int], ...]  # (vertex, letter, vertex), positive direction
     cells: tuple[tuple[int, int], ...]     # (base vertex, relator index)
     distances: tuple[int, ...]
@@ -86,11 +141,12 @@ def _build(oracle: WordOracle, p: Presentation, r: int, basepoint: Word | None, 
     elif basepoint.alphabet != alphabet:
         raise ValueError("basepoint over a different alphabet")
     dirs, column, invol = alphabet.directions, alphabet.columns, alphabet.involutive
-    tree, rows = _explore(range(len(dirs)), oracle.key(basepoint), oracle.step, r)
-    paths = _first_paths(tree, dirs)
+    tree, rows, distances = _explore(range(len(dirs)), oracle.key(basepoint), oracle.step, r)
+    tree = tuple(tree)
+    s = bisect_left(distances, r) if sphere else 0
+    names = VertexNames(alphabet, basepoint.letters, tree, s)
     if sphere:  # the last BFS layer: a suffix of discovery order, from vertex s on
-        s = sum(len(path) < r for path in paths)
-        paths = paths[s:]
+        distances = distances[s:]
         rows = [tuple(None if j is None or j < s else j - s for j in row) for row in rows[s:]]
         tree = ()
     # a cell's boundary path from its base vertex, its last edge closing it
@@ -106,10 +162,8 @@ def _build(oracle: WordOracle, p: Presentation, r: int, basepoint: Word | None, 
         for ri, boundary in boundaries:
             if _walk(rows, i, boundary) is not None:
                 cells.append((i, ri))
-    prefix = basepoint.letters
     return Ball(
-        p, oracle, basepoint, r, tuple(Word._of(alphabet, prefix + path) for path in paths),
-        tuple(edges), tuple(cells), tuple(map(len, paths)), tuple(rows), tuple(tree), sphere,
+        p, oracle, basepoint, r, names, tuple(edges), tuple(cells), tuple(distances), tuple(rows), tree, sphere
     )
 
 
@@ -140,7 +194,8 @@ def pi1_generators(ball: Ball) -> LoopClassSet:
     """Spanning-tree loop generators; each has length <= 2r+1.
 
     The tree is the BFS tree that names the vertices, `Ball.tree`: a
-    vertex's tree path is its name after the basepoint.  A loop through
+    vertex's tree path is its name after the basepoint, read here off the
+    tree, so no name is built.  A loop through
     vertex p factors through geodesics to the basepoint, so each edge off the
     tree gives the generator tree-path * edge * reverse tree-path.  An edge
     (i, a, j) is on the tree when j's entry is (i, column of a), or i's entry
@@ -155,7 +210,7 @@ def pi1_generators(ball: Ball) -> LoopClassSet:
     reverse = [()]
     for i, k in tree:
         reverse.append((dirs[back[k]],) + reverse[i])
-    paths = [v.letters[len(ball.basepoint) :] for v in ball.vertices]
+    paths = _first_paths(tree, dirs)
     generators = []
     for i, li, j in ball.edges:
         k = column[(li, 1)]
@@ -346,7 +401,7 @@ def null_homotopy_search(
     if oracle is not region.oracle or p is not region.presentation:  # else `_build` checked them
         _check_oracle(oracle, p)
     if not oracle.is_identity(loop):
-        raise NotNullHomotopic(f"'{loop}' is not trivial under {oracle.describe()}")
+        raise NotNullHomotopic(f"{_named(loop)} is not trivial under {oracle.describe()}")
     if not _loop_inside(region, loop):
         raise ValueError(f"loop '{loop}' does not stay inside the region")
 
@@ -485,7 +540,7 @@ class Combing:
     """Per-vertex geodesic paths to the basepoint over the exhaustion by balls."""
 
     ball: Ball
-    paths: tuple[Word, ...]  # path word from basepoint to each vertex
+    paths: Sequence[Word]  # path word from basepoint to each vertex
 
     def path_vertices(self, vi: int) -> list[int]:
         """Indices of the vertices the combing path to vertex vi passes

@@ -211,12 +211,15 @@ def cmd_rewrite(path, word_text, confluence, witness_r, json_path):
             word = Word.from_str(doc.alphabet, word_text)
         except (ParseError, KeyError) as exc:
             raise Refused(f"bad word: {exc.args[0]}") from None
-        nf, trace = rw.reduce(rs, word, step_limit=limit)
-        click.echo(f"{word} -> {nf or 'e'} ({len(trace.steps)} steps)")
+        if json_path:  # only the report holds the trace
+            nf, trace = rw.reduce(rs, word, step_limit=limit)
+            steps = len(trace.steps)
+            payload["trace"] = json.loads(trace.to_json())
+        else:
+            nf, steps = rw.normal_form(rs, word, step_limit=limit)
+        click.echo(f"{word} -> {nf or 'e'} ({steps} steps)")
         payload["word"] = str(word)
         payload["normal_form"] = str(nf)
-        if json_path:
-            payload["trace"] = json.loads(trace.to_json())
 
     if confluence:
         result = rw.certify_local_confluence(rs, step_limit=limit)

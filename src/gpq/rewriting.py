@@ -5,7 +5,8 @@ lhs -> rhs.  Reduction rewrites the leftmost match first, the lowest rule
 index winning a tie.  It works on a word coded as a str by `Alphabet.code`,
 one character per letter, and finds each match with one regex scan of all
 left-hand sides (`RewritingSystem._scan`); the moves it makes are replayed
-into a full trace only for the words a caller keeps.
+into a full trace only for the words a caller keeps (`normal_form` replays
+none).
 Geodesic systems never increase length, which is what lets a reduction
 sequence of an identity word double as a null-homotopy staying inside a
 metric ball (see `ball_null_homotopy_witness`).
@@ -172,6 +173,20 @@ def reduce(rs: RewritingSystem, word: Word, step_limit: int = 10_000) -> tuple[W
         raise ValueError("word over a different alphabet")
     _, moves, irreducible = _rewrite(rs, rs.alphabet.code(word.letters), step_limit)
     return _traced(rs, word, moves, irreducible, step_limit)
+
+
+def normal_form(rs: RewritingSystem, word: Word, step_limit: int = 10_000) -> tuple[Word, int]:
+    """The word `reduce` returns, with its number of steps but no trace, so
+    memory stays at one word whatever the step count.  Raises `reduce`'s
+    LimitExceeded message, carrying the word reached and no trace."""
+    if word.alphabet != rs.alphabet:
+        raise ValueError("word over a different alphabet")
+    code, moves, irreducible = _rewrite(rs, rs.alphabet.code(word.letters), step_limit)
+    dirs = rs.alphabet.directions
+    nf = Word._of(rs.alphabet, tuple(dirs[ord(c)] for c in code))
+    if not irreducible:
+        raise LimitExceeded(f"no irreducible word within {step_limit} steps", word=nf)
+    return nf, len(moves)
 
 
 def is_geodesic(rs: RewritingSystem) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import Counter
 from dataclasses import fields
@@ -18,10 +19,12 @@ from gpq.backends import (
     free_abelian_oracle,
     free_oracle,
     klein_group,
+    _first_paths,
 )
 from gpq.balls import (
     Combing,
     HomotopyMove,
+    VertexNames,
     Witness,
     _loop_inside,
     _never_decreasing,
@@ -388,6 +391,26 @@ def test_search_checks_its_cells_against_the_oracle(z2_setup):
     bogus = Presentation.make("a, b", ["a b a' b'", "a"], "z2_with_a")
     with pytest.raises(OracleMismatch, match="relator 'a' is not trivial"):
         null_homotopy_search(oracle, bogus, loop, region)
+
+
+def test_long_words_are_named_by_their_head_and_length(z2_setup):
+    # a message names a word of more than 64 letters by its first 64 and its length
+    p, oracle = z2_setup
+    region = build_ball(oracle, p, 2)
+    head = " ".join(["a"] * 64)
+    bogus = Presentation.make("a, b", ["a b a' b'", "(a)^64"], "z2_with_a64")
+    with pytest.raises(OracleMismatch, match=f"relator '{head}' is not trivial"):
+        null_homotopy_search(oracle, bogus, W(p, "a b a' b'"), region)
+    bogus = Presentation.make("a, b", ["a b a' b'", "(a)^65"], "z2_with_a65")
+    with pytest.raises(OracleMismatch, match=rf"^relator '{head} \.\.\.' \(65 letters\) is not trivial under "):
+        build_ball(oracle, bogus, 1)
+    with pytest.raises(NotNullHomotopic, match=r"^'b b' is not trivial"):
+        null_homotopy_search(oracle, p, W(p, "b b"), region)
+    long = Word(p.alphabet, ((1, 1),) * 200_000)
+    with pytest.raises(NotNullHomotopic) as info:
+        null_homotopy_search(oracle, p, long, region)
+    assert str(info.value).startswith(f"'{' '.join(['b'] * 64)} ...' (200000 letters) is not trivial under ")
+    assert len(str(info.value)) < 300
 
 
 def test_replay_rejects_moves_that_open_the_loop(z2_setup):
@@ -1080,3 +1103,68 @@ def test_verify_tame_matches_walking_every_path(z2_setup):
         assert combing.verify_tame() == _tame_by_walking_every_path(combing), trial
         outcomes[kind, verdict] += 1
     assert all(outcomes[kind, verdict] >= 10 for kind in range(4) for verdict in (True, False)), outcomes
+
+
+def _names_built(ball) -> bool:
+    assert type(ball.vertices) is VertexNames
+    return ball.vertices._names is not None
+
+
+def test_building_balls_loop_generators_and_kill_radii_builds_no_vertex_name(z2_setup):
+    p, oracle = z2_setup
+    basepoint = W(p, "a b'")
+    ball = build_ball(oracle, p, 3, basepoint)
+    sphere = build_sphere(oracle, p, 3, basepoint)
+    assert not _names_built(ball) and not _names_built(sphere)
+    assert len(ball.vertices) == 25 and len(sphere.vertices) == 12
+    assert pi1_generators(ball).rank == 12
+    assert kill_radius(ball, 4) == 3
+    assert pi1_kill_radius(oracle, p, 2, 3) == 2
+    assert not _names_built(ball) and not _names_built(sphere)
+    # a name read builds them all, once
+    assert ball.vertices[0] == basepoint and _names_built(ball)
+    built = ball.vertices._names
+    assert ball.vertices[-1] is built[-1] and ball.vertices._names is built
+
+
+def test_pi1_kill_radius_builds_no_vertex_name(z2_setup, monkeypatch):
+    p, oracle = z2_setup
+    built = []
+    monkeypatch.setattr(VertexNames, "_built", lambda names: built.append(names))
+    assert pi1_kill_radius(oracle, p, 2, 3) == 2
+    assert built == []
+
+
+@pytest.mark.parametrize("name", ["z2", "z3", "f2", "bs12", "d8"])
+def test_vertex_names_are_the_basepoint_and_the_first_paths(name):
+    # the names as eager code builds them: the basepoint followed by each
+    # vertex's first path; a sphere's are those of the paths of length r
+    p, oracle = _backend(name)
+    dirs = p.alphabet.directions
+    rng = random.Random(f"vertex-names-{name}")
+    for trial in range(12):
+        base = tuple(rng.choice(dirs) for _ in range(rng.randrange(1, 5)))
+        basepoint = Word(p.alphabet, base)
+        r = rng.randrange(5)
+        ball = build_ball(oracle, p, r, basepoint)
+        paths = _first_paths(ball.tree, dirs)
+        for built, want in (
+            (ball, [Word(p.alphabet, basepoint.letters + path) for path in paths]),
+            (build_sphere(oracle, p, r, basepoint), [Word(p.alphabet, basepoint.letters + path) for path in paths if len(path) == r]),
+        ):
+            names, want = built.vertices, tuple(want)
+            assert len(names) == len(want) and not _names_built(built)
+            assert names == want and want == names and not names != want
+            assert hash(names) == hash(want) and repr(names) == repr(want)
+            assert list(names) == list(want) and names[1:] == want[1:] and type(names[1:]) is tuple
+            assert all(v in names for v in want) and names.index(want[-1]) == len(want) - 1
+            assert tuple(map(len, names)) == tuple(len(basepoint) + d for d in built.distances)
+            # a ball with its names as a plain tuple is equal to it, and hashes alike
+            plain = dataclasses.replace(built, vertices=want)
+            assert plain == built and built == plain and hash(plain) == hash(built)
+            kept = dataclasses.replace(built, radius=built.radius)
+            assert kept.vertices is names and kept == built
+            fresh = (build_sphere if built.is_sphere else build_ball)(oracle, p, r, basepoint)
+            assert fresh.vertices == names and fresh == built
+            if len(want) > 1:
+                assert dataclasses.replace(built, vertices=want[::-1]) != built

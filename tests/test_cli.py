@@ -6,6 +6,7 @@ import json
 import random
 import shlex
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -96,6 +97,79 @@ def test_oracle_mismatch_exit_code(runner, tmp_path):
     path = _write(tmp_path, "z2.gp", Z2_FILE)
     result = runner.invoke(main, ["ball", path, "--backend", "free", "--radius", "1"])
     assert result.exit_code == 3
+
+
+def test_oracle_mismatch_names_a_long_relator_in_one_short_line(runner, tmp_path):
+    # a relator at the 262,144-letter cap is named by its head and length
+    path = _write(tmp_path, "long.gp", "gens a, b;\nrel (a b)^131072;\n")
+    result = runner.invoke(main, ["ball", path, "--backend", "abelian", "--radius", "1"])
+    _assert_clean_exit(result, 3)
+    assert len(result.stderr.splitlines()) == 1 and len(result.stderr.encode()) < 1024
+    assert result.stderr == (
+        f"oracle mismatch: relator '{' '.join(['a b'] * 32)} ...' (262144 letters) "
+        "is not trivial under free abelian group of rank 2\n"
+    )
+    assert result.stdout == ""
+
+
+def test_rewrite_word_without_json_keeps_no_trace(runner):
+    # memory stays at one word's length whatever the step count: 6,250
+    # traced steps of a 10,000-letter word held about 250 MB
+    d8 = str(REPO / "samples" / "d8.gp")
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, ["rewrite", d8, "--word", "(a d)^5000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0, result.output
+    assert result.stdout.endswith(" -> e (6250 steps)\n")
+    assert peak < 5_000_000
+
+
+@pytest.mark.parametrize(
+    "word, stdout, steps",
+    [("a d a d a", "a d a d a -> d a d (2 steps)\n", 2), ("a d", "a d -> a d (0 steps)\n", 0), ("a a", "a a -> e (1 steps)\n", 1)],
+)
+def test_rewrite_word_line_is_the_same_with_and_without_json(runner, tmp_path, word, stdout, steps):
+    d8 = str(REPO / "samples" / "d8.gp")
+    out = str(tmp_path / "r.json")
+    plain = runner.invoke(main, ["rewrite", d8, "--word", word])
+    traced = runner.invoke(main, ["rewrite", d8, "--word", word, "--json", out])
+    assert plain.exit_code == traced.exit_code == 0
+    assert plain.stdout == traced.stdout == stdout
+    assert len(json.loads(Path(out).read_text())["payload"]["trace"]["steps"]) == steps
+
+
+def test_rewrite_word_step_limit_message_without_json(runner, tmp_path, monkeypatch):
+    monkeypatch.setenv("GPQ_STEP_CAP", "300")
+    path = _write(tmp_path, "exp.gp", EXPANDING_FILE)
+    for extra in ([], ["--json", str(tmp_path / "r.json")]):
+        result = runner.invoke(main, ["rewrite", path, "--word", "a", *extra])
+        _assert_clean_exit(result, 4)
+        assert result.stderr == "resource limit: no irreducible word within 300 steps\n"
+        assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--radius", "3", "--kill-radius", "4"],
+        ["--radius", "3", "--json", "{out}"],
+        ["--radius", "3", "--sphere", "--json", "{out}"],
+    ],
+)
+def test_ball_command_builds_no_vertex_name(runner, tmp_path, monkeypatch, args):
+    # the summary, the JSON report and the kill radius read counts and rows only
+    built = []
+    names = balls.VertexNames._built
+    monkeypatch.setattr(balls.VertexNames, "_built", lambda self: built.append(self) or names(self))
+    path = str(REPO / "samples" / "z2.gp")
+    out = str(tmp_path / "ball.json")
+    result = runner.invoke(main, ["ball", path, "--backend", "abelian", *(a.format(out=out) for a in args)])
+    assert result.exit_code == 0, result.output
+    assert result.stdout.startswith("V=25 E=36 C=12 pi1=12" if "--sphere" not in args else "V=12 E=0 C=0")
+    assert built == []
 
 
 def test_rewrite_word_and_confluence(runner, tmp_path):

@@ -26,6 +26,7 @@ from gpq.rewriting import (
     dihedral_rewriting_system,
     free_reduction_system,
     is_geodesic,
+    normal_form,
     reduce,
 )
 from gpq.words import Alphabet, Word, words_up_to_length
@@ -310,6 +311,37 @@ def test_resumed_reduce_matches_restart_reference():
             limited += not want[2]
     # every system rewrites, and the expanding one also stops at its limit
     assert steps > 5_000 and limited > 20
+
+
+def test_normal_form_is_reduce_without_its_trace():
+    # the same word and step count, or the same LimitExceeded message and word
+    rng = random.Random(34)
+    expanding = RewritingSystem.make("a, b", [("a a'", ""), ("b a", "a b a"), ("b' b", "")])
+    limited = 0
+    for rs, limit in (
+        (dihedral_rewriting_system(8, ("a", "d")), 10_000),
+        (abelian_plane_system(), 10_000),
+        (free_reduction_system(Alphabet.make("a", "b!", "c")), 10_000),
+        (expanding, 40),
+    ):
+        symbols = rs.alphabet.directions
+        for _ in range(100):
+            word = Word(rs.alphabet, tuple(rng.choice(symbols) for _ in range(rng.randrange(40))))
+            try:
+                nf, trace = reduce(rs, word, limit)
+            except LimitExceeded as want:
+                with pytest.raises(LimitExceeded) as got:
+                    normal_form(rs, word, limit)
+                assert str(got.value) == str(want) and got.value.word == want.word
+                assert got.value.trace is None
+                limited += 1
+            else:
+                assert normal_form(rs, word, limit) == (nf, len(trace.steps))
+                assert str(normal_form(rs, word, limit)[0]) == str(nf)
+    assert limited > 10
+    xyz = Alphabet.make("x", "y", "z")
+    with pytest.raises(ValueError, match="different alphabet"):
+        normal_form(free_reduction_system(Alphabet.make("a")), Word.from_str(xyz, "x"))
 
 
 def _witness_by_reduce(rs, r, step_limit):
