@@ -6,12 +6,14 @@ one stable letter per member of Phi, with conjugacy relations t s t^-1 =
 phi(s), yields a finitely presented generalized HNN extension.  Killing the
 original generators leaves the free group L on the stable letters; its
 positive monoid orders the extension's "horizontal" levels.
+
+The expansion builds each image by concatenating letter images computed once
+per composition sequence, so its cost follows the letters it builds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import BrittonStuck, NegativeExponent, NotInImage
 from .presentations import Presentation
@@ -68,34 +70,70 @@ def expand_relators_annotated(
 ) -> list[tuple[tuple[int, ...], int, Word]]:
     """Like expand_relators, with (composition sequence, relator index) provenance.
 
-    Q entries carry the sentinel provenance ((), -1-q_index).
+    Q entries carry the sentinel provenance ((), -1-q_index).  The images
+    under seq = (i1, ..., ik) are read off one letter table per sequence:
+    table[x] holds the letters of phi_{i1}(...phi_{ik}(x)), the concatenation
+    of the tables of seq[:-1] over the letters of phi_{ik}(x).  A table holds
+    only the letters that R reaches within the levels left, so each entry is
+    a factor of an image the expansion builds.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     out = []
-    seen = set()
+    kept = {}  # the images of each length: a lone one as it is, more in a set, hashed once
 
-    def emit(seq, ri, w: Word):
-        if w.letters not in seen:
-            seen.add(w.letters)
-            out.append((seq, ri, w))
+    def emit(seq, ri, letters, word=None):
+        same_length = kept.get(len(letters))
+        if same_length is None:
+            kept[len(letters)] = letters
+        elif type(same_length) is tuple:
+            if same_length == letters:
+                return
+            kept[len(letters)] = {same_length, letters}
+        else:
+            size = len(same_length)
+            same_length.add(letters)
+            if len(same_length) == size:
+                return
+        out.append((seq, ri, Word._of(ep.alphabet, letters) if word is None else word))
 
     for qi, q in enumerate(ep.q_relators):
-        emit((), -1 - qi, q)
-    # the images under (i1, ..., ik) are phi_{i1} of the kept images under
-    # (i2, ..., ik): one substitution per relator and level
+        emit((), -1 - qi, q.letters, q)
+    for ri, r in enumerate(ep.r_relators):
+        emit((), ri, r.letters, r)
     subs = ep.substitutions
-    level = {(): ep.r_relators}
-    for k in range(depth + 1):
-        if k:
-            level = {
-                seq: tuple(apply_substitution(subs[seq[0]], w) for w in level[seq[1:]])
-                for seq in product(range(len(subs)), repeat=k)
-            }
-        for seq, images in level.items():
-            for ri, w in enumerate(images):
-                emit(seq, ri, w)
+    if not (depth and subs and ep.r_relators):
+        return out
+    for r in ep.r_relators:
+        if not r.is_positive():
+            apply_substitution(subs[0], r)  # raises NegativeExponent, as the first image would
+    sources = [[x for x, _ in r.letters] for r in ep.r_relators]
+    images = [[[y for y, _ in img.letters] for img in sub.images] for sub in subs]
+    # reach[k]: the letters R reaches in at most depth - k substitutions
+    reach = [{x for source in sources for x in source}]
+    for _ in range(depth):
+        reach.append(reach[-1] | {y for img in images for x in reach[-1] for y in img[x]})
+    reach.reverse()
+    tables = {(): [((x, 1),) for x in range(len(ep.alphabet))]}
+    for k in range(1, depth + 1):
+        level = {}
+        for seq, table in tables.items():  # seq in lexicographic order, then j: so is seq + (j,)
+            for j, img in enumerate(images):
+                new = level[seq + (j,)] = [None] * len(ep.alphabet)
+                for x in reach[k]:
+                    new[x] = _concat(table, img[x])
+                for ri, source in enumerate(sources):
+                    emit(seq + (j,), ri, _concat(new, source))
+        tables = level
     return out
+
+
+def _concat(table: list, letters: list[int]) -> tuple[tuple[int, int], ...]:
+    """The concatenation of the table entries of `letters`."""
+    buf = []
+    for x in letters:
+        buf += table[x]
+    return tuple(buf)
 
 
 def expand_relators(ep: EndomorphicPresentation, depth: int) -> list[Word]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from .endo import EndomorphicPresentation
 from .errors import ParseError
 from .presentations import Presentation
-from .words import Alphabet, Substitution, Word, _Tok, _tokenize, _word_letters
+from .words import Alphabet, Substitution, Word, _Tok, _tokenize, _word_letters, is_letter_name
 
 
 @dataclass
@@ -114,7 +114,7 @@ def _parse_genlist(head: _Tok, toks: list[_Tok]) -> Alphabet:
         if not group:
             raise ParseError("empty generator entry", head.line, head.col)
         name = group[0].text
-        if not (name[0].isalpha() or name[0] == "_"):
+        if not is_letter_name(name):
             raise ParseError(f"bad generator name {name!r}", group[0].line, group[0].col)
         flag = False
         if len(group) == 2 and group[1].text == "!":

@@ -5,11 +5,14 @@ equal only if alphabets and relator letter sequences coincide exactly.
 Tietze moves return a new presentation together with the move that undoes
 them, so a finite trace of moves can be replayed and inverted.
 
-A move costs what it changes.  T1 appends its letter, so every old letter
-keeps its index and each relator keeps its letter tuple (the same object);
-T2 keeps them too when it cancels the last letter.  Only a T2 of an inner
-letter renumbers, re-reading the relators.  T3 and T4 keep every relator
-they do not add or remove.
+A move costs what it changes.  T1 checks only its new letter's name and
+appends the letter, so every old letter keeps its index and each relator
+keeps its letter tuple (the same object); T2 deletes its letter from the
+alphabet, and keeps the rest too when it cancels the last letter.  Neither
+checks the old names again.  Only a T2 of an inner letter renumbers,
+re-reading the relators.  T3 and T4 keep every relator they do not add or
+remove, and read their certificate's letters into one list, free-reduced
+once.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import DerivationDoesNotReduce, InvalidMove
-from .words import Alphabet, Word, free_reduce, rename_word, rotations_and_inverses
+from .words import Alphabet, Word, free_reduce, is_letter_name, rename_word, rotations_and_inverses
 
 
 @dataclass(frozen=True)
@@ -116,7 +119,7 @@ TietzeMove = T1 | T2 | T3 | T4
 
 
 def _evaluate_certificate(alphabet: Alphabet, relators: tuple[Word, ...], cert: Certificate) -> Word:
-    prod = Word.identity(alphabet)
+    letters = []
     for conj, idx, exp in cert:
         if not 0 <= idx < len(relators):
             raise InvalidMove(f"certificate references relator {idx}, have {len(relators)}")
@@ -125,8 +128,10 @@ def _evaluate_certificate(alphabet: Alphabet, relators: tuple[Word, ...], cert: 
         if conj.alphabet != alphabet:
             raise InvalidMove("certificate conjugator over another alphabet")
         base = relators[idx] if exp == 1 else relators[idx].inverse()
-        prod = prod * conj * base * conj.inverse()
-    return free_reduce(prod)
+        letters += conj.letters
+        letters += base.letters
+        letters += conj.inverse().letters
+    return free_reduce(Word._of(alphabet, tuple(letters)))
 
 
 def _check_derivation(alphabet, relators, cert, target: Word, what: str):
@@ -148,13 +153,9 @@ def apply_move(p: Presentation, move: TietzeMove) -> tuple[Presentation, TietzeM
             raise InvalidMove(f"generator {move.new_letter!r} already present")
         if move.defining_word.alphabet != p.alphabet:
             raise InvalidMove("defining word must be over the old alphabet")
-        try:
-            new_alpha = Alphabet(
-                p.alphabet.letters + (move.new_letter,),
-                p.alphabet.involutive + (move.involutive,),
-            )
-        except ValueError as exc:
-            raise InvalidMove(str(exc)) from None
+        if not is_letter_name(move.new_letter):
+            raise InvalidMove(f"bad letter name {move.new_letter!r}")
+        new_alpha = Alphabet._of(p.alphabet.letters + (move.new_letter,), p.alphabet.involutive + (move.involutive,))
         # the new letter is appended, so every old letter keeps its index
         defining = Word._of(new_alpha, ((len(p.alphabet), 1),) + move.defining_word.inverse().letters)
         new_rels = tuple(Word._of(new_alpha, r.letters) for r in p.relators) + (defining,)
@@ -180,7 +181,7 @@ def apply_move(p: Presentation, move: TietzeMove) -> tuple[Presentation, TietzeM
         if y in s_inv or y_inv in s_inv:
             raise InvalidMove(f"{move.letter!r} reoccurs inside its defining relator")
         defining_word = Word._of(p.alphabet, s_inv).inverse()
-        new_alpha = Alphabet(
+        new_alpha = Alphabet._of(
             p.alphabet.letters[:li] + p.alphabet.letters[li + 1 :],
             p.alphabet.involutive[:li] + p.alphabet.involutive[li + 1 :],
         )

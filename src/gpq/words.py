@@ -7,7 +7,8 @@ such letters are always stored with exponent +1.  Words are kept verbatim
 free product of the letter groups (Z for ordinary letters, Z/2 for involutive
 ones).  The text format's tokenizer, one regex scan, and its word grammar,
 one loop over a stack of open groups, live here too, so ``Word.from_str`` and
-the ``parsing`` module read words the same way.  A word's text may expand to
+the ``parsing`` module read words the same way; ``is_letter_name`` states
+which names it reads back as one letter.  A word's text may expand to
 at most ``LETTER_CAP`` letters: a longer one is refused, with LimitExceeded,
 before it is built.
 
@@ -16,6 +17,9 @@ checks them, and so does ``Word.splice`` for the letters it inserts.  A word
 made only from the stored letters of words over the same alphabet (products,
 powers, inverses, reductions, rotations, substitution images, renamings onto
 an alphabet's own indices) is built by ``Word._of`` and not checked again.
+Likewise an alphabet's names are checked once: one derived from a checked
+alphabet by appending a checked name or deleting one is built by
+``Alphabet._of``.
 """
 
 from __future__ import annotations
@@ -42,6 +46,17 @@ class Alphabet:
         for name in self.letters:
             if name.split() != [name]:  # empty, or containing whitespace
                 raise ValueError(f"bad letter name {name!r}")
+
+    @staticmethod
+    def _of(letters: tuple[str, ...], involutive: tuple[bool, ...]) -> "Alphabet":
+        """The alphabet of `letters` and `involutive` unchecked: the names and
+        flags of a checked alphabet, with a checked name appended or one
+        name deleted."""
+        alphabet = object.__new__(Alphabet)
+        fields = alphabet.__dict__
+        fields["letters"] = letters
+        fields["involutive"] = involutive
+        return alphabet
 
     @staticmethod
     def make(*specs: str) -> "Alphabet":
@@ -246,6 +261,13 @@ _PUNCT = {";", ",", ":", "(", ")", "^", "'", "!"}
 # a token, a '#' comment, a line break, or any other non-space character, an
 # error; \d is str.isdecimal(), \w str.isalnum() or '_', \S not str.isspace()
 _TOKEN = re.compile(r"->|[;,:()^'!]|\d+|\w+|#.*|\n|(?P<other>\S)")
+_WORD = re.compile(r"\w+")
+
+
+def is_letter_name(name: str) -> bool:
+    """True iff the text format reads `name` back as one letter: a single
+    \\w+ token whose first character is a letter or '_'."""
+    return _WORD.fullmatch(name) is not None and (name[0].isalpha() or name[0] == "_")
 
 
 def _tokenize(text: str) -> list[_Tok]:

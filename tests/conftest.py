@@ -12,7 +12,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from gpq.backends import bs_oracle, dihedral_group, free_abelian_oracle, free_oracle
 from gpq.grigorchuk import make_grigorchuk_data
 from gpq.presentations import Presentation
-from gpq.words import Word
+from gpq.words import Alphabet, Word
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -29,6 +29,24 @@ def unchecked_words_pass_the_check():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Word, "_of", staticmethod(of))
+        yield
+
+
+@pytest.fixture(scope="session", autouse=True)
+def unchecked_alphabets_pass_the_check():
+    """Every alphabet built by ``Alphabet._of``, which skips the name check,
+    must pass the checks of ``Alphabet(...)``: as many flags as names,
+    unique names, and valid names."""
+    unchecked = Alphabet._of
+
+    def of(letters, involutive):
+        alphabet = unchecked(letters, involutive)
+        assert type(letters) is tuple and type(involutive) is tuple, alphabet
+        Alphabet(letters, involutive)  # raises ValueError on a bad alphabet
+        return alphabet
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Alphabet, "_of", staticmethod(of))
         yield
 
 

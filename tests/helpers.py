@@ -57,9 +57,11 @@ b: x -> x + 1), against which the tests check the oracle's keys;
 `cyclically_reduce` is the cyclic reduction of a word; `is_associative`
 checks a finite group table's `mul` on every triple.
 
-`expand_by_sequences` is the earlier relator expansion, which applies each
-composition sequence from its relator in full; a reference for the
-library's expansion, which applies one substitution per relator and level.
+`expand_by_sequences` is the earliest relator expansion, which applies each
+composition sequence from its relator in full, and `expand_by_levels` the
+later one, which applies one substitution per relator and level to the
+images of the level before; references for the library's expansion, which
+concatenates letter tables.
 
 `verify_whole_words` is the earlier Grigorchuk verification case, on whole
 words: it concatenates the transport pieces of the conjugated relation and
@@ -432,6 +434,35 @@ def expand_by_sequences(ep, depth):
                 if w.letters not in seen:
                     seen.add(w.letters)
                     out.append((seq, ri, w))
+    return out
+
+
+def expand_by_levels(ep, depth):
+    """The (sequence, relator index, word) list of expand_relators_annotated:
+    the images under (i1, ..., ik) are phi_{i1} of the kept images under
+    (i2, ..., ik)."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    out, seen = [], set()
+
+    def emit(seq, ri, w):
+        if w.letters not in seen:
+            seen.add(w.letters)
+            out.append((seq, ri, w))
+
+    for qi, q in enumerate(ep.q_relators):
+        emit((), -1 - qi, q)
+    subs = ep.substitutions
+    level = {(): ep.r_relators}
+    for k in range(depth + 1):
+        if k:
+            level = {
+                seq: tuple(apply_substitution(subs[seq[0]], w) for w in level[seq[1:]])
+                for seq in product(range(len(subs)), repeat=k)
+            }
+        for seq, images in level.items():
+            for ri, w in enumerate(images):
+                emit(seq, ri, w)
     return out
 
 

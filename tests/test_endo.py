@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -24,9 +25,9 @@ from gpq.endo import (
     sigma_decode,
     stable_projection,
 )
-from gpq.errors import BrittonStuck, NotInImage
+from gpq.errors import BrittonStuck, NegativeExponent, NotInImage
 from gpq.words import Alphabet, Substitution, Word, apply_substitution, free_reduce
-from helpers import decode_by_tuples, expand_by_sequences
+from helpers import decode_by_tuples, expand_by_levels, expand_by_sequences
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -529,11 +530,82 @@ def test_expansion_of_two_substitutions_matches_recomputing_each_sequence(two_su
     assert len(got) == 26 and {(1, 0, 1), (0, 1, 0)} <= {seq for seq, _, _ in got}
 
 
-def test_expansion_applies_one_substitution_per_relator_and_level(lysenok, two_substitutions, monkeypatch):
+def test_expansion_applies_no_substitution_to_positive_relators(lysenok, two_substitutions, monkeypatch):
     calls = []
     monkeypatch.setattr(gpq.endo, "apply_substitution", lambda sub, w: calls.append(1) or apply_substitution(sub, w))
-    expand_relators(lysenok, 4)
-    assert len(calls) == 4 * 3  # d |R|, not d (d + 1) / 2 |R|
-    calls.clear()
-    expand_relators(two_substitutions, 3)
-    assert len(calls) == (2 + 4 + 8) * 3
+    assert len(expand_relators(lysenok, 4)) == 15
+    assert len(expand_relators(two_substitutions, 3)) == 26
+    assert calls == []
+
+
+def test_expansion_builds_only_the_letters_r_reaches():
+    # b doubles at every level, so a table entry for b would have 2^200
+    # letters; R never reaches b
+    ab = Alphabet.make("a", "b")
+    ep = EndomorphicPresentation(
+        alphabet=ab,
+        q_relators=(),
+        substitutions=(Substitution.from_rules(ab, {"a": "a", "b": "b b"}),),
+        r_relators=(Word.from_str(ab, "a a"),),
+    )
+    start = time.perf_counter()
+    assert [str(w) for w in expand_relators(ep, 200)] == ["a a"]
+    assert time.perf_counter() - start < 1.0
+
+
+def test_expansion_refuses_a_non_positive_relator_only_when_it_substitutes():
+    ab = Alphabet.make("a", "b")
+    sub = Substitution.from_rules(ab, {"a": "a b", "b": "b"})
+    r_relators = (Word.from_str(ab, "a b"), Word.from_str(ab, "a b' a"), Word.from_str(ab, "a'"))
+    ep = EndomorphicPresentation(ab, (Word.from_str(ab, "a' b'"),), (sub,), r_relators)
+    with pytest.raises(NegativeExponent) as refused:
+        expand_relators(ep, 1)
+    assert str(refused.value) == "substitution applied to inverse letter b'"
+    assert [str(w) for w in expand_relators(ep, 0)] == ["a' b'", "a b", "a b' a", "a'"]
+    unsubstituted = EndomorphicPresentation(ab, (), (), r_relators)
+    assert expand_relators(unsubstituted, 3) == list(r_relators)
+
+
+def _random_endomorphic(rng):
+    """1-4 letters, some involutive; 0-3 substitutions; Q relators and
+    repeated, empty and non-positive R relators."""
+    n = rng.randint(1, 4)
+    alphabet = Alphabet(tuple("abcd"[:n]), tuple(rng.random() < 0.3 for _ in range(n)))
+
+    def word(length, positive):
+        return Word(alphabet, tuple((rng.randrange(n), 1 if positive else rng.choice((1, -1))) for _ in range(length)))
+
+    subs = tuple(
+        Substitution(alphabet, tuple(word(rng.randint(1, 3), True) for _ in range(n)))
+        for _ in range(rng.randrange(4))
+    )
+    q_relators = tuple(word(rng.randrange(5), False) for _ in range(rng.randrange(3)))
+    r_relators = [word(rng.randrange(5), rng.random() < 0.7) for _ in range(rng.randrange(4))]
+    if r_relators and rng.random() < 0.3:
+        r_relators.append(rng.choice(r_relators))
+    return EndomorphicPresentation(alphabet, q_relators, subs, tuple(r_relators))
+
+
+def test_expansion_matches_the_expansion_by_levels():
+    rng = random.Random(35)
+    seen = {"expanded": 0, "refused": 0, "deduplicated": 0, "two or more substitutions": 0}
+    for _ in range(400):
+        ep = _random_endomorphic(rng)
+        # depth 0-6, fewer levels for more substitutions
+        depth = rng.randrange((7, 7, 5, 4)[len(ep.substitutions)])
+        try:
+            want = expand_by_levels(ep, depth)
+        except NegativeExponent as exc:
+            with pytest.raises(NegativeExponent) as refused:
+                expand_relators_annotated(ep, depth)
+            assert str(refused.value) == str(exc)
+            seen["refused"] += 1
+            continue
+        got = expand_relators_annotated(ep, depth)
+        assert [(seq, ri, w.letters) for seq, ri, w in got] == [(seq, ri, w.letters) for seq, ri, w in want]
+        assert got == want
+        seen["expanded"] += 1
+        images = len(ep.q_relators) + len(ep.r_relators) * sum(len(ep.substitutions) ** k for k in range(depth + 1))
+        seen["deduplicated"] += len(got) < images
+        seen["two or more substitutions"] += len(ep.substitutions) > 1
+    assert min(seen.values()) > 20, seen

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from gpq.errors import DerivationDoesNotReduce, InvalidMove
+from gpq.parsing import document_of, parse_document, print_document
 from gpq.presentations import (
     FiniteEquivalenceTrace,
     Presentation,
@@ -160,6 +161,21 @@ def test_t1_bad_letter_name_is_refused(name):
     p = Presentation.make("a", [])
     with pytest.raises(InvalidMove):
         tietze(p, T1(name, W(p, "a")))
+
+
+@pytest.mark.parametrize("name", ["", "b c", "x!", "x'", "1x"])
+def test_t1_refuses_a_name_the_text_format_cannot_read_back(name):
+    p = Presentation.make("a", ["a a"])
+    with pytest.raises(InvalidMove) as refused:
+        tietze(p, T1(name, W(p, "a")))
+    assert str(refused.value) == f"bad letter name {name!r}"
+
+
+@pytest.mark.parametrize("name", ["é", "_y", "x2", "y_0"])
+def test_t1_names_read_back_from_the_text_format(name):
+    p = Presentation.make("a", ["a a"])
+    q = tietze(p, T1(name, W(p, "a")))
+    assert parse_document(print_document(document_of(q))).presentation() == q
 
 
 @pytest.mark.parametrize("relators", [["y a y"], ["y a y'"], ["y a'", "a y'"]])
