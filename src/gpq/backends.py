@@ -6,7 +6,8 @@ times the signed letter in column k of `Alphabet.directions`, as a ball's
 rows name it.  `identity` is the key of the empty word.  The base class
 folds `key(w)` from `identity` over the word's columns and derives
 `is_identity(w)`; so an oracle defines `alphabet`, `identity`, `step` and
-`describe`, and nothing else.  Keys are a table index, one int for the free
+`describe`; the free group also `is_identity`, as free reduction, its key
+growing by a digit per letter.  Keys are a table index, one int for the free
 and free-abelian groups (a step shifts a digit in or out, or adds a stride,
 read from a per-column table), and (p, m, r) for B(1,n).  Oracles are
 immutable after construction and safe for concurrent queries.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BadOrder, OracleMismatch, Unsupported
-from .words import Alphabet, Word
+from .words import Alphabet, Word, free_reduce
 
 
 class WordOracle:
@@ -261,6 +262,9 @@ class FreeGroupOracle(WordOracle):
         if key % base == back:
             return key // base
         return key * base + digit
+
+    def is_identity(self, word: Word) -> bool:
+        return not free_reduce(word).letters
 
     def describe(self) -> str:
         return f"free group of rank {len(self.alphabet)}"

@@ -27,26 +27,26 @@ a phi0(g) for the first) and its inverse, and the chunks the transported
 word is assembled from: head C_g and tail d C_g^-1, each with its Klein and
 dihedral normal forms, as tuples of ints.  The mid chunks d J(g, h) for
 g != h, J(g, h) = reduce(C_g^-1 C_h), are built once for both factors: a
-is an involution, so reduce((a C_g)^-1 a C_h) = reduce(C_g^-1 C_h).  Each
-family keeps one working record, of its last n: w_n (continued by sigma
-once per n), the conjugators of its basic relation T(w_n) over D_8 from
-the prefix walk of basic_relation (w_0 has none, and no record), their
-number and the stack s_1 .. s_k left when equal neighbours cancel, each
-piece C_g d C_g^-1 being an involution, the core w_{n+1} = sigma(w_n) over
-a,c,d through b -> cd, read off w_n through each letter's image, with its
-two normal forms, and the middle of the last x asked for.  Row x of the
-D_8 table maps the stack to that of x T(w_n), still cancelled, and the
-middle, the chunks mid[x s_i][x s_i+1], gets its letter count, its
-dihedral form (the chunks' forms concatenated) and its Klein form (one
-fold over the seams).  The grid runs the two factors' cases of each x in
-a row, so each middle is built once.  Work per case (factor, x): the
-transported word is the head of x s_1, the middle and the tail of x s_k;
-its dihedral form is theirs concatenated, and its Klein form joins them at
-two seams by the same fold, which can cascade into the middle.  The
-expected word joins C, the core and C^-1 at two seams, its normal forms
-by the same fold.  Letters are compared only when the two lengths agree,
-and a report's words are joined on first read.  No case computes
-a normal form by a pass over letters.
+is an involution, so reduce((a C_g)^-1 a C_h) = reduce(C_g^-1 C_h).  The
+grid keeps each family's w_n in a local, continued by sigma once per n, and
+reads one record per (n, family) off it: the conjugators of its basic
+relation T(w_n) over D_8 from the prefix walk of basic_relation (w_0 has
+none, and no record), their number and the stack s_1 .. s_k left when equal
+neighbours cancel, each piece C_g d C_g^-1 being an involution, and the core
+w_{n+1} = sigma(w_n) over a,c,d through b -> cd, read off w_n through each
+letter's image, with its two normal forms.  Row x of the D_8 table maps the
+stack to that of x T(w_n), still cancelled, and the middle, the chunks
+mid[x s_i][x s_i+1], gets its letter count, its dihedral form (the chunks'
+forms concatenated) and its Klein form (one fold over the seams).  The grid
+builds each x's middle once, for the two factors' cases of x; a lone case
+builds w_n from the seed, its record and its middle.  GrigorchukData keeps
+none of them.  Work per case (factor, x): the transported word is the head
+of x s_1, the middle and the tail of x s_k; its dihedral form is theirs
+concatenated, and its Klein form joins them at two seams by the same fold,
+which can cascade into the middle.  The expected word joins C, the core and
+C^-1 at two seams, its normal forms by the same fold.  Letters are compared
+only when the two lengths agree, and a report's words are joined on first
+read.  No case computes a normal form by a pass over letters.
 """
 
 from __future__ import annotations
@@ -114,19 +114,16 @@ class _Middle(NamedTuple):
     length: int
 
 
-@dataclass
-class _Family:
-    """The working record of one relator family at one n: w_n over a,b,d,
-    the D_8 conjugators of the y-letters of T(w_n) with equal neighbours
-    cancelled, the number of y-letters, the _Chunk of the core
-    translate(w_{n+1}), and the (x, _Middle) of the last x asked for."""
+class _Family(NamedTuple):
+    """One relator family at one n, read off w_n over a,b,d: the D_8
+    conjugators of the y-letters of T(w_n) with equal neighbours cancelled,
+    the number of y-letters, and the _Chunk of the core translate(w_{n+1})."""
 
     n: int
-    word: Word
+    family: str
     stack: tuple
     y_letters: int
     core: _Chunk
-    middle: tuple = (None, None)
 
 
 @dataclass(frozen=True)
@@ -144,8 +141,6 @@ class GrigorchukData:
     d8: FiniteGroupTable
     d16: FiniteGroupTable
     klein_cd: FiniteGroupTable
-    # the working _Family of each relator family, at the last n asked for
-    _families: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @cached_property
     def b_extension(self) -> SplitExtensionData:
@@ -302,42 +297,29 @@ class GrigorchukData:
 
     # -- the part of a verification case shared by all (factor, x) ----------------
 
-    def _family(self, n: int, family: str) -> _Family:
-        """The working record of `family` (a,b,d variant) at n, in place of its
-        last: w_n continues that record's w by sigma once per n, or is built
-        from the seed if that n lies beyond.  Free reduction commutes with
-        concatenation, so the core is w_n read through _tau."""
-        record = self._families.get(family)
-        if record is None or record.n != n:
-            self._checked_seed("abd", family, n + 1)  # as if w_{n+1} were built
-            if record is None or record.n > n:
-                word = self.relator_family("abd", family, n)
-            else:
-                word = iterate_substitution(self.sigma_abd, record.word, n - record.n)
-            conjugators, _ = prefix_walk(word, self.b_extension)
-            if not conjugators:
-                raise DegenerateCase(f"{family}_{n} has no inducible letters (b-free)")
-            tau = self._tau
-            core = free_reduce(Word._of(self.acd, tuple(chain.from_iterable(tau[i] for i, _ in word.letters))))
-            stack = tuple(_cancel(conjugators))
-            record = self._families[family] = _Family(n, word, stack, len(conjugators), self._chunk(core.letters))
-        return record
+    def _family(self, n: int, family: str, word: Word) -> _Family:
+        """The _Family of `family` (a,b,d variant) at n, w_n = `word`.  Free
+        reduction commutes with concatenation, so the core is w_n read
+        through _tau."""
+        conjugators, _ = prefix_walk(word, self.b_extension)
+        if not conjugators:
+            raise DegenerateCase(f"{family}_{n} has no inducible letters (b-free)")
+        tau = self._tau
+        core = free_reduce(Word._of(self.acd, tuple(chain.from_iterable(tau[i] for i, _ in word.letters))))
+        return _Family(n, family, tuple(_cancel(conjugators)), len(conjugators), self._chunk(core.letters))
 
-    def _middle(self, record: _Family, x: int, mid: tuple) -> _Middle:
-        """The _Middle of x over the mid table `mid`, kept on the record until
-        another x is asked for: the grid asks for each one twice in a row,
-        once per factor."""
-        if record.middle[0] != x:
-            row = self.d8.mul[x]  # ^x T(w_n): x g = x h only for g = h, so the stack stays cancelled
-            s = list(map(row.__getitem__, record.stack))
-            chunks = tuple(mid[g][h] for g, h in zip(s, s[1:]))
-            record.middle = x, _Middle(
-                chunks,
-                _fold([], map(itemgetter(1), chunks), self.klein_cd.mul),
-                list(chain.from_iterable(map(itemgetter(2), chunks))),
-                sum(map(len, map(itemgetter(0), chunks))),
-            )
-        return record.middle[1]
+    def _middle(self, record: _Family, x: int) -> _Middle:
+        """The _Middle of x T(w_n) over the mid table both factors share."""
+        mid = self._transport_chunks["first"].mid
+        row = self.d8.mul[x]  # ^x T(w_n): x g = x h only for g = h, so the stack stays cancelled
+        s = list(map(row.__getitem__, record.stack))
+        chunks = tuple(mid[g][h] for g, h in zip(s, s[1:]))
+        return _Middle(
+            chunks,
+            _fold([], map(itemgetter(1), chunks), self.klein_cd.mul),
+            list(chain.from_iterable(map(itemgetter(2), chunks))),
+            sum(map(len, map(itemgetter(0), chunks))),
+        )
 
 
 def _check_chunks(chunks: _Chunks, d: tuple) -> _Chunks:
@@ -584,26 +566,9 @@ def _joined_length(c: tuple, core: tuple, c_inv: tuple) -> int:
     return len(c) + len(core) + len(c_inv) - 2 * (k + _overlap(tail, c_inv))
 
 
-def verify_sigma_identity(
-    data: GrigorchukData, n: int, family: str, factor: str, x: int
-) -> VerificationReport:
-    """Check one induced-relator identity.
-
-    The induced relator ^x T(w_n) (built over D_8), transported into
-    conjugated d-letters, must equal  C sigma(w_n) C^-1  with C = phi0(x)
-    (second factor) or a phi0(x) (first factor), where sigma(w_n) = w_{n+1}
-    is read over a,c,d through b -> cd.  Equality is reported at the free,
-    Klein, and dihedral levels; inequality is reported, never raised.
-    """
-    chunks = data._transport_chunks.get(factor)
-    if chunks is None:
-        raise ValueError("factor must be 'first' or 'second'")
-    if type(n) is not int:
-        raise ValueError(f"n must be an int, got {n!r}")
-    if type(x) is not int or x not in range(data.d8.order):
-        raise ValueError(f"x must be a D_8 element index in 0..{data.d8.order - 1}")
-    record = data._family(n, family)
-    middle = data._middle(record, x, chunks.mid)
+def _report(data: GrigorchukData, record: _Family, middle: _Middle, factor: str, x: int) -> VerificationReport:
+    """The report of case (factor, x) of the (n, family) of `record`, the
+    middle that of x."""
     # the transported word is head[s_1] mid[s_1][s_2] ... mid[s_k-1][s_k]
     # tail[s_k].  As J(g, h) is non-empty and d-free, no seam at a d cancels:
     # the reduced word is the chunks' letters joined, and so is its dihedral
@@ -611,6 +576,7 @@ def verify_sigma_identity(
     # product of the Klein forms the identity, so _fold runs back into the
     # middle.  C and the core are reduced, so only the two joins can cancel,
     # in the words and in their normal forms.
+    chunks = data._transport_chunks[factor]
     row, core = data.d8.mul[x], record.core
     head, tail = chunks.head[row[record.stack[0]]], chunks.tail[row[record.stack[-1]]]
     c, c_inv = chunks.head[x], chunks.inverse[x]
@@ -618,8 +584,8 @@ def verify_sigma_identity(
     klein = _fold(list(head.klein), (middle.klein, tail.klein), klein_mul)
     dihedral = [*head.dihedral, *middle.dihedral, *tail.dihedral]
     return VerificationReport(
-        n=n,
-        family=family,
+        n=record.n,
+        family=record.family,
         factor=factor,
         x=x,
         x_name=str(data.d8.element_names[x]),
@@ -632,6 +598,28 @@ def verify_sigma_identity(
         expected_parts=(c.letters, core.letters, c_inv.letters),
         computed_parts=(head, middle.chunks, tail),
     )
+
+
+def verify_sigma_identity(
+    data: GrigorchukData, n: int, family: str, factor: str, x: int
+) -> VerificationReport:
+    """Check one induced-relator identity.
+
+    The induced relator ^x T(w_n) (built over D_8), transported into
+    conjugated d-letters, must equal  C sigma(w_n) C^-1  with C = phi0(x)
+    (second factor) or a phi0(x) (first factor), where sigma(w_n) = w_{n+1}
+    is read over a,c,d through b -> cd.  Equality is reported at the free,
+    Klein, and dihedral levels; inequality is reported, never raised.
+    """
+    if factor not in data._transport_chunks:
+        raise ValueError("factor must be 'first' or 'second'")
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
+    if type(x) is not int or x not in range(data.d8.order):
+        raise ValueError(f"x must be a D_8 element index in 0..{data.d8.order - 1}")
+    data._checked_seed("abd", family, n + 1)  # as if w_{n+1} were built
+    record = data._family(n, family, data.relator_family("abd", family, n))
+    return _report(data, record, data._middle(record, x), factor, x)
 
 
 @dataclass(frozen=True)
@@ -667,18 +655,21 @@ def run_full_verification(
     """
     if type(max_n) is not int or max_n < 0:
         raise ValueError(f"max_n must be an int >= 0, got {max_n!r}")
-    if max_n:
-        for family in ("w", "z"):
-            data._checked_seed("abd", family, max_n + 1)
+    # each family's w_n, continued by sigma once per n
+    family_words = {family: data._checked_seed("abd", family, max_n + 1)[1] for family in ("w", "z")}
     reports = []
     skipped = ("n=0 skipped: w_0 = (ad)^4 is b-free, its basic relation is empty",)
     for n in range(1, max_n + 1):
         for family in ("w", "z"):
-            # x before factor, so both factors' cases of an x share its middle
+            family_words[family] = iterate_substitution(data.sigma_abd, family_words[family], 1)
+            record = data._family(n, family, family_words[family])
+            # x before factor, so both factors' cases of an x share its middle,
+            # and it is dropped before the next x's is built
             first, second = [], []
             for x in range(data.d8.order):
-                first.append(verify_sigma_identity(data, n, family, "first", x))
-                second.append(verify_sigma_identity(data, n, family, "second", x))
+                middle = data._middle(record, x)
+                first.append(_report(data, record, middle, "first", x))
+                second.append(_report(data, record, middle, "second", x))
             reports += first + second
     by_level: dict = {}
     for rep in reports:

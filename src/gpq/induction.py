@@ -136,10 +136,13 @@ class InducedPresentation:
 
 
 def y_letter_name(data: SplitExtensionData, yl: YLetter) -> str:
+    """The base letter's name, then for x != e '_' and the letters of x's
+    name, 'i' after an inverse one: b_ad is ^(a d) b.  Alphabet refuses a clash."""
     base = data.presentation.alphabet.letters[yl.base]
     if yl.conjugator == 0:
         return base
-    return f"{base}^[{data.quotient.element_names[yl.conjugator]}]".replace(" ", "")
+    path = data.quotient.element_names[yl.conjugator]
+    return base + "_" + "".join(path.alphabet.letters[i] + "i" * (e < 0) for i, e in path.letters)
 
 
 def induce_presentation(data: SplitExtensionData) -> InducedPresentation:

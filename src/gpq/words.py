@@ -44,7 +44,7 @@ class Alphabet:
         if len(set(self.letters)) != len(self.letters):
             raise ValueError(f"duplicate letter names in {self.letters}")
         for name in self.letters:
-            if name.split() != [name]:  # empty, or containing whitespace
+            if not is_letter_name(name):
                 raise ValueError(f"bad letter name {name!r}")
 
     @staticmethod

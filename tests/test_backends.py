@@ -17,6 +17,7 @@ from gpq.backends import (
     BaumslagSolitarOracle,
     FiniteGroupTable,
     FreeAbelianOracle,
+    FreeGroupOracle,
     bs_oracle,
     cyclic_group,
     dihedral_group,
@@ -259,6 +260,39 @@ def test_free_oracles():
     assert _exponents(z2, z2.key(W(z2, "b a b'"))) == (1, 0)
     assert z2.is_identity(W(z2, "a b a' b'"))
     assert not f2.is_identity(W(f2, "a b a' b'"))
+
+
+def test_free_identity_agrees_with_the_key_fold():
+    # words over a, a' and the involution s, with cancelling pairs inserted
+    alphabet = Alphabet.make("a", "s!", "b")
+    f = free_oracle(3, alphabet)
+    directions = alphabet.directions
+    rng = random.Random(4250)
+    trivial = 0
+    for _ in range(1000):
+        letters = [rng.choice(directions) for _ in range(rng.randrange(6))]
+        for _ in range(rng.randrange(4)):
+            d = rng.choice(directions)
+            at = rng.randrange(len(letters) + 1)
+            letters[at:at] = [d, (d[0], d[1] if alphabet.involutive[d[0]] else -d[1])]
+        word = Word(alphabet, tuple(letters))
+        identity = f.key(word) == f.identity
+        assert f.is_identity(word) == identity, word
+        trivial += identity
+    assert 100 < trivial < 900
+
+
+def test_free_identity_makes_no_step(monkeypatch):
+    # at the letter cap the key fold would do big-int work per letter
+    f = free_oracle(2)
+    steps = []
+    step = FreeGroupOracle.step
+    monkeypatch.setattr(FreeGroupOracle, "step", lambda self, key, k: steps.append(k) or step(self, key, k))
+    word = W(f, "(a b)^131072")
+    assert len(word) == 262144 and not f.is_identity(word)
+    assert f.is_identity(word * word.inverse())
+    assert steps == []
+    assert f.key(W(f, "a b")) and len(steps) == 2  # the spy counts
 
 
 def test_free_abelian_keys_round_trip_near_the_field_bound():

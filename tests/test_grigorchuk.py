@@ -143,13 +143,35 @@ def test_split_extensions_are_built_on_first_read_and_once(monkeypatch):
     assert data.a_extension.presentation == data.presentation("acd")
 
 
+_DEFINING = ("abcd", "acd", "abd", "sigma_abcd", "sigma_acd", "sigma_abd", "seeds", "d8", "d16", "klein_cd")
+# the tables a case reads, each cached on its first read
+_CACHED = ("b_extension", "a_extension", "phi0_table", "_phi0_words", "_bd_to_cd", "_tau", "_transport_chunks")
+
+
 def test_grigorchuk_data_takes_only_its_defining_values():
     # the extensions and phi0 follow from these, so no caller can pass them inconsistently
-    assert [f.name for f in fields(GrigorchukData) if f.init] == [
-        "abcd", "acd", "abd", "sigma_abcd", "sigma_acd", "sigma_abd", "seeds", "d8", "d16", "klein_cd",
+    assert tuple(f.name for f in fields(GrigorchukData) if f.init) == _DEFINING
+    # and it has no field of working state
+    assert [f.name for f in fields(GrigorchukData) if not f.init] == []
+
+
+def test_a_grid_leaves_only_cached_tables_on_its_data():
+    data = make_grigorchuk_data()
+    _, summary = run_full_verification(data, 8)
+    assert summary.total == 256 and summary.all_equal
+    assert sorted(vars(data)) == sorted(_DEFINING + _CACHED)
+
+
+def test_two_grids_on_one_data_give_equal_reports():
+    data = make_grigorchuk_data()
+    once, summary = run_full_verification(data, 4)
+    twice, again = run_full_verification(data, 4)
+    assert again == summary
+    assert [rep.to_dict() for rep in twice] == [rep.to_dict() for rep in once]
+    assert [(rep.expected.letters, rep.computed.letters) for rep in twice] == [
+        (rep.expected.letters, rep.computed.letters) for rep in once
     ]
-    # beyond them, only the working record of each relator family
-    assert [f.name for f in fields(GrigorchukData) if not f.init] == ["_families"]
+    assert sorted(vars(data)) == sorted(_DEFINING + _CACHED)
 
 
 def test_transport_single_letters(grig):
@@ -282,16 +304,13 @@ def test_the_grid_cancels_once_per_n_and_family(monkeypatch):
 
 def test_the_grid_builds_one_middle_per_n_family_and_x(monkeypatch):
     # both factors' cases of an (n, family, x) share one middle: 4 x 2 x 8
-    # middles for the 128 cases of the n <= 4 grid, one kept per family
+    # middles for the 128 cases of the n <= 4 grid
     built = []
     middle = grigorchuk._Middle
     monkeypatch.setattr(grigorchuk, "_Middle", lambda *args: built.append(args) or middle(*args))
-    data = make_grigorchuk_data()
-    _, summary = run_full_verification(data, 4)
+    _, summary = run_full_verification(make_grigorchuk_data(), 4)
     assert summary.total == 128 and summary.all_equal
     assert len(built) == 64
-    record = data._families["z"]
-    assert (record.n, record.middle[0]) == (4, 7) and record.middle[1] == middle(*built[-1])
 
 
 def test_both_factors_share_each_middle(grig):
@@ -341,14 +360,11 @@ def test_both_factors_share_the_mid_table(grig):
 
 
 def test_a_lone_case_after_a_grid_matches_the_grid():
-    # the kept middle lives on the record of one (n, family) and is keyed by
-    # x: a case of another n or family with the x of the grid's last middle
-    # builds its own
+    # cases of the grid's last x, in and beyond the grid, on the grid's data
     reports, _ = run_full_verification(make_grigorchuk_data(), 3)
     by_case = {(rep.n, rep.family, rep.factor, rep.x): rep for rep in reports}
     data = make_grigorchuk_data()
     run_full_verification(data, 2)
-    assert (data._families["z"].n, data._families["z"].middle[0]) == (2, 7)
     for case in ((2, "w", "first", 7), (3, "w", "second", 7), (3, "z", "first", 7), (1, "z", "second", 7)):
         lone, grid = verify_sigma_identity(data, *case), by_case[case]
         assert lone.to_dict() == grid.to_dict(), case
@@ -357,30 +373,32 @@ def test_a_lone_case_after_a_grid_matches_the_grid():
 
 
 def test_lone_cases_in_shuffled_order_match_the_grid():
-    # every n <= 4 case alone, in a seeded shuffle, on one data: its family's
-    # record restarts below its n, jumps more than one n ahead, and loses the
-    # middle of an (n, family, x) between that x's two factors
+    # every n <= 4 case alone, in a seeded shuffle, on one data
     reports, _ = run_full_verification(make_grigorchuk_data(), 4)
     by_case = {(rep.n, rep.family, rep.factor, rep.x): rep for rep in reports}
     cases = list(by_case)
     random.Random(4249).shuffle(cases)
     data = make_grigorchuk_data()
-    restarts = jumps = evictions = 0
-    seen = set()
     for case in cases:
-        n, family, _, x = case
-        record = data._families.get(family)
-        if record is not None:
-            restarts += record.n > n
-            jumps += n - record.n > 1
-        if (n, family, x) in seen:
-            evictions += record is None or (record.n, record.middle[0]) != (n, x)
-        seen.add((n, family, x))
         lone, grid = verify_sigma_identity(data, *case), by_case[case]
         assert lone.to_dict() == grid.to_dict(), case
         assert lone.expected.letters == grid.expected.letters, case
         assert lone.computed.letters == grid.computed.letters, case
-    assert restarts and jumps and evictions
+
+
+def test_lone_cases_of_n_8_in_reverse_grid_order_match_the_grid():
+    # each lone case builds its own w_8, record and middle, and leaves none
+    # of them on the data
+    reports, _ = run_full_verification(make_grigorchuk_data(), 8)
+    grid = [rep for rep in reports if rep.n == 8]
+    data = make_grigorchuk_data()
+    lone = [verify_sigma_identity(data, 8, rep.family, rep.factor, rep.x) for rep in reversed(grid)][::-1]
+    assert len(lone) == 32
+    for alone, rep in zip(lone, grid):
+        assert alone.to_dict() == rep.to_dict(), rep.case_id()
+        assert alone.expected.letters == rep.expected.letters, rep.case_id()
+        assert alone.computed.letters == rep.computed.letters, rep.case_id()
+    assert sorted(vars(data)) == sorted(_DEFINING + _CACHED)
 
 
 def test_joined_length_is_the_length_of_the_join():
@@ -708,13 +726,15 @@ def test_family_words_apply_sigma_once_per_n(monkeypatch):
     assert calls == [True] * (2 * 4)
     for family in ("w", "z"):
         for n in (5, 2, 3, 0, 6):
+            word = data.relator_family("abd", family, n)
             if (n, family) == (0, "w"):
-                # w_0 is b-free: it gets no record, and w_3's stays
+                # w_0 is b-free: it gets no record
                 with pytest.raises(DegenerateCase):
-                    data._family(n, family)
-                assert data._families[family].n == 3
+                    data._family(n, family, word)
                 continue
-            assert data._family(n, family).word == data.relator_family("abd", family, n)
+            # a record is a function of w_n alone
+            record = data._family(n, family, word)
+            assert record[:2] == (n, family) and data._family(n, family, word) == record
 
 
 def test_the_grid_builds_no_y_letter_and_no_word_past_max_n(monkeypatch):
@@ -744,7 +764,7 @@ print(sys.flags.optimize)
 grig = make_grigorchuk_data()
 # w_0 = b dies in D_8, w_1 = sigma(b) = d does not
 bad = dataclasses.replace(grig, seeds={**grig.seeds, ("abd", "w"): "b"})
-for refused in (lambda: bad._family(1, "w"), lambda: basic_relation(Word.from_str(grig.abd, "d"), grig.b_extension)):
+for refused in (lambda: bad._family(1, "w", bad.relator_family("abd", "w", 1)), lambda: basic_relation(Word.from_str(grig.abd, "d"), grig.b_extension)):
     try:
         refused()
     except Exception as exc:
@@ -758,17 +778,17 @@ def test_the_grid_reads_basic_relations_off_the_prefix_walk(grig):
     for n in range(1, 10):
         for family in ("w", "z"):
             basic = basic_relation(grig.relator_family("abd", family, n), grig.b_extension)
-            record = grig._family(n, family)
+            record = grig._family(n, family, grig.relator_family("abd", family, n))
             assert list(record.stack) == _cancel(yl.conjugator for yl in basic), (n, family)
             assert record.y_letters == len(basic), (n, family)
     with pytest.raises(DegenerateCase, match=r"^w_0 has no inducible letters \(b-free\)$"):
-        grig._family(0, "w")
+        grig._family(0, "w", grig.relator_family("abd", "w", 0))
     # a family word that does not close up is refused by the walk, with the
     # same message for the grid and for basic_relation, in process and under -O
     message = "'d' has quotient image d, not the identity"
     bad = dataclasses.replace(grig, seeds={**grig.seeds, ("abd", "w"): "b"})
     with pytest.raises(DoesNotCloseUp, match=f"^{message}$"):
-        bad._family(1, "w")
+        bad._family(1, "w", bad.relator_family("abd", "w", 1))
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     for flags, optimize in (([], "0"), (["-O"], "1")):
@@ -793,7 +813,7 @@ def test_cores_are_read_through_the_letter_images_of_sigma_then_translate(grig):
             read = chain.from_iterable(grig._tau[idx] for idx, _ in word.letters)
             assert free_reduce(Word(grig.acd, tuple(read))) == reference, (n, family)
             if n:
-                assert grig._family(n, family).core.letters == reference.letters, (n, family)
+                assert grig._family(n, family, word).core.letters == reference.letters, (n, family)
             word = after
 
 

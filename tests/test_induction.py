@@ -18,7 +18,8 @@ from gpq.induction import (
     product_presentation,
     y_letter_name,
 )
-from gpq.presentations import Presentation
+from gpq.parsing import document_of, parse_document, print_document
+from gpq.presentations import FiniteEquivalenceTrace, Presentation, T2
 from gpq.words import Word
 
 
@@ -42,9 +43,9 @@ def klein_data():
 def test_induced_klein_presents_order_two(klein_data):
     ind = induce_presentation(klein_data)
     assert ind.pre_simplification_generator_count == 4  # |F| * |S|
-    assert ind.presentation.alphabet.letters == ("x", "x^[s]")
+    assert ind.presentation.alphabet.letters == ("x", "x_s")
     assert group_order(ind.presentation) == 2
-    assert ind.eliminated_generators == ("s", "s^[s]")
+    assert ind.eliminated_generators == ("s", "s_s")
     assert len(ind.dropped_relators) == 2  # s s induces nothing
 
 
@@ -63,13 +64,13 @@ def test_grigorchuk_b_generators(grig):
     assert ind.pre_simplification_generator_count == 24
     assert ind.presentation.alphabet.letters == (
         "b",
-        "b^[a]",
-        "b^[d]",
-        "b^[ad]",
-        "b^[da]",
-        "b^[ada]",
-        "b^[dad]",
-        "b^[adad]",
+        "b_a",
+        "b_d",
+        "b_ad",
+        "b_da",
+        "b_ada",
+        "b_dad",
+        "b_adad",
     )
 
 
@@ -214,7 +215,44 @@ def test_product_with_empty_presentation_adds_nothing():
 def test_y_letter_names(grig):
     d = grig.b_extension
     assert y_letter_name(d, YLetter(0, 1)) == "b"
-    assert y_letter_name(d, YLetter(1, 1)) == "b^[a]"
+    assert y_letter_name(d, YLetter(1, 1)) == "b_a"
+    ad = next(f for f, name in enumerate(grig.d8.element_names) if str(name) == "a d")
+    assert y_letter_name(d, YLetter(ad, 1)) == "b_ad"
+
+
+def _z3_data():
+    # G = <x, t | t^3, (x t)^3>, F = Z/3 = <t>: the element t^2 is named t',
+    # whose letter is an inverse one
+    G = Presentation.make("x!, t", ["t t t", "x t x t x t"], "g")
+    F = cyclic_group(3, "t")
+    lifts = tuple(W(G, text) for text in ("", "t", "t t"))
+    return SplitExtensionData(G, F, p_map=(0, F.generator_map[0]), lifts=lifts)
+
+
+def test_an_inverse_letter_of_a_conjugator_is_named_with_an_i():
+    ind = induce_presentation(_z3_data())
+    assert ind.presentation.alphabet.letters == ("x", "x_t", "x_ti")
+    assert ind.eliminated_generators == ("t", "t_t", "t_ti")
+
+
+@pytest.mark.parametrize("which", ["grigorchuk", "z3"])
+def test_induced_presentations_print_and_parse_back(grig, which):
+    data = grig.b_extension if which == "grigorchuk" else _z3_data()
+    p = induce_presentation(data).presentation
+    assert parse_document(print_document(document_of(p))).presentation() == p
+
+
+def test_t2_of_an_induced_letter_inverts():
+    # G = <x, a, s | a s x s>, all involutions, F = Z/2 = <s>: the induced
+    # relators are a x_s and a_s x, so T2 eliminates a_s and T1 restores it
+    G = Presentation.make("x!, a!, s!", ["a s x s"], "g")
+    F = cyclic_group(2, "s")
+    data = SplitExtensionData(G, F, p_map=(0, 0, F.generator_map[0]), lifts=(Word.identity(G.alphabet), W(G, "s")))
+    p = induce_presentation(data).presentation
+    assert [str(r) for r in p.relators] == ["a x_s", "a_s x"]
+    trace = FiniteEquivalenceTrace(p)
+    assert trace.apply(T2("a_s")).alphabet.letters == ("x", "x_s", "a")
+    assert trace.invert() == p
 
 
 def test_conjugation_renormalizes_in_quotient(grig):
@@ -232,7 +270,7 @@ def test_induced_presentation_json_export(klein_data):
 
     ind = induce_presentation(klein_data)
     payload = json.loads(ind.to_json())
-    assert payload["generators"] == ["x", "x^[s]"]
+    assert payload["generators"] == ["x", "x_s"]
     assert payload["pre_simplification_generator_count"] == 4
-    assert payload["eliminated_generators"] == ["s", "s^[s]"]
+    assert payload["eliminated_generators"] == ["s", "s_s"]
     assert payload["log"]

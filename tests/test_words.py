@@ -41,6 +41,12 @@ def W(alphabet, text):
     return Word.from_str(alphabet, text)
 
 
+@pytest.mark.parametrize("name", ["", "b c", "x-y", "x!", "x'", "1x", "b^[a]"])
+def test_alphabet_refuses_a_name_the_text_format_cannot_read_back(name):
+    with pytest.raises(ValueError, match="bad letter name"):
+        Alphabet(("a", name), (False, False))
+
+
 def test_free_cancellation():
     assert free_reduce(W(AB, "a a' b")) == W(AB, "b")
 
