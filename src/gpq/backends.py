@@ -16,11 +16,10 @@ immutable after construction and safe for concurrent queries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BadOrder, OracleMismatch, Unsupported
-from .words import Alphabet, Word, free_reduce
+from .words import Alphabet, Word, free_reduce, frozen
 
 
 class WordOracle:
@@ -85,7 +84,7 @@ def _first_paths(tree, directions) -> list[tuple[tuple[int, int], ...]]:
     return paths
 
 
-@dataclass(frozen=True)
+@frozen
 class FiniteGroupTable(WordOracle):
     """A finite group given by its right-multiplication rows.
 
@@ -242,7 +241,7 @@ def cyclic_group(n: int, name: str = "x") -> FiniteGroupTable:
 _DEFAULT_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
 
-@dataclass(frozen=True)
+@frozen
 class FreeGroupOracle(WordOracle):
     """F_k; the key of a reduced word is the int whose base-(w + 1) digits
     are its letters' columns + 1, its last letter the lowest digit, with w
@@ -270,7 +269,7 @@ class FreeGroupOracle(WordOracle):
         return f"free group of rank {len(self.alphabet)}"
 
 
-@dataclass(frozen=True)
+@frozen
 class FreeAbelianOracle(WordOracle):
     """Z^k; the key of (x_0, ..., x_{k-1}) is the int sum of x_i 2^(64 i),
     each x_i a balanced 64-bit field: 0 is the identity, and a step adds the
@@ -317,7 +316,7 @@ def free_abelian_oracle(k: int, alphabet: Alphabet | None = None) -> FreeAbelian
 # --- Baumslag-Solitar B(1, n) ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class BaumslagSolitarOracle(WordOracle):
     """B(1,n) = < a, b | a b a^-1 b^-n >; the key (p, m, r) names a^-p b^m a^r.
 

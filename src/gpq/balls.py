@@ -28,12 +28,12 @@ import json
 from bisect import bisect_left
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from .backends import WordOracle, _explore, _first_paths
 from .errors import Exhausted, NotNullHomotopic, OracleMismatch
 from .presentations import Presentation
-from .words import Word, free_reduce
+from .words import Word, free_reduce, frozen
 
 
 _NAMED_IN_FULL = 64  # letters; a longer word is named in a message by its head and length
@@ -95,7 +95,7 @@ class VertexNames(Sequence):
         return repr(self._built())
 
 
-@dataclass(frozen=True)
+@frozen
 class Ball:
     """A metric ball (or sphere) in the Cayley complex of (oracle, presentation)."""
 
@@ -181,8 +181,10 @@ def build_sphere(oracle: WordOracle, p: Presentation, r: int, basepoint: Word | 
 # --- fundamental group generators (spanning tree) --------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class LoopClassSet:
+    """Loops at a ball's basepoint, one per non-tree edge, generating its 2-complex's pi_1."""
+
     generators: tuple[Word, ...]        # one loop per non-tree edge
 
     @property
@@ -229,16 +231,20 @@ def pi1_generators(ball: Ball) -> LoopClassSet:
 # --- null-homotopy search ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class HomotopyMove:
+    """A null-homotopy step: at `position`, `removed` becomes `inserted` (a cancellation or a cell slide)."""
+
     position: int
     removed: tuple[tuple[int, int], ...]
     inserted: tuple[tuple[int, int], ...]
     kind: str  # "free" or "relator"
 
 
-@dataclass(frozen=True)
+@frozen
 class Witness:
+    """A replayable null-homotopy of `start` in `region`: its moves, and the states searched to find them."""
+
     start: Word
     moves: tuple[HomotopyMove, ...]
     region: Ball
@@ -535,7 +541,7 @@ def kill_radius(ball: Ball, r_max: int, step_cap: int = 20_000) -> int:
 # --- geodesic 0-combings -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class Combing:
     """Per-vertex geodesic paths to the basepoint over the exhaustion by balls."""
 

@@ -13,14 +13,12 @@ per composition sequence, so its cost follows the letters it builds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import BrittonStuck, NegativeExponent, NotInImage
 from .presentations import Presentation
-from .words import Alphabet, Substitution, Word, apply_substitution, free_reduce, rename_word
+from .words import Alphabet, Substitution, Word, apply_substitution, free_reduce, frozen, rename_word
 
 
-@dataclass(frozen=True)
+@frozen
 class EndomorphicPresentation:
     """< S | Q | Phi | R >: base relators Q, iterated relators R, substitutions Phi.
 
@@ -188,8 +186,10 @@ def order_less(y: Word, x: Word) -> bool:
 # --- decoding substitution images --------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class DecodeResult:
+    """A decoded source word, and whether the decoded word has two or more parses into images."""
+
     source: Word
     ambiguous: bool
 
@@ -268,8 +268,10 @@ def _decode_by_suffixes(sub: Substitution, word: Word) -> tuple[list[tuple[int, 
 # --- Britton pinch reduction ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class PinchStep:
+    """One pinch of a Britton reduction: the `length` letters at `position` of `before` become `replacement`."""
+
     before: Word
     position: int
     length: int

@@ -51,7 +51,7 @@ read.  No case computes a normal form by a pass over letters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
@@ -68,6 +68,7 @@ from .words import (
     Word,
     apply_substitution,
     free_reduce,
+    frozen,
     iterate_substitution,
     rename_word,
 )
@@ -126,7 +127,7 @@ class _Family(NamedTuple):
     core: _Chunk
 
 
-@dataclass(frozen=True)
+@frozen
 class GrigorchukData:
     """All fixed data of the computation: variants, quotients, and as cached
     properties the split extensions and transport maps they determine."""
@@ -475,7 +476,7 @@ def _cancel(gs) -> list:
     return stack
 
 
-@dataclass(frozen=True)
+@frozen
 class VerificationReport:
     """One case.  Its expected and computed words are kept as what they are
     joined from, C, the core and C^-1, and the transported word's head chunk,
@@ -622,8 +623,10 @@ def verify_sigma_identity(
     return _report(data, record, data._middle(record, x), factor, x)
 
 
-@dataclass(frozen=True)
+@frozen
 class VerificationSummary:
+    """A verification grid's case count, its equal cases, the cases at each equality level, and what it skipped."""
+
     total: int
     equal: int
     by_level: dict

@@ -10,15 +10,15 @@ extensions with positive relators are supported.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from .backends import FiniteGroupTable
 from .errors import ArityMismatch, DoesNotCloseUp, NonPositiveRelator, NotSplit
 from .presentations import Presentation
-from .words import Alphabet, Word, rename_word
+from .words import Alphabet, Word, frozen, rename_word
 
 
-@dataclass(frozen=True)
+@frozen
 class SplitExtensionData:
     """1 -> K -> G -> F -> 1, split, with F finite and positive relators.
 
@@ -60,7 +60,7 @@ class SplitExtensionData:
         return lift.letters == ((gen_index, 1),)
 
 
-@dataclass(frozen=True)
+@frozen
 class YLetter:
     """The abstract symbol ^f y_j: conjugator f in F, base generator j."""
 
@@ -110,7 +110,7 @@ def conjugate_relation(relation: tuple[YLetter, ...], x: int, data: SplitExtensi
     return tuple(YLetter(F.mul[x][yl.conjugator], yl.base) for yl in relation)
 
 
-@dataclass(frozen=True)
+@frozen
 class InducedPresentation:
     """Result of the split-extension induction, with its simplification log."""
 

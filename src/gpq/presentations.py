@@ -12,7 +12,8 @@ alphabet, and keeps the rest too when it cancels the last letter.  Neither
 checks the old names again.  Only a T2 of an inner letter renumbers,
 re-reading the relators.  T3 and T4 keep every relator they do not add or
 remove, and read their certificate's letters into one list, free-reduced
-once.
+once.  The presentation a move returns is built from checked parts by
+``Presentation._of``, which checks nothing again.
 """
 
 from __future__ import annotations
@@ -21,11 +22,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import DerivationDoesNotReduce, InvalidMove
-from .words import Alphabet, Word, free_reduce, is_letter_name, rename_word, rotations_and_inverses
+from .words import Alphabet, Word, free_reduce, frozen, is_letter_name, rename_word, rotations_and_inverses
 
 
-@dataclass(frozen=True)
+@frozen
 class Presentation:
+    """< alphabet | relators >, relators kept verbatim: equal presentations agree letter for letter."""
+
     alphabet: Alphabet
     relators: tuple[Word, ...]
     name: str = ""
@@ -34,6 +37,16 @@ class Presentation:
         for rel in self.relators:
             if rel.alphabet is not self.alphabet and rel.alphabet != self.alphabet:
                 raise ValueError("relator over a different alphabet")
+
+    @staticmethod
+    def _of(alphabet: Alphabet, relators: tuple[Word, ...], name: str) -> "Presentation":
+        """The presentation unchecked: `relators` are words over `alphabet`."""
+        presentation = object.__new__(Presentation)
+        fields = presentation.__dict__
+        fields["alphabet"] = alphabet
+        fields["relators"] = relators
+        fields["name"] = name
+        return presentation
 
     @staticmethod
     def make(gens: str, relator_texts: list[str] | tuple[str, ...] = (), name: str = "") -> "Presentation":
@@ -82,7 +95,7 @@ class Presentation:
 Certificate = tuple[tuple[Word, int, int], ...]
 
 
-@dataclass(frozen=True)
+@frozen
 class T1:
     """Introduce generator `new_letter` defined by `defining_word` (adds relator y s^-1)."""
 
@@ -91,14 +104,14 @@ class T1:
     involutive: bool = False
 
 
-@dataclass(frozen=True)
+@frozen
 class T2:
     """Cancel a generator; requires a unique defining relator y s^-1."""
 
     letter: str
 
 
-@dataclass(frozen=True)
+@frozen
 class T3:
     """Introduce `relator`, justified by a derivation certificate."""
 
@@ -106,7 +119,7 @@ class T3:
     derivation: Certificate
 
 
-@dataclass(frozen=True)
+@frozen
 class T4:
     """Cancel the relator at `index`; the certificate re-derives it from the others
     (indices refer to the relator list with the removed one excluded)."""
@@ -159,7 +172,7 @@ def apply_move(p: Presentation, move: TietzeMove) -> tuple[Presentation, TietzeM
         # the new letter is appended, so every old letter keeps its index
         defining = Word._of(new_alpha, ((len(p.alphabet), 1),) + move.defining_word.inverse().letters)
         new_rels = tuple(Word._of(new_alpha, r.letters) for r in p.relators) + (defining,)
-        return Presentation(new_alpha, new_rels, p.name), T2(move.new_letter)
+        return Presentation._of(new_alpha, new_rels, p.name), T2(move.new_letter)
 
     if isinstance(move, T2):
         try:
@@ -191,14 +204,14 @@ def apply_move(p: Presentation, move: TietzeMove) -> tuple[Presentation, TietzeM
             rehome = lambda w: rename_word(w, new_alpha)
         new_rels = tuple(map(rehome, p.relators[:ri] + p.relators[ri + 1 :]))
         inverse = T1(move.letter, rehome(defining_word), p.alphabet.involutive[li])
-        return Presentation(new_alpha, new_rels, p.name), inverse
+        return Presentation._of(new_alpha, new_rels, p.name), inverse
 
     if isinstance(move, T3):
         if move.relator.alphabet != p.alphabet:
             raise InvalidMove("new relator must be over the presentation's alphabet")
         _check_derivation(p.alphabet, p.relators, move.derivation, move.relator, "T3")
         new_rels = p.relators + (move.relator,)
-        return Presentation(p.alphabet, new_rels, p.name), T4(len(p.relators), move.derivation)
+        return Presentation._of(p.alphabet, new_rels, p.name), T4(len(p.relators), move.derivation)
 
     if isinstance(move, T4):
         if not 0 <= move.index < len(p.relators):
@@ -206,7 +219,7 @@ def apply_move(p: Presentation, move: TietzeMove) -> tuple[Presentation, TietzeM
         remaining = p.relators[: move.index] + p.relators[move.index + 1 :]
         _check_derivation(p.alphabet, remaining, move.derivation, p.relators[move.index], "T4")
         inverse = T3(p.relators[move.index], move.derivation)
-        return Presentation(p.alphabet, remaining, p.name), inverse
+        return Presentation._of(p.alphabet, remaining, p.name), inverse
 
     raise InvalidMove(f"unknown move {move!r}")
 

@@ -16,17 +16,18 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
 from .errors import GpqError, LimitExceeded, OracleMismatch
 from .presentations import Presentation
-from .words import Alphabet, Word, free_reduce, rotations_and_inverses
+from .words import Alphabet, Word, free_reduce, frozen, rotations_and_inverses
 
 
-@dataclass(frozen=True)
+@frozen
 class RewritingSystem:
+    """Rewriting rules lhs -> rhs over one alphabet, each lhs nonempty."""
+
     alphabet: Alphabet
     rules: tuple[tuple[Word, Word], ...]
 
@@ -67,16 +68,20 @@ class RewritingSystem:
         return tuple((len(lhs), rhs.letters) for lhs, rhs in self.rules)
 
 
-@dataclass(frozen=True)
+@frozen
 class ReductionStep:
+    """One rewriting step: rule `rule` replaced its lhs at `position` of `before`, giving `after`."""
+
     before: Word
     rule: int
     position: int
     after: Word
 
 
-@dataclass(frozen=True)
+@frozen
 class ReductionTrace:
+    """The steps of a reduction, each replayable against the rewriting system by `verify`."""
+
     steps: tuple[ReductionStep, ...]
 
     def verify(self, rs: RewritingSystem) -> bool:
@@ -194,8 +199,10 @@ def is_geodesic(rs: RewritingSystem) -> bool:
     return all(len(lhs) >= len(rhs) for lhs, rhs in rs.rules)
 
 
-@dataclass(frozen=True)
+@frozen
 class CriticalPair:
+    """An overlap or containment of two rules' left-hand sides: the `peak` word and what each rule makes of it."""
+
     peak: Word
     left: Word
     right: Word
@@ -228,20 +235,26 @@ def critical_pairs(rs: RewritingSystem) -> list[CriticalPair]:
     return pairs
 
 
-@dataclass(frozen=True)
+@frozen
 class Certified:
+    """Local confluence proved: every one of the `pairs_checked` critical pairs joins."""
+
     pairs_checked: int
 
 
-@dataclass(frozen=True)
+@frozen
 class Counterexample:
+    """Local confluence refuted: a critical pair whose sides reduce to distinct normal forms."""
+
     peak: Word
     left: Word
     right: Word
 
 
-@dataclass(frozen=True)
+@frozen
 class Inconclusive:
+    """Local confluence undecided within the step limit, and why."""
+
     reason: str
 
 
@@ -297,8 +310,10 @@ def _rule_matches_presentation(rs: RewritingSystem, p: Presentation, rule) -> bo
     return False
 
 
-@dataclass(frozen=True)
+@frozen
 class NullHomotopyCertificate:
+    """Each identity word of length <= 2r+1 reduces in B(r): a (word, trace) witness per such word."""
+
     radius: int
     words_checked: int
     witnesses: tuple[tuple[Word, ReductionTrace], ...]

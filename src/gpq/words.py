@@ -20,21 +20,177 @@ an alphabet's own indices) is built by ``Word._of`` and not checked again.
 Likewise an alphabet's names are checked once: one derived from a checked
 alphabet by appending a checked name or deleting one is built by
 ``Alphabet._of``.
+
+Every immutable value class of gpq is declared with ``frozen``, defined here
+because every other module imports this one.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from functools import cached_property
+from inspect import Parameter, Signature
 from itertools import product
+from operator import attrgetter
+from reprlib import recursive_repr
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import LimitExceeded, NegativeExponent, ParseError
 
 
-@dataclass(frozen=True)
+def frozen(cls):
+    """A frozen dataclass without per-class generated code.
+
+    ``dataclass`` only records the fields, so ``dataclasses.fields``,
+    ``replace`` and ``__match_args__`` work as for any dataclass.  The
+    methods are closures over the field names, one code object each for
+    every class, where ``dataclass`` with ``frozen=True`` writes them out as
+    source and compiles them per class at each import.  They behave as the
+    generated ones do: equality, hash and repr over the fields that
+    ``compare`` and ``repr`` keep, defaults, ``self.__post_init__()``, the
+    same TypeError and FrozenInstanceError messages, and
+    ``inspect.signature``; a method the class body defines is kept.  A field
+    takes a plain default at most (no ``default_factory``, ``init=False`` or
+    ``kw_only``), and ``__dataclass_params__`` records the bookkeeping call,
+    not frozen=True.
+    """
+    own = cls.__dict__
+    documented = bool(own.get("__doc__"))
+    body_hash = own.get("__hash__", MISSING)
+    explicit_hash = body_hash is not MISSING and not (body_hash is None and "__eq__" in own)
+    dataclass(init=False, repr=False, eq=False)(cls)
+    fs = fields(cls)
+    for f in fs:
+        if not f.init or f.kw_only or f.default_factory is not MISSING:
+            raise TypeError(f"{cls.__qualname__}.{f.name}: a frozen field takes a plain default at most")
+    names = tuple(f.name for f in fs)
+    defaults = {f.name: f.default for f in fs if f.default is not MISSING}
+    n = len(names)
+    late = [name for name in names[n - len(defaults) :] if name not in defaults]
+    if late:
+        raise TypeError(f"non-default argument {late[0]!r} follows default argument")
+    qualname = f"{cls.__qualname__}.__init__"
+    positions = tuple(enumerate(names))
+    post_init = hasattr(cls, "__post_init__")
+    compared = _getter(f.name for f in fs if f.compare)
+    hashed = _getter(f.name for f in fs if (f.compare if f.hash is None else f.hash))
+    shown = tuple(f.name for f in fs if f.repr)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != n:
+            args = _bound(qualname, names, defaults, args, kwargs)
+        # object.__setattr__ keeps the attributes inline in the instance, where
+        # writing self.__dict__ would build a dict and slow every later read
+        for i, name in positions:
+            _set(self, name, args[i])
+        if post_init:
+            self.__post_init__()
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return compared(self) == compared(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(hashed(self))
+
+    @recursive_repr()
+    def __repr__(self):
+        values = ", ".join([f"{name}={getattr(self, name)!r}" for name in shown])
+        return f"{self.__class__.__qualname__}({values})"
+
+    def __setattr__(self, name, value):
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        super(cls, self).__setattr__(name, value)
+
+    def __delattr__(self, name):
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot delete field {name!r}")
+        super(cls, self).__delattr__(name)
+
+    kind, empty = Parameter.POSITIONAL_OR_KEYWORD, Parameter.empty
+    params = [Parameter(f.name, kind, default=defaults.get(f.name, empty), annotation=f.type) for f in fs]
+    __init__.__signature__ = Signature([Parameter("self", kind)] + params, return_annotation=None)
+    for method in (__init__, __repr__, __eq__, __setattr__, __delattr__):
+        name = method.__name__
+        if name in own:
+            if name in ("__setattr__", "__delattr__"):
+                raise TypeError(f"Cannot overwrite attribute {name} in class {cls.__name__}")
+            continue
+        method.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, method)
+    if not explicit_hash:
+        __hash__.__qualname__ = f"{cls.__qualname__}.__hash__"
+        cls.__hash__ = __hash__
+    if not documented:
+        cls.__doc__ = cls.__name__ + str(Signature(params))
+    return cls
+
+
+_set = object.__setattr__
+
+
+def _getter(names):
+    """The function of an object that gives the tuple of its attributes `names`."""
+    names = tuple(names)
+    if len(names) > 1:
+        return attrgetter(*names)
+    if names:
+        get = attrgetter(names[0])
+        return lambda obj: (get(obj),)
+    return lambda obj: ()
+
+
+def _bound(qualname, names, defaults, args, kwargs) -> list:
+    """One value per name: `args`, then for each later name its value in
+    `kwargs` or else in `defaults`."""
+    if not args and len(kwargs) == len(names):  # every field by keyword, as `replace` and the grid pass them
+        try:
+            return list(map(kwargs.__getitem__, names))
+        except KeyError:
+            pass
+    values = list(args)
+    taken = 0
+    for name in names[len(args) :]:
+        if name in kwargs:
+            values.append(kwargs[name])
+            taken += 1
+        elif name in defaults:
+            values.append(defaults[name])
+        else:
+            break
+    if len(values) == len(names) and taken == len(kwargs):
+        return values
+    raise _call_error(qualname, names, defaults, args, kwargs)
+
+
+def _call_error(qualname, names, defaults, args, kwargs) -> TypeError:
+    """The TypeError of calling a function `qualname`, with parameters self
+    and `names`, the last ones defaulting, with `args` and `kwargs`."""
+    for name in kwargs:
+        if name not in names:
+            return TypeError(f"{qualname}() got an unexpected keyword argument '{name}'")
+        if name in names[: len(args)]:
+            return TypeError(f"{qualname}() got multiple values for argument '{name}'")
+    if len(args) > len(names):
+        most = len(names) + 1  # counting self
+        takes = f"from {most - len(defaults)} to {most}" if defaults else most
+        plural = "s" if defaults or most != 1 else ""
+        return TypeError(f"{qualname}() takes {takes} positional argument{plural} but {len(args) + 1} were given")
+    missing = [repr(name) for name in names[len(args) :] if name not in kwargs and name not in defaults]
+    listed = " and ".join(missing) if len(missing) < 3 else ", ".join(missing[:-1]) + ", and " + missing[-1]
+    plural = "s" if len(missing) > 1 else ""
+    return TypeError(f"{qualname}() missing {len(missing)} required positional argument{plural}: {listed}")
+
+
+@frozen
 class Alphabet:
+    """Letter names and involutive flags; a letter is its index, an involutive one its own inverse."""
+
     letters: tuple[str, ...]
     involutive: tuple[bool, ...]
 
@@ -126,7 +282,7 @@ class Alphabet:
         return self.letters[i] + ("!" if self.involutive[i] else "")
 
 
-@dataclass(frozen=True)
+@frozen
 class Word:
     """A (possibly unreduced) word; letters are (index, exponent) pairs."""
 
@@ -379,7 +535,7 @@ def rename_word(word: Word, target: Alphabet, name_map: dict[str, str] | None = 
     return Word._of(target, tuple(letters))
 
 
-@dataclass(frozen=True)
+@frozen
 class Substitution:
     """A monoid endomorphism of the positive words over an alphabet."""
 

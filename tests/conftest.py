@@ -50,6 +50,24 @@ def unchecked_alphabets_pass_the_check():
         yield
 
 
+@pytest.fixture(scope="session", autouse=True)
+def unchecked_presentations_pass_the_check():
+    """Every presentation built by ``Presentation._of``, which skips the
+    relator check, must pass the check of ``Presentation(...)``: every
+    relator over its alphabet."""
+    unchecked = Presentation._of
+
+    def of(alphabet, relators, name):
+        presentation = unchecked(alphabet, relators, name)
+        assert type(relators) is tuple, presentation
+        Presentation(alphabet, relators, name)  # raises ValueError on a relator over another alphabet
+        return presentation
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Presentation, "_of", staticmethod(of))
+        yield
+
+
 @pytest.fixture(scope="session")
 def grig():
     return make_grigorchuk_data()
