@@ -34,16 +34,21 @@ relation T(w_n) over D_8 from the prefix walk of basic_relation (w_0 has
 none, and no record), their number and the stack s_1 .. s_k left when equal
 neighbours cancel, each piece C_g d C_g^-1 being an involution, and the core
 w_{n+1} = sigma(w_n) over a,c,d through b -> cd, read off w_n through each
-letter's image, with its two normal forms.  Row x of the D_8 table maps the
-stack to that of x T(w_n), still cancelled, and the middle, the chunks
-mid[x s_i][x s_i+1], gets its letter count, its dihedral form (the chunks'
-forms concatenated) and its Klein form (one fold over the seams).  The grid
-builds each x's middle once, for the two factors' cases of x; a lone case
-builds w_n from the seed, its record and its middle.  GrigorchukData keeps
-none of them.  Work per case (factor, x): the transported word is the head
-of x s_1, the middle and the tail of x s_k; its dihedral form is theirs
-concatenated, and its Klein form joins them at two seams by the same fold,
-which can cascade into the middle.  The expected word joins C, the core and
+letter's image, with its two normal forms, and the middle's dihedral form,
+the forms of the chunks mid[s_i][s_i+1] concatenated.  That form serves
+every x: phi0 is a homomorphism, so J(x g, x h) has the value of J(g, h) in
+D_16.  The x fall into classes whose rows of the D_8 table map the mid table
+alike ({x, a x} on make_grigorchuk_data()); both facts are read off the
+table and checked once, on its first read.  A class's mapped table gives
+the middle of x T(w_n), the chunks mid[x s_i][x s_i+1] (x g = x h only for
+g = h, so the stack stays cancelled), with its letter count and its Klein
+form (one fold over the seams).  The grid builds each class's middle once,
+for both factors' cases of every x in it; a lone case builds w_n from the
+seed, its record and its x's middle.  GrigorchukData keeps none of them.
+Work per case (factor, x): the transported word is the head of x s_1, the
+middle and the tail of x s_k; its dihedral form is theirs concatenated,
+and its Klein form joins them at two seams by the same fold, which can
+cascade into the middle.  The expected word joins C, the core and
 C^-1 at two seams, its normal forms by the same fold.  Letters are compared
 only when the two lengths agree, and a report's words are joined on first
 read.  No case computes a normal form by a pass over letters.
@@ -104,27 +109,28 @@ class _Chunks(NamedTuple):
 
 
 class _Middle(NamedTuple):
-    """The middle of the transported word of one (n, family, x), the same for
-    both factors: for the cancelled conjugators s_1 .. s_k of x T(w_n), the
-    chunks mid[s_i][s_i+1], their Klein form folded over the seams, their
-    dihedral form concatenated, and their letter count."""
+    """The middle of the transported word of one (n, family) and class of x,
+    the same for both factors and every x of the class: for the cancelled
+    conjugators s_1 .. s_k of T(w_n), the chunks mid[x s_i][x s_i+1], their
+    Klein form folded over the seams, and their letter count."""
 
     chunks: tuple
     klein: list
-    dihedral: list
     length: int
 
 
 class _Family(NamedTuple):
     """One relator family at one n, read off w_n over a,b,d: the D_8
     conjugators of the y-letters of T(w_n) with equal neighbours cancelled,
-    the number of y-letters, and the _Chunk of the core translate(w_{n+1})."""
+    the number of y-letters, the _Chunk of the core translate(w_{n+1}), and
+    the dihedral form of every x's middle, the chunks' forms concatenated."""
 
     n: int
     family: str
     stack: tuple
     y_letters: int
     core: _Chunk
+    dihedral: tuple
 
 
 @frozen
@@ -198,6 +204,28 @@ class GrigorchukData:
             tail = tuple(join(d, c) for c in inverse)
             chunks[factor] = _check_chunks(_Chunks(head, inverse, mid, tail), d.letters[0])
         return chunks
+
+    @cached_property
+    def _x_classes(self) -> tuple:
+        """The D_8 elements x in classes, each with the mid table mapped by
+        its x, table[g][h] = mid[x g][x h]: x and y share a class, and every
+        middle, when their mapped tables are equal.  Raises unless every
+        mapped chunk has the dihedral form of mid[g][h] (phi0 is a
+        homomorphism, so J(x g, x h) has the value of J(g, h) in D_16), on
+        which one dihedral form per (n, family) serves all x."""
+        mid = self._transport_chunks["first"].mid
+        dihedral = [[m and m.dihedral for m in row] for row in mid]
+        classes: list = []
+        for x, row in enumerate(self.d8.mul):
+            table = tuple(tuple(mid[g][h] for h in row) for g in row)
+            if [[m and m.dihedral for m in r] for r in table] != dihedral:
+                raise RuntimeError(f"mid[x g][x h] and mid[g][h] differ in D_16 for x = {x}")
+            xs = next((xs for xs, t in classes if t == table), None)
+            if xs is None:
+                classes.append(([x], table))
+            else:
+                xs.append(x)
+        return tuple((tuple(xs), table) for xs, table in classes)
 
     def _chunk(self, letters: tuple) -> _Chunk:
         word = Word._of(self.acd, letters)
@@ -307,18 +335,20 @@ class GrigorchukData:
             raise DegenerateCase(f"{family}_{n} has no inducible letters (b-free)")
         tau = self._tau
         core = free_reduce(Word._of(self.acd, tuple(chain.from_iterable(tau[i] for i, _ in word.letters))))
-        return _Family(n, family, tuple(_cancel(conjugators)), len(conjugators), self._chunk(core.letters))
+        stack = tuple(_cancel(conjugators))
+        mid = self._x_classes[0][1]  # any class's table: _x_classes checks their dihedral forms agree
+        dihedral = tuple(chain.from_iterable(mid[g][h].dihedral for g, h in zip(stack, stack[1:])))
+        return _Family(n, family, stack, len(conjugators), self._chunk(core.letters), dihedral)
 
-    def _middle(self, record: _Family, x: int) -> _Middle:
-        """The _Middle of x T(w_n) over the mid table both factors share."""
-        mid = self._transport_chunks["first"].mid
-        row = self.d8.mul[x]  # ^x T(w_n): x g = x h only for g = h, so the stack stays cancelled
-        s = list(map(row.__getitem__, record.stack))
-        chunks = tuple(mid[g][h] for g, h in zip(s, s[1:]))
+    def _middle(self, record: _Family, table: tuple) -> _Middle:
+        """The _Middle of x T(w_n) for every x whose mapped mid table, shared by
+        both factors, is `table`: x g = x h only for g = h, so the stack
+        stays cancelled."""
+        s = record.stack
+        chunks = tuple(table[g][h] for g, h in zip(s, s[1:]))
         return _Middle(
             chunks,
             _fold([], map(itemgetter(1), chunks), self.klein_cd.mul),
-            list(chain.from_iterable(map(itemgetter(2), chunks))),
             sum(map(len, map(itemgetter(0), chunks))),
         )
 
@@ -583,21 +613,17 @@ def _report(data: GrigorchukData, record: _Family, middle: _Middle, factor: str,
     c, c_inv = chunks.head[x], chunks.inverse[x]
     klein_mul, dihedral_mul = data.klein_cd.mul, data.d16.mul
     klein = _fold(list(head.klein), (middle.klein, tail.klein), klein_mul)
-    dihedral = [*head.dihedral, *middle.dihedral, *tail.dihedral]
+    dihedral = [*head.dihedral, *record.dihedral, *tail.dihedral]
+    # positional, as keywords bind in Python under @frozen: n, family, factor,
+    # x, x_name, y_letters, equal_klein, equal_dihedral, expected_length,
+    # computed_length, alphabet, expected_parts, computed_parts
     return VerificationReport(
-        n=record.n,
-        family=record.family,
-        factor=factor,
-        x=x,
-        x_name=str(data.d8.element_names[x]),
-        y_letters=record.y_letters,
-        equal_klein=klein == _fold(list(c.klein), (core.klein, c_inv.klein), klein_mul),
-        equal_dihedral=dihedral == _fold(list(c.dihedral), (core.dihedral, c_inv.dihedral), dihedral_mul),
-        expected_length=_joined_length(c.letters, core.letters, c_inv.letters),
-        computed_length=len(head.letters) + middle.length + len(tail.letters),
-        alphabet=data.acd,
-        expected_parts=(c.letters, core.letters, c_inv.letters),
-        computed_parts=(head, middle.chunks, tail),
+        record.n, record.family, factor, x, str(data.d8.element_names[x]), record.y_letters,
+        klein == _fold(list(c.klein), (core.klein, c_inv.klein), klein_mul),
+        dihedral == _fold(list(c.dihedral), (core.dihedral, c_inv.dihedral), dihedral_mul),
+        _joined_length(c.letters, core.letters, c_inv.letters),
+        len(head.letters) + middle.length + len(tail.letters),
+        data.acd, (c.letters, core.letters, c_inv.letters), (head, middle.chunks, tail),
     )
 
 
@@ -620,7 +646,8 @@ def verify_sigma_identity(
         raise ValueError(f"x must be a D_8 element index in 0..{data.d8.order - 1}")
     data._checked_seed("abd", family, n + 1)  # as if w_{n+1} were built
     record = data._family(n, family, data.relator_family("abd", family, n))
-    return _report(data, record, data._middle(record, x), factor, x)
+    table = next(table for xs, table in data._x_classes if x in xs)
+    return _report(data, record, data._middle(record, table), factor, x)
 
 
 @frozen
@@ -666,13 +693,14 @@ def run_full_verification(
         for family in ("w", "z"):
             family_words[family] = iterate_substitution(data.sigma_abd, family_words[family], 1)
             record = data._family(n, family, family_words[family])
-            # x before factor, so both factors' cases of an x share its middle,
-            # and it is dropped before the next x's is built
-            first, second = [], []
-            for x in range(data.d8.order):
-                middle = data._middle(record, x)
-                first.append(_report(data, record, middle, "first", x))
-                second.append(_report(data, record, middle, "second", x))
+            # class before factor, so both factors' cases of every x of a class
+            # share its middle, and it is dropped before the next class's is built
+            first, second = [None] * data.d8.order, [None] * data.d8.order
+            for xs, table in data._x_classes:
+                middle = data._middle(record, table)
+                for x in xs:
+                    first[x] = _report(data, record, middle, "first", x)
+                    second[x] = _report(data, record, middle, "second", x)
             reports += first + second
     by_level: dict = {}
     for rep in reports:

@@ -145,7 +145,9 @@ def test_split_extensions_are_built_on_first_read_and_once(monkeypatch):
 
 _DEFINING = ("abcd", "acd", "abd", "sigma_abcd", "sigma_acd", "sigma_abd", "seeds", "d8", "d16", "klein_cd")
 # the tables a case reads, each cached on its first read
-_CACHED = ("b_extension", "a_extension", "phi0_table", "_phi0_words", "_bd_to_cd", "_tau", "_transport_chunks")
+_CACHED = (
+    "b_extension", "a_extension", "phi0_table", "_phi0_words", "_bd_to_cd", "_tau", "_transport_chunks", "_x_classes"
+)
 
 
 def test_grigorchuk_data_takes_only_its_defining_values():
@@ -303,29 +305,31 @@ def test_the_grid_cancels_once_per_n_and_family(monkeypatch):
 
 
 def test_the_grid_builds_one_middle_per_n_family_and_x(monkeypatch):
-    # both factors' cases of an (n, family, x) share one middle: 4 x 2 x 8
-    # middles for the 128 cases of the n <= 4 grid
+    # both factors' cases of every x of an (n, family) and class of x share
+    # one middle: 4 x 2 x 4 middles for the 128 cases of the n <= 4 grid
     built = []
     middle = grigorchuk._Middle
     monkeypatch.setattr(grigorchuk, "_Middle", lambda *args: built.append(args) or middle(*args))
     _, summary = run_full_verification(make_grigorchuk_data(), 4)
     assert summary.total == 128 and summary.all_equal
-    assert len(built) == 64
+    assert len(built) == 32
 
 
 def test_both_factors_share_each_middle(grig):
     # the two reports of one (n, family, x) hold the same middle chunks, not
-    # a copy; those of different x do not
+    # a copy, and so do those of x and a x; those of other x do not
     reports, _ = run_full_verification(make_grigorchuk_data(), 3)
     by_case = {(rep.n, rep.family, rep.x, rep.factor): rep for rep in reports}
+    a = grig.d8.generator_map[0]
     mids = []
     for n in range(1, 4):
         for family in ("w", "z"):
             for x in range(8):
                 first, second = (by_case[n, family, x, factor].computed_parts[1] for factor in ("first", "second"))
                 assert first is second, (n, family, x)
+                assert first is by_case[n, family, grig.d8.mul[a][x], "first"].computed_parts[1], (n, family, x)
                 mids.append(first)
-    assert len(set(map(id, mids))) == len(mids) == 48
+    assert len(mids) == 48 and len(set(map(id, mids))) == 24
 
 
 def test_grid_cases_come_in_n_family_factor_x_order(grig):
@@ -357,6 +361,47 @@ def test_both_factors_share_the_mid_table(grig):
                 want = grig._join_chunks(d, grig._join_chunks(chunks.inverse[g], chunks.head[h]))
                 assert chunks.mid[g][h] == want, (g, h)
         assert pairs == 56
+
+
+def test_mapped_mid_tables_keep_their_d16_values_and_pair_x_with_a_x(grig):
+    # the two facts the grid's sharing rests on, from the J letters alone:
+    # J(x g, x h) and J(g, h) have one value in D_16, and the mid tables of x
+    # and y agree exactly when y is x or a x
+    mid, mul = grig._transport_chunks["first"].mid, grig.d8.mul
+    a = grig.d8.generator_map[0]
+    value = grig.a_extension._image_of
+
+    def j(g, h):
+        return Word._of(grig.acd, mid[g][h].letters[1:])
+
+    pairs = [(g, h) for g in range(8) for h in range(8) if g != h]
+    for x in range(8):
+        for g, h in pairs:
+            assert value(j(mul[x][g], mul[x][h])) == value(j(g, h)), (x, g, h)
+    tables = [[mid[mul[x][g]][mul[x][h]].letters for g, h in pairs] for x in range(8)]
+    for x in range(8):
+        for y in range(8):
+            assert (tables[x] == tables[y]) == (y in (x, mul[a][x])), (x, y)
+    assert [set(xs) for xs, _ in grig._x_classes] == [{x, mul[a][x]} for x in (0, 2, 4, 6)]
+
+
+def test_a_mid_table_whose_dihedral_forms_vary_with_x_is_refused(monkeypatch):
+    # one chunk's D_16 value changed, still nontrivial: neither the grid nor a
+    # lone case shares the dihedral form of the other x's middles
+    chunks = make_grigorchuk_data()._transport_chunks
+    mid = chunks["first"].mid
+    good = mid[0][1]
+    other = next(v for v in range(1, 16) if v != good.dihedral[1])
+    bad = good._replace(dihedral=(good.dihedral[0], other))
+    table = tuple(tuple(bad if (g, h) == (0, 1) else m for h, m in enumerate(row)) for g, row in enumerate(mid))
+    broken = {factor: c._replace(mid=table) for factor, c in chunks.items()}
+    runs = [lambda data: run_full_verification(data, 2)]
+    runs += [lambda data, x=x: verify_sigma_identity(data, 1, "w", "second", x) for x in (0, 5)]
+    for run in runs:
+        data = make_grigorchuk_data()
+        monkeypatch.setitem(vars(data), "_transport_chunks", broken)
+        with pytest.raises(RuntimeError, match="differ in D_16"):
+            run(data)
 
 
 def test_a_lone_case_after_a_grid_matches_the_grid():
