@@ -329,14 +329,10 @@ class BaumslagSolitarOracle(WordOracle):
     n: int
     identity = (0, 0, 0)
 
-    @cached_property
-    def _moves(self) -> tuple[tuple[int, int, int], ...]:
-        """Each column's letter index and sign, with n: one read per step."""
-        return tuple((i, e, self.n) for i, e in self.alphabet.directions)
-
     def step(self, key: tuple[int, int, int], k: int) -> tuple[int, int, int]:
         p, m, r = key
-        idx, e, n = self._moves[k]
+        idx, e = self.alphabet.directions[k]
+        n = self.n
         if idx == 1:
             m += e * n**r
         elif r + e >= 0:

@@ -24,7 +24,6 @@ value, never a silent timeout.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from collections import deque
 from collections.abc import Sequence
@@ -33,18 +32,7 @@ from dataclasses import field
 from .backends import WordOracle, _explore, _first_paths
 from .errors import Exhausted, NotNullHomotopic, OracleMismatch
 from .presentations import Presentation
-from .words import Word, free_reduce, frozen
-
-
-_NAMED_IN_FULL = 64  # letters; a longer word is named in a message by its head and length
-
-
-def _named(word: Word) -> str:
-    """`word` quoted for a one-line message: whole up to 64 letters, else
-    its first 64 letters and its length."""
-    if len(word) <= _NAMED_IN_FULL:
-        return f"'{word}'"
-    return f"'{Word._of(word.alphabet, word.letters[:_NAMED_IN_FULL])} ...' ({len(word)} letters)"
+from .words import Word, _named, free_reduce, frozen
 
 
 def _check_oracle(oracle: WordOracle, p: Presentation):
@@ -117,18 +105,14 @@ class Ball:
     tree: tuple[tuple[int, int], ...] = field(compare=False, repr=False)
     is_sphere: bool = False
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "radius": self.radius,
-                "vertices": [str(v) for v in self.vertices],
-                "edges": [
-                    [i, self.presentation.alphabet.letters[l], j] for i, l, j in self.edges
-                ],
-                "cells": [[base, rel] for base, rel in self.cells],
-            },
-            sort_keys=True,
-        )
+    def to_dict(self) -> dict:
+        names = self.presentation.alphabet.letters
+        return {
+            "radius": self.radius,
+            "vertices": [str(v) for v in self.vertices],
+            "edges": [[i, names[l], j] for i, l, j in self.edges],
+            "cells": [[base, rel] for base, rel in self.cells],
+        }
 
 
 def _build(oracle: WordOracle, p: Presentation, r: int, basepoint: Word | None, sphere: bool):
@@ -482,12 +466,11 @@ def _assemble_witness(loop, norm_moves, seen, p, region, explored) -> Witness:
         chain.append(seen[key])
         key = seen[key][0]
     alphabet = p.alphabet
-    dirs = alphabet.directions
     moves = list(norm_moves)
     for prev, pos, k in reversed(chain):
         u, ins, _, _ = p.cell_moves[k]
         moves.append(HomotopyMove(pos, u, ins, "relator"))
-        raw = tuple(dirs[ord(c)] for c in prev)
+        raw = alphabet.decode(prev)
         moves.extend(_reduce_recording(Word._of(alphabet, raw[:pos] + ins + raw[pos + len(u) :]))[1])
     witness = Witness(loop, tuple(moves), region, explored, p)
     if not witness.replay():

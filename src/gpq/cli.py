@@ -98,15 +98,13 @@ def _json_path(ctx, param, json_path: str | None):
     return json_path
 
 
-def _emit(report: dict, json_path: str | None):
+def _emit(report: dict, json_path: str):
     text = json.dumps(report, sort_keys=True, indent=2)
-    if json_path:
-        try:
-            with open(json_path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise Refused(f"cannot write {json_path}: {exc}") from None
-    return text
+    try:
+        with open(json_path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise Refused(f"cannot write {json_path}: {exc}") from None
 
 
 def _load_document(path: str):
@@ -214,7 +212,7 @@ def cmd_rewrite(path, word_text, confluence, witness_r, json_path):
         if json_path:  # only the report holds the trace
             nf, trace = rw.reduce(rs, word, step_limit=limit)
             steps = len(trace.steps)
-            payload["trace"] = json.loads(trace.to_json())
+            payload["trace"] = trace.to_dict()
         else:
             nf, steps = rw.normal_form(rs, word, step_limit=limit)
         click.echo(f"{word} -> {nf or 'e'} ({steps} steps)")

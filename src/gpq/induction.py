@@ -9,7 +9,6 @@ extensions with positive relators are supported.
 
 from __future__ import annotations
 
-import json
 from dataclasses import field
 
 from .backends import FiniteGroupTable
@@ -121,18 +120,15 @@ class InducedPresentation:
     dropped_relators: tuple[str, ...]
     log: tuple[str, ...] = field(default=())
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "generators": list(self.presentation.alphabet.letters),
-                "relators": [str(r) for r in self.presentation.relators],
-                "pre_simplification_generator_count": self.pre_simplification_generator_count,
-                "eliminated_generators": list(self.eliminated_generators),
-                "dropped_relators": list(self.dropped_relators),
-                "log": list(self.log),
-            },
-            sort_keys=True,
-        )
+    def to_dict(self) -> dict:
+        return {
+            "generators": list(self.presentation.alphabet.letters),
+            "relators": [str(r) for r in self.presentation.relators],
+            "pre_simplification_generator_count": self.pre_simplification_generator_count,
+            "eliminated_generators": list(self.eliminated_generators),
+            "dropped_relators": list(self.dropped_relators),
+            "log": list(self.log),
+        }
 
 
 def y_letter_name(data: SplitExtensionData, yl: YLetter) -> str:

@@ -21,8 +21,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import DerivationDoesNotReduce, InvalidMove
-from .words import Alphabet, Word, free_reduce, frozen, is_letter_name, rename_word, rotations_and_inverses
+from .errors import DerivationDoesNotReduce, InvalidMove, LimitExceeded
+from .words import (
+    LETTER_CAP,
+    Alphabet,
+    Word,
+    _named,
+    free_reduce,
+    frozen,
+    is_letter_name,
+    rename_word,
+    rotations_and_inverses,
+)
 
 
 @frozen
@@ -61,15 +71,25 @@ class Presentation:
         v^-1 whenever uv is a rotation of a relator or of its inverse.  One
         (remove, insert, coded remove, coded free-reduced insert) tuple per
         distinct (u, v^-1), relator by relator, variant by variant, cut by
-        cut, coded by `Alphabet.code`.  Freely trivial relators give none."""
+        cut, coded by `Alphabet.code`.  Freely trivial relators give none.
+        Before a relator's rotations are built, LimitExceeded refuses a table
+        of more than LETTER_CAP letters of u and v^-1: each distinct rotation
+        of an n-letter relator or of its inverse gives n + 1 moves of n
+        letters, and the relator has as many as its period, its inverse the
+        same ones, if it is one of them, or as many others."""
         code = self.alphabet.code
         moves = []
         seen = set()
+        letters = 0  # at most the table's, once this relator's moves are in
         for rel in self.relators:
             if free_reduce(rel).is_empty():
                 continue
-            for variant in rotations_and_inverses(rel):
-                n = len(variant)
+            c, n = code(rel.letters), len(rel)
+            period = (c + c).find(c, 1)
+            letters += (period if code(rel.inverse().letters) in c + c else 2 * period) * n * (n + 1)
+            if letters > LETTER_CAP:
+                raise LimitExceeded(f"relator {_named(rel)} takes the cell-move table past {LETTER_CAP:,} letters")
+            for variant in rotations_and_inverses(rel):  # each n letters long
                 backwards = variant.inverse().letters
                 for cut in range(n + 1):
                     u = variant.letters[:cut]

@@ -14,14 +14,13 @@ metric ball (see `ball_null_homotopy_witness`).
 
 from __future__ import annotations
 
-import json
 import re
 from functools import cached_property
 from itertools import product
 
 from .errors import GpqError, LimitExceeded, OracleMismatch
 from .presentations import Presentation
-from .words import Alphabet, Word, free_reduce, frozen, rotations_and_inverses
+from .words import _NAMED_IN_FULL, Alphabet, Word, _named, free_reduce, frozen
 
 
 @frozen
@@ -102,21 +101,13 @@ class ReductionTrace:
                 return False
         return True
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "steps": [
-                    {
-                        "before": str(s.before),
-                        "rule": s.rule,
-                        "pos": s.position,
-                        "after": str(s.after),
-                    }
-                    for s in self.steps
-                ]
-            },
-            sort_keys=True,
-        )
+    def to_dict(self) -> dict:
+        return {
+            "steps": [
+                {"before": str(s.before), "rule": s.rule, "pos": s.position, "after": str(s.after)}
+                for s in self.steps
+            ]
+        }
 
 
 def _rewrite(rs: RewritingSystem, code: str, step_limit: int) -> tuple[str, list[tuple[int, int]], bool]:
@@ -187,8 +178,7 @@ def normal_form(rs: RewritingSystem, word: Word, step_limit: int = 10_000) -> tu
     if word.alphabet != rs.alphabet:
         raise ValueError("word over a different alphabet")
     code, moves, irreducible = _rewrite(rs, rs.alphabet.code(word.letters), step_limit)
-    dirs = rs.alphabet.directions
-    nf = Word._of(rs.alphabet, tuple(dirs[ord(c)] for c in code))
+    nf = Word._of(rs.alphabet, rs.alphabet.decode(code))
     if not irreducible:
         raise LimitExceeded(f"no irreducible word within {step_limit} steps", word=nf)
     return nf, len(moves)
@@ -289,25 +279,30 @@ class NotGeodesic(GpqError):
     pass
 
 
-def _rule_matches_presentation(rs: RewritingSystem, p: Presentation, rule) -> bool:
-    """The relation lhs = rhs must appear among the relators up to rotation/inversion.
+def _unmatched_rule(rs: RewritingSystem, p: Presentation):
+    """The first rule whose relation lhs = rhs is not among the relators up
+    to rotation and inversion, or None.
 
     Inverses follow the involutive convention, but involutive squares like a^2
     are not cancelled away before matching; rules expressing free cancellations
-    (lhs rhs^-1 trivially reduced) need no 2-cell and always match.
+    (lhs rhs^-1 trivially reduced) need no 2-cell and always match.  Words are
+    compared as `Alphabet.code` strs, which store an involutive letter one way
+    as a checked word does: a relation is a rotation of a relator or of its
+    inverse exactly when it is as long and occurs in one of their doubled codes.
     """
-    lhs, rhs = rule
     # with every involutive flag cleared, only explicit x x^-1 pairs cancel
     plain = Alphabet(rs.alphabet.letters, (False,) * len(rs.alphabet))
-    target = free_reduce(Word(plain, (lhs * rhs.inverse()).letters)).letters
-    if not target:
-        return True
+    code = rs.alphabet.code
+    cycles = []
     for rel in p.relators:
         base = Word(rs.alphabet, free_reduce(Word(plain, rel.letters)).letters)
         # the inverse of a reduced word is reduced
-        if any(variant.letters == target for variant in rotations_and_inverses(base)):
-            return True
-    return False
+        cycles += [code(base.letters) * 2, code(base.inverse().letters) * 2]
+    for lhs, rhs in rs.rules:
+        target = code(free_reduce(Word(plain, (lhs * rhs.inverse()).letters)).letters)
+        if target and not any(len(cycle) == 2 * len(target) and target in cycle for cycle in cycles):
+            return lhs, rhs
+    return None
 
 
 @frozen
@@ -343,11 +338,13 @@ def ball_null_homotopy_witness(
         raise ValueError("radius must be >= 0")
     if not is_geodesic(rs):
         raise NotGeodesic("witness construction requires a geodesic system")
-    for rule in rs.rules:
-        if not _rule_matches_presentation(rs, p, rule):
-            raise OracleMismatch(
-                f"rule '{rule[0]} -> {rule[1]}' has no associated relator in {p}"
-            )
+    unmatched = _unmatched_rule(rs, p)
+    if unmatched is not None:
+        lhs, rhs = unmatched
+        rule = f"'{lhs} -> {rhs}'" if len(lhs) + len(rhs) <= _NAMED_IN_FULL else f"{_named(lhs)} -> {_named(rhs)}"
+        raise OracleMismatch(
+            f"rule {rule} has no associated relator in presentation {p.name!r} ({len(p.relators)} relators)"
+        )
     bound = 2 * r + 1
     count = layer = 1  # the words of length <= bound, counted up to the first past the cap
     for _ in range(bound):
@@ -357,15 +354,16 @@ def ball_null_homotopy_witness(
         count += layer
     if count > word_cap:
         raise LimitExceeded(f"more than {word_cap} candidate words at radius {r}")
-    dirs = rs.alphabet.directions
-    codes = rs.alphabet.code(dirs)
+    alphabet = rs.alphabet
+    codes = alphabet.code(alphabet.directions)
     witnesses = []
     for n in range(bound + 1):
         for chars in product(codes, repeat=n):
-            code, moves, irreducible = _rewrite(rs, "".join(chars), step_limit)
+            candidate = "".join(chars)
+            code, moves, irreducible = _rewrite(rs, candidate, step_limit)
             if code and irreducible:
                 continue  # not an identity word: no Word or trace is built
-            w = Word._of(rs.alphabet, tuple([dirs[ord(c)] for c in chars]))
+            w = Word._of(alphabet, alphabet.decode(candidate))
             try:
                 witnesses.append((w, _traced(rs, w, moves, irreducible, step_limit)[1]))
             except LimitExceeded as exc:

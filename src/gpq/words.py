@@ -34,7 +34,7 @@ from inspect import Parameter, Signature
 from itertools import product
 from operator import attrgetter
 from reprlib import recursive_repr
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import LimitExceeded, NegativeExponent, ParseError
 
@@ -148,11 +148,6 @@ def _getter(names):
 def _bound(qualname, names, defaults, args, kwargs) -> list:
     """One value per name: `args`, then for each later name its value in
     `kwargs` or else in `defaults`."""
-    if not args and len(kwargs) == len(names):  # every field by keyword, as `replace` and the grid pass them
-        try:
-            return list(map(kwargs.__getitem__, names))
-        except KeyError:
-            pass
     values = list(args)
     taken = 0
     for name in names[len(args) :]:
@@ -272,6 +267,11 @@ class Alphabet:
         chars = self._chars
         return "".join([chars[e][i] for i, e in letters])
 
+    def decode(self, code: str) -> tuple[tuple[int, int], ...]:
+        """The signed letters of a str that `code` wrote: its inverse."""
+        dirs = self.directions
+        return tuple([dirs[ord(c)] for c in code])
+
     def index(self, name: str) -> int:
         try:
             return self._positions[name]
@@ -338,11 +338,6 @@ class Word:
             raise ValueError("cannot concatenate words over different alphabets")
         return Word._of(self.alphabet, self.letters + other.letters)
 
-    def __pow__(self, n: int) -> "Word":
-        if n < 0:
-            return self.inverse() ** (-n)
-        return Word._of(self.alphabet, self.letters * n)
-
     def inverse(self) -> "Word":
         invol = self.alphabet.involutive  # an involutive letter is its own inverse
         return Word._of(
@@ -361,9 +356,6 @@ class Word:
     def __len__(self):
         return len(self.letters)
 
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.letters)
-
     def is_positive(self) -> bool:
         return all(exp == 1 for _, exp in self.letters)
 
@@ -379,6 +371,17 @@ class Word:
 
     def __repr__(self):
         return f"Word({str(self) or 'e'})"
+
+
+_NAMED_IN_FULL = 64  # letters; a longer word is named in a message by its head and length
+
+
+def _named(word: Word) -> str:
+    """`word` quoted for a one-line message: whole up to 64 letters, else
+    its first 64 letters and its length."""
+    if len(word) <= _NAMED_IN_FULL:
+        return f"'{word}'"
+    return f"'{Word._of(word.alphabet, word.letters[:_NAMED_IN_FULL])} ...' ({len(word)} letters)"
 
 
 def _checked(alphabet: Alphabet, letters: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import random
 from collections import Counter
 from dataclasses import fields
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -37,8 +39,9 @@ from gpq.balls import (
     pi1_generators,
     pi1_kill_radius,
 )
-from gpq.errors import Exhausted, NotNullHomotopic, OracleMismatch
+from gpq.errors import Exhausted, LimitExceeded, NotNullHomotopic, OracleMismatch
 from gpq import balls, presentations
+from gpq.parsing import parse_document
 from gpq.presentations import Presentation
 from gpq.words import Alphabet, Word, free_reduce, words_up_to_length
 from helpers import (
@@ -305,7 +308,7 @@ def test_ball_json_export(z2_setup):
     import json
 
     p, oracle = z2_setup
-    payload = json.loads(build_ball(oracle, p, 1).to_json())
+    payload = json.loads(json.dumps(build_ball(oracle, p, 1).to_dict(), sort_keys=True))
     assert payload["radius"] == 1
     assert len(payload["vertices"]) == 5
     assert all(len(e) == 3 for e in payload["edges"])
@@ -429,6 +432,19 @@ def test_replay_rejects_moves_that_open_the_loop(z2_setup):
     assert good.replay()
 
 
+def test_replay_rejects_a_start_outside_the_region_or_a_removal_not_in_the_loop(z2_setup):
+    p, oracle = z2_setup
+    loop = W(p, "a a b a' a' b'")  # through a a b, at distance 3
+    good = null_homotopy_search(oracle, p, loop, build_ball(oracle, p, 3))
+    assert good.replay()
+    assert not dataclasses.replace(good, region=build_ball(oracle, p, 2)).replay()
+    # b b' is a cancelling pair, but the loop's first two letters are a a'
+    spur, region = W(p, "a a'"), build_ball(oracle, p, 2)
+    a, a_, b, b_ = (0, 1), (0, -1), (1, 1), (1, -1)
+    assert not Witness(spur, (HomotopyMove(0, (b, b_), (), "free"),), region, 0, p).replay()
+    assert Witness(spur, (HomotopyMove(0, (a, a_), (), "free"),), region, 0, p).replay()
+
+
 def test_replay_rejects_a_cell_the_presentation_lacks(z2_setup):
     # a b a' b' is trivial in Z^2, but a ball with no 2-cells is a graph,
     # where that loop does not die
@@ -524,6 +540,64 @@ def test_cell_moves_are_built_once_per_presentation(monkeypatch):
     assert twin == p
     assert twin.cell_moves == p.cell_moves and twin.cell_moves is not p.cell_moves
     assert len(calls) == 2
+
+
+def test_a_cell_move_table_past_the_letter_cap_is_refused_before_its_rotations(monkeypatch):
+    # (a b a' b')^200: 8 distinct rotations and inverse rotations of 800
+    # letters, each cut 801 ways into moves of 800 letters
+    calls = []
+    real = presentations.rotations_and_inverses
+    monkeypatch.setattr(presentations, "rotations_and_inverses", lambda w: calls.append(w) or real(w))
+    p = Presentation.make("a, b", ["a b a' b'", "(a b a' b')^200"], "big")
+    head = " ".join(["a b a' b'"] * 16)
+    with pytest.raises(LimitExceeded) as info:
+        p.cell_moves
+    assert str(info.value) == f"relator '{head} ...' (800 letters) takes the cell-move table past 262,144 letters"
+    assert calls == [p.relators[0]]
+
+
+def test_the_cell_move_cap_predicts_each_relator_s_table_exactly(monkeypatch):
+    # one relator's table is built at a cap of its letters and refused one
+    # letter below, whether its inverse is one of its rotations (b involutive:
+    # a b a' b) or not, and for proper powers
+    rng = random.Random(5)
+    alphabet = Alphabet.make("a", "b!", "c")
+    inverse_is_a_rotation = 0
+    for _ in range(300):
+        block = [(rng.randrange(3), rng.choice((1, -1))) for _ in range(rng.randint(1, 4))]
+        rel = Word(alphabet, block * rng.randint(1, 3))
+        table = Presentation(alphabet, (rel,)).cell_moves
+        letters = sum(len(u) + len(ins) for u, ins, _, _ in table)
+        if free_reduce(rel).is_empty():
+            assert table == ()
+            continue
+        monkeypatch.setattr(presentations, "LETTER_CAP", letters)
+        assert Presentation(alphabet, (rel,)).cell_moves == table
+        monkeypatch.setattr(presentations, "LETTER_CAP", letters - 1)
+        with pytest.raises(LimitExceeded):
+            Presentation(alphabet, (rel,)).cell_moves
+        monkeypatch.undo()
+        code = alphabet.code(rel.letters)
+        inverse_is_a_rotation += alphabet.code(rel.inverse().letters) in code + code
+    assert 20 < inverse_is_a_rotation < 250
+
+
+# the sha256 of each sample's cell-move table's repr, and its letters
+SAMPLE_CELL_MOVES = {
+    "samples/bs12.gp": ("3e25e4f2530a8058bd40fbd6d7ff319d722564cacc3e467e167f34068a5aab00", 300),
+    "samples/d8.gp": ("3664141677b59a59f7fff4eb9e7aa3a9a937e32b84ee96fae2f143217aba9e54", 144),
+    "samples/z2.gp": ("918a9a8aff59f306e4987e6f3cb420fd345dd25be075e410a71c6e991d74679b", 160),
+    "tests/golden/grigorchuk_hnn.gp": ("3788c94b103760682c370c6329a917133f1e71bf1247f87f2517e4974c94bfd7", 4376),
+}
+
+
+@pytest.mark.parametrize("path", SAMPLE_CELL_MOVES)
+def test_sample_cell_move_tables_are_unchanged(path):
+    digest, letters = SAMPLE_CELL_MOVES[path]
+    p = parse_document((Path(__file__).resolve().parent.parent / path).read_text()).presentation()
+    table = p.cell_moves
+    assert hashlib.sha256(repr(table).encode()).hexdigest() == digest
+    assert sum(len(u) + len(ins) for u, ins, _, _ in table) == letters
 
 
 def test_search_past_its_frontier_only_tests_for_one_move_kills(monkeypatch):

@@ -6,13 +6,16 @@ import json
 import random
 import shlex
 import shutil
+import time
 import tracemalloc
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from gpq import balls, rewriting
+from gpq import balls, cli, rewriting
 from gpq.cli import _factored, main
 from gpq.parsing import parse_document
 
@@ -110,6 +113,26 @@ def test_oracle_mismatch_names_a_long_relator_in_one_short_line(runner, tmp_path
         "is not trivial under free abelian group of rank 2\n"
     )
     assert result.stdout == ""
+
+
+def test_a_finite_backend_that_a_relator_does_not_fit_exit_code(runner, tmp_path):
+    path = _write(tmp_path, "d6.gp", "gens a!, d!;\nrel (a d)^3;\n")
+    result = runner.invoke(main, ["ball", path, "--backend", "dihedral:8", "--radius", "1"])
+    _assert_clean_exit(result, 3)
+    assert result.stderr == "oracle mismatch: relator 'a d a d a d' is not trivial under finite group of order 8 on <a,d>\n"
+
+
+def test_a_cell_move_table_past_the_letter_cap_exit_code(runner, tmp_path):
+    # a one-line document whose kill radius would slide across 6,408 moves
+    # of 800 letters per search state
+    path = _write(tmp_path, "big.gp", "gens a, b; rel (a b a' b')^200;\n")
+    start = time.perf_counter()
+    result = runner.invoke(main, ["ball", path, "--backend", "abelian", "--radius", "2", "--kill-radius", "2"])
+    assert time.perf_counter() - start < 2
+    _assert_clean_exit(result, 4)
+    assert len(result.stderr.splitlines()) == 1 and len(result.stderr.encode()) < 1024
+    assert result.stderr.startswith("resource limit: relator 'a b a' b' a b a' b' ")
+    assert result.stderr.endswith(" ...' (800 letters) takes the cell-move table past 262,144 letters\n")
 
 
 def test_rewrite_word_without_json_keeps_no_trace(runner):
@@ -247,6 +270,42 @@ def test_grigorchuk_verify(runner, tmp_path):
     assert payload["payload"]["summary"]["total"] == 32
     assert payload["payload"]["summary"]["all_equal"] is True
     assert len(payload["payload"]["reports"]) == 32
+
+
+def test_grigorchuk_verify_exits_1_on_a_mismatch(runner, tmp_path, monkeypatch):
+    # the grid of n = 1 with its first case made unequal at every level
+    real = cli.run_full_verification
+
+    def one_unequal(data, max_n):
+        reports, summary = real(data, max_n)
+        first = reports[0]
+        reports[0] = replace(
+            first, equal_klein=False, equal_dihedral=False, computed_length=first.computed_length + 1
+        )
+        by_level = Counter(rep.level or "unequal" for rep in reports)
+        return reports, replace(summary, equal=summary.equal - 1, by_level=dict(by_level))
+
+    monkeypatch.setattr(cli, "run_full_verification", one_unequal)
+    out = tmp_path / "verify.json"
+    result = runner.invoke(main, ["grigorchuk", "verify", "--max-n", "1", "--json", str(out)])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    lines = result.stdout.splitlines()
+    assert lines[0] == f"{'n=1 w first x=e':32} MISMATCH"
+    assert lines[32].startswith("total=32 equal=31 ") and '"unequal": 1' in lines[32]
+    payload = json.loads(out.read_text())["payload"]
+    assert payload["summary"]["all_equal"] is False
+    assert payload["reports"][0]["equal"] is False and payload["reports"][0]["level"] is None
+
+
+def test_rewrite_confluence_counterexample_json(runner, tmp_path):
+    # the peak a b c rewrites to c c and to a a, both irreducible
+    path = _write(tmp_path, "abc.gp", "gens a, b, c;\nrule a b -> c;\nrule b c -> a;\n")
+    out = tmp_path / "report.json"
+    result = runner.invoke(main, ["rewrite", path, "--confluence", "--json", str(out)])
+    assert result.exit_code == 0 and result.stdout == "Counterexample\n"
+    payload = json.loads(out.read_text())["payload"]
+    assert payload["confluence"] == "Counterexample"
+    assert payload["counterexample"] == {"peak": "a b c", "left": "c c", "right": "a a"}
 
 
 def test_grigorchuk_verify_zero(runner):

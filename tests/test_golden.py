@@ -9,13 +9,20 @@ count or verification level shows here as a changed digest.
 from __future__ import annotations
 
 import hashlib
+import json
 import shlex
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from gpq.backends import cyclic_group, free_abelian_oracle
+from gpq.balls import build_ball
 from gpq.cli import main
+from gpq.induction import SplitExtensionData, induce_presentation
+from gpq.presentations import Presentation
+from gpq.rewriting import dihedral_rewriting_system, reduce
+from gpq.words import Word
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -130,3 +137,38 @@ def test_cli_output_matches_golden(tmp_path, args, code, stdout_sha, json_sha):
     assert result.exit_code == code, result.output
     assert _sha256(result.stdout.encode()) == stdout_sha, result.stdout
     assert _sha256(report.read_bytes()) == json_sha, report.read_text()
+
+
+# (what, its to_dict() dumped with sorted keys): the texts the serializers'
+# earlier JSON-string form gave for the same objects
+SERIALIZED = [
+    ("ball", '{"cells": [[0, 0], [2, 0], [4, 0], [10, 0]], "edges": [[0, "a", 1], [0, "b", 3], [1, "a", 5], '
+     '[1, "b", 6], [2, "a", 0], [2, "b", 9], [3, "a", 6], [3, "b", 11], [4, "a", 7], [4, "b", 0], [7, "b", 1], '
+     '[8, "a", 2], [9, "a", 3], [10, "a", 4], [10, "b", 2], [12, "b", 4]], "radius": 2, "vertices": ["", "a", '
+     '"a\'", "b", "b\'", "a a", "a b", "a b\'", "a\' a\'", "a\' b", "a\' b\'", "b b", "b\' b\'"]}'),
+    ("trace", '{"steps": [{"after": "a d a d d d a", "before": "d a d a d d a", "pos": 0, "rule": 2}, '
+     '{"after": "a d a d a", "before": "a d a d d d a", "pos": 3, "rule": 1}, {"after": "a a d a d", '
+     '"before": "a d a d a", "pos": 1, "rule": 2}, {"after": "d a d", "before": "a a d a d", "pos": 0, "rule": 0}]}'),
+    ("induced", '{"dropped_relators": ["^e T(relator 1) is empty", "^s T(relator 1) is empty"], '
+     '"eliminated_generators": ["s", "s_s"], "generators": ["x", "x_s"], "log": ["eliminated 2 trivial y-letters '
+     '(generators equal to their own lifts): s, s_s", "dropped 2 empty induced relators"], '
+     '"pre_simplification_generator_count": 4, "relators": ["x x", "x_s x_s", "x x_s", "x_s x"]}'),
+]
+
+
+def _serialized(what: str):
+    if what == "ball":
+        p = Presentation.make("a, b", ["a b a' b'"], "z2")
+        return build_ball(free_abelian_oracle(2, p.alphabet), p, 2)
+    if what == "trace":
+        rs = dihedral_rewriting_system(8, ("a", "d"))
+        return reduce(rs, Word.from_str(rs.alphabet, "d a d a d d a"))[1]
+    g = Presentation.make("x!, s!", ["x x", "s s", "(x s)^2"], "klein4")
+    f = cyclic_group(2, "s")
+    lifts = (Word.identity(g.alphabet), Word.from_str(g.alphabet, "s"))
+    return induce_presentation(SplitExtensionData(g, f, (0, f.generator_map[0]), lifts))
+
+
+@pytest.mark.parametrize("what, text", SERIALIZED, ids=[s[0] for s in SERIALIZED])
+def test_to_dict_dumps_to_the_json_text_of_before(what, text):
+    assert json.dumps(_serialized(what).to_dict(), sort_keys=True) == text

@@ -269,7 +269,7 @@ def test_induced_presentation_json_export(klein_data):
     import json
 
     ind = induce_presentation(klein_data)
-    payload = json.loads(ind.to_json())
+    payload = json.loads(json.dumps(ind.to_dict(), sort_keys=True))
     assert payload["generators"] == ["x", "x_s"]
     assert payload["pre_simplification_generator_count"] == 4
     assert payload["eliminated_generators"] == ["s", "s_s"]

@@ -75,6 +75,30 @@ def test_malformed_generators_or_substitution_is_a_parse_error_at_its_statement(
     assert (err.value.line, err.value.column) == (line, column)
 
 
+@pytest.mark.parametrize(
+    "text, line, column, reason",
+    [
+        ("name;", 1, 1, "name takes one identifier"),
+        ("name a b;", 1, 1, "name takes one identifier"),
+        ("gens a;\ngens b;", 2, 1, "duplicate gens declaration"),
+        ("endo a;", 1, 1, "expected 'endo gens ...'"),
+        ("gens a;\nendo gens b;", 2, 1, "duplicate gens declaration"),
+        ("gens a;\nQ a;", 2, 1, "'Q' outside an endo presentation"),
+        ("gens a;\nR a;", 2, 1, "'R' outside an endo presentation"),
+        ("gens a;\nsub s a -> a;", 2, 1, "expected 'sub name: ...'"),
+        ("endo gens a;\nphi s;", 2, 1, "expected 'phi name: ...'"),
+        ("gens a;\nsub s: a a;", 2, 1, "expected 'letter -> word'"),
+        ("gens a;\nrule a a;", 2, 1, "rule needs '->'"),
+        ("gens a;\nrule -> a;", 2, 1, "rule left-hand side must be nonempty"),
+        ("gens a;\n  bogus a;", 2, 3, "unknown statement 'bogus'"),
+    ],
+)
+def test_a_malformed_statement_is_refused_at_its_head(text, line, column, reason):
+    with pytest.raises(ParseError) as err:
+        parse_document(text)
+    assert (err.value.reason, err.value.line, err.value.column) == (reason, line, column)
+
+
 def test_round_trip_presentation():
     text = "name t;\ngens a!, b;\nrel a a;\nrel b a b' a;\nsub s: a -> a b a; b -> a;\nrule a a -> ;\n"
     doc = parse_document(text)

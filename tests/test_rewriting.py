@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import FrozenInstanceError, replace
 
@@ -23,13 +24,14 @@ from gpq.rewriting import (
     ball_null_homotopy_witness,
     certify_local_confluence,
     critical_pairs,
+    _unmatched_rule,
     dihedral_rewriting_system,
     free_reduction_system,
     is_geodesic,
     normal_form,
     reduce,
 )
-from gpq.words import Alphabet, Word, words_up_to_length
+from gpq.words import Alphabet, Word, free_reduce, rotations_and_inverses, words_up_to_length
 from helpers import rewrite_restart, witness_word_by_word
 
 
@@ -105,6 +107,18 @@ def test_verify_refuses_steps_outside_the_rules_or_the_word():
     assert not ReductionTrace((replace(first, position=len(first.before)),)).verify(rs)
 
 
+def test_verify_refuses_a_forged_window_result_or_chain():
+    rs = dihedral_rewriting_system(8, ("a", "d"))
+    _, trace = reduce(rs, W(rs, "d a d a d d a"))
+    assert trace.verify(rs) and len(trace.steps) == 4
+    first, second, third = trace.steps[:3]
+    # d a d a -> a d a d at 0; at 1 the word reads a d a d, no left-hand side
+    assert not ReductionTrace((replace(first, position=1),)).verify(rs)
+    assert not ReductionTrace((replace(first, after=second.after),)).verify(rs)
+    assert not ReductionTrace((first, third)).verify(rs)  # third does not start where first ends
+    assert ReductionTrace((first, second)).verify(rs)
+
+
 def test_is_geodesic():
     assert is_geodesic(free_reduction_system(Alphabet.make("a", "b")))
     assert not is_geodesic(RewritingSystem.make("a", [("a", "a a")]))
@@ -114,7 +128,7 @@ def test_is_geodesic():
 def test_trace_serializes_to_json():
     rs = free_reduction_system(Alphabet.make("a"))
     _, trace = reduce(rs, W(rs, "a a' a a'"))
-    assert '"steps"' in trace.to_json()
+    assert '"steps"' in json.dumps(trace.to_dict(), sort_keys=True)
 
 
 def test_critical_pairs_self_overlap():
@@ -257,6 +271,67 @@ def test_ball_witness_requires_matching_relators():
     p = Presentation.make("a!, d!", ["a a", "d d"], "v4")  # missing (ad)^4
     with pytest.raises(OracleMismatch, match="'d a d a -> a d a d' has no associated relator"):
         ball_null_homotopy_witness(rs, p, 1)
+
+
+def _matches_some_rotation(rs, p, rule) -> bool:
+    """The rule check spelled out: lhs rhs^-1, reduced with only explicit
+    x x^-1 pairs cancelling, is empty or one of the rotations of a relator,
+    so reduced, or of its inverse."""
+    lhs, rhs = rule
+    plain = Alphabet(rs.alphabet.letters, (False,) * len(rs.alphabet))
+    target = free_reduce(Word(plain, (lhs * rhs.inverse()).letters)).letters
+    if not target:
+        return True
+    for rel in p.relators:
+        base = Word(rs.alphabet, free_reduce(Word(plain, rel.letters)).letters)
+        if any(variant.letters == target for variant in rotations_and_inverses(base)):
+            return True
+    return False
+
+
+def test_the_rule_check_agrees_with_every_rotation_on_seeded_rules():
+    rng = random.Random(39)
+    alphabet = Alphabet.make("a", "b!", "c")
+
+    def word(low, high):
+        letters = [(rng.randrange(3), rng.choice((1, -1))) for _ in range(rng.randint(low, high))]
+        return Word(alphabet, letters)
+
+    matched = 0
+    for _ in range(1_200):
+        p = Presentation(alphabet, tuple(word(0, 6) for _ in range(rng.randint(0, 3))), "seeded")
+        if p.relators and rng.random() < 0.6:  # cut a rotation of a relator or its inverse in two
+            variant = rng.choice(rotations_and_inverses(rng.choice(p.relators)))
+            cut = rng.randint(1, max(len(variant), 1))
+            lhs = Word(alphabet, variant.letters[:cut] or ((0, 1),))
+            rhs = Word(alphabet, variant.letters[cut:]).inverse()
+        else:
+            lhs, rhs = word(1, 4), word(0, 3)
+        rs = RewritingSystem(alphabet, ((lhs, rhs),))
+        want = _matches_some_rotation(rs, p, (lhs, rhs))
+        assert (_unmatched_rule(rs, p) is None) == want, (p, lhs, rhs)
+        matched += want
+    assert 300 < matched < 900
+
+
+def test_an_unmatched_rule_over_long_relators_is_named_in_one_short_line():
+    # relators of 100,000 letters: a rule is found among their rotations by
+    # one substring search each, and long sides are named by head and length
+    alphabet = Alphabet.make("a", "b")
+    long = Word(alphabet, ((0, 1), (1, 1), (0, -1), (1, 1)) * 25_000)
+    p = Presentation(alphabet, (long, long.inverse(), Word(alphabet, long.letters[4:] + long.letters[:4])), "big")
+    rotated = long.letters[1:] + long.letters[:1]
+    matched = (Word(alphabet, rotated[:60_000]), Word(alphabet, rotated[60_000:]).inverse())
+    unmatched = (Word(alphabet, ((0, 1),) * 100), Word(alphabet, ((1, 1),) * 3))
+    rs = RewritingSystem(alphabet, (matched,))
+    assert _unmatched_rule(rs, p) is None
+    assert ball_null_homotopy_witness(rs, p, 0).words_checked == 5  # the words of length <= 1
+    with pytest.raises(OracleMismatch) as info:
+        ball_null_homotopy_witness(RewritingSystem(alphabet, (matched, unmatched)), p, 0)
+    assert str(info.value) == (
+        f"rule '{' '.join(['a'] * 64)} ...' (100 letters) -> 'b b b' has no associated relator "
+        "in presentation 'big' (3 relators)"
+    )
 
 
 def test_reduce_outputs_are_irreducible():

@@ -81,6 +81,19 @@ def test_trace_replay_and_invert():
     assert trace.invert() == p
 
 
+def test_trace_replay_reapplies_its_moves():
+    p = Presentation.make("a, b", ["a b a' b'"], "z2")
+    trace = FiniteEquivalenceTrace(p)
+    trace.apply(T1("u", W(p, "a b")))
+    trace.apply(T1("v", W(trace.current, "u b")))
+    trace.apply(T2("v"))
+    assert len(trace.steps) == 3
+    replayed = trace.replay()
+    assert replayed == trace.current and replayed is not trace.current
+    assert str(replayed) == "< a, b, u | a b a' b', u b' a' >"
+    assert FiniteEquivalenceTrace(p, list(trace.steps)).current == trace.current
+
+
 def _random_word(alphabet, rng, max_len=6):
     letters = []
     for _ in range(rng.randrange(max_len + 1)):
