@@ -21,50 +21,43 @@ d-letters multiplies neighbouring conjugator words inside the finite quotient
 <a,c>, which free reduction alone cannot see.  Each report states the first
 level at which its case closes.
 
-Work per GrigorchukData, done on its first case: for each D_8 element g
-and each factor the reduced conjugator C_g (phi0(g) for the second factor,
-a phi0(g) for the first) and its inverse, and the chunks the transported
-word is assembled from: head C_g and tail d C_g^-1, each with its Klein and
-dihedral normal forms, as tuples of ints.  The mid chunks d J(g, h) for
-g != h, J(g, h) = reduce(C_g^-1 C_h), are built once for both factors: a
-is an involution, so reduce((a C_g)^-1 a C_h) = reduce(C_g^-1 C_h).  The
-grid keeps each family's w_n in a local, continued by sigma once per n, and
-reads one record per (n, family) off it: the conjugators of its basic
-relation T(w_n) over D_8 from the prefix walk of basic_relation (w_0 has
-none, and no record), their number and the stack s_1 .. s_k left when equal
-neighbours cancel, each piece C_g d C_g^-1 being an involution, and the core
-w_{n+1} = sigma(w_n) over a,c,d through b -> cd, read off w_n through each
-letter's image, with its two normal forms, and the middle's dihedral form,
-the forms of the chunks mid[s_i][s_i+1] concatenated.  That form serves
-every x: phi0 is a homomorphism, so J(x g, x h) has the value of J(g, h) in
-D_16.  The x fall into classes whose rows of the D_8 table map the mid table
-alike ({x, a x} on make_grigorchuk_data()); both facts are read off the
-table and checked once, on its first read.  A class's mapped table gives
-the middle of x T(w_n), the chunks mid[x s_i][x s_i+1] (x g = x h only for
-g = h, so the stack stays cancelled), with its letter count and its Klein
-form (one fold over the seams).  The grid builds each class's middle once,
-for both factors' cases of every x in it; a lone case builds w_n from the
-seed, its record and its x's middle.  GrigorchukData keeps none of them.
-Work per case (factor, x): the transported word is the head of x s_1, the
-middle and the tail of x s_k; its dihedral form is theirs concatenated,
-and its Klein form joins them at two seams by the same fold, which can
-cascade into the middle.  The expected word joins C, the core and
-C^-1 at two seams, its normal forms by the same fold.  Letters are compared
-only when the two lengths agree, and a report's words are joined on first
-read.  No case computes a normal form by a pass over letters.
+Work per GrigorchukData, done on its first case: each factor's _Chunks,
+the conjugators C_g (phi0(g), a phi0(g) for the first factor) and the chunks
+the transported word is built from, head C_g, tail d C_g^-1 and, shared by
+both factors, mid d J(g, h), J(g, h) = reduce(C_g^-1 C_h), each with its
+Klein and dihedral normal forms as tuples of ints; and the classes of x
+whose rows of the D_8 table map the mid table alike (_x_classes).  No
+family word is built.  What a case reads off w_n joins under concatenation,
+and sigma acts letter by letter, so the grid holds one _Level per a,b,d
+letter x for sigma^n(x), advanced once per n by folding those of sigma(x)'s
+letters, and folds each (n, family)'s record from its seed's letters: the
+y-letter count of T(w_n) and its conjugators, equal neighbours cancelled to
+s_1 .. s_k, the core w_{n+1} over a,c,d through b -> cd with its two normal
+forms, and the middle's dihedral form, which serves every x.  Each class
+of x gets one middle, the chunks mid[x s_i][x s_i+1] with their Klein form,
+for both factors' cases of every x in it; a lone case folds the levels up
+to its n.  GrigorchukData keeps none of them.  Work per case (factor, x): the
+transported word is the head of x s_1, the middle and the tail of x s_k;
+its dihedral form is theirs concatenated, and its Klein form joins them at
+two seams by the same fold, which can cascade into the middle.  The
+expected word joins C, the core and C^-1 at two seams, its normal forms by
+the same fold.  Letters are compared only when the two lengths agree, and a
+report's words are joined on first read.  No case computes a normal form by
+a pass over letters.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from typing import NamedTuple
 
 from .backends import FiniteGroupTable, dihedral_group, klein_group
-from .errors import DegenerateCase, LimitExceeded
-from .induction import SplitExtensionData, prefix_walk
+from .errors import DegenerateCase, DoesNotCloseUp, LimitExceeded
+from .induction import SplitExtensionData
 from .presentations import Presentation
 from .words import (
     LETTER_CAP,
@@ -79,11 +72,12 @@ from .words import (
 )
 
 
-# The longest relator-family word built, the cap on a word read from text.
-# Every sigma sends a to a word with two a's, so w_n and z_n at least double
-# with n; the cap admits every member with n <= 11, hence the w_11 and z_11
-# cores of the n <= 10 grid (at most 139,560 letters), and refuses w_40's
-# trillions of letters before building any.
+# The longest relator-family word, the cap on a word read from text.  Every
+# sigma sends a to a word with two a's, so w_n and z_n at least double with
+# n; the cap admits every member with n <= 11 and refuses w_40's trillions of
+# letters before building any.  The grid builds no family word, but its
+# records' cores grow as w_{n+1} does, so it takes the n <= 10 grid, whose
+# z_11 has 139,560 letters, and refuses a larger one before any case.
 FAMILY_LETTER_CAP = LETTER_CAP
 
 
@@ -119,11 +113,21 @@ class _Middle(NamedTuple):
     length: int
 
 
+class _Level(NamedTuple):
+    """What the grid reads off sigma^n(v), v an a,b,d letter or word: the _Chunk
+    of translate(sigma^(n+1)(v)), the D_8 value of sigma^n(v), the D_8
+    conjugators of its y-letters, equal neighbours cancelled, and their number."""
+
+    core: _Chunk
+    value: int
+    stack: tuple
+    y_letters: int
+
+
 class _Family(NamedTuple):
-    """One relator family at one n, read off w_n over a,b,d: the D_8
-    conjugators of the y-letters of T(w_n) with equal neighbours cancelled,
-    the number of y-letters, the _Chunk of the core translate(w_{n+1}), and
-    the dihedral form of every x's middle, the chunks' forms concatenated."""
+    """One relator family at one n: the stack, y-letter count and core of the
+    _Level of w_n, and every x's middle's dihedral form, the chunks' forms
+    concatenated."""
 
     n: int
     family: str
@@ -184,11 +188,6 @@ class GrigorchukData:
         return tuple(Word.from_str(self.acd, images[name]).letters for name in self.abd.letters)
 
     @cached_property
-    def _tau(self) -> tuple:
-        """The letters of translate_bd_to_cd(sigma_abd(x)) for each a,b,d letter x."""
-        return tuple(self.translate_bd_to_cd(image).letters for image in self.sigma_abd.images)
-
-    @cached_property
     def _transport_chunks(self) -> dict:
         """The _Chunks of the 'first' and the 'second' factor, around one mid
         table, which the first factor's heads and inverses build."""
@@ -198,10 +197,10 @@ class GrigorchukData:
             head = tuple(self._chunk(_join(prefix, u.letters)) for u in self._phi0_words)
             inverse = tuple(self._chunk(c.letters[::-1]) for c in head)  # involutive letters
             mid = mid or tuple(
-                tuple(None if g == h else join(d, join(u, v)) for h, v in enumerate(head))
+                tuple(None if g == h else join([d, u, v]) for h, v in enumerate(head))
                 for g, u in enumerate(inverse)
             )
-            tail = tuple(join(d, c) for c in inverse)
+            tail = tuple(join([d, c]) for c in inverse)
             chunks[factor] = _check_chunks(_Chunks(head, inverse, mid, tail), d.letters[0])
         return chunks
 
@@ -231,12 +230,12 @@ class GrigorchukData:
         word = Word._of(self.acd, letters)
         return _Chunk(letters, self.klein_nf(word), self.dihedral_nf(word))
 
-    def _join_chunks(self, u: _Chunk, v: _Chunk) -> _Chunk:
-        """The chunk of the reduced product of chunks u and v."""
+    def _join_chunks(self, chunks: list) -> _Chunk:
+        """The chunk of the reduced product of `chunks`, joined seam by seam."""
         return _Chunk(
-            _join(u.letters, v.letters),
-            _nf_join(u.klein, v.klein, self.klein_cd.mul),
-            _nf_join(u.dihedral, v.dihedral, self.d16.mul),
+            _join(*map(itemgetter(0), chunks)),
+            tuple(_fold([], map(itemgetter(1), chunks), self.klein_cd.mul)),
+            tuple(_fold([], map(itemgetter(2), chunks), self.d16.mul)),
         )
 
     # -- presentations ---------------------------------------------------------
@@ -253,14 +252,9 @@ class GrigorchukData:
         return Presentation(alphabet, tuple(relators), f"grigorchuk_{variant}")
 
     def _variant(self, variant: str):
-        try:
-            return {
-                "abcd": (self.abcd, self.sigma_abcd),
-                "acd": (self.acd, self.sigma_acd),
-                "abd": (self.abd, self.sigma_abd),
-            }[variant]
-        except KeyError:
-            raise ValueError(f"unknown variant {variant!r}") from None
+        if variant not in ("abcd", "acd", "abd"):
+            raise ValueError(f"unknown variant {variant!r}")
+        return getattr(self, variant), getattr(self, "sigma_" + variant)
 
     def relator_family(self, variant: str, family: str, n: int) -> Word:
         """w_n or z_n: the n-th iterate of the family seed, unreduced.
@@ -273,9 +267,10 @@ class GrigorchukData:
 
     def _checked_seed(self, variant: str, family: str, n: int):
         """(sigma, the family seed), once relator_family(variant, family, n)
-        is known to have at most FAMILY_LETTER_CAP letters; LimitExceeded
-        otherwise.  The length is predicted from the seed's letter counts and
-        those of the substitution's images, without building a word."""
+        is known to have at most FAMILY_LETTER_CAP letters, LimitExceeded
+        otherwise, and for n > 0 a positive seed, NegativeExponent otherwise.
+        The length is predicted from the seed's letter counts and those of
+        the substitution's images, without building a word."""
         if n < 0:
             raise ValueError("n must be >= 0")
         alphabet, sigma = self._variant(variant)
@@ -298,6 +293,8 @@ class GrigorchukData:
                 f"{family}_{n} of the {variant} variant has more than "
                 f"{FAMILY_LETTER_CAP:,} letters"
             )
+        if n and not seed.is_positive():
+            apply_substitution(sigma, seed)  # refuses the first inverse letter: NegativeExponent
         return sigma, seed
 
     # -- transport maps ----------------------------------------------------------
@@ -326,19 +323,43 @@ class GrigorchukData:
 
     # -- the part of a verification case shared by all (factor, x) ----------------
 
-    def _family(self, n: int, family: str, word: Word) -> _Family:
-        """The _Family of `family` (a,b,d variant) at n, w_n = `word`.  Free
-        reduction commutes with concatenation, so the core is w_n read
-        through _tau."""
-        conjugators, _ = prefix_walk(word, self.b_extension)
-        if not conjugators:
+    def _levels(self):
+        """The _Level of each a,b,d letter x at n = 0, 1, 2, ...: at 0 that
+        of x, at n + 1 the product of those at n of the letters of sigma(x)."""
+        ext, images, level = self.b_extension, self.sigma_abd.images, []
+        for x, image in enumerate(images):
+            y = 0 if ext.y_is_trivial(x) else 1  # x alone: a y-letter has the empty prefix
+            level.append(_Level(self._chunk(self.translate_bd_to_cd(image).letters), ext.p_map[x], (0,) * y, y))
+        while True:
+            yield level
+            level = [self._product(level, image) for image in images]
+
+    def _product(self, level: list, word: Word) -> _Level:
+        """The _Level of `word` over a,b,d, from `level`, its letters' at the
+        same n: their cores and their stacks joined at each seam, each letter's
+        conjugators moved by the D_8 row of the value before it."""
+        parts = [level[i] for i, _ in word.letters]
+        mul, stacks, value = self.d8.mul, [], 0
+        for part in parts:
+            row = mul[value]
+            stacks.append([row[g] for g in part.stack])
+            value = row[part.value]
+        core = self._join_chunks([part.core for part in parts])
+        return _Level(core, value, _join(*stacks), sum(part.y_letters for part in parts))
+
+    def _family(self, n: int, family: str, seed: Word, level: list) -> _Family:
+        """The _Family of `family` (a,b,d variant, w_0 = `seed`) at n, folded from
+        the letters' _Level at n; refused as basic_relation refuses w_n, which
+        is built only for the message."""
+        whole = self._product(level, seed)
+        if whole.value:
+            word = self.relator_family("abd", family, n)
+            raise DoesNotCloseUp(f"'{word}' has quotient image {self.d8.element_names[whole.value]}, not the identity")
+        if not whole.y_letters:
             raise DegenerateCase(f"{family}_{n} has no inducible letters (b-free)")
-        tau = self._tau
-        core = free_reduce(Word._of(self.acd, tuple(chain.from_iterable(tau[i] for i, _ in word.letters))))
-        stack = tuple(_cancel(conjugators))
-        mid = self._x_classes[0][1]  # any class's table: _x_classes checks their dihedral forms agree
-        dihedral = tuple(chain.from_iterable(mid[g][h].dihedral for g, h in zip(stack, stack[1:])))
-        return _Family(n, family, stack, len(conjugators), self._chunk(core.letters), dihedral)
+        s, mid = whole.stack, self._x_classes[0][1]  # any class's table: _x_classes checks their dihedral forms agree
+        dihedral = tuple(chain.from_iterable(mid[g][h].dihedral for g, h in zip(s, s[1:])))
+        return _Family(n, family, s, whole.y_letters, whole.core, dihedral)
 
     def _middle(self, record: _Family, table: tuple) -> _Middle:
         """The _Middle of x T(w_n) for every x whose mapped mid table, shared by
@@ -420,12 +441,6 @@ def _free_product_nf(word: Word, table: FiniteGroupTable, embed: dict, passthrou
     return tuple(out)
 
 
-def _nf_join(u: tuple, v: tuple, mul) -> tuple:
-    """The normal form of the product of normal forms u and v, `mul` the
-    table's multiplication: the free-product form of _join."""
-    return tuple(_fold(list(u), (v,), mul))
-
-
 def _fold(out: list, forms, mul) -> list:
     """Extend the normal form `out` in place to that of its product with the
     normal forms in `forms`, in turn, and return it.  At each seam two table
@@ -494,18 +509,6 @@ def make_grigorchuk_data() -> GrigorchukData:
 # --- transport and verification ------------------------------------------------------
 
 
-def _cancel(gs) -> list:
-    """The conjugators gs with equal neighbours cancelled: each piece
-    P_g = C_g d C_g^-1 is an involution as a word, so P_g P_g = 1."""
-    stack: list = []
-    for g in gs:
-        if stack and stack[-1] == g:
-            stack.pop()
-        else:
-            stack.append(g)
-    return stack
-
-
 @frozen
 class VerificationReport:
     """One case.  Its expected and computed words are kept as what they are
@@ -530,7 +533,7 @@ class VerificationReport:
     @cached_property
     def expected(self) -> Word:
         c, core, c_inv = self.expected_parts
-        return Word._of(self.alphabet, _join(_join(c, core), c_inv))
+        return Word._of(self.alphabet, _join(c, core, c_inv))
 
     @cached_property
     def computed(self) -> Word:
@@ -582,14 +585,20 @@ def _overlap(u: tuple, v: tuple) -> int:
     return k
 
 
-def _join(u: tuple, v: tuple) -> tuple:
-    """free_reduce(u v) for reduced u and v over involutive letters."""
-    k = _overlap(u, v)
-    return u[: len(u) - k] + v[k:]
+def _join(*parts) -> tuple:
+    """free_reduce of the product of reduced parts over involutive letters, the
+    overlap cancelling at each seam; so also the stack of their conjugators,
+    each piece P_g = C_g d C_g^-1 being an involution as a word."""
+    out: list = []
+    for v in parts:
+        k = _overlap(out, v)
+        del out[len(out) - k :]
+        out += v[k:]
+    return tuple(out)
 
 
 def _joined_length(c: tuple, core: tuple, c_inv: tuple) -> int:
-    """len(_join(_join(c, core), c_inv)), building no more than the last
+    """len(_join(c, core, c_inv)), building no more than the last
     len(c_inv) letters of the first join, all the second one reads."""
     k = _overlap(c, core)
     rest = core[max(k, len(core) - len(c_inv)) :]
@@ -640,12 +649,12 @@ def verify_sigma_identity(
     """
     if factor not in data._transport_chunks:
         raise ValueError("factor must be 'first' or 'second'")
-    if type(n) is not int:
-        raise ValueError(f"n must be an int, got {n!r}")
+    if type(n) is not int or n < 0:
+        raise ValueError(f"n must be an int >= 0, got {n!r}")
     if type(x) is not int or x not in range(data.d8.order):
         raise ValueError(f"x must be a D_8 element index in 0..{data.d8.order - 1}")
-    data._checked_seed("abd", family, n + 1)  # as if w_{n+1} were built
-    record = data._family(n, family, data.relator_family("abd", family, n))
+    _, seed = data._checked_seed("abd", family, n + 1)  # as if w_{n+1} were built
+    record = data._family(n, family, seed, next(islice(data._levels(), n, None)))
     table = next(table for xs, table in data._x_classes if x in xs)
     return _report(data, record, data._middle(record, table), factor, x)
 
@@ -685,14 +694,12 @@ def run_full_verification(
     """
     if type(max_n) is not int or max_n < 0:
         raise ValueError(f"max_n must be an int >= 0, got {max_n!r}")
-    # each family's w_n, continued by sigma once per n
-    family_words = {family: data._checked_seed("abd", family, max_n + 1)[1] for family in ("w", "z")}
+    seeds = {family: data._checked_seed("abd", family, max_n + 1)[1] for family in ("w", "z")}
     reports = []
     skipped = ("n=0 skipped: w_0 = (ad)^4 is b-free, its basic relation is empty",)
-    for n in range(1, max_n + 1):
+    for n, level in zip(range(1, max_n + 1), islice(data._levels(), 1, None)):
         for family in ("w", "z"):
-            family_words[family] = iterate_substitution(data.sigma_abd, family_words[family], 1)
-            record = data._family(n, family, family_words[family])
+            record = data._family(n, family, seeds[family], level)
             # class before factor, so both factors' cases of every x of a class
             # share its middle, and it is dropped before the next class's is built
             first, second = [None] * data.d8.order, [None] * data.d8.order
@@ -702,14 +709,6 @@ def run_full_verification(
                     first[x] = _report(data, record, middle, "first", x)
                     second[x] = _report(data, record, middle, "second", x)
             reports += first + second
-    by_level: dict = {}
-    for rep in reports:
-        key = rep.level or "unequal"
-        by_level[key] = by_level.get(key, 0) + 1
-    summary = VerificationSummary(
-        total=len(reports),
-        equal=sum(1 for r in reports if r.equal),
-        by_level=by_level,
-        skipped=skipped,
-    )
-    return reports, summary
+    by_level = dict(Counter(rep.level or "unequal" for rep in reports))
+    equal = sum(1 for rep in reports if rep.equal)
+    return reports, VerificationSummary(len(reports), equal, by_level, skipped)

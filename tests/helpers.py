@@ -13,6 +13,12 @@ forms of the library's recorded free reduction (cancel the leftmost pair,
 rescan from the left) and of its decoding dynamic programme (a whole source
 tuple per suffix), kept as references for the one-pass forms.
 
+`family_of_word` is the earlier record of one relator family at one n, read
+off the whole word w_n: its prefix walk, the conjugators cancelled by
+`cancel_pieces`, and the core w_{n+1} built and translated, with a normal
+form pass over it each; a reference for the library's records, folded
+level by level from letter tables without building w_n.
+
 `search_whole_words` is the earlier null-homotopy search, which builds,
 free-reduces and walks every candidate loop in full, and `rewrite_restart`
 the earlier rewriting loop, which rescans from the left after every step:
@@ -92,9 +98,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 
-from gpq.errors import LimitExceeded, ParseError
-from gpq.grigorchuk import _cancel, _fold
-from gpq.induction import basic_relation, conjugate_relation
+from gpq.errors import DegenerateCase, LimitExceeded, ParseError
+from gpq.grigorchuk import _Chunk, _Family, _fold
+from gpq.induction import basic_relation, conjugate_relation, prefix_walk
 from gpq.rewriting import NullHomotopyCertificate, ReductionStep, ReductionTrace
 from gpq.words import Word, apply_substitution, free_reduce, rotations_and_inverses, words_up_to_length
 
@@ -602,6 +608,36 @@ def verify_whole_words(data, n, family, factor, x):
     )
 
 
+def cancel_pieces(gs):
+    """The conjugators gs with equal neighbours cancelled, by one pass with a
+    stack: each piece P_g = C_g d C_g^-1 is an involution as a word, so
+    P_g P_g = 1."""
+    stack = []
+    for g in gs:
+        if stack and stack[-1] == g:
+            stack.pop()
+        else:
+            stack.append(g)
+    return stack
+
+
+def family_of_word(data, n, family, word):
+    """The grigorchuk._Family of `family` at n read off w_n = `word` over
+    a,b,d: the conjugators of the prefix walk of basic_relation, cancelled
+    by `cancel_pieces`; the core translate_bd_to_cd(sigma(w_n)) built whole,
+    with its Klein and dihedral forms from a pass over its letters each; and
+    the middle's dihedral form from the mid table of x = e."""
+    conjugators, _ = prefix_walk(word, data.b_extension)
+    if not conjugators:
+        raise DegenerateCase(f"{family}_{n} has no inducible letters (b-free)")
+    stack = tuple(cancel_pieces(conjugators))
+    core = data.translate_bd_to_cd(apply_substitution(data.sigma_abd, word))
+    mid = data._transport_chunks["first"].mid
+    dihedral = tuple(chain.from_iterable(mid[g][h].dihedral for g, h in zip(stack, stack[1:])))
+    chunk = _Chunk(core.letters, data.klein_nf(core), data.dihedral_nf(core))
+    return _Family(n, family, stack, len(conjugators), chunk, dihedral)
+
+
 def search_whole_words(p, loop, region, step_cap, extra_relators=()):
     """Breadth-first null-homotopy search of `loop` in `region`, one whole word
     per candidate: a Word, a free reduction and a walk of the unreduced loop.
@@ -792,7 +828,7 @@ def assemble(data, factor, gs):
     pieces C_g d C_g^-1, g in gs, of one factor."""
     if factor not in data._transport_chunks:
         raise ValueError("factor must be 'first' or 'second'")
-    pieces = pieces_of(data._transport_chunks[factor], _cancel(gs))
+    pieces = pieces_of(data._transport_chunks[factor], cancel_pieces(gs))
     return (
         tuple(chain.from_iterable(p.letters for p in pieces)),
         tuple(_fold([], (p.klein for p in pieces), data.klein_cd.mul)),

@@ -8,30 +8,37 @@ import random
 import subprocess
 import sys
 from dataclasses import fields
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import pytest
 
 from gpq.backends import cyclic_group
-from gpq.errors import DegenerateCase, DoesNotCloseUp, LimitExceeded
+from gpq.errors import DegenerateCase, DoesNotCloseUp, LimitExceeded, NegativeExponent
 from gpq import grigorchuk, induction, words
 from gpq.grigorchuk import (
     FAMILY_LETTER_CAP,
     GrigorchukData,
-    _cancel,
     _check_chunks,
+    _fold,
     _free_product_nf,
     _join,
     _joined_length,
-    _nf_join,
     make_grigorchuk_data,
     run_full_verification,
     verify_sigma_identity,
 )
 from gpq.induction import YLetter, basic_relation, conjugate_relation
-from gpq.words import Alphabet, Word, apply_substitution, free_reduce
-from helpers import assemble, free_product_nf, phi0_letterwise, transport_induced_relation, verify_whole_words
+from gpq.words import Alphabet, Substitution, Word, apply_substitution, free_reduce
+from helpers import (
+    assemble,
+    cancel_pieces,
+    family_of_word,
+    free_product_nf,
+    phi0_letterwise,
+    transport_induced_relation,
+    verify_whole_words,
+)
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -146,7 +153,7 @@ def test_split_extensions_are_built_on_first_read_and_once(monkeypatch):
 _DEFINING = ("abcd", "acd", "abd", "sigma_abcd", "sigma_acd", "sigma_abd", "seeds", "d8", "d16", "klein_cd")
 # the tables a case reads, each cached on its first read
 _CACHED = (
-    "b_extension", "a_extension", "phi0_table", "_phi0_words", "_bd_to_cd", "_tau", "_transport_chunks", "_x_classes"
+    "b_extension", "a_extension", "phi0_table", "_phi0_words", "_bd_to_cd", "_transport_chunks", "_x_classes"
 )
 
 
@@ -282,26 +289,33 @@ def test_cancelling_commutes_with_conjugating(grig):
     for n in range(1, 7):
         for family in ("w", "z"):
             basic = basic_relation(grig.relator_family("abd", family, n), grig.b_extension)
-            cancelled = _cancel(yl.conjugator for yl in basic)
+            cancelled = cancel_pieces(yl.conjugator for yl in basic)
             cancelled_pieces += len(basic) - len(cancelled)
             for x in range(8):
                 conjugated = conjugate_relation(basic, x, grig.b_extension)
                 row = grig.d8.mul[x]
-                assert _cancel(yl.conjugator for yl in conjugated) == [row[g] for g in cancelled], (n, family, x)
+                assert cancel_pieces(yl.conjugator for yl in conjugated) == [row[g] for g in cancelled], (n, family, x)
     assert cancelled_pieces > 1000
 
 
-def test_the_grid_cancels_once_per_n_and_family(monkeypatch):
+def test_the_grid_folds_each_record_once(monkeypatch):
+    # the n <= 4 grid folds one _Level per a,b,d letter and level 1 .. 4,
+    # over the letters of its sigma image, and one per (n, family), over its
+    # seed's letters; each fold joins the cancelled stacks of its parts
     calls = []
+    product = GrigorchukData._product
 
-    def counted(gs):
-        calls.append(1)
-        return _cancel(gs)
+    def counted(self, level, word):
+        calls.append(len(word))
+        return product(self, level, word)
 
-    monkeypatch.setattr(grigorchuk, "_cancel", counted)
-    _, summary = run_full_verification(make_grigorchuk_data(), 4)
+    monkeypatch.setattr(GrigorchukData, "_product", counted)
+    data = make_grigorchuk_data()
+    _, summary = run_full_verification(data, 4)
     assert summary.total == 128 and summary.all_equal
-    assert len(calls) == 8
+    images = [len(image) for image in data.sigma_abd.images]
+    seeds = [len(Word.from_str(data.abd, data.seeds["abd", family])) for family in ("w", "z")]
+    assert calls == (images + seeds) * 4
 
 
 def test_the_grid_builds_one_middle_per_n_family_and_x(monkeypatch):
@@ -358,7 +372,7 @@ def test_both_factors_share_the_mid_table(grig):
                     assert chunks.mid[g][h] is None
                     continue
                 pairs += 1
-                want = grig._join_chunks(d, grig._join_chunks(chunks.inverse[g], chunks.head[h]))
+                want = grig._join_chunks([d, chunks.inverse[g], chunks.head[h]])
                 assert chunks.mid[g][h] == want, (g, h)
         assert pairs == 56
 
@@ -432,7 +446,7 @@ def test_lone_cases_in_shuffled_order_match_the_grid():
 
 
 def test_lone_cases_of_n_8_in_reverse_grid_order_match_the_grid():
-    # each lone case builds its own w_8, record and middle, and leaves none
+    # each lone case folds its own levels, record and middle, and leaves none
     # of them on the data
     reports, _ = run_full_verification(make_grigorchuk_data(), 8)
     grid = [rep for rep in reports if rep.n == 8]
@@ -529,6 +543,11 @@ def test_an_embedded_letter_of_infinite_order_is_refused(grig):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == messages
+
+
+def _nf_join(u, v, mul):
+    """The normal form of the product of normal forms u and v: _fold at their seam."""
+    return tuple(_fold([], (u, v), mul))
 
 
 def test_nf_join_is_the_normal_form_of_the_product(grig):
@@ -755,53 +774,146 @@ def test_full_verification_refuses_a_max_n_other_than_an_int_at_least_0(grig, ma
         run_full_verification(grig, max_n)
 
 
+def _levels_at(data, n):
+    """The letters' _Level records at n."""
+    return next(islice(data._levels(), n, None))
+
+
+def _seed(data, family):
+    """The family's seed w_0 over a,b,d."""
+    return Word.from_str(data.abd, data.seeds["abd", family])
+
+
 def test_family_words_apply_sigma_once_per_n(monkeypatch):
-    # the grid up to max_n needs w_1 .. w_{max_n} of each family, and builds
-    # each from the one before it; relator_family is unchanged
+    # the grid up to max_n reads w_n and w_{n+1} off the letters' records at
+    # level n, advanced from level 0 once per n, and applies sigma to no word;
+    # relator_family is unchanged
     data = make_grigorchuk_data()
-    calls = []
-    apply = words.apply_substitution
+    calls, levels = [], []
+    apply, walk = words.apply_substitution, GrigorchukData._levels
 
     def counted(sub, word):
         calls.append(sub is data.sigma_abd)
         return apply(sub, word)
 
+    def recorded(self):
+        for level in walk(self):
+            levels.append(level)
+            yield level
+
     monkeypatch.setattr(words, "apply_substitution", counted)
+    monkeypatch.setattr(GrigorchukData, "_levels", recorded)
     run_full_verification(data, 4)
-    assert calls == [True] * (2 * 4)
+    assert calls == [] and len(levels) == 4 + 1
+    assert [record.y_letters for record in levels[0]] == [0, 1, 0]  # level 0: a, b, d
     for family in ("w", "z"):
         for n in (5, 2, 3, 0, 6):
-            word = data.relator_family("abd", family, n)
+            level = _levels_at(data, n)
             if (n, family) == (0, "w"):
                 # w_0 is b-free: it gets no record
                 with pytest.raises(DegenerateCase):
-                    data._family(n, family, word)
+                    data._family(n, family, _seed(data, family), level)
                 continue
-            # a record is a function of w_n alone
-            record = data._family(n, family, word)
-            assert record[:2] == (n, family) and data._family(n, family, word) == record
+            # a record is a function of the seed and the level alone
+            record = data._family(n, family, _seed(data, family), level)
+            assert record[:2] == (n, family) and data._family(n, family, _seed(data, family), level) == record
 
 
 def test_the_grid_builds_no_y_letter_and_no_word_past_max_n(monkeypatch):
-    # the n <= 8 grid reads T(w_n) off the prefix walk, as ints, and its
-    # cores off w_n: it builds w_1 .. w_8 of each family, never w_9 or z_9
+    # the n <= 8 grid, and a lone case, read T(w_n) and the core off the
+    # letters' records: they build no y-letter and no family word, not even
+    # w_1, and run no prefix walk
     data = make_grigorchuk_data()
-    beyond = {data.relator_family("abd", family, 9).letters for family in ("w", "z")}
-    y_letters, built = [], []
-    init, apply = induction.YLetter.__init__, words.apply_substitution
+    y_letters, built, walked = [], [], []
+    init, apply, walk = induction.YLetter.__init__, words.apply_substitution, induction.prefix_walk
     monkeypatch.setattr(induction.YLetter, "__init__", lambda self, *args: y_letters.append(args) or init(self, *args))
     monkeypatch.setattr(words, "apply_substitution", lambda sub, word: built.append(apply(sub, word)) or built[-1])
+    monkeypatch.setattr(induction, "prefix_walk", lambda word, ext: walked.append(word) or walk(word, ext))
     _, summary = run_full_verification(data, 8)
     assert summary.total == 256 and summary.all_equal
-    assert y_letters == []
-    assert len(built) == 2 * 8 and not beyond & {word.letters for word in built}
-    # the counters count: basic_relation builds its YLetters
+    assert verify_sigma_identity(make_grigorchuk_data(), 8, "z", "first", 5).equal
+    assert y_letters == [] and built == [] and walked == []
+    # the counters count: relator_family builds its words by sigma, and
+    # basic_relation walks them and builds its YLetters
     assert len(basic_relation(data.relator_family("abd", "w", 1), data.b_extension)) == len(y_letters) > 0
+    assert len(built) == len(walked) == 1
+
+
+def test_level_records_match_the_word_based_reference(grig):
+    # every field of each (n, family) record folded from the letters' levels
+    # equals that read off the whole word w_n, for n <= 10
+    levels = grig._levels()
+    for n in range(11):
+        level = next(levels)
+        for family in ("w", "z"):
+            word = grig.relator_family("abd", family, n)
+            if (n, family) == (0, "w"):
+                refusals = (
+                    lambda: grig._family(0, family, _seed(grig, family), level),
+                    lambda: family_of_word(grig, 0, family, word),
+                )
+                for refused in refusals:
+                    with pytest.raises(DegenerateCase, match=r"^w_0 has no inducible letters \(b-free\)$"):
+                        refused()
+                continue
+            got, ref = grig._family(n, family, _seed(grig, family), level), family_of_word(grig, n, family, word)
+            for name, value in got._asdict().items():
+                assert value == getattr(ref, name), (n, family, name)
+            assert got == ref
+
+
+def _outcome(make):
+    try:
+        return make()
+    except (DegenerateCase, DoesNotCloseUp) as exc:
+        return type(exc), str(exc)
+
+
+def test_random_seeds_give_the_word_based_record_or_its_refusal(grig):
+    # 200 positive a,b,d seeds of 1 to 12 letters, half of them made to die in
+    # D_8 by a suffix, at n <= 4: the folded record equals the word-based one,
+    # or both are refused with one exception type and message.  The data keep
+    # make_grigorchuk_data()'s split extension, which a seed that does not die
+    # in D_8 would break as a relator of its presentation.
+    rng = random.Random(4250)
+    names, d8 = grig.d8.element_names, grig.d8
+    kept = {name: getattr(grig, name) for name in ("b_extension", "_transport_chunks", "_x_classes")}
+    outcomes = set()
+    for trial in range(200):
+        letters = [rng.choice("abd") for _ in range(rng.randint(1, 8))]
+        if trial % 2:
+            value = d8.evaluate(Word.from_str(grig.abd, " ".join(letters)), grig.b_extension.p_map)
+            letters += str(names[d8.inv[value]]).split()
+        text = " ".join(letters)
+        data = dataclasses.replace(grig, seeds={**grig.seeds, ("abd", "w"): text})
+        vars(data).update(kept)
+        seed = _seed(data, "w")
+        levels = data._levels()
+        for n in range(5):
+            level = next(levels)
+            got = _outcome(lambda: data._family(n, "w", seed, level))
+            ref = _outcome(lambda: family_of_word(data, n, "w", data.relator_family("abd", "w", n)))
+            assert got == ref, (text, n)
+            outcomes.add(ref[0] if type(ref) is tuple else "record")
+    assert outcomes == {"record", DegenerateCase, DoesNotCloseUp}
+
+
+def test_a_non_positive_seed_is_refused_as_sigma_refuses_it(grig):
+    # over a b that is not an involution, a seed with b' is refused before any
+    # case, by the grid and by a lone case, as sigma refuses it
+    abd = Alphabet.make("a!", "b", "d!")
+    sigma = Substitution.from_rules(abd, {"a": "a b d a", "b": "d", "d": "b d"}, "sigma")
+    data = dataclasses.replace(grig, abd=abd, sigma_abd=sigma, seeds={**grig.seeds, ("abd", "w"): "a b' a b"})
+    with pytest.raises(NegativeExponent) as refused:
+        apply_substitution(sigma, Word.from_str(abd, "a b' a b"))
+    for run in (lambda: run_full_verification(data, 2), lambda: verify_sigma_identity(data, 0, "w", "first", 0)):
+        with pytest.raises(NegativeExponent, match=f"^{refused.value}$"):
+            run()
 
 
 _WALK_REFUSALS = """
 import dataclasses, sys
-from gpq.grigorchuk import make_grigorchuk_data
+from gpq.grigorchuk import make_grigorchuk_data, run_full_verification, verify_sigma_identity
 from gpq.induction import basic_relation
 from gpq.words import Word
 
@@ -809,7 +921,11 @@ print(sys.flags.optimize)
 grig = make_grigorchuk_data()
 # w_0 = b dies in D_8, w_1 = sigma(b) = d does not
 bad = dataclasses.replace(grig, seeds={**grig.seeds, ("abd", "w"): "b"})
-for refused in (lambda: bad._family(1, "w", bad.relator_family("abd", "w", 1)), lambda: basic_relation(Word.from_str(grig.abd, "d"), grig.b_extension)):
+for refused in (
+    lambda: run_full_verification(bad, 1),
+    lambda: verify_sigma_identity(bad, 1, "w", "second", 0),
+    lambda: basic_relation(Word.from_str(grig.abd, "d"), grig.b_extension),
+):
     try:
         refused()
     except Exception as exc:
@@ -819,21 +935,23 @@ for refused in (lambda: bad._family(1, "w", bad.relator_family("abd", "w", 1)), 
 
 def test_the_grid_reads_basic_relations_off_the_prefix_walk(grig):
     # the grid's cancelled conjugators and y-letter count are those of
-    # basic_relation, which runs the same walk
-    for n in range(1, 10):
+    # basic_relation, which walks the whole word w_n
+    levels = islice(grig._levels(), 1, None)
+    for n, level in zip(range(1, 10), levels):
         for family in ("w", "z"):
             basic = basic_relation(grig.relator_family("abd", family, n), grig.b_extension)
-            record = grig._family(n, family, grig.relator_family("abd", family, n))
-            assert list(record.stack) == _cancel(yl.conjugator for yl in basic), (n, family)
+            record = grig._family(n, family, _seed(grig, family), level)
+            assert list(record.stack) == cancel_pieces(yl.conjugator for yl in basic), (n, family)
             assert record.y_letters == len(basic), (n, family)
     with pytest.raises(DegenerateCase, match=r"^w_0 has no inducible letters \(b-free\)$"):
-        grig._family(0, "w", grig.relator_family("abd", "w", 0))
-    # a family word that does not close up is refused by the walk, with the
-    # same message for the grid and for basic_relation, in process and under -O
+        grig._family(0, "w", _seed(grig, "w"), _levels_at(grig, 0))
+    # a family word that does not close up is refused with the walk's
+    # message, by the grid, a lone case and basic_relation alike, in process
+    # and under -O
     message = "'d' has quotient image d, not the identity"
     bad = dataclasses.replace(grig, seeds={**grig.seeds, ("abd", "w"): "b"})
     with pytest.raises(DoesNotCloseUp, match=f"^{message}$"):
-        bad._family(1, "w", bad.relator_family("abd", "w", 1))
+        bad._family(1, "w", _seed(bad, "w"), _levels_at(bad, 1))
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     for flags, optimize in (([], "0"), (["-O"], "1")):
@@ -841,24 +959,26 @@ def test_the_grid_reads_basic_relations_off_the_prefix_walk(grig):
             [sys.executable, *flags, "-c", _WALK_REFUSALS], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == [optimize] + [f"DoesNotCloseUp {message}"] * 2
+        assert proc.stdout.splitlines() == [optimize] + [f"DoesNotCloseUp {message}"] * 3
 
 
 def test_cores_are_read_through_the_letter_images_of_sigma_then_translate(grig):
-    # _tau holds translate(sigma(x)) per letter x, and w_n read through it
-    # reduces to translate(w_{n+1}), the core the grid uses
+    # the letters' level 0 holds translate(sigma(x)) per letter x, w_n read
+    # through it reduces to translate(w_{n+1}), and so does the core the grid
+    # folds from the letters' records at n
+    tau = [record.core.letters for record in _levels_at(grig, 0)]
     for idx, name in enumerate(grig.abd.letters):
         image = apply_substitution(grig.sigma_abd, Word.letter(grig.abd, name))
-        assert grig._tau[idx] == grig.translate_bd_to_cd(image).letters, name
+        assert tau[idx] == grig.translate_bd_to_cd(image).letters, name
     for family in ("w", "z"):
         word = grig.relator_family("abd", family, 0)
-        for n in range(11):
+        for n, level in zip(range(11), grig._levels()):
             after = apply_substitution(grig.sigma_abd, word)
             reference = grig.translate_bd_to_cd(after)
-            read = chain.from_iterable(grig._tau[idx] for idx, _ in word.letters)
+            read = chain.from_iterable(tau[idx] for idx, _ in word.letters)
             assert free_reduce(Word(grig.acd, tuple(read))) == reference, (n, family)
             if n:
-                assert grig._family(n, family, word).core.letters == reference.letters, (n, family)
+                assert grig._family(n, family, _seed(grig, family), level).core.letters == reference.letters, (n, family)
             word = after
 
 
