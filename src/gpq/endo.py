@@ -8,14 +8,17 @@ original generators leaves the free group L on the stable letters; its
 positive monoid orders the extension's "horizontal" levels.
 
 The expansion builds each image by concatenating letter images computed once
-per composition sequence, so its cost follows the letters it builds.
+per composition sequence, so its cost follows the letters it builds, which it
+caps at LETTER_CAP before building any.
 """
 
 from __future__ import annotations
 
-from .errors import BrittonStuck, NegativeExponent, NotInImage
+from .errors import BrittonStuck, LimitExceeded, NegativeExponent, NotInImage
 from .presentations import Presentation
-from .words import Alphabet, Substitution, Word, apply_substitution, free_reduce, frozen, rename_word
+from .words import (
+    LETTER_CAP, Alphabet, Substitution, Word, apply_substitution, free_reduce, frozen, image_letter_counts, rename_word
+)
 
 
 @frozen
@@ -106,6 +109,15 @@ def expand_relators_annotated(
         if not r.is_positive():
             apply_substitution(subs[0], r)  # raises NegativeExponent, as the first image would
     sources = [[x for x, _ in r.letters] for r in ep.r_relators]
+    # the letters of every image under every sequence, before de-duplication,
+    # an image of an empty relator counted as one: subs map no letter to ()
+    counts = [sum(source.count(x) for source in sources) for x in range(len(ep.alphabet))]
+    empty, built = sum(not source for source in sources), 0
+    for k in range(1, depth + 1):
+        counts = image_letter_counts(subs, counts)
+        built += sum(counts) + empty * len(subs) ** k
+        if built > LETTER_CAP:
+            raise LimitExceeded(f"relator expansion to depth {depth} builds more than {LETTER_CAP:,} letters")
     images = [[[y for y, _ in img.letters] for img in sub.images] for sub in subs]
     # reach[k]: the letters R reaches in at most depth - k substitutions
     reach = [{x for source in sources for x in source}]
@@ -139,7 +151,10 @@ def expand_relators(ep: EndomorphicPresentation, depth: int) -> list[Word]:
 
     Images are unreduced words, deduplicated by exact letter sequence, in
     deterministic order: Q first, then by (k, composition sequence, relator
-    index).
+    index).  Raises LimitExceeded, before building any image, if the images
+    would hold more than LETTER_CAP letters in all, counted before
+    de-duplication and an image of an empty relator as one letter; the count
+    is predicted level by level from letter counts by image_letter_counts.
     """
     return [w for _, _, w in expand_relators_annotated(ep, depth)]
 

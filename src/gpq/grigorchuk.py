@@ -42,8 +42,9 @@ its dihedral form is theirs concatenated, and its Klein form joins them at
 two seams by the same fold, which can cascade into the middle.  The
 expected word joins C, the core and C^-1 at two seams, its normal forms by
 the same fold.  Letters are compared only when the two lengths agree, and a
-report's words are joined on first read.  No case computes a normal form by
-a pass over letters.
+report's words are joined on first read.  One fold, _fold, combines normal
+forms: at every seam, and over a word's letters in klein_nf and dihedral_nf,
+which only the transport chunks and the level-0 cores run.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ from .words import (
     apply_substitution,
     free_reduce,
     frozen,
+    image_letter_counts,
     iterate_substitution,
     rename_word,
 )
@@ -269,25 +271,19 @@ class GrigorchukData:
         """(sigma, the family seed), once relator_family(variant, family, n)
         is known to have at most FAMILY_LETTER_CAP letters, LimitExceeded
         otherwise, and for n > 0 a positive seed, NegativeExponent otherwise.
-        The length is predicted from the seed's letter counts and those of
-        the substitution's images, without building a word."""
+        The length is predicted from the seed's letter counts, level by level
+        by image_letter_counts, without building a word."""
         if n < 0:
             raise ValueError("n must be >= 0")
         alphabet, sigma = self._variant(variant)
         if (variant, family) not in self.seeds:
             raise ValueError(f"unknown family {family!r}")
         seed = Word.from_str(alphabet, self.seeds[(variant, family)])
-        counts = [0] * len(alphabet)
-        for idx, _ in seed.letters:
-            counts[idx] += 1
+        counts = [sum(i == x for i, _ in seed.letters) for x in range(len(alphabet))]
         for _ in range(n):
             if sum(counts) > FAMILY_LETTER_CAP:
                 break
-            after = [0] * len(alphabet)
-            for count, image in zip(counts, sigma.images):
-                for idx, _ in image.letters:
-                    after[idx] += count
-            counts = after
+            counts = image_letter_counts((sigma,), counts)
         if sum(counts) > FAMILY_LETTER_CAP:
             raise LimitExceeded(
                 f"{family}_{n} of the {variant} variant has more than "
@@ -394,51 +390,31 @@ def _check_chunks(chunks: _Chunks, d: tuple) -> _Chunks:
 
 def _free_product_nf(word: Word, table: FiniteGroupTable, embed: dict, passthrough):
     """Syllable normal form in (group of `table`) * (free product of passthrough
-    involutions).  Returns a tuple of int syllables: a table element g > 0
-    stands as itself, a passthrough letter as -1 - its index.
-
-    One pass: runs of embedded letters multiply into one pending table
-    element, written out as a syllable only when a passthrough letter follows.
-    Passthrough letters must be involutive, so one equal to the last syllable
-    cancels it, and the table syllable before it becomes pending again.
-    Embedded letters must be involutive too, with table generators that
-    square to the identity: else x x would be the identity in the table but
-    not in the word's group.
+    involutions), a tuple of int syllables: a table element g > 0 as itself,
+    a passthrough letter as -1 - its index.  It is the _fold of the letters'
+    one-syllable forms.  Every letter must be involutive, and an embedded
+    one's table generator square to the identity: else x x would be the
+    identity in the table but not in the word's group.
     """
     alphabet = word.alphabet
-    action = {}  # (idx, exp) -> table element >= 0, or the syllable -1 - idx
+    forms = {}  # (idx, exp) -> the letter's form: (g,) for g > 0, () for g = 0, or (-1 - idx,)
     for idx, name in enumerate(alphabet.letters):
         if name in embed:
             g = table.generator_map[embed[name]]
             if not alphabet.involutive[idx] or table.mul[g][g]:
                 raise ValueError(f"embedded letter {name!r} must be involutive, and its table generator square to 1")
-            action[(idx, 1)] = g
+            forms[(idx, 1)] = (g,) if g else ()
         elif name in passthrough:
             if not alphabet.involutive[idx]:
                 raise ValueError(f"passthrough letter {name!r} is not involutive")
-            action[(idx, 1)] = -1 - idx
-    mul = table.mul
-    out: list = []
-    pending = 0
-    for letter in word.letters:
-        act = action.get(letter)
-        if act is None:
-            name = alphabet.letters[letter[0]]
-            raise ValueError(f"letter {name!r} is neither embedded nor passthrough")
-        if act >= 0:
-            pending = mul[pending][act]
-        elif pending:
-            out += (pending, act)
-            pending = 0
-        elif out and out[-1] == act:
-            out.pop()
-            if out and out[-1] > 0:
-                pending = out.pop()
-        else:
-            out.append(act)
-    if pending:
-        out.append(pending)
-    return tuple(out)
+            forms[(idx, 1)] = (-1 - idx,)
+
+    def form(letter):
+        if letter not in forms:
+            raise ValueError(f"letter {alphabet.letters[letter[0]]!r} is neither embedded nor passthrough")
+        return forms[letter]
+
+    return tuple(_fold([], map(form, word.letters), table.mul))
 
 
 def _fold(out: list, forms, mul) -> list:

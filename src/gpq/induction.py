@@ -9,8 +9,6 @@ extensions with positive relators are supported.
 
 from __future__ import annotations
 
-from dataclasses import field
-
 from .backends import FiniteGroupTable
 from .errors import ArityMismatch, DoesNotCloseUp, NonPositiveRelator, NotSplit
 from .presentations import Presentation
@@ -68,20 +66,13 @@ class YLetter:
 
 
 def basic_relation(word: Word, data: SplitExtensionData) -> tuple[YLetter, ...]:
-    """Rewrite a positive relator in y-letters.
+    """Rewrite a positive relator in y-letters, in one pass over its prefixes.
 
     Each occurrence of a nontrivially-lifting generator contributes the
     y-letter conjugated by the quotient value of the whole prefix before it;
     trivially-lifting generators only feed the prefixes.  The word must die in
-    the quotient, else the relator does not close up.
+    the quotient, else the relator does not close up: DoesNotCloseUp.
     """
-    return tuple(map(YLetter, *prefix_walk(word, data)))
-
-
-def prefix_walk(word: Word, data: SplitExtensionData) -> tuple[list[int], list[int]]:
-    """The conjugators and the base generators of the y-letters of
-    basic_relation(word, data), as two lists of ints, in one pass over the
-    word's prefixes."""
     if not word.is_positive():
         raise NonPositiveRelator(f"'{word}' has negative exponents")
     F = data.quotient
@@ -89,18 +80,17 @@ def prefix_walk(word: Word, data: SplitExtensionData) -> tuple[list[int], list[i
     # column of the quotient table that right-multiplies by its image
     trivial = [data.y_is_trivial(j) for j in range(len(data.p_map))]
     columns = [[row[p] for row in F.mul] for p in data.p_map]
-    conjugators, bases = [], []
+    relation = []
     prefix = 0
     for idx, _ in word.letters:
         if not trivial[idx]:
-            conjugators.append(prefix)
-            bases.append(idx)
+            relation.append(YLetter(prefix, idx))
         prefix = columns[idx][prefix]
     if prefix != 0:
         raise DoesNotCloseUp(
             f"'{word}' has quotient image {F.element_names[prefix]}, not the identity"
         )
-    return conjugators, bases
+    return tuple(relation)
 
 
 def conjugate_relation(relation: tuple[YLetter, ...], x: int, data: SplitExtensionData) -> tuple[YLetter, ...]:
@@ -118,7 +108,18 @@ class InducedPresentation:
     pre_simplification_generator_count: int
     eliminated_generators: tuple[str, ...]
     dropped_relators: tuple[str, ...]
-    log: tuple[str, ...] = field(default=())
+
+    @property
+    def log(self) -> tuple[str, ...]:
+        """The two simplifications in words, each when it happened."""
+        names, dropped, log = self.eliminated_generators, self.dropped_relators, []
+        if names:
+            log.append(
+                f"eliminated {len(names)} trivial y-letters (generators equal to their own lifts): {', '.join(names)}"
+            )
+        if dropped:
+            log.append(f"dropped {len(dropped)} empty induced relators")
+        return tuple(log)
 
     def to_dict(self) -> dict:
         return {
@@ -152,7 +153,6 @@ def induce_presentation(data: SplitExtensionData) -> InducedPresentation:
     """
     p = data.presentation
     F = data.quotient
-    log = []
     pre_count = F.order * len(p.alphabet)
 
     eliminated = []
@@ -165,11 +165,6 @@ def induce_presentation(data: SplitExtensionData) -> InducedPresentation:
                 eliminated.append(y_letter_name(data, yl))
             else:
                 kept.append(yl)
-    if eliminated:
-        log.append(
-            f"eliminated {len(eliminated)} trivial y-letters "
-            f"(generators equal to their own lifts): {', '.join(eliminated)}"
-        )
 
     # y-letters are conjugates of y_j = x_j lift(p(x_j))^-1; they are involutions
     # exactly when the base letter is one (and its lift is empty)
@@ -194,8 +189,6 @@ def induce_presentation(data: SplitExtensionData) -> InducedPresentation:
                 continue
             letters = tuple((generator[yl], 1) for yl in conj)
             relators.append(Word(y_alphabet, letters))
-    if dropped:
-        log.append(f"dropped {len(dropped)} empty induced relators")
 
     induced = Presentation(y_alphabet, tuple(relators), (p.name or "G") + "_induced")
     return InducedPresentation(
@@ -204,7 +197,6 @@ def induce_presentation(data: SplitExtensionData) -> InducedPresentation:
         pre_simplification_generator_count=pre_count,
         eliminated_generators=tuple(eliminated),
         dropped_relators=tuple(dropped),
-        log=tuple(log),
     )
 
 

@@ -603,6 +603,18 @@ def apply_substitution(sub: Substitution, word: Word) -> Word:
     return Word._of(sub.alphabet, tuple(out))
 
 
+def image_letter_counts(subs, counts: list[int]) -> list[int]:
+    """The letter counts of the images, under each substitution of `subs` and
+    summed over them, of positive words with letter counts `counts`: one
+    level of an iterated image's length, predicted without building a word."""
+    after = [0] * len(counts)
+    for sub in subs:
+        for count, image in zip(counts, sub.images):
+            for idx, _ in image.letters:
+                after[idx] += count
+    return after
+
+
 def iterate_substitution(sub: Substitution, word: Word, n: int) -> Word:
     if n < 0:
         raise ValueError("iteration count must be >= 0")

@@ -14,7 +14,7 @@ rescan from the left) and of its decoding dynamic programme (a whole source
 tuple per suffix), kept as references for the one-pass forms.
 
 `family_of_word` is the earlier record of one relator family at one n, read
-off the whole word w_n: its prefix walk, the conjugators cancelled by
+off the whole word w_n: basic_relation's conjugators, cancelled by
 `cancel_pieces`, and the core w_{n+1} built and translated, with a normal
 form pass over it each; a reference for the library's records, folded
 level by level from letter tables without building w_n.
@@ -100,7 +100,7 @@ from itertools import chain, product
 
 from gpq.errors import DegenerateCase, LimitExceeded, ParseError
 from gpq.grigorchuk import _Chunk, _Family, _fold
-from gpq.induction import basic_relation, conjugate_relation, prefix_walk
+from gpq.induction import basic_relation, conjugate_relation
 from gpq.rewriting import NullHomotopyCertificate, ReductionStep, ReductionTrace
 from gpq.words import Word, apply_substitution, free_reduce, rotations_and_inverses, words_up_to_length
 
@@ -623,11 +623,11 @@ def cancel_pieces(gs):
 
 def family_of_word(data, n, family, word):
     """The grigorchuk._Family of `family` at n read off w_n = `word` over
-    a,b,d: the conjugators of the prefix walk of basic_relation, cancelled
-    by `cancel_pieces`; the core translate_bd_to_cd(sigma(w_n)) built whole,
+    a,b,d: the conjugators of basic_relation's y-letters, cancelled by
+    `cancel_pieces`; the core translate_bd_to_cd(sigma(w_n)) built whole,
     with its Klein and dihedral forms from a pass over its letters each; and
     the middle's dihedral form from the mid table of x = e."""
-    conjugators, _ = prefix_walk(word, data.b_extension)
+    conjugators = [yl.conjugator for yl in basic_relation(word, data.b_extension)]
     if not conjugators:
         raise DegenerateCase(f"{family}_{n} has no inducible letters (b-free)")
     stack = tuple(cancel_pieces(conjugators))

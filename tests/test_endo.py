@@ -25,7 +25,7 @@ from gpq.endo import (
     sigma_decode,
     stable_projection,
 )
-from gpq.errors import BrittonStuck, NegativeExponent, NotInImage
+from gpq.errors import BrittonStuck, LimitExceeded, NegativeExponent, NotInImage
 from gpq.words import Alphabet, Substitution, Word, apply_substitution, free_reduce
 from helpers import decode_by_tuples, expand_by_levels, expand_by_sequences
 
@@ -553,14 +553,36 @@ def test_expansion_builds_only_the_letters_r_reaches():
     assert time.perf_counter() - start < 1.0
 
 
+def test_expansion_past_the_letter_cap_is_refused_before_any_image(grig, monkeypatch):
+    # Lysenok's R = (a d)^4 under sigma_acd: the images to depth 12 hold
+    # 123,176 letters, to depth 13 249,368 and to depth 14 503,616
+    ep = EndomorphicPresentation(grig.acd, (), (grig.sigma_acd,), (Word.from_str(grig.acd, "(a d)^4"),), ("t",))
+    got = expand_relators_annotated(ep, 12)
+    assert got == expand_by_levels(ep, 12) and sum(len(w) for _, _, w in got) == 123_176
+    concat, calls = gpq.endo._concat, []
+    monkeypatch.setattr(gpq.endo, "_concat", lambda table, letters: calls.append(1) or concat(table, letters))
+    start = time.perf_counter()
+    with pytest.raises(LimitExceeded) as refused:
+        expand_relators(ep, 14)
+    assert time.perf_counter() - start < 1.0 and calls == []
+    assert str(refused.value) == "relator expansion to depth 14 builds more than 262,144 letters"
+    assert len(expand_relators(ep, 1)) == 2 and calls  # the spy counts
+    # an empty relator has one image per sequence: 2^31 - 2 of them to depth 30
+    ab = Alphabet.make("a", "b")
+    subs = (Substitution.from_rules(ab, {"a": "a", "b": "b"}), Substitution.from_rules(ab, {"a": "b", "b": "a"}))
+    with pytest.raises(LimitExceeded, match="^relator expansion to depth 30 builds more than 262,144 letters$"):
+        expand_relators(EndomorphicPresentation(ab, (), subs, (Word.identity(ab),)), 30)
+
+
 def test_expansion_refuses_a_non_positive_relator_only_when_it_substitutes():
     ab = Alphabet.make("a", "b")
     sub = Substitution.from_rules(ab, {"a": "a b", "b": "b"})
     r_relators = (Word.from_str(ab, "a b"), Word.from_str(ab, "a b' a"), Word.from_str(ab, "a'"))
     ep = EndomorphicPresentation(ab, (Word.from_str(ab, "a' b'"),), (sub,), r_relators)
-    with pytest.raises(NegativeExponent) as refused:
-        expand_relators(ep, 1)
-    assert str(refused.value) == "substitution applied to inverse letter b'"
+    for depth in (1, 1000):  # at depth 1000 before the letter cap, too
+        with pytest.raises(NegativeExponent) as refused:
+            expand_relators(ep, depth)
+        assert str(refused.value) == "substitution applied to inverse letter b'"
     assert [str(w) for w in expand_relators(ep, 0)] == ["a' b'", "a b", "a b' a", "a'"]
     unsubstituted = EndomorphicPresentation(ab, (), (), r_relators)
     assert expand_relators(unsubstituted, 3) == list(r_relators)

@@ -706,9 +706,10 @@ def test_dihedral_nf_is_a_congruence(grig):
 
 
 def test_normal_forms_match_the_rewriting_model(grig):
-    # the one-pass normal forms agree with rewriting to a fixpoint, on random
-    # words and on products of conjugated relators, which collapse to ()
-    rng = random.Random(4243)
+    # the folded normal forms agree with rewriting to a fixpoint, on random
+    # words and on products of conjugated relators, which collapse to (); and
+    # on 2,000 more words each, half reduced and half with a letter doubled
+    rng, more = random.Random(4243), random.Random(4250)
     groups = (
         (grig.klein_nf, grig.klein_cd, ("a",), ("a a", "c c", "d d", "c d c d")),
         (grig.dihedral_nf, grig.d16, ("d",), ("a a", "c c", "d d", "(a c a c)^4")),
@@ -730,6 +731,13 @@ def test_normal_forms_match_the_rewriting_model(grig):
                     w = w * u * rng.choice(relators) * u.inverse()
             forms.append(nf(w))
             assert forms[-1] == free_product_nf(w, table, passthrough), str(w)
+        for k in range(2000):
+            w = free_reduce(Word(grig.acd, tuple((more.randrange(3), 1) for _ in range(more.randrange(25)))))
+            if k % 2:
+                x = more.randrange(3)
+                w = w.splice(more.randrange(len(w) + 1), 0, ((x, 1), (x, 1)))
+            assert (free_reduce(w) == w) is not bool(k % 2)
+            assert nf(w) == free_product_nf(w, table, passthrough), str(w)
         assert sum(f == () for f in forms) >= 150
         # both syllable kinds occur: table elements > 0, passthrough letters < 0
         assert any(min(f) < 0 < max(f) for f in forms if f)
@@ -822,20 +830,20 @@ def test_family_words_apply_sigma_once_per_n(monkeypatch):
 def test_the_grid_builds_no_y_letter_and_no_word_past_max_n(monkeypatch):
     # the n <= 8 grid, and a lone case, read T(w_n) and the core off the
     # letters' records: they build no y-letter and no family word, not even
-    # w_1, and run no prefix walk
+    # w_1, and call no basic_relation
     data = make_grigorchuk_data()
     y_letters, built, walked = [], [], []
-    init, apply, walk = induction.YLetter.__init__, words.apply_substitution, induction.prefix_walk
+    init, apply, walk = induction.YLetter.__init__, words.apply_substitution, induction.basic_relation
     monkeypatch.setattr(induction.YLetter, "__init__", lambda self, *args: y_letters.append(args) or init(self, *args))
     monkeypatch.setattr(words, "apply_substitution", lambda sub, word: built.append(apply(sub, word)) or built[-1])
-    monkeypatch.setattr(induction, "prefix_walk", lambda word, ext: walked.append(word) or walk(word, ext))
+    monkeypatch.setattr(induction, "basic_relation", lambda word, ext: walked.append(word) or walk(word, ext))
     _, summary = run_full_verification(data, 8)
     assert summary.total == 256 and summary.all_equal
     assert verify_sigma_identity(make_grigorchuk_data(), 8, "z", "first", 5).equal
     assert y_letters == [] and built == [] and walked == []
     # the counters count: relator_family builds its words by sigma, and
     # basic_relation walks them and builds its YLetters
-    assert len(basic_relation(data.relator_family("abd", "w", 1), data.b_extension)) == len(y_letters) > 0
+    assert len(induction.basic_relation(data.relator_family("abd", "w", 1), data.b_extension)) == len(y_letters) > 0
     assert len(built) == len(walked) == 1
 
 
@@ -1081,8 +1089,18 @@ def test_family_words_over_the_letter_cap_are_refused_before_they_are_built(grig
     # 93,424 and 282,136 letters
     assert len(grig.relator_family("abd", "z", 11)) <= FAMILY_LETTER_CAP
     for variant, family, n in (("abd", "z", 12), ("acd", "w", 40), ("abcd", "z", 10**9)):
-        with pytest.raises(LimitExceeded, match=f"{family}_{n} of the {variant} variant"):
+        with pytest.raises(LimitExceeded) as refused:
             grig.relator_family(variant, family, n)
+        assert str(refused.value) == f"{family}_{n} of the {variant} variant has more than 262,144 letters"
+    # the other refusals of _checked_seed, which relator_family and the grid share
+    for args, message in (
+        (("abd", "w", -1), "n must be >= 0"),
+        (("abd", "y", 1), "unknown family 'y'"),
+        (("ab", "w", 1), "unknown variant 'ab'"),
+    ):
+        with pytest.raises(ValueError) as refused:
+            grig.relator_family(*args)
+        assert str(refused.value) == message
     # the grid checks its longest words, w_(n+1) and z_(n+1), up front
     with pytest.raises(LimitExceeded, match="z_12"):
         run_full_verification(grig, 11)
